@@ -22,7 +22,7 @@ from . import geometry, integrability, lift, synth, sysmodel
 from .geometry import EhresmannConnection, Frame, ProjectionPair
 from .integrability import IntegrabilityReport, ResidualSystem
 from .parsing import PolyParseError, parse_poly
-from .poly import Poly, PolyMatrix, format_poly, grad
+from .poly import DEGREE_CAP, DegreeCapError, Poly, PolyMatrix, format_poly, grad
 from .sysmodel import (
     CLFValidationError,
     ControlAffineSystem,
@@ -110,7 +110,7 @@ def _parse_field(text, variables, where: str) -> Poly:
         raise SpecError(f"{where}: expected a polynomial string")
     try:
         return parse_poly(text, variables)
-    except PolyParseError as exc:
+    except (PolyParseError, DegreeCapError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
 
 
@@ -182,19 +182,28 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     opt_raw = raw.get("options", {})
     if not isinstance(opt_raw, dict):
         raise SpecError("'options' must be an object")
-    options = Options(
-        order=int(opt_raw.get("order", 6)),
-        grid_per_axis=int(opt_raw.get("grid", 3)),
-        h=float(opt_raw.get("h", 0.01)),
-        horizon=float(opt_raw.get("horizon", 10.0)),
-        x0=[float(v) for v in opt_raw["x0"]] if "x0" in opt_raw else None,
-        symbol_seed=int(opt_raw.get("symbol_seed", 0)),
-    )
+    try:
+        options = Options(
+            order=int(opt_raw.get("order", 6)),
+            grid_per_axis=int(opt_raw.get("grid", 3)),
+            h=float(opt_raw.get("h", 0.01)),
+            horizon=float(opt_raw.get("horizon", 10.0)),
+            x0=[float(v) for v in opt_raw["x0"]] if "x0" in opt_raw else None,
+            symbol_seed=int(opt_raw.get("symbol_seed", 0)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"'options': {exc}") from exc
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(options, key, value)
-    if options.order < 2:
-        raise SpecError("order must be at least 2")
+    if not 2 <= options.order <= DEGREE_CAP:
+        raise SpecError(f"order must be between 2 and {DEGREE_CAP}")
+    if options.grid_per_axis < 1:
+        raise SpecError("grid must be at least 1 point per axis")
+    if not options.h > 0:
+        raise SpecError("h must be positive")
+    if not options.horizon >= options.h:
+        raise SpecError("horizon must be at least h")
     if options.x0 is not None and len(options.x0) != m:
         raise SpecError(f"x0 must have {m} entries")
 
@@ -254,38 +263,27 @@ def stage_geometry(problem: Problem) -> ProjectionPair:
     d = geometry.complement_frame(c, problem.user_d, grid)
     if problem.user_p_d is not None:
         return projections_from_matrix(c, d, problem.user_p_d, problem.conn)
-    return geometry.build_projections(c, d, problem.conn, grid)
+    return geometry.build_projections(c, d, problem.conn)
 
 
 def projections_from_matrix(
     c: Frame, d: Frame, p_d: PolyMatrix, conn: EhresmannConnection
 ) -> ProjectionPair:
-    """Wrap a user-supplied P_D after checking its defining identities."""
+    """Wrap a user-supplied P_D after checking its defining identities exactly."""
     m = c.dim
     if p_d.rows != m - c.rank or p_d.cols != m:
         raise SpecError(f"p_d must be {m - c.rank}x{m}")
-    for j, col in enumerate(c.fields):
-        for a in range(p_d.rows):
-            total = Poly.zero(m)
-            for i in range(m):
-                total = total + p_d.entry(a, i) * col[i]
-            if not total.is_zero():
+    on_c = p_d @ c.as_matrix()
+    for j in range(on_c.cols):
+        for a in range(on_c.rows):
+            if not on_c.entry(a, j).is_zero():
                 raise SpecError(f"p_d row {a + 1} does not annihilate control column {j + 1}")
-    for j, col in enumerate(d.fields):
-        for a in range(p_d.rows):
-            total = Poly.zero(m)
-            for i in range(m):
-                total = total + p_d.entry(a, i) * col[i]
-            expected = Poly.const(m, 1) if a == j else Poly.zero(m)
-            if not (total - expected).is_zero():
+    on_d = p_d @ d.as_matrix()
+    for j in range(on_d.cols):
+        for a in range(on_d.rows):
+            if on_d.entry(a, j) != Poly.const(m, 1 if a == j else 0):
                 raise SpecError(f"p_d is not the identity on complement column {j + 1}")
-    return ProjectionPair(c, d, p_d, geometry.build_p_vm(conn), None, _stack(c, d))
-
-
-def _stack(c: Frame, d: Frame) -> PolyMatrix:
-    cols = list(c.fields) + list(d.fields)
-    m = c.dim
-    return PolyMatrix([[cols[j][i] for j in range(len(cols))] for i in range(m)], cols=len(cols), nvars=m)
+    return ProjectionPair(c, d, p_d, geometry.build_p_vm(conn), Poly.const(m, 1))
 
 
 def stage_target(problem: Problem, clf: QuotientCLF) -> TargetData:
@@ -299,7 +297,6 @@ def stage_integrability(problem: Problem, rs: ResidualSystem) -> tuple[dict, Int
     report = integrability.full_check(rs, problem.conn, problem.grid, problem.options.symbol_seed)
     names = problem.state_names
     section = {
-        "mode": report.mode,
         "flat": report.flat,
         "flat_offenders": {
             f"F[{l}]({q1},{q2})": format_poly(poly, names)
@@ -328,7 +325,6 @@ def stage_integrability(problem: Problem, rs: ResidualSystem) -> tuple[dict, Int
             "quasi_regular": report.symbol.quasi_regular,
             "permutation": list(report.symbol.permutation) if report.symbol.permutation else None,
         },
-        "numeric_worst": {k: float(v) for k, v in sorted(report.numeric_worst.items())},
         "verdict": report.verdict,
         "reasons": report.reasons,
     }

@@ -109,10 +109,11 @@ def complement_frame(
 ) -> Frame:
     """A distribution D with TM = C (+) D, from the user or by coordinate search.
 
-    The automatic search walks the coordinate directions in index order and
-    keeps those that enlarge the span at every grid point; it then requires
-    det[C | D] to be a nonzero constant so that the projection onto D is
-    polynomial.  Supply ``user_d`` when that search is too naive.
+    Either way [C | D] has full rank at every grid point.  The automatic
+    search walks the coordinate directions in index order and keeps those
+    that enlarge the span at every grid point; supply ``user_d`` when that
+    search is too naive.  det[C | D] need not be constant (see
+    :func:`build_projections`).
     """
     m = c.dim
     if grid is None:
@@ -138,13 +139,7 @@ def complement_frame(
             chosen.append(candidate)
     if len(chosen) != m - c.rank:
         raise ComplementError("no coordinate complement found; supply one explicitly")
-    d = Frame(m, tuple(chosen))
-    det = poly_det(_stack_columns(c, d))
-    if not det.is_constant() or det.is_zero():
-        raise ComplementError(
-            "automatic complement has a non-constant [C | D] determinant; supply one explicitly"
-        )
-    return d
+    return Frame(m, tuple(chosen))
 
 
 def _stack_columns(c: Frame, d: Frame) -> PolyMatrix:
@@ -251,16 +246,6 @@ def poly_dot(a: Sequence[Poly], b: Sequence[Poly]) -> Poly:
     return total
 
 
-def sharp(omega: Sequence[Poly]) -> list[Poly]:
-    """Index-raising on coordinate components (identity reindexing)."""
-    return list(omega)
-
-
-def flat(vector: Sequence[Poly]) -> list[Poly]:
-    """Index-lowering on coordinate components (inverse of :func:`sharp`)."""
-    return list(vector)
-
-
 def curvature_components(conn: EhresmannConnection) -> dict[tuple[int, int, int], Poly]:
     """Curvature of the connection, one component per (l, q1 < q2).
 
@@ -292,49 +277,33 @@ def curvature_components(conn: EhresmannConnection) -> dict[tuple[int, int, int]
 class ProjectionPair:
     """Projection data for the splitting TM = C (+) D and the connection.
 
-    ``p_d`` is the (m-r)-by-m projection onto the D coordinates (None when
-    only the pointwise-numeric path is available), ``p_vm`` the m-by-n
-    matrix whose columns span ann(VM) and whose transpose has ann(HM) as
-    kernel.
+    The projection onto the D coordinates is P_D = p_d / delta: ``p_d`` is
+    an (m-r)-by-m polynomial matrix and ``delta`` a polynomial with
+    delta(0) = 1.  ``p_vm`` is the m-by-n matrix whose columns span ann(VM)
+    and whose transpose has ann(HM) as kernel.
     """
 
     c_frame: Frame
     d_frame: Frame
-    p_d: PolyMatrix | None
+    p_d: PolyMatrix
     p_vm: PolyMatrix
-    cd_det: Poly | None
-    cd_matrix: PolyMatrix
+    delta: Poly
 
     @property
     def m(self) -> int:
         return self.c_frame.dim
 
-    @property
-    def symbolic(self) -> bool:
-        return self.p_d is not None
 
-    def p_d_at(self, point: Sequence[float]) -> np.ndarray:
-        """Numeric value of the D-projection at a point, in either mode."""
-        if self.p_d is not None:
-            return self.p_d.at(point)
-        r = self.c_frame.rank
-        t = self.cd_matrix.at(point)
-        return np.linalg.inv(t)[r:, :]
-
-
-def build_projections(
-    c: Frame,
-    d: Frame,
-    conn: EhresmannConnection,
-    grid: Sequence[GridPoint] | None = None,
-) -> ProjectionPair:
+def build_projections(c: Frame, d: Frame, conn: EhresmannConnection) -> ProjectionPair:
     """Assemble P_D and P_VM for a chosen complement and connection.
 
-    When det[C | D] is a nonzero constant the projection rows are exact
-    polynomials (adjugate over the constant determinant) and satisfy
-    P_D @ C = 0 and P_D @ D = I identically.  Otherwise P_D is kept as a
-    pointwise-numeric evaluator and downstream checks fall back to grid
-    evaluation.
+    With T = [C | D], P_D is the bottom rows of T^-1 = adj(T) / det(T).
+    Both are scaled by 1/det(T)(0), so ``p_d`` holds the bottom rows of
+    adj(T) / det(T)(0) and ``delta`` = det(T) / det(T)(0); p_d @ C = 0 and
+    p_d @ D = delta * I hold identically.  When det(T) is constant, delta
+    is 1 and ``p_d`` is P_D itself.  [C | D] must be invertible at the
+    origin, which is an exact check here; its rank on the rest of the grid
+    is checked by :func:`complement_frame`.
     """
     m = c.dim
     if d.dim != m or c.rank + d.rank != m:
@@ -343,15 +312,9 @@ def build_projections(
         raise ValueError("connection dimension does not match the frames")
     t = _stack_columns(c, d)
     det = poly_det(t)
-    p_vm = build_p_vm(conn)
-    if det.is_constant() and not det.is_zero():
-        inv = poly_adjugate(t).scale(Fraction(1) / det.constant_term)
-        bottom = [inv.row(i) for i in range(c.rank, m)]
-        p_d = PolyMatrix(bottom, cols=m, nvars=m)
-        return ProjectionPair(c, d, p_d, p_vm, det, t)
-    if grid is None:
-        grid = default_grid(m)
-    for point in grid_floats(grid):
-        if numeric_rank(t.at(point)) != m:
-            raise FrameRankError(f"[C | D] is singular at grid point {point}")
-    return ProjectionPair(c, d, None, p_vm, None, t)
+    d0 = det.constant_term
+    if d0 == 0:
+        raise FrameRankError("[C | D] is singular at the origin")
+    adj = poly_adjugate(t).scale(Fraction(1) / d0)
+    p_d = PolyMatrix([adj.row(i) for i in range(c.rank, m)], cols=m, nvars=m)
+    return ProjectionPair(c, d, p_d, build_p_vm(conn), det * (Fraction(1) / d0))

@@ -6,6 +6,14 @@ equations:
     D-block:   sum_i P_D[a][i] * (dV/dx^i - X^i) = 0      (a = 1..m-r)
     VM-block:  sum_i P_VM[i][q] * dV/dx^i = 0             (q = 1..n)
 
+P_D = Q / delta with Q and delta polynomial and delta(0) = 1 (see
+geometry.build_projections).  Every check here works on Q: the D-block
+times delta, condition B times delta^2 and condition A times delta^3 are
+polynomials.  delta is not the zero polynomial, so each is identically
+zero exactly when its P_D form is; and [C | D] has full rank on the check
+grid, so delta does not vanish at the points where the pointwise checks
+run.
+
 This module evaluates those residuals, their first prolongation, the
 structural obstruction terms (connection curvature, the two antisymmetric
 coefficient conditions), pointwise solvability of the first-order
@@ -38,12 +46,6 @@ from .numutil import (
 from .poly import Poly, PolyMatrix, poly_sum
 
 CONSISTENCY_RTOL = 1e-9
-NUMERIC_FD_STEP = 1e-4
-NUMERIC_ZERO_TOL = 1e-6
-
-
-class SymbolicUnavailableError(RuntimeError):
-    """An exact computation was requested but P_D exists only numerically."""
 
 
 class InconsistentJetError(ValueError):
@@ -70,23 +72,24 @@ class ResidualSystem:
         return self.pair.p_vm.cols
 
     @property
-    def p_d(self) -> PolyMatrix | None:
+    def p_d(self) -> PolyMatrix:
         return self.pair.p_d
+
+    @property
+    def delta(self) -> Poly:
+        return self.pair.delta
 
     @property
     def p_vm(self) -> PolyMatrix:
         return self.pair.p_vm
 
 
-def _require_symbolic(rs: ResidualSystem) -> PolyMatrix:
-    if rs.p_d is None:
-        raise SymbolicUnavailableError("P_D is only available pointwise; use the grid fallbacks")
-    return rs.p_d
-
-
 def residual_psi(rs: ResidualSystem, v: Poly) -> tuple[list[Poly], list[Poly]]:
-    """Exact residual blocks for a candidate V; both vanish iff V solves the PDE."""
-    p_d = _require_symbolic(rs)
+    """Exact residual blocks for a candidate V; both vanish iff V solves the PDE.
+
+    The D-block is the P_D residual times delta.
+    """
+    p_d = rs.p_d
     m = rs.m
     if v.nvars != m:
         raise ValueError("V must be a polynomial in the m state variables")
@@ -113,17 +116,18 @@ def prolonged_residual(
 
     ``v1`` holds the first-order jet entries V_i and ``v2`` the symmetric
     matrix of second-order entries V_[i,i1].  Returns the original blocks
-    ("d", "vm") and their derivative blocks ("d1", "vm1"), where entry
-    [a, i] of "d1" is
+    ("d", "vm"), with the D-block on Q = delta * P_D as in
+    :func:`residual_psi`, and their derivative blocks ("d1", "vm1"), where
+    entry [a, i] of "d1" is
 
-        sum_i1 [ P_D[a][i1] V_[i,i1] + d(P_D[a][i1])/dx^i (V_i1 - X^i1)
-                 - P_D[a][i1] d(X^i1)/dx^i ]
+        sum_i1 [ Q[a][i1] V_[i,i1] + d(Q[a][i1])/dx^i (V_i1 - X^i1)
+                 - Q[a][i1] d(X^i1)/dx^i ]
 
     and entry [q, i] of "vm1" is
 
         sum_i1 [ d(P_VM[i1][q])/dx^i V_i1 + P_VM[i1][q] V_[i,i1] ].
     """
-    p_d = _require_symbolic(rs)
+    p_d = rs.p_d
     m = rs.m
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
@@ -165,17 +169,24 @@ def check_flatness(conn: EhresmannConnection) -> tuple[bool, dict[tuple[int, int
     return (not offenders, offenders)
 
 
-def condition_a(p_d: PolyMatrix) -> dict[tuple[int, int, int], Poly]:
+def condition_a(p_d: PolyMatrix, delta: Poly) -> dict[tuple[int, int, int], Poly]:
     """Antisymmetrized derivative contraction of the D-projection rows.
 
-    Entry (a1, a2, i1), with 1-based labels and a1 < a2, holds
+    For P_D = Q / delta, entry (a1, a2, i1), with 1-based labels and
+    a1 < a2, is delta^3 times
 
         sum_i [ P_D[a1][i] d(P_D[a2][i1])/dx^i - P_D[a2][i] d(P_D[a1][i1])/dx^i ]
+
+    which is the polynomial
+
+        delta * sum_i [ Q[a1][i] d(Q[a2][i1])/dx^i - Q[a2][i] d(Q[a1][i1])/dx^i ]
+        - sum_i [ Q[a1][i] Q[a2][i1] - Q[a2][i] Q[a1][i1] ] d(delta)/dx^i
 
     The condition holds when every entry is identically zero; with fewer
     than two D rows it is vacuous.
     """
     m = p_d.cols
+    d_delta = [(i, dd) for i in range(m) if not (dd := delta.diff(i)).is_zero()]
     out: dict[tuple[int, int, int], Poly] = {}
     for a1 in range(p_d.rows):
         for a2 in range(a1 + 1, p_d.rows):
@@ -188,6 +199,11 @@ def condition_a(p_d: PolyMatrix) -> dict[tuple[int, int, int], Poly]:
                     ),
                     p_d.nvars,
                 )
+                if not delta.is_constant():
+                    entry = delta * entry
+                for i, dd in d_delta:
+                    cross = p_d.entry(a1, i) * p_d.entry(a2, i1) - p_d.entry(a2, i) * p_d.entry(a1, i1)
+                    entry = entry - cross * dd
                 out[(a1 + 1, a2 + 1, i1 + 1)] = entry
     return out
 
@@ -197,7 +213,9 @@ def condition_b(p_d: PolyMatrix, x_field: Sequence[Poly]) -> dict[tuple[int, int
 
     Entry (a1, a2), a1 < a2 (1-based), holds
 
-        sum_i sum_i1 [ P_D[a2][i] P_D[a1][i1] - P_D[a1][i] P_D[a2][i1] ] d(X^i1)/dx^i
+        sum_i sum_i1 [ Q[a2][i] Q[a1][i1] - Q[a1][i] Q[a2][i1] ] d(X^i1)/dx^i
+
+    which is delta^2 times the same sum over the rows of P_D = Q / delta.
     """
     m = p_d.cols
     dx = [[x_field[i1].diff(i) for i1 in range(m)] for i in range(m)]
@@ -213,69 +231,16 @@ def condition_b(p_d: PolyMatrix, x_field: Sequence[Poly]) -> dict[tuple[int, int
     return out
 
 
-def condition_a_numeric(
-    pair: ProjectionPair,
-    grid: Sequence[GridPoint],
-    step: float = NUMERIC_FD_STEP,
-    tol: float = NUMERIC_ZERO_TOL,
-) -> tuple[bool, float]:
-    """Grid fallback for condition A via central differences of P_D."""
-    m = pair.m
-    rows = m - pair.c_frame.rank
-    worst = 0.0
-    for point in geometry.grid_floats(grid):
-        pd_val = pair.p_d_at(point)
-        dpd = _fd_matrix(pair.p_d_at, point, step)  # [i][a][i1]
-        for a1 in range(rows):
-            for a2 in range(a1 + 1, rows):
-                for i1 in range(m):
-                    val = sum(
-                        pd_val[a1, i] * dpd[i][a2, i1] - pd_val[a2, i] * dpd[i][a1, i1]
-                        for i in range(m)
-                    )
-                    worst = max(worst, abs(val))
-    return worst <= tol, worst
-
-
-def condition_b_numeric(
-    pair: ProjectionPair,
-    x_field: Sequence[Poly],
-    grid: Sequence[GridPoint],
-    tol: float = NUMERIC_ZERO_TOL,
-) -> tuple[bool, float]:
-    """Grid fallback for condition B (X stays exact; only P_D is sampled)."""
-    m = pair.m
-    rows = m - pair.c_frame.rank
-    worst = 0.0
-    for point in geometry.grid_floats(grid):
-        pd_val = pair.p_d_at(point)
-        jac = np.array([[x_field[i1].diff(i).eval_float(point) for i1 in range(m)] for i in range(m)])
-        for a1 in range(rows):
-            for a2 in range(a1 + 1, rows):
-                val = 0.0
-                for i in range(m):
-                    for i1 in range(m):
-                        val += (pd_val[a2, i] * pd_val[a1, i1] - pd_val[a1, i] * pd_val[a2, i1]) * jac[i, i1]
-                worst = max(worst, abs(val))
-    return worst <= tol, worst
-
-
-def _fd_matrix(evaluator, point, step):
-    point = np.asarray(point, dtype=float)
-    out = []
-    for i in range(point.size):
-        shift = np.zeros_like(point)
-        shift[i] = step
-        out.append((evaluator(point + shift) - evaluator(point - shift)) / (2 * step))
-    return out
-
-
 # -- pointwise solvability -----------------------------------------------------
 
 
 def stacked_system(rs: ResidualSystem, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Linear constraints M @ (V_1..V_m) = b on the gradient of V at a point."""
-    pd_val = rs.pair.p_d_at(point)
+    """Linear constraints M @ (V_1..V_m) = b on the gradient of V at a point.
+
+    The D rows are those of P_D times delta(point), which leaves the
+    solution set unchanged wherever delta(point) is nonzero.
+    """
+    pd_val = rs.p_d.at(point)
     pvm_val = rs.p_vm.at(point)
     x_val = np.array([p.eval_float(point) for p in rs.x_field])
     m_mat = np.vstack([pd_val, pvm_val.T])
@@ -487,27 +452,29 @@ def curvature_map_eval(
     """Obstruction values (G, H) at a consistent first-order jet.
 
     G combines the condition-A polynomials against (V_i1 - X^i1) plus the
-    condition-B polynomials; H contracts the VM curvature coefficients with
-    the jet.  When flatness and conditions A and B hold identically, every
-    coefficient polynomial is exactly zero and so are the returned values,
-    for any consistent jet at any point.
+    condition-B polynomials, each divided by its power of delta(point) so
+    that G is the value for P_D itself; H contracts the VM curvature
+    coefficients with the jet.  When flatness and conditions A and B hold
+    identically, every coefficient polynomial is exactly zero and so are
+    the returned values, for any consistent jet at any point.
     """
-    p_d = _require_symbolic(rs)
+    p_d = rs.p_d
     m = rs.m
     v1 = np.asarray(v1, dtype=float)
     m_mat, b = stacked_system(rs, point)
     if m_mat.size and np.max(np.abs(m_mat @ v1 - b)) > jet_tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
         raise InconsistentJetError("jet does not satisfy the first-order constraints at the point")
-    a_entries = condition_a(p_d)
+    a_entries = condition_a(p_d, rs.delta)
     b_entries = condition_b(p_d, rs.x_field)
     x_val = np.array([p.eval_float(point) for p in rs.x_field])
+    delta = rs.delta.eval_float(point)
     g_map: dict[tuple[int, int], float] = {}
     for a1 in range(p_d.rows):
         for a2 in range(a1 + 1, p_d.rows):
-            total = b_entries[(a1 + 1, a2 + 1)].eval_float(point)
+            total = b_entries[(a1 + 1, a2 + 1)].eval_float(point) * delta
             for i1 in range(m):
                 total += a_entries[(a1 + 1, a2 + 1, i1 + 1)].eval_float(point) * (v1[i1] - x_val[i1])
-            g_map[(a1 + 1, a2 + 1)] = total
+            g_map[(a1 + 1, a2 + 1)] = total / delta**3
     h_coeffs = vm_curvature_coeffs(rs.p_vm)
     h_map: dict[tuple[int, int], float] = {}
     for q1 in range(rs.n):
@@ -532,8 +499,6 @@ class IntegrabilityReport:
     cond_b_offenders: dict[tuple[int, int], Poly]
     consistency: ConsistencyReport
     symbol: SymbolDims
-    mode: str  # "exact" or "numeric"
-    numeric_worst: dict[str, float] = field(default_factory=dict)
 
     @property
     def liftable(self) -> bool:
@@ -568,34 +533,20 @@ def full_check(
     if grid is None:
         grid = geometry.default_grid(m)
     flat, flat_offenders = check_flatness(conn)
-    numeric_worst: dict[str, float] = {}
-    if rs.pair.symbolic:
-        mode = "exact"
-        a_entries = condition_a(rs.p_d)
-        a_offenders = {key: val for key, val in a_entries.items() if not val.is_zero()}
-        b_entries = condition_b(rs.p_d, rs.x_field)
-        b_offenders = {key: val for key, val in b_entries.items() if not val.is_zero()}
-        cond_a_ok = not a_offenders
-        cond_b_ok = not b_offenders
-    else:
-        mode = "numeric"
-        cond_a_ok, worst_a = condition_a_numeric(rs.pair, grid)
-        cond_b_ok, worst_b = condition_b_numeric(rs.pair, rs.x_field, grid)
-        numeric_worst = {"condition_a": worst_a, "condition_b": worst_b}
-        a_offenders = {}
-        b_offenders = {}
+    a_entries = condition_a(rs.p_d, rs.delta)
+    a_offenders = {key: val for key, val in a_entries.items() if not val.is_zero()}
+    b_entries = condition_b(rs.p_d, rs.x_field)
+    b_offenders = {key: val for key, val in b_entries.items() if not val.is_zero()}
     consistency = pointwise_consistency(rs, grid)
     origin = [0.0] * m
     symbol = symbol_dims(rs.pair.c_frame, conn, origin, seed=symbol_seed)
     return IntegrabilityReport(
         flat=flat,
         flat_offenders=flat_offenders,
-        cond_a=cond_a_ok,
+        cond_a=not a_offenders,
         cond_a_offenders=a_offenders,
-        cond_b=cond_b_ok,
+        cond_b=not b_offenders,
         cond_b_offenders=b_offenders,
         consistency=consistency,
         symbol=symbol,
-        mode=mode,
-        numeric_worst=numeric_worst,
     )

@@ -337,12 +337,6 @@ class PolyMatrix:
         self.entries = entries
 
     @classmethod
-    def identity(cls, n: int, nvars: int) -> "PolyMatrix":
-        return cls(
-            [[Poly.const(nvars, 1) if i == j else Poly.zero(nvars) for j in range(n)] for i in range(n)]
-        )
-
-    @classmethod
     def empty(cls, cols: int, nvars: int) -> "PolyMatrix":
         return cls((), cols=cols, nvars=nvars)
 
@@ -354,13 +348,6 @@ class PolyMatrix:
 
     def col(self, j: int) -> list[Poly]:
         return [row[j] for row in self.entries]
-
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-            nvars=self.nvars,
-        )
 
     def matvec(self, vec: Sequence[Poly]) -> list[Poly]:
         if len(vec) != self.cols:

@@ -36,7 +36,7 @@ class DivergenceError(RuntimeError):
 
 def target_field(sys: ControlAffineSystem, td: TargetData, v: Poly) -> list[Poly]:
     """Closed-loop target dynamics: X + f0 - gradient of the solved V."""
-    dv = geometry.sharp(grad(v))
+    dv = grad(v)
     return [td.x_field[i] + sys.f0[i] - dv[i] for i in range(sys.m)]
 
 

@@ -254,7 +254,7 @@ def build_target_x(
         closed = [closed[q] + qsys.g[k][q] * clf.alpha[k] for q in range(n)]
     lifted = geometry.horizontal_lift(conn, closed)
     pulled = pullback_clf(clf.vtilde, m)
-    gradient = geometry.sharp(grad(pulled))
+    gradient = grad(pulled)
     x_field = tuple(lifted[i] - gradient[i] - sys.f0[i] for i in range(m))
     origin = (Fraction(0),) * m
     bad = [i + 1 for i, comp in enumerate(x_field) if comp.eval(origin) != 0]

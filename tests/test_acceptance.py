@@ -115,7 +115,7 @@ def test_criterion_4_condition_unit_values():
         def rows(texts):
             return PolyMatrix([[parse_poly(t, names) for t in row] for row in texts])
 
-        a_entries = condition_a(rows([["1", "0", "0"], ["0", "1", "x1"]]))
+        a_entries = condition_a(rows([["1", "0", "0"], ["0", "1", "x1"]]), Poly.const(3, 1))
         assert a_entries[(1, 2, 3)] == Poly.const(3, 1)
 
         b_entries = condition_b(
@@ -132,7 +132,7 @@ def test_criterion_4_condition_unit_values():
                     for _ in range(2)
                 ]
             )
-            assert all(v.is_zero() for v in condition_a(constant).values())
+            assert all(v.is_zero() for v in condition_a(constant, Poly.const(3, 1)).values())
 
 
 def test_criterion_5_obstruction_map_property():

@@ -136,6 +136,15 @@ def test_user_complement_and_projection():
     assert code == EXIT_OK and report["verdict"] == "LIFTABLE_AND_VERIFIED"
 
 
+def test_report_non_constant_complement_determinant():
+    # det[C | D] = 1 + 1/2*x1^2: P_D is rational, the lift and its checks stay exact
+    raw = _fixture_raw("ex_ps")
+    raw["d"] = [["0", "1 + 1/2*x1^2"]]
+    report, code = run("report", build_problem(raw))
+    assert code == EXIT_OK and report["verdict"] == "LIFTABLE_AND_VERIFIED"
+    assert report["lift"]["coefficients"] == {"(0, 2)": "1/2"}
+
+
 def test_user_projection_must_annihilate_controls():
     raw = _fixture_raw("ex_ps")
     raw["d"] = [["0", "1"]]
@@ -204,3 +213,29 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
     code = main(["report", "--spec", str(path)])
     assert code == EXIT_INPUT
     assert "not a quotient" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, options, f0",
+    [
+        (["--grid", "0"], None, None),
+        (["--h", "0"], None, None),
+        (["--h", "0.1", "--horizon", "0.01"], None, None),
+        (["--order", "30"], None, None),
+        ([], {"order": "six"}, None),
+        ([], {"x0": 5}, None),
+        ([], None, ["0", "x1^30"]),
+    ],
+    ids=["grid-0", "h-0", "horizon-below-h", "order-30", "order-six", "x0-scalar", "f0-degree-30"],
+)
+def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, f0):
+    raw = _fixture_raw("ex_ps")
+    if options is not None:
+        raw["options"] = options
+    if f0 is not None:
+        raw["f0"] = f0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code = main(["validate", "--spec", str(path), *args])
+    assert code == EXIT_INPUT
+    assert "[liftlyap] error:" in capsys.readouterr().err

@@ -17,13 +17,11 @@ from liftlyap.geometry import (
     control_distribution,
     curvature_components,
     default_grid,
-    flat,
     horizontal_frame,
     horizontal_lift,
-    sharp,
 )
 from liftlyap.parsing import parse_poly
-from liftlyap.poly import Poly, grad
+from liftlyap.poly import Poly
 
 X2 = ["x1", "x2"]
 X3 = ["x1", "x2", "x3"]
@@ -71,7 +69,7 @@ def test_complement_coordinate_search():
     assert d.rank == 1
     assert d.fields[0][1] == Poly.const(2, 1)  # picks d/dx2
     pair = build_projections(c, d, EhresmannConnection.flat(2, 1))
-    assert pair.symbolic
+    assert pair.delta == Poly.const(2, 1)
     assert pair.p_d.row(0) == [Poly.zero(2), Poly.const(2, 1)]  # P_D = [0 1]
 
 
@@ -88,8 +86,7 @@ def test_projection_from_user_complement():
     c = Frame.build(2, [[_p("1", X2), _p("x1", X2)]])
     d = complement_frame(c, user_d=[[_p("0", X2), _p("1", X2)]])
     pair = build_projections(c, d, EhresmannConnection.flat(2, 1))
-    assert pair.symbolic
-    assert pair.cd_det == Poly.const(2, 1)
+    assert pair.delta == Poly.const(2, 1)
     assert pair.p_d.row(0) == [_p("-x1", X2), _p("1", X2)]
 
 
@@ -239,11 +236,3 @@ def test_ann_basis_kills_horizontal_frame_exactly():
             for i in range(4):
                 pairing = pairing + omega[i] * h_q[i]
             assert pairing.is_zero()
-
-
-def test_sharp_flat_roundtrip():
-    omega = [_p("x2", X2), Poly.zero(2)]
-    assert sharp(omega) == omega
-    assert flat(sharp(omega)) == omega
-    v = _p("1/2*x2^2", X2)
-    assert sharp(grad(v)) == [Poly.zero(2), _p("x2", X2)]

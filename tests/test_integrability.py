@@ -13,6 +13,7 @@ from liftlyap.geometry import (
     build_projections,
     complement_frame,
     curvature_components,
+    default_grid,
 )
 from liftlyap.integrability import (
     InconsistentJetError,
@@ -37,6 +38,7 @@ from liftlyap.poly import Poly, PolyMatrix
 
 X2 = ["x1", "x2"]
 X3 = ["x1", "x2", "x3"]
+ONE3 = Poly.const(3, 1)
 
 
 def _p(text, names):
@@ -149,19 +151,19 @@ def test_condition_a_constant_pd_zero():
     rng = random.Random(3)
     for _ in range(5):
         rows = [[Poly.const(3, Fraction(rng.randint(-4, 4))) for _ in range(3)] for _ in range(2)]
-        entries = condition_a(PolyMatrix(rows))
+        entries = condition_a(PolyMatrix(rows), ONE3)
         assert entries and all(v.is_zero() for v in entries.values())
 
 
 def test_condition_a_single_row_vacuous():
-    entries = condition_a(PolyMatrix([[Poly.const(3, 1), Poly.zero(3), Poly.zero(3)]]))
+    entries = condition_a(PolyMatrix([[Poly.const(3, 1), Poly.zero(3), Poly.zero(3)]]), ONE3)
     assert entries == {}
 
 
 def test_condition_a_reference_value():
     rows = [["1", "0", "0"], ["0", "1", "x1"]]
     p_d = PolyMatrix([[_p(t, X3) for t in row] for row in rows])
-    entries = condition_a(p_d)
+    entries = condition_a(p_d, ONE3)
     assert entries[(1, 2, 3)] == Poly.const(3, 1)
     assert entries[(1, 2, 1)].is_zero()
     assert entries[(1, 2, 2)].is_zero()
@@ -186,7 +188,7 @@ def _condition_a_fd_oracle(p_d, point, a1, a2, i1, h=1e-6):
 def test_condition_a_oracle_random_polynomial_pd():
     rows = [["x2", "1", "0"], ["0", "x1^2", "x1*x3"]]
     p_d = PolyMatrix([[_p(t, X3) for t in row] for row in rows])
-    entries = condition_a(p_d)
+    entries = condition_a(p_d, ONE3)
     rng = random.Random(29)
     for _ in range(5):
         point = [rng.uniform(-1, 1) for _ in range(3)]
@@ -199,8 +201,8 @@ def test_condition_a_antisymmetry():
     rows = [["x2", "1", "0"], ["0", "x1^2", "x1*x3"]]
     p_d = PolyMatrix([[_p(t, X3) for t in row] for row in rows])
     swapped = PolyMatrix([p_d.row(1), p_d.row(0)])
-    fwd = condition_a(p_d)
-    rev = condition_a(swapped)
+    fwd = condition_a(p_d, ONE3)
+    rev = condition_a(swapped, ONE3)
     for i1 in range(1, 4):
         assert rev[(1, 2, i1)] == -fwd[(1, 2, i1)]
 
@@ -250,6 +252,54 @@ def test_condition_b_antisymmetry_and_oracle():
                 ) / (2 * h)
                 total += (pd_val[1, i] * pd_val[0, i1] - pd_val[0, i] * pd_val[1, i1]) * dx
         assert abs(entries[(1, 2)].eval_float(point) - total) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "d_cols, a_vanishes",
+    [
+        ([["0", "1 + x1^2", "x1"], ["0", "x1*x3", "1"]], False),
+        # det[C | D](0) = 2, so this one checks the normalisation by it
+        ([["0", "2 + x2^2", "0"], ["0", "0", "1 + x3^2"]], True),
+    ],
+)
+def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols, a_vanishes):
+    """condition_a / delta^3 and condition_b / delta^2 equal conditions A and
+    B of the true P_D, the bottom rows of [C | D]^-1 differentiated by
+    central differences, on a 5-per-axis grid."""
+    c = Frame.build(3, [[_p("1", X3), _p("0", X3), _p("0", X3)]])
+    d = Frame.build(3, [[_p(t, X3) for t in col] for col in d_cols])
+    pair = build_projections(c, d, EhresmannConnection.flat(3, 1))
+    assert pair.delta.constant_term == 1 and not pair.delta.is_constant()
+    x_field = (_p("-x1", X3), _p("-x2 + x1*x3", X3), _p("-x3", X3))
+    a_entries = condition_a(pair.p_d, pair.delta)
+    b_entries = condition_b(pair.p_d, x_field)
+
+    def true_pd(x):
+        return np.linalg.inv(np.hstack([c.matrix_at(x), d.matrix_at(x)]))[1:, :]
+
+    h = 1e-5
+    worst_a = worst_b = 0.0
+    for point in default_grid(3, per_axis=5):
+        x = np.array([float(v) for v in point])
+        delta = pair.delta.eval_float(x)
+        pd_val = true_pd(x)
+        dpd = [(true_pd(x + h * e) - true_pd(x - h * e)) / (2 * h) for e in np.eye(3)]
+        jac = [[x_field[i1].diff(i).eval_float(x) for i1 in range(3)] for i in range(3)]
+        for i1 in range(3):
+            want = sum(pd_val[0, i] * dpd[i][1, i1] - pd_val[1, i] * dpd[i][0, i1] for i in range(3))
+            got = a_entries[(1, 2, i1 + 1)].eval_float(x) / delta**3
+            assert abs(got - want) < 1e-8
+            worst_a = max(worst_a, abs(want))
+        want = sum(
+            (pd_val[1, i] * pd_val[0, i1] - pd_val[0, i] * pd_val[1, i1]) * jac[i][i1]
+            for i in range(3)
+            for i1 in range(3)
+        )
+        got = b_entries[(1, 2)].eval_float(x) / delta**2
+        assert abs(got - want) < 1e-8
+        worst_b = max(worst_b, abs(want))
+    assert worst_b > 1e-3
+    assert (worst_a < 1e-8) == a_vanishes
 
 
 # -- pointwise consistency ------------------------------------------------------
@@ -394,7 +444,7 @@ def test_obstruction_map_zero_nontrivial_cokernel():
         c_cols=[[_p("1", names), _p("0", names), _p("0", names)]],
         n=1,
     )
-    a_entries = condition_a(rs.p_d)
+    a_entries = condition_a(rs.p_d, rs.delta)
     b_entries = condition_b(rs.p_d, rs.x_field)
     assert all(v.is_zero() for v in a_entries.values())
     assert all(v.is_zero() for v in b_entries.values())
@@ -421,7 +471,6 @@ def test_full_check_ex_ps():
     report = full_check(rs, problem.conn, problem.grid)
     assert report.liftable
     assert report.verdict == "LIFTABLE"
-    assert report.mode == "exact"
 
 
 def test_full_check_ex_di():
@@ -439,14 +488,13 @@ def test_full_check_ex_curv():
     assert report.flat_offenders[(3, 1, 2)] == Poly.const(3, -1)
 
 
-def test_full_check_numeric_fallback():
+def test_full_check_non_constant_determinant():
     c = Frame.build(2, [[_p("1", X2), _p("0", X2)]])
     d = complement_frame(c, user_d=[[_p("0", X2), _p("1 + 1/2*x1^2", X2)]])
     conn = EhresmannConnection.flat(2, 1)
     pair = build_projections(c, d, conn)
-    assert not pair.symbolic
+    assert pair.delta == _p("1 + 1/2*x1^2", X2)
     rs = ResidualSystem(pair, (_p("-2*x1", X2), _p("x2", X2)))
     report = full_check(rs, conn)
-    assert report.mode == "numeric"
     assert report.cond_a and report.cond_b
     assert report.consistency.consistent
