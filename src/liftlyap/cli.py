@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -131,6 +132,8 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
         raise SpecError("key 'quotient_inputs' must be a list")
     m, r, n, s = len(states), len(inputs), len(qstates), len(qinputs)
     all_names = states + inputs + qstates + qinputs
+    if not all(isinstance(v, str) for v in all_names):
+        raise SpecError("state/input names must be strings")
     if len(set(all_names)) != len(all_names):
         raise SpecError("state/input names must be pairwise distinct")
     if m < 1 or r < 1 or n < 1:
@@ -204,8 +207,13 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
         raise SpecError("h must be positive")
     if not options.horizon >= options.h:
         raise SpecError("horizon must be at least h")
-    if options.x0 is not None and len(options.x0) != m:
-        raise SpecError(f"x0 must have {m} entries")
+    if options.x0 is not None:
+        if len(options.x0) != m:
+            raise SpecError(f"x0 must have {m} entries")
+        if not all(math.isfinite(v) for v in options.x0):
+            raise SpecError("x0 entries must be finite")
+        if math.hypot(*options.x0) > synth.DIVERGENCE_GUARD:
+            raise SpecError(f"|x0| must not exceed the divergence guard {synth.DIVERGENCE_GUARD:.0e}")
 
     try:
         sys_ = ControlAffineSystem(m, r, f0, f_cols)
@@ -556,3 +564,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

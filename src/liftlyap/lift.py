@@ -2,9 +2,11 @@
 
 The residual blocks are linear in V, so requiring them to vanish through a
 chosen degree turns into an exact linear system over the rationals in the
-unknown Taylor coefficients of V at the origin.  The constant coefficient
-is pinned to 0 and the linear coefficients are pinned to 0 as well (the
-candidate Lyapunov function must have a critical point at the
+unknown Taylor coefficients of V at the origin.  That system is almost
+empty, so it is kept as sparse ``(column, value)`` rows and solved by one
+sparse elimination, which also names the infeasibility witness.  The constant
+coefficient is pinned to 0 and the linear coefficients are pinned to 0 as
+well (the candidate Lyapunov function must have a critical point at the
 equilibrium); free coefficients left by the solve are filled by a seeding
 policy and the assembled candidate is re-verified and validated for
 positive definiteness afterwards.  No convergence claim is made for the
@@ -51,13 +53,20 @@ def monomials_up_to(m: int, max_degree: int, min_degree: int = 0) -> list[MultiI
     return out
 
 
+SparseRow = list[tuple[int, Fraction]]
+
+
 @dataclass
 class LinearSystem:
-    """Exact linear constraints A @ c = b on the unknown V coefficients."""
+    """Exact linear constraints A @ c = b on the unknown V coefficients.
+
+    Each row of A is stored sparse: its nonzero entries as ``(column,
+    value)`` pairs in increasing column order.
+    """
 
     order: int
     unknowns: list[MultiIndex]
-    rows: list[list[Fraction]]
+    rows: list[SparseRow]
     rhs: list[Fraction]
     labels: list[str]
 
@@ -68,7 +77,9 @@ def assemble_lift_system(rs: ResidualSystem, order: int) -> LinearSystem:
     Unknowns are the V coefficients of total degree 2..order.  One equation
     is emitted per residual component and per monomial of degree at most
     order-1, which is exactly the part of the residual determined by the
-    retained coefficients.
+    retained coefficients.  The residual at V = 0 gives the right-hand side;
+    its linear part on x^alpha, sum_i alpha_i * F[i] * x^(alpha - e_i) with
+    F = row a of Q (D block) or column q of P_VM (VM block), fills the rows.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -76,31 +87,46 @@ def assemble_lift_system(rs: ResidualSystem, order: int) -> LinearSystem:
         raise ValueError(f"order {order} exceeds the degree cap {DEGREE_CAP}")
     m = rs.m
     unknowns = monomials_up_to(m, order, min_degree=2)
-    zero = Poly.zero(m)
-    base_d, base_vm = residual_psi(rs, zero)
-    columns: list[tuple[list[Poly], list[Poly]]] = []
-    for mi in unknowns:
-        d_blk, vm_blk = residual_psi(rs, Poly.monomial(m, mi))
-        columns.append(
-            (
-                [d_blk[a] - base_d[a] for a in range(len(base_d))],
-                list(vm_blk),
-            )
-        )
-    rows: list[list[Fraction]] = []
+    base_d, base_vm = residual_psi(rs, Poly.zero(m))
+    factors_d = [rs.p_d.row(a) for a in range(rs.p_d.rows)]
+    factors_vm = [rs.p_vm.col(q) for q in range(rs.n)]
+    rows: list[SparseRow] = []
     rhs: list[Fraction] = []
     labels: list[str] = []
     eq_monomials = monomials_up_to(m, order - 1)
-    for block_name, base_block, col_index in (("d", base_d, 0), ("vm", base_vm, 1)):
-        for comp in range(len(base_block)):
+    for block_name, base_block, factors in (("d", base_d, factors_d), ("vm", base_vm, factors_vm)):
+        for comp, (base, factor) in enumerate(zip(base_block, factors)):
+            entries = _linear_action(unknowns, factor, order - 1)
             for mu in eq_monomials:
-                row = [columns[j][col_index][comp].coeff(mu) for j in range(len(unknowns))]
-                rv = -base_block[comp].coeff(mu)
-                if any(row) or rv != 0:
+                row = [(j, v) for j, v in entries.get(mu, {}).items() if v != 0]
+                rv = -base.coeff(mu)
+                if row or rv != 0:
                     rows.append(row)
                     rhs.append(rv)
                     labels.append(f"{block_name}[{comp + 1}] @ x^{mu}")
     return LinearSystem(order, unknowns, rows, rhs, labels)
+
+
+def _linear_action(
+    unknowns: Sequence[MultiIndex], factor: Sequence[Poly], max_degree: int
+) -> dict[MultiIndex, dict[int, Fraction]]:
+    """Coefficients of sum_i factor[i] * d(x^alpha)/dx_i through ``max_degree``.
+
+    Keyed by monomial, then by column; columns are visited in increasing
+    order, so each inner dict is column-sorted.
+    """
+    out: dict[MultiIndex, dict[int, Fraction]] = {}
+    for j, alpha in enumerate(unknowns):
+        for i, a_i in enumerate(alpha):
+            if a_i == 0:
+                continue
+            beta = alpha[:i] + (a_i - 1,) + alpha[i + 1 :]
+            room = max_degree - sum(beta)
+            for nu, c in factor[i].terms.items():
+                if sum(nu) <= room:
+                    entry = out.setdefault(tuple(b + n for b, n in zip(beta, nu)), {})
+                    entry[j] = entry.get(j, 0) + a_i * c
+    return out
 
 
 @dataclass
@@ -151,85 +177,48 @@ def _seed_policy(unknowns: Sequence[MultiIndex], m: int, fibre_start: int) -> di
 def _solve_exact(
     system: LinearSystem, seeds: dict[int, Fraction]
 ) -> tuple[list[Fraction], list[int]]:
-    """Gauss-Jordan over Fraction; free columns get their seed value (or 0)."""
-    ncols = len(system.unknowns)
-    aug = [list(row) + [rv] for row, rv in zip(system.rows, system.rhs)]
-    nrows = len(aug)
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if aug[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    """Sparse elimination over Fraction; free columns get their seed value (or 0).
+
+    Rows are taken in order and reduced against the echelon rows found so
+    far, each stored under its lead column with lead 1.  A row that reduces
+    to 0 = b with b != 0 raises JetInfeasibleError naming that row: it is
+    the first row whose prefix of the system is inconsistent.  The lead
+    columns of any echelon form of A are its pivot columns, so the free
+    columns are the non-lead ones, and back-substitution in decreasing lead
+    order gives the unique solution with the free columns seeded.
+    """
+    echelon: dict[int, tuple[SparseRow, Fraction]] = {}
+    for row, b, label in zip(system.rows, system.rhs, system.labels):
+        work = dict(row)
+        while work and (lead := min(work)) in echelon:
+            factor = work.pop(lead)
+            tail, lead_rhs = echelon[lead]
+            b -= factor * lead_rhs
+            for c, v in tail:
+                work[c] = work.get(c, 0) - factor * v
+                if work[c] == 0:
+                    del work[c]
+        if not work:
+            if b != 0:
+                raise JetInfeasibleError("coefficient constraints are inconsistent", witness=label)
             continue
-        aug[rank], aug[pivot_row] = aug[pivot_row], aug[rank]
-        pivot = aug[rank][col]
-        aug[rank] = [v / pivot for v in aug[rank]]
-        for i in range(nrows):
-            if i != rank and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[rank])]
-        pivot_of_col[col] = rank
-        rank += 1
-    for i in range(rank, nrows):
-        if aug[i][ncols] != 0:
-            # Which original equation the contradiction traces back to is
-            # not recoverable after elimination; report the first residual
-            # label whose row is not representable.
-            raise JetInfeasibleError(
-                "coefficient constraints are inconsistent",
-                witness=_inconsistency_witness(system),
-            )
-    free_cols = [c for c in range(ncols) if c not in pivot_of_col]
+        pivot = work.pop(lead)
+        echelon[lead] = (sorted((c, v / pivot) for c, v in work.items()), b / pivot)
+    ncols = len(system.unknowns)
+    free_cols = [c for c in range(ncols) if c not in echelon]
     values: list[Fraction] = [Fraction(0)] * ncols
     for c in free_cols:
         values[c] = seeds.get(c, Fraction(0))
-    for col, row in pivot_of_col.items():
-        total = aug[row][ncols]
-        for c in free_cols:
-            if aug[row][c] != 0:
-                total -= aug[row][c] * values[c]
-        values[col] = total
+    for lead in sorted(echelon, reverse=True):
+        tail, b = echelon[lead]
+        values[lead] = b - sum(v * values[c] for c, v in tail)
     return values, free_cols
-
-
-def _inconsistency_witness(system: LinearSystem) -> str:
-    """Label of a constraint participating in the contradiction.
-
-    Re-runs a forward elimination on the augmented matrix keeping track of
-    the first original row that reduces to 0 = nonzero.
-    """
-    ncols = len(system.unknowns)
-    aug = [(list(row) + [rv], label) for row, rv, label in zip(system.rows, system.rhs, system.labels)]
-    reduced: list[list[Fraction]] = []
-    for row, label in aug:
-        work = list(row)
-        for pivot_row in reduced:
-            lead = next((c for c in range(ncols) if pivot_row[c] != 0), None)
-            if lead is not None and work[lead] != 0:
-                factor = work[lead] / pivot_row[lead]
-                work = [a - factor * b for a, b in zip(work, pivot_row)]
-        if all(v == 0 for v in work[:ncols]):
-            if work[ncols] != 0:
-                return label
-        else:
-            reduced.append(work)
-    return system.labels[0] if system.labels else "empty system"
 
 
 def system_residual(system: LinearSystem, solution: JetSolution) -> list[Fraction]:
     """Exact residual A @ c - b of the linear system at a solution."""
     values = [solution.coeffs.get(mi, Fraction(0)) for mi in system.unknowns]
-    out = []
-    for row, rv in zip(system.rows, system.rhs):
-        total = -rv
-        for a, c in zip(row, values):
-            total += a * c
-        out.append(total)
-    return out
+    return [sum(v * values[c] for c, v in row) - rv for row, rv in zip(system.rows, system.rhs)]
 
 
 @dataclass

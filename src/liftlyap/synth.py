@@ -168,18 +168,24 @@ def simulate_rk4(
         record.vstar_values.append(vstar.eval_float(state) if vstar is not None else float("nan"))
         record.u_values.append(control(state) if control is not None else np.zeros(0))
 
-    log(0.0, x)
-    for k in range(steps):
-        if np.linalg.norm(x) > DIVERGENCE_GUARD:
-            raise DivergenceError(f"state norm exceeded {DIVERGENCE_GUARD:.0e} at t={k * h:.3f}")
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        log((k + 1) * h, x)
-    if np.linalg.norm(x) > DIVERGENCE_GUARD:
-        raise DivergenceError(f"state norm exceeded {DIVERGENCE_GUARD:.0e} at t={horizon:.3f}")
+    def guard(state: np.ndarray, t: float) -> None:
+        if not np.linalg.norm(state) <= DIVERGENCE_GUARD:
+            raise DivergenceError(f"state norm exceeded {DIVERGENCE_GUARD:.0e} at t={t:.3f}")
+
+    try:
+        log(0.0, x)
+        for k in range(steps):
+            guard(x, k * h)
+            k1 = field(x)
+            k2 = field(x + 0.5 * h * k1)
+            k3 = field(x + 0.5 * h * k2)
+            k4 = field(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            log((k + 1) * h, x)
+    except OverflowError as exc:
+        t = record.times[-1]
+        raise DivergenceError(f"float overflow evaluating the field or V* at t={t:.3f}") from exc
+    guard(x, horizon)
     return record
 
 

@@ -1,9 +1,14 @@
 """Problem file loading, pipeline commands, exit codes, and report shape."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liftlyap
 from liftlyap.cli import (
     EXIT_INPUT,
     EXIT_NOT_LIFTABLE,
@@ -216,26 +221,57 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, options, f0",
+    "args, options, f0, states",
     [
-        (["--grid", "0"], None, None),
-        (["--h", "0"], None, None),
-        (["--h", "0.1", "--horizon", "0.01"], None, None),
-        (["--order", "30"], None, None),
-        ([], {"order": "six"}, None),
-        ([], {"x0": 5}, None),
-        ([], None, ["0", "x1^30"]),
+        (["--grid", "0"], None, None, None),
+        (["--h", "0"], None, None, None),
+        (["--h", "0.1", "--horizon", "0.01"], None, None, None),
+        (["--order", "30"], None, None, None),
+        ([], {"order": "six"}, None, None),
+        ([], {"x0": 5}, None, None),
+        ([], None, ["0", "x1^30"], None),
+        ([], {"x0": [1e200, 1]}, None, None),
+        ([], {"x0": [float("nan"), 1]}, None, None),
+        ([], None, None, [1, 2]),
     ],
-    ids=["grid-0", "h-0", "horizon-below-h", "order-30", "order-six", "x0-scalar", "f0-degree-30"],
+    ids=[
+        "grid-0",
+        "h-0",
+        "horizon-below-h",
+        "order-30",
+        "order-six",
+        "x0-scalar",
+        "f0-degree-30",
+        "x0-beyond-guard",
+        "x0-nan",
+        "states-not-strings",
+    ],
 )
-def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, f0):
+def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, f0, states):
     raw = _fixture_raw("ex_ps")
     if options is not None:
         raw["options"] = options
     if f0 is not None:
         raw["f0"] = f0
+    if states is not None:
+        raw["states"] = states
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     code = main(["validate", "--spec", str(path), *args])
     assert code == EXIT_INPUT
     assert "[liftlyap] error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["liftlyap", "liftlyap.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    src = str(Path(liftlyap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "validate", "--spec", str(fixture_path("ex_ps"))],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "VALID"

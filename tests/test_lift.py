@@ -1,14 +1,20 @@
 """Taylor-coefficient assembly, exact solving, and candidate validation."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import build_pipeline
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from liftlyap.integrability import residual_psi
 from liftlyap.lift import (
     JetInfeasibleError,
     JetSolution,
+    LinearSystem,
+    _solve_exact,
     assemble_lift_system,
     assemble_vstar,
     monomials_up_to,
@@ -16,7 +22,7 @@ from liftlyap.lift import (
     system_residual,
 )
 from liftlyap.parsing import parse_poly
-from liftlyap.poly import lie_derivative
+from liftlyap.poly import Poly, PolyMatrix, lie_derivative
 from liftlyap.synth import target_field
 
 X2 = ["x1", "x2"]
@@ -58,12 +64,58 @@ def test_solve_ex_ps_order_six_exact():
 
 
 def test_solve_ex_di_infeasible():
-    _, _, _, _, rs = build_pipeline("ex_di")
-    for order in (2, 4):
+    cases = {
+        "ex_di": {2: "vm[1] @ x^(1, 0)", 4: "vm[1] @ x^(1, 0)"},
+        "ex_curv": {2: "vm[2] @ x^(0, 1, 0)", 4: "d[2] @ x^(1, 1, 0)", 6: "d[2] @ x^(1, 1, 0)"},
+    }
+    for name, witnesses in cases.items():
+        problem, _, _, _, rs = build_pipeline(name)
+        for order, witness in witnesses.items():
+            system = assemble_lift_system(rs, order)
+            with pytest.raises(JetInfeasibleError) as err:
+                solve_jets(system, rs, fibre_start=problem.qsys.n)
+            # the first row whose prefix of the system is inconsistent
+            assert err.value.witness == witness
+
+
+def _dense_reference_system(rs, order):
+    """Rows, rhs and labels built densely: one residual_psi call per unknown, read back by coeff."""
+    m = rs.m
+    unknowns = monomials_up_to(m, order, min_degree=2)
+    base_d, base_vm = residual_psi(rs, Poly.zero(m))
+    columns = []
+    for mi in unknowns:
+        d_blk, vm_blk = residual_psi(rs, Poly.monomial(m, mi))
+        columns.append(([d - b for d, b in zip(d_blk, base_d)], vm_blk))
+    rows, rhs, labels = [], [], []
+    for block_name, base_block, k in (("d", base_d, 0), ("vm", base_vm, 1)):
+        for comp, base in enumerate(base_block):
+            for mu in monomials_up_to(m, order - 1):
+                dense = [column[k][comp].coeff(mu) for column in columns]
+                row = [(j, v) for j, v in enumerate(dense) if v != 0]
+                if row or base.coeff(mu) != 0:
+                    rows.append(row)
+                    rhs.append(-base.coeff(mu))
+                    labels.append(f"{block_name}[{comp + 1}] @ x^{mu}")
+    return rows, rhs, labels
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [
+        ("ex_ps", {}),
+        ("ex_di", {}),
+        ("ex_curv", {}),
+        ("ex_fa", {}),
+        ("ex_ps", {"d": [["0", "1 + 1/2*x1^2"]]}),
+    ],
+    ids=["ex_ps", "ex_di", "ex_curv", "ex_fa", "ex_ps-non-constant-d"],
+)
+def test_assembly_matches_dense_reference(name, overrides):
+    _, _, _, _, rs = build_pipeline(name, **overrides)
+    for order in (2, 4, 6):
         system = assemble_lift_system(rs, order)
-        with pytest.raises(JetInfeasibleError) as err:
-            solve_jets(system, rs, fibre_start=1)
-        assert err.value.witness  # names a residual row in the contradiction
+        assert (system.rows, system.rhs, system.labels) == _dense_reference_system(rs, order)
 
 
 def test_order_one_is_trivially_solvable():
@@ -80,6 +132,69 @@ def test_solution_gives_zero_system_residual():
     system = assemble_lift_system(rs, 6)
     jet = solve_jets(system, rs, fibre_start=1)
     assert all(v == 0 for v in system_residual(system, jet))
+
+
+def test_assembly_drops_entries_that_cancel():
+    # Q = [x1, -x2] sends V = x1*x2 to x1*x2 - x2*x1 = 0, so that entry must not be stored
+    rs = SimpleNamespace(
+        m=2,
+        n=1,
+        p_d=PolyMatrix([[_p("x1"), _p("-x2")]]),
+        p_vm=PolyMatrix([[_p("x2")], [_p("x1")]]),
+        x_field=(_p("-x1"), _p("-x2")),
+    )
+    system = assemble_lift_system(rs, 4)
+    assert (system.rows, system.rhs, system.labels) == _dense_reference_system(rs, 4)
+
+
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _consistent_systems(draw):
+    """A sparse system A @ c = A @ x*, plus seeds for some columns."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), _RATIONALS)
+    dense = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
+    x_star = draw(st.lists(_RATIONALS, min_size=ncols, max_size=ncols))
+    rows = [[(j, v) for j, v in enumerate(row) if v != 0] for row in dense]
+    rhs = [sum((v * x_star[j] for j, v in row), Fraction(0)) for row in rows]
+    labels = [f"row {i}" for i in range(len(rows))]
+    system = LinearSystem(2, [(j,) for j in range(ncols)], rows, rhs, labels)
+    seeds = draw(st.dictionaries(st.integers(0, ncols - 1), _RATIONALS))
+    return system, seeds
+
+
+@settings(deadline=None)
+@given(_consistent_systems())
+def test_sparse_solve_satisfies_consistent_systems(case):
+    system, seeds = case
+    values, free_cols = _solve_exact(system, seeds)
+    coeffs = {mi: v for mi, v in zip(system.unknowns, values) if v != 0}
+    assert all(v == 0 for v in system_residual(system, JetSolution(2, coeffs, [], 1)))
+    assert all(values[c] == seeds.get(c, 0) for c in free_cols)
+
+
+@settings(deadline=None)
+@given(_consistent_systems(), st.data())
+def test_sparse_solve_names_the_shortest_infeasible_prefix(case, data):
+    system, _ = case
+    # a combination of rows before position p with its right-hand side moved
+    # off by one: rows up to p are inconsistent, every shorter prefix is not
+    p = data.draw(st.integers(0, len(system.rows)))
+    weights = data.draw(st.lists(_RATIONALS, min_size=p, max_size=p))
+    combined: dict[int, Fraction] = {}
+    for w, row in zip(weights, system.rows):
+        for j, v in row:
+            combined[j] = combined.get(j, Fraction(0)) + w * v
+    bad_row = [(j, v) for j, v in sorted(combined.items()) if v != 0]
+    bad_rhs = sum((w * b for w, b in zip(weights, system.rhs)), Fraction(1))
+    system.rows.insert(p, bad_row)
+    system.rhs.insert(p, bad_rhs)
+    system.labels.insert(p, "contradiction")
+    with pytest.raises(JetInfeasibleError) as err:
+        _solve_exact(system, {})
+    assert err.value.witness == "contradiction"
 
 
 def test_degree_cap_guard():

@@ -140,6 +140,14 @@ def test_simulate_unstable_growth_and_guard():
         simulate_rk4(field, [1.0], 0.01, 20.0)
 
 
+def test_simulate_overflow_and_nan_are_divergence():
+    quintic = parse_poly("x1^5", ["x1"])
+    with pytest.raises(DivergenceError):
+        simulate_rk4(lambda x: np.array([quintic.eval_float(x)]), [1e5], 0.01, 1.0)
+    with pytest.raises(DivergenceError):
+        simulate_rk4(lambda x: np.array([math.nan]), [1.0], 0.01, 1.0)
+
+
 def test_rk4_convergence_ratio():
     field = lambda x: np.array([-x[0]])
     errors = []
