@@ -42,6 +42,9 @@ EXIT_NOT_LIFTABLE = 2
 EXIT_VALIDATION = 3
 
 
+OPTION_KEYS = {"order", "grid", "h", "horizon", "x0"}
+
+
 class SpecError(ValueError):
     """Problem file is malformed, inconsistent, or violates a premise."""
 
@@ -53,7 +56,6 @@ class Options:
     h: float = 0.01
     horizon: float = 10.0
     x0: list[float] | None = None
-    symbol_seed: int = 0
 
 
 @dataclass
@@ -185,6 +187,9 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     opt_raw = raw.get("options", {})
     if not isinstance(opt_raw, dict):
         raise SpecError("'options' must be an object")
+    unknown = sorted(set(opt_raw) - OPTION_KEYS)
+    if unknown:
+        raise SpecError(f"'options': unknown key {unknown[0]!r} (allowed: {', '.join(sorted(OPTION_KEYS))})")
     try:
         options = Options(
             order=int(opt_raw.get("order", 6)),
@@ -192,7 +197,6 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
             h=float(opt_raw.get("h", 0.01)),
             horizon=float(opt_raw.get("horizon", 10.0)),
             x0=[float(v) for v in opt_raw["x0"]] if "x0" in opt_raw else None,
-            symbol_seed=int(opt_raw.get("symbol_seed", 0)),
         )
     except (TypeError, ValueError) as exc:
         raise SpecError(f"'options': {exc}") from exc
@@ -201,8 +205,8 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
             setattr(options, key, value)
     if not 2 <= options.order <= DEGREE_CAP:
         raise SpecError(f"order must be between 2 and {DEGREE_CAP}")
-    if options.grid_per_axis < 1:
-        raise SpecError("grid must be at least 1 point per axis")
+    if options.grid_per_axis < 2:
+        raise SpecError("grid must be at least 2 points per axis")
     if not options.h > 0:
         raise SpecError("h must be positive")
     if not options.horizon >= options.h:
@@ -302,7 +306,7 @@ def stage_target(problem: Problem, clf: QuotientCLF) -> TargetData:
 
 
 def stage_integrability(problem: Problem, rs: ResidualSystem) -> tuple[dict, IntegrabilityReport]:
-    report = integrability.full_check(rs, problem.conn, problem.grid, problem.options.symbol_seed)
+    report = integrability.full_check(rs, problem.conn, problem.grid)
     names = problem.state_names
     section = {
         "flat": report.flat,

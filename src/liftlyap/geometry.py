@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .numutil import numeric_rank
-from .poly import Poly, PolyMatrix, poly_adjugate, poly_det
+from .poly import Poly, PolyMatrix, poly_adjugate, poly_det, poly_sum
 
 GridPoint = tuple[Fraction, ...]
 
@@ -33,13 +33,10 @@ class ComplementError(ValueError):
 
 def default_grid(m: int, per_axis: int = 3, bound: Fraction | int = 1) -> list[GridPoint]:
     """Rational lattice over [-bound, bound]^m, origin always included."""
-    if per_axis < 1:
-        raise ValueError("per_axis must be positive")
+    if per_axis < 2:
+        raise ValueError("per_axis must be at least 2")
     bound = Fraction(bound)
-    if per_axis == 1:
-        values = [Fraction(0)]
-    else:
-        values = [Fraction(2 * i, per_axis - 1) * bound - bound for i in range(per_axis)]
+    values = [Fraction(2 * i, per_axis - 1) * bound - bound for i in range(per_axis)]
     points = [tuple(p) for p in itertools.product(values, repeat=m)]
     origin = (Fraction(0),) * m
     if origin not in points:
@@ -47,8 +44,16 @@ def default_grid(m: int, per_axis: int = 3, bound: Fraction | int = 1) -> list[G
     return points
 
 
-def grid_floats(grid: Sequence[GridPoint]) -> list[tuple[float, ...]]:
-    return [tuple(float(v) for v in point) for point in grid]
+def grid_floats(grid: Sequence[GridPoint]) -> np.ndarray:
+    """The grid as a (points, m) float array, in grid order."""
+    return np.array(grid, dtype=float)
+
+
+def _require_on_grid(points: np.ndarray, ok: np.ndarray, message: str) -> None:
+    """Raise FrameRankError with the first grid point where ``ok`` is false."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise FrameRankError(message.format(tuple(points[bad[0]].tolist())))
 
 
 @dataclass(frozen=True)
@@ -70,23 +75,14 @@ class Frame:
                     raise ValueError("frame entries must be polynomials in the ambient variables")
         frame = Frame(dim, cols)
         if cols:
-            if grid is None:
-                grid = default_grid(dim)
-            for point in grid_floats(grid):
-                if numeric_rank(frame.matrix_at(point)) != len(cols):
-                    raise FrameRankError(f"frame drops rank at grid point {point}")
+            points = grid_floats(default_grid(dim) if grid is None else grid)
+            ranks = numeric_rank(frame.as_matrix().at(points))
+            _require_on_grid(points, ranks == len(cols), "frame drops rank at grid point {}")
         return frame
 
     @property
     def rank(self) -> int:
         return len(self.fields)
-
-    def matrix_at(self, point: Sequence[float]) -> np.ndarray:
-        out = np.zeros((self.dim, len(self.fields)))
-        for j, col in enumerate(self.fields):
-            for i, entry in enumerate(col):
-                out[i, j] = entry.eval_float(point)
-        return out
 
     def as_matrix(self) -> PolyMatrix:
         """Columns of the frame as an m-by-rank polynomial matrix."""
@@ -118,34 +114,31 @@ def complement_frame(
     m = c.dim
     if grid is None:
         grid = default_grid(m)
-    fgrid = grid_floats(grid)
+    points = grid_floats(grid)
     if user_d is not None:
         d = Frame.build(m, user_d, grid)
         if c.rank + d.rank != m:
             raise ComplementError("user complement has the wrong rank")
-        for point in fgrid:
-            if numeric_rank(np.hstack([c.matrix_at(point), d.matrix_at(point)])) != m:
-                raise FrameRankError(f"[C | D] is singular at grid point {point}")
+        ranks = numeric_rank(Frame(m, c.fields + d.fields).as_matrix().at(points))
+        _require_on_grid(points, ranks == m, "[C | D] is singular at grid point {}")
         return d
 
+    # [C | chosen | candidate] at every grid point: C evaluated straight into
+    # the first columns of one array, then one unit column per step
+    zero = (Poly.zero(m),) * m
+    span = Frame(m, c.fields + (zero,) * (m - c.rank)).as_matrix().at(points)
     chosen: list[tuple[Poly, ...]] = []
     for i in range(m):
-        if len(chosen) == m - c.rank:
+        k = c.rank + len(chosen)
+        if k == m:
             break
-        candidate = tuple(Poly.const(m, 1) if k == i else Poly.zero(m) for k in range(m))
-        trial = Frame(m, tuple(chosen) + (candidate,))
-        target = c.rank + len(chosen) + 1
-        if all(numeric_rank(np.hstack([c.matrix_at(p), trial.matrix_at(p)])) == target for p in fgrid):
-            chosen.append(candidate)
+        span[..., k] = 0.0
+        span[:, i, k] = 1.0
+        if np.all(numeric_rank(span[..., : k + 1]) == k + 1):
+            chosen.append(tuple(Poly.const(m, 1) if j == i else Poly.zero(m) for j in range(m)))
     if len(chosen) != m - c.rank:
         raise ComplementError("no coordinate complement found; supply one explicitly")
     return Frame(m, tuple(chosen))
-
-
-def _stack_columns(c: Frame, d: Frame) -> PolyMatrix:
-    m = c.dim
-    cols = list(c.fields) + list(d.fields)
-    return PolyMatrix([[cols[j][i] for j in range(len(cols))] for i in range(m)], cols=len(cols), nvars=m)
 
 
 class EhresmannConnection:
@@ -231,19 +224,8 @@ def horizontal_lift(conn: EhresmannConnection, w: Sequence[Poly]) -> list[Poly]:
         lifted_base.append(comp.embed(m))
     out = list(lifted_base)
     for p in range(m - n):
-        out.append(poly_dot(conn.gamma[p], lifted_base))
+        out.append(poly_sum((g * w for g, w in zip(conn.gamma[p], lifted_base)), m))
     return out
-
-
-def poly_dot(a: Sequence[Poly], b: Sequence[Poly]) -> Poly:
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    if not a:
-        raise ValueError("empty dot product")
-    total = Poly.zero(a[0].nvars)
-    for x, y in zip(a, b):
-        total = total + x * y
-    return total
 
 
 def curvature_components(conn: EhresmannConnection) -> dict[tuple[int, int, int], Poly]:
@@ -310,7 +292,7 @@ def build_projections(c: Frame, d: Frame, conn: EhresmannConnection) -> Projecti
         raise ValueError("C and D do not split the tangent space")
     if conn.m != m:
         raise ValueError("connection dimension does not match the frames")
-    t = _stack_columns(c, d)
+    t = Frame(m, c.fields + d.fields).as_matrix()
     det = poly_det(t)
     d0 = det.constant_term
     if d0 == 0:

@@ -43,9 +43,12 @@ from .numutil import (
     null_rows,
     sym_intersection_dim,
 )
-from .poly import Poly, PolyMatrix, poly_sum
+from .poly import Poly, PolyMatrix, eval_points, poly_sum
 
 CONSISTENCY_RTOL = 1e-9
+# Random bases the quasi-regular search tries once every coordinate order fails
+SYMBOL_RANDOM_BASES = 20
+SYMBOL_SEED = 0
 
 
 class InconsistentJetError(ValueError):
@@ -135,27 +138,22 @@ def prolonged_residual(
         raise ValueError("jet shapes must be (m,) and (m, m)")
     if np.max(np.abs(v2 - v2.T)) > sym_tol:
         raise ValueError("second-order jet must be symmetric")
+
+    def jacobians(rows) -> np.ndarray:  # entry [r, i, i1] is d(rows[r][i1])/dx^i
+        derivs = [e.diff(i) for row in rows for i in range(m) for e in row]
+        return eval_points(derivs, point).reshape(len(rows), m, m)
+
     pd_val = p_d.at(point)
     pvm_val = rs.p_vm.at(point)
-    x_val = np.array([p.eval_float(point) for p in rs.x_field])
-    dx_val = np.array([[rs.x_field[i1].diff(i).eval_float(point) for i1 in range(m)] for i in range(m)])
-    dpd_val = np.array([[[p_d.entry(a, i1).diff(i).eval_float(point) for i1 in range(m)] for i in range(m)] for a in range(p_d.rows)])
-    dpvm_val = np.array([[[rs.p_vm.entry(i1, q).diff(i).eval_float(point) for i1 in range(m)] for i in range(m)] for q in range(rs.n)])
+    x_val = eval_points(rs.x_field, point)
+    dx_val = jacobians([rs.x_field])[0]
+    dpd_val = jacobians(p_d.entries)
+    dpvm_val = jacobians([rs.p_vm.col(q) for q in range(rs.n)])
 
     d_block = pd_val @ (v1 - x_val)
     vm_block = pvm_val.T @ v1
-    d1 = np.zeros((p_d.rows, m))
-    for a in range(p_d.rows):
-        for i in range(m):
-            d1[a, i] = (
-                pd_val[a] @ v2[i]
-                + dpd_val[a, i] @ (v1 - x_val)
-                - pd_val[a] @ dx_val[i]
-            )
-    vm1 = np.zeros((rs.n, m))
-    for q in range(rs.n):
-        for i in range(m):
-            vm1[q, i] = dpvm_val[q, i] @ v1 + pvm_val[:, q] @ v2[i]
+    d1 = pd_val @ v2.T + dpd_val @ (v1 - x_val) - pd_val @ dx_val.T
+    vm1 = dpvm_val @ v1 + pvm_val.T @ v2.T
     return {"d": d_block, "vm": vm_block, "d1": d1, "vm1": vm1}
 
 
@@ -234,17 +232,19 @@ def condition_b(p_d: PolyMatrix, x_field: Sequence[Poly]) -> dict[tuple[int, int
 # -- pointwise solvability -----------------------------------------------------
 
 
-def stacked_system(rs: ResidualSystem, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Linear constraints M @ (V_1..V_m) = b on the gradient of V at a point.
+def stacked_system(rs: ResidualSystem, points) -> tuple[np.ndarray, np.ndarray]:
+    """Linear constraints M @ (V_1..V_m) = b on the gradient of V.
 
-    The D rows are those of P_D times delta(point), which leaves the
-    solution set unchanged wherever delta(point) is nonzero.
+    At points (..., m), M is (..., rows, m) and b (..., rows): the D rows,
+    then one row per column of P_VM.  The D rows are those of P_D times
+    delta(point), which leaves the solution set unchanged wherever
+    delta(point) is nonzero.
     """
-    pd_val = rs.p_d.at(point)
-    pvm_val = rs.p_vm.at(point)
-    x_val = np.array([p.eval_float(point) for p in rs.x_field])
-    m_mat = np.vstack([pd_val, pvm_val.T])
-    b = np.concatenate([pd_val @ x_val, np.zeros(rs.n)])
+    rows = PolyMatrix([*rs.p_d.entries, *(rs.p_vm.col(q) for q in range(rs.n))], cols=rs.m, nvars=rs.m)
+    m_mat = rows.at(points)
+    x_val = eval_points(rs.x_field, points)
+    b = np.zeros(m_mat.shape[:-1])
+    b[..., : rs.p_d.rows] = (m_mat[..., : rs.p_d.rows, :] @ x_val[..., None])[..., 0]
     return m_mat, b
 
 
@@ -258,21 +258,19 @@ def consistency_gap_at(
     two directly contradictory unit equations report the distance between
     their right-hand sides.
     """
-    m_mat, b = stacked_system(rs, point)
-    rows = []
-    rhs = []
-    for row, val in zip(m_mat, b):
-        norm = np.linalg.norm(row)
-        if norm <= 1e-300:
-            if abs(val) > rtol:
-                return False, abs(val)
-            continue
-        rows.append(row / norm)
-        rhs.append(val / norm)
-    if not rows:
+    return _consistency_gap(*stacked_system(rs, point), rtol)
+
+
+def _consistency_gap(m_mat: np.ndarray, b: np.ndarray, rtol: float) -> tuple[bool, float]:
+    norms = np.array([np.linalg.norm(row) for row in m_mat])
+    zero = norms <= 1e-300
+    violated = np.flatnonzero(zero & (np.abs(b) > rtol))
+    if violated.size:
+        return False, abs(b[violated[0]])
+    if zero.all():
         return True, 0.0
-    m_norm = np.array(rows)
-    b_norm = np.array(rhs)
+    m_norm = m_mat[~zero] / norms[~zero, None]
+    b_norm = b[~zero] / norms[~zero]
     rank_m = numeric_rank(m_norm, rtol)
     rank_aug = numeric_rank(np.hstack([m_norm, b_norm[:, None]]), rtol)
     solution, *_ = np.linalg.lstsq(m_norm, b_norm, rcond=None)
@@ -296,16 +294,18 @@ def pointwise_consistency(
     """Check gradient-constraint solvability at every grid point."""
     if grid is None:
         grid = geometry.default_grid(rs.m)
+    points = geometry.grid_floats(grid)
+    m_mats, bs = stacked_system(rs, points)
     worst_gap = 0.0
     worst_point = None
     failures = []
-    for point in geometry.grid_floats(grid):
-        ok, gap = consistency_gap_at(rs, point, rtol)
+    for point, m_mat, b in zip(points, m_mats, bs):
+        ok, gap = _consistency_gap(m_mat, b, rtol)
         if gap > worst_gap:
             worst_gap = gap
-            worst_point = point
+            worst_point = tuple(point.tolist())
         if not ok:
-            failures.append((point, gap))
+            failures.append((tuple(point.tolist()), gap))
     return ConsistencyReport(not failures, worst_gap, worst_point, failures)
 
 
@@ -354,20 +354,15 @@ def quasi_regular_identity(
     return total == dim_g2
 
 
-def quasi_regular_search(
-    e_span: np.ndarray,
-    f_span: np.ndarray,
-    n_random_bases: int = 20,
-    seed: int = 0,
-    rtol: float = RANK_RTOL,
-) -> SymbolDims:
+def quasi_regular_search(e_span: np.ndarray, f_span: np.ndarray, rtol: float = RANK_RTOL) -> SymbolDims:
     """Symbol dimensions for a covector-subspace pair, plus basis search.
 
     The first symbol is the intersection of the two spans; the prolonged
     symbol is the intersection of their symmetric squares.  A basis
     ordering satisfying the dimension identity is searched first among
     coordinate permutations (reported 1-based when one works), then among
-    random bases.
+    SYMBOL_RANDOM_BASES random bases drawn from a generator seeded with
+    SYMBOL_SEED, so the search is deterministic.
     """
     e_span = np.atleast_2d(np.asarray(e_span, dtype=float))
     m = e_span.shape[1]
@@ -379,8 +374,8 @@ def quasi_regular_search(
         basis = np.eye(m)[list(perm)]
         if quasi_regular_identity(g1_basis, dim_g2, basis, rtol):
             return SymbolDims(dim_g1, dim_g2, True, tuple(p + 1 for p in perm))
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random_bases):
+    rng = np.random.default_rng(SYMBOL_SEED)
+    for _ in range(SYMBOL_RANDOM_BASES):
         basis = rng.standard_normal((m, m))
         if numeric_rank(basis, rtol) != m:
             continue
@@ -393,8 +388,6 @@ def symbol_dims(
     c_frame: Frame,
     conn: EhresmannConnection,
     point: Sequence[float],
-    n_random_bases: int = 20,
-    seed: int = 0,
     rtol: float = RANK_RTOL,
 ) -> SymbolDims:
     """Symbol dimensions of the lift system at a point.
@@ -403,13 +396,9 @@ def symbol_dims(
     the annihilator of the horizontal subspace, i.e. the kernel of P_VM
     transposed.
     """
-    e_span = c_frame.matrix_at(point).T  # rows span E*
-    f_span = null_rows(build_vm_transpose_at(conn, point), rtol)
-    return quasi_regular_search(e_span, f_span, n_random_bases, seed, rtol)
-
-
-def build_vm_transpose_at(conn: EhresmannConnection, point: Sequence[float]) -> np.ndarray:
-    return geometry.build_p_vm(conn).at(point).T
+    e_span = c_frame.as_matrix().at(point).T  # rows span E*
+    f_span = null_rows(geometry.build_p_vm(conn).at(point).T, rtol)
+    return quasi_regular_search(e_span, f_span, rtol)
 
 
 # -- curvature map -------------------------------------------------------------
@@ -526,7 +515,6 @@ def full_check(
     rs: ResidualSystem,
     conn: EhresmannConnection,
     grid: Sequence[GridPoint] | None = None,
-    symbol_seed: int = 0,
 ) -> IntegrabilityReport:
     """Run every obstruction test and aggregate the verdict."""
     m = rs.m
@@ -539,7 +527,7 @@ def full_check(
     b_offenders = {key: val for key, val in b_entries.items() if not val.is_zero()}
     consistency = pointwise_consistency(rs, grid)
     origin = [0.0] * m
-    symbol = symbol_dims(rs.pair.c_frame, conn, origin, seed=symbol_seed)
+    symbol = symbol_dims(rs.pair.c_frame, conn, origin)
     return IntegrabilityReport(
         flat=flat,
         flat_offenders=flat_offenders,

@@ -3,7 +3,7 @@
 Subspaces of R^m are represented by row-stacked spanning matrices; ranks
 use a singular-value cutoff relative to the largest singular value
 (default 1e-9), which is the one numeric tolerance the symbolic layers
-cannot avoid.
+cannot avoid.  :func:`numeric_rank` ranks a stack of matrices in one SVD.
 """
 
 from __future__ import annotations
@@ -13,21 +13,23 @@ import numpy as np
 RANK_RTOL = 1e-9
 
 
-def numeric_rank(a: np.ndarray, rtol: float = RANK_RTOL, scale: float | None = None) -> int:
+def numeric_rank(a: np.ndarray, rtol: float = RANK_RTOL, scale: float | None = None) -> int | np.ndarray:
     """Singular values below rtol * scale count as zero.
 
-    The default scale is the largest singular value; pass an explicit scale
-    when the matrix is built from O(scale) data and may be entirely roundoff
-    (a relative cutoff would then mistake noise for full rank).
+    One matrix gives an ``int``; a stack (..., rows, cols) gives an integer
+    array (...) of per-matrix ranks.  The default scale is each matrix's
+    largest singular value; pass an explicit scale when the matrix is built
+    from O(scale) data and may be entirely roundoff (a relative cutoff
+    would then mistake noise for full rank).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = rtol * (s[0] if scale is None else scale)
-    return int(np.sum(s > cutoff))
+        ranks = np.zeros(a.shape[:-2], dtype=int)
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
+        cutoff = rtol * (s[..., :1] if scale is None else scale)
+        ranks = np.sum(s > cutoff, axis=-1)
+    return int(ranks) if a.ndim == 2 else ranks
 
 
 def orth_rows(a: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:

@@ -14,6 +14,7 @@ that output is deterministic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -278,6 +279,33 @@ def poly_sum(items: Iterable[Poly], nvars: int) -> Poly:
     return total
 
 
+def eval_points(polys: Sequence[Poly], points) -> np.ndarray:
+    """Values of ``polys`` at points (..., m), as an array (..., len(polys)).
+
+    Every value is :meth:`Poly.eval_float`'s bit for bit: the same terms in
+    the same order, with powers from Python's float ``**`` (numpy's power
+    rounds differently).
+    """
+    points = np.asarray(points, dtype=float)
+    m = points.shape[-1]
+    if any(p.nvars != m for p in polys):
+        raise ValueError(f"points have {m} coordinates, but not every polynomial has {m} variables")
+    flat = points.reshape(math.prod(points.shape[:-1]), m)
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    out = np.zeros((flat.shape[0], len(polys)))
+    for k, p in enumerate(polys):
+        total = out[:, k]
+        for mi, c in p.terms.items():
+            term = np.full(flat.shape[0], float(c))
+            for i, e in enumerate(mi):
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = np.array([v**e for v in flat[:, i].tolist()])
+                    term *= powers[i, e]
+            total += term
+    return out.reshape(points.shape[:-1] + (len(polys),))
+
+
 def grlex_key(mi: MultiIndex) -> tuple:
     """Sort key for graded lexicographic order, highest terms first."""
     return (-sum(mi), tuple(-e for e in mi))
@@ -373,13 +401,10 @@ class PolyMatrix:
             [[e * factor for e in row] for row in self.entries], cols=self.cols, nvars=self.nvars
         )
 
-    def at(self, point: Sequence[float]) -> np.ndarray:
-        """Floating-point value of the matrix at a point."""
-        out = np.zeros((self.rows, self.cols))
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out[i, j] = self.entries[i][j].eval_float(point)
-        return out
+    def at(self, points) -> np.ndarray:
+        """Values at points (..., m), as an array (..., rows, cols)."""
+        values = eval_points([e for row in self.entries for e in row], points)
+        return values.reshape(values.shape[:-1] + (self.rows, self.cols))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolyMatrix):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import GridPoint
-from .poly import Poly, PolyMatrix, grad, poly_adjugate, poly_det, poly_sum
+from .poly import Poly, PolyMatrix, eval_points, grad, poly_adjugate, poly_det, poly_sum
 from .sysmodel import ControlAffineSystem, TargetData
 
 FEEDBACK_RESIDUAL_TOL = 1e-8
@@ -42,11 +42,7 @@ def target_field(sys: ControlAffineSystem, td: TargetData, v: Poly) -> list[Poly
 
 def control_matrix(sys: ControlAffineSystem) -> PolyMatrix:
     """m-by-r matrix with the control vector fields as columns."""
-    return PolyMatrix(
-        [[sys.f[j][i] for j in range(sys.r)] for i in range(sys.m)],
-        cols=sys.r,
-        nvars=sys.m,
-    )
+    return geometry.Frame(sys.m, sys.f).as_matrix()
 
 
 @dataclass
@@ -76,19 +72,21 @@ def solve_feedback(
     def pointwise(x: Sequence[float]) -> np.ndarray:
         if symbolic is not None:
             return np.array([u.eval_float(x) for u in symbolic])
-        a = f_mat.at(x)
+        # one point per RK4 stage, so Poly.eval_float rather than eval_points
+        a = np.array([[p.eval_float(x) for p in col] for col in sys.f]).T
         b = np.array([p.eval_float(x) for p in rhs])
         u, *_ = np.linalg.lstsq(a, b, rcond=None)
         return u
 
     if grid is None:
         grid = geometry.default_grid(sys.m)
-    worst = 0.0
-    for point in geometry.grid_floats(grid):
-        a = f_mat.at(point)
-        b = np.array([p.eval_float(point) for p in rhs])
-        residual = float(np.linalg.norm(a @ pointwise(point) - b))
-        worst = max(worst, residual)
+    points = geometry.grid_floats(grid)
+    a = f_mat.at(points)
+    b = eval_points(rhs, points)
+    u = eval_points(symbolic, points) if symbolic is not None else np.array([pointwise(x) for x in points])
+    r = (a @ u[..., None])[..., 0] - b
+    # |r| per point through the BLAS dot np.linalg.norm uses, so it matches bit for bit
+    worst = float(np.sqrt((r[..., None, :] @ r[..., None]).max(initial=0.0)))
     if worst > tol:
         raise FeedbackResidualError(
             f"feedback residual {worst:.3e} exceeds {tol:.1e}; target is outside the control range"
@@ -244,7 +242,7 @@ def verify_lyapunov_decrease(
                     break
         else:
             dv = grad(vstar)
-            for point in geometry.grid_floats(grid):
+            for point in map(tuple, geometry.grid_floats(grid).tolist()):
                 if all(v == 0.0 for v in point):
                     continue
                 rate = float(np.dot([p.eval_float(point) for p in dv], field(point)))

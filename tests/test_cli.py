@@ -224,6 +224,8 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
     "args, options, f0, states",
     [
         (["--grid", "0"], None, None, None),
+        (["--grid", "1"], None, None, None),
+        ([], {"symbol_seed": 0}, None, None),
         (["--h", "0"], None, None, None),
         (["--h", "0.1", "--horizon", "0.01"], None, None, None),
         (["--order", "30"], None, None, None),
@@ -236,6 +238,8 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
     ],
     ids=[
         "grid-0",
+        "grid-1",
+        "options-unknown-key",
         "h-0",
         "horizon-below-h",
         "order-30",
@@ -260,6 +264,13 @@ def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, f0, stat
     code = main(["validate", "--spec", str(path), *args])
     assert code == EXIT_INPUT
     assert "[liftlyap] error:" in capsys.readouterr().err
+
+
+def test_unknown_option_key_is_named():
+    raw = _fixture_raw("ex_ps")
+    raw["options"] = {"order": 4, "grdi": 5}
+    with pytest.raises(SpecError, match="unknown key 'grdi'"):
+        build_problem(raw)
 
 
 @pytest.mark.parametrize("module", ["liftlyap", "liftlyap.cli"])

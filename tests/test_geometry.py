@@ -42,6 +42,8 @@ def test_default_grid_contains_origin():
     assert (Fraction(0), Fraction(0)) in grid
     assert len(grid) == 9
     assert all(len(pt) == 2 for pt in grid)
+    with pytest.raises(ValueError):
+        default_grid(2, per_axis=1)
 
 
 def test_control_distribution_single_column():
@@ -112,6 +114,17 @@ def test_user_complement_singular_rejected():
     c = Frame.build(2, [[_p("1", X2), _p("0", X2)]])
     with pytest.raises(FrameRankError):
         complement_frame(c, user_d=[[_p("1", X2), _p("0", X2)]])
+
+
+def test_rank_failures_name_the_first_grid_point():
+    # the witness is the first failing point in grid order, printed as plain floats
+    with pytest.raises(FrameRankError) as err:
+        Frame.build(2, [[_p("x1", X2), _p("0", X2)]])
+    assert str(err.value) == "frame drops rank at grid point (0.0, -1.0)"
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]])
+    with pytest.raises(FrameRankError) as err:
+        complement_frame(c, user_d=[[_p("1", X2), _p("x2", X2)]])
+    assert str(err.value) == "[C | D] is singular at grid point (-1.0, 0.0)"
 
 
 def test_build_p_vm_flat():

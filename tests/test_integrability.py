@@ -275,7 +275,7 @@ def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols
     b_entries = condition_b(pair.p_d, x_field)
 
     def true_pd(x):
-        return np.linalg.inv(np.hstack([c.matrix_at(x), d.matrix_at(x)]))[1:, :]
+        return np.linalg.inv(np.hstack([c.as_matrix().at(x), d.as_matrix().at(x)]))[1:, :]
 
     h = 1e-5
     worst_a = worst_b = 0.0
@@ -320,6 +320,8 @@ def test_pointwise_consistency_ex_di():
     assert not ok
     assert abs(gap - 2.0) <= 1e-9
     assert any(point == (1.0, 0.0) or point == [1.0, 0.0] for point, _ in report.failures)
+    assert all(type(v) is float for point, _ in report.failures for v in point)
+    assert all(type(v) is float for v in report.worst_point)
 
 
 def test_pointwise_consistency_ex_fa():

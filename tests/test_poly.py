@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from liftlyap.parsing import PolyParseError, parse_poly
 from liftlyap.poly import (
@@ -13,6 +16,7 @@ from liftlyap.poly import (
     DegreeCapError,
     Poly,
     PolyMatrix,
+    eval_points,
     format_poly,
     grad,
     lie_derivative,
@@ -277,3 +281,28 @@ def test_matrix_matvec_and_empty():
 def test_matrix_at_numeric():
     mat = PolyMatrix([[Poly.variable(2, 0), Poly.const(2, 3)]])
     np.testing.assert_allclose(mat.at([2.0, 0.0]), [[2.0, 3.0]])
+    np.testing.assert_array_equal(mat.at([[2.0, 0.0], [-1.0, 5.0]]), [[[2.0, 3.0]], [[-1.0, 3.0]]])
+    with pytest.raises(ValueError):
+        mat.at([1.0, 2.0, 3.0])
+
+
+@st.composite
+def _polys_and_points(draw):
+    nvars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    polys = draw(st.lists(st.dictionaries(exponents, coeffs, max_size=5).map(lambda t: Poly(nvars, t)), max_size=4))
+    lead = draw(st.sampled_from([(), (1,), (5,), (2, 3)]))
+    points = draw(arrays(np.float64, lead + (nvars,), elements=st.floats(-3, 3)))
+    return polys, points
+
+
+@settings(deadline=None)
+@given(_polys_and_points())
+def test_eval_points_is_eval_float_bitwise(case):
+    polys, points = case
+    got = eval_points(polys, points)
+    assert got.shape == points.shape[:-1] + (len(polys),)
+    flat = points.reshape(-1, points.shape[-1])
+    want = np.array([[p.eval_float(x) for p in polys] for x in flat.tolist()]).reshape(got.shape)
+    assert got.tobytes() == want.tobytes()
