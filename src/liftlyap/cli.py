@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -20,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry, integrability, lift, synth, sysmodel
-from .geometry import EhresmannConnection, Frame, ProjectionPair
-from .integrability import IntegrabilityReport, ResidualSystem
+from .geometry import EhresmannConnection, Frame, GridPoint, ProjectionPair
+from .integrability import ResidualSystem
 from .parsing import PolyParseError, parse_poly
 from .poly import DEGREE_CAP, DegreeCapError, Poly, PolyMatrix, format_poly, grad
 from .sysmodel import (
@@ -33,8 +34,6 @@ from .sysmodel import (
     QuotientSystem,
     TargetData,
 )
-
-COMMANDS = ("validate", "quotient", "integrability", "lift", "synthesize", "simulate", "report")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -74,10 +73,6 @@ class Problem:
     user_d: list[list[Poly]] | None
     user_p_d: PolyMatrix | None
     options: Options
-
-    @property
-    def grid(self):
-        return geometry.default_grid(self.sys.m, self.options.grid_per_axis)
 
 
 def fixture_path(name: str):
@@ -190,6 +185,9 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     unknown = sorted(set(opt_raw) - OPTION_KEYS)
     if unknown:
         raise SpecError(f"'options': unknown key {unknown[0]!r} (allowed: {', '.join(sorted(OPTION_KEYS))})")
+    for key in ("order", "grid"):
+        if isinstance(opt_raw.get(key), float) and not opt_raw[key].is_integer():
+            raise SpecError(f"'options': {key} must be a whole number, not {opt_raw[key]}")
     try:
         options = Options(
             order=int(opt_raw.get("order", 6)),
@@ -207,10 +205,16 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
         raise SpecError(f"order must be between 2 and {DEGREE_CAP}")
     if options.grid_per_axis < 2:
         raise SpecError("grid must be at least 2 points per axis")
+    if options.grid_per_axis**m > geometry.MAX_GRID_POINTS:
+        raise SpecError(f"grid ** m must not exceed {geometry.MAX_GRID_POINTS} points")
+    if not (math.isfinite(options.h) and math.isfinite(options.horizon)):
+        raise SpecError("h and horizon must be finite")
     if not options.h > 0:
         raise SpecError("h must be positive")
     if not options.horizon >= options.h:
         raise SpecError("horizon must be at least h")
+    if options.horizon / options.h > synth.MAX_STEPS:
+        raise SpecError(f"horizon / h must not exceed {synth.MAX_STEPS} steps")
     if options.x0 is not None:
         if len(options.x0) != m:
             raise SpecError(f"x0 must have {m} entries")
@@ -247,7 +251,41 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
 # -- pipeline stages -----------------------------------------------------------
 
 
-def stage_quotient(problem: Problem) -> tuple[dict, QuotientCLF]:
+@dataclass
+class StageFailure(Exception):
+    """A stage ended the run: its report section, the reasons and the exit code."""
+
+    section: dict
+    reasons: list[str]
+    code: int
+
+
+@dataclass
+class RunState:
+    """One pass of the pipeline: the problem, its check grid and what the stages made."""
+
+    problem: Problem
+    traj_dir: str | None = None
+    clf: QuotientCLF | None = None
+    td: TargetData | None = None
+    rs: ResidualSystem | None = None
+    jet: lift.JetSolution | None = None
+    vstar: Poly | None = None
+    loop: synth.ClosedLoop | None = None
+
+    @cached_property
+    def grid(self) -> list[GridPoint]:
+        """The m-dimensional check grid, built on first use and kept for the run."""
+        return geometry.default_grid(self.problem.sys.m, self.problem.options.grid_per_axis)
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The check grid as a (P, m) float array, for every float grid check."""
+        return geometry.grid_floats(self.grid)
+
+
+def stage_quotient(state: RunState) -> dict:
+    problem = state.problem
     residuals = sysmodel.verify_quotient(problem.sys, problem.qsys, problem.morph)
     witness = sysmodel.quotient_witness(residuals)
     if witness is not None:
@@ -258,21 +296,20 @@ def stage_quotient(problem: Problem) -> tuple[dict, QuotientCLF]:
         )
     qgrid = geometry.default_grid(problem.qsys.n, problem.options.grid_per_axis)
     try:
-        clf = sysmodel.make_quotient_clf(problem.qsys, problem.vtilde, problem.alpha, qgrid)
+        state.clf = sysmodel.make_quotient_clf(problem.qsys, problem.vtilde, problem.alpha, qgrid)
     except CLFValidationError as exc:
         raise SpecError(f"quotient Lyapunov data rejected: {exc}") from exc
-    section = {
+    return {
         "residuals_zero": True,
         "witness": None,
-        "w": format_poly(clf.w, problem.quotient_state_names),
+        "w": format_poly(state.clf.w, problem.quotient_state_names),
     }
-    return section, clf
 
 
-def stage_geometry(problem: Problem) -> ProjectionPair:
-    grid = problem.grid
-    c = geometry.control_distribution(problem.sys, grid)
-    d = geometry.complement_frame(c, problem.user_d, grid)
+def stage_geometry(state: RunState) -> ProjectionPair:
+    problem = state.problem
+    c = geometry.control_distribution(problem.sys, state.points)
+    d = geometry.complement_frame(c, problem.user_d, state.points)
     if problem.user_p_d is not None:
         return projections_from_matrix(c, d, problem.user_p_d, problem.conn)
     return geometry.build_projections(c, d, problem.conn)
@@ -298,16 +335,20 @@ def projections_from_matrix(
     return ProjectionPair(c, d, p_d, geometry.build_p_vm(conn), Poly.const(m, 1))
 
 
-def stage_target(problem: Problem, clf: QuotientCLF) -> TargetData:
+def stage_target(state: RunState) -> TargetData:
+    problem = state.problem
     try:
-        return sysmodel.build_target_x(problem.sys, problem.qsys, problem.conn, clf)
+        return sysmodel.build_target_x(problem.sys, problem.qsys, problem.conn, state.clf)
     except EquilibriumError as exc:
         raise SpecError(str(exc)) from exc
 
 
-def stage_integrability(problem: Problem, rs: ResidualSystem) -> tuple[dict, IntegrabilityReport]:
-    report = integrability.full_check(rs, problem.conn, problem.grid)
-    names = problem.state_names
+def stage_integrability(state: RunState) -> dict:
+    pair = stage_geometry(state)
+    state.td = stage_target(state)
+    state.rs = ResidualSystem(pair, state.td.x_field)
+    report = integrability.full_check(state.rs, state.problem.conn, state.points)
+    names = state.problem.state_names
     section = {
         "flat": report.flat,
         "flat_offenders": {
@@ -340,13 +381,21 @@ def stage_integrability(problem: Problem, rs: ResidualSystem) -> tuple[dict, Int
         "verdict": report.verdict,
         "reasons": report.reasons,
     }
-    return section, report
+    if not report.liftable:
+        raise StageFailure(section, report.reasons, EXIT_NOT_LIFTABLE)
+    return section
 
 
-def stage_lift(problem: Problem, rs: ResidualSystem, td: TargetData):
+def stage_lift(state: RunState) -> dict:
+    problem, rs = state.problem, state.rs
     system = lift.assemble_lift_system(rs, problem.options.order)
-    jet = lift.solve_jets(system, rs, fibre_start=problem.qsys.n)
-    vstar, diag = lift.assemble_vstar(td.pullback_vtilde, jet)
+    try:
+        jet = lift.solve_jets(system, rs, fibre_start=problem.qsys.n)
+    except lift.JetInfeasibleError as exc:
+        section = {"infeasible": True, "witness": exc.witness}
+        raise StageFailure(section, ["lift_infeasible"], EXIT_NOT_LIFTABLE) from exc
+    vstar, diag = lift.assemble_vstar(state.td.pullback_vtilde, jet)
+    state.jet, state.vstar = jet, vstar
     names = problem.state_names
     section = {
         "order": jet.order,
@@ -359,39 +408,40 @@ def stage_lift(problem: Problem, rs: ResidualSystem, td: TargetData):
         "definite": diag.ok,
         "witness": list(diag.witness) if diag.witness else None,
     }
-    return section, jet, vstar, diag
+    if not diag.ok:
+        raise StageFailure(section, ["definiteness"], EXIT_NOT_LIFTABLE)
+    return section
 
 
-def stage_synthesize(problem: Problem, td: TargetData, jet: lift.JetSolution):
+def stage_synthesize(state: RunState) -> dict:
+    problem = state.problem
     m = problem.sys.m
-    v = jet.polynomial(m)
-    dv = grad(v)
-    rhs = [td.x_field[i] - dv[i] for i in range(m)]
-    feedback = synth.solve_feedback(problem.sys, rhs, problem.grid)
-    loop = synth.closed_loop_field(problem.sys, feedback)
+    dv = grad(state.jet.polynomial(m))
+    rhs = [state.td.x_field[i] - dv[i] for i in range(m)]
+    try:
+        feedback = synth.solve_feedback(problem.sys, rhs, state.points)
+    except synth.FeedbackResidualError as exc:
+        raise StageFailure({"error": str(exc)}, ["feedback"], EXIT_VALIDATION) from exc
+    loop = state.loop = synth.closed_loop_field(problem.sys, feedback)
     names = problem.state_names
-    section = {
+    return {
         "symbolic": [format_poly(u, names) for u in feedback.symbolic] if feedback.symbolic else None,
         "residual_norm": float(feedback.residual_norm),
         "closed_loop": [format_poly(p, names) for p in loop.poly] if loop.poly else None,
     }
-    return section, feedback, loop
 
 
-def stage_simulate(
-    problem: Problem,
-    loop: synth.ClosedLoop,
-    vstar: Poly,
-    feedback: synth.FeedbackSolution,
-    traj_dir: str | None,
-):
-    opts = problem.options
+def stage_simulate(state: RunState) -> dict:
+    problem, opts, loop = state.problem, state.problem.options, state.loop
     x0 = opts.x0 if opts.x0 is not None else [1.0] * problem.sys.m
-    traj = synth.simulate_rk4(loop, x0, opts.h, opts.horizon, vstar, feedback.pointwise)
-    decrease = synth.verify_lyapunov_decrease(traj, vstar, loop, problem.grid)
+    try:
+        traj = synth.simulate_rk4(loop, x0, opts.h, opts.horizon, state.vstar, loop.feedback.pointwise)
+    except synth.DivergenceError as exc:
+        raise StageFailure({"error": str(exc)}, ["simulation"], EXIT_VALIDATION) from exc
+    decrease = synth.verify_lyapunov_decrease(traj, state.vstar, loop, state.grid)
     csv_path = None
-    if traj_dir is not None:
-        out_dir = Path(traj_dir)
+    if state.traj_dir is not None:
+        out_dir = Path(state.traj_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = str(out_dir / f"{problem.name}_trajectory_0.csv")
         synth.write_trajectory_csv(traj, csv_path, problem.state_names, problem.input_names)
@@ -405,25 +455,35 @@ def stage_simulate(
         "analytic_negative": decrease.analytic_negative,
         "csv": csv_path,
     }
-    return section, decrease
+    if not decrease.passed:
+        raise StageFailure(section, ["decrease"], EXIT_VALIDATION)
+    return section
 
 
 # -- orchestration -------------------------------------------------------------
 
-_STAGE_OF = {
-    "validate": 0,
-    "quotient": 1,
-    "integrability": 2,
-    "lift": 3,
-    "synthesize": 4,
-    "simulate": 5,
-    "report": 5,
-}
+# The pipeline in order, one row per command: the command, the report key its
+# stage fills, the verdict when the run stops after it, and the name of its
+# stage function.  run() looks each stage up by name when it calls it, so a
+# stage replaced on this module (a tracer's wrapper, a test's stub) is the one
+# that runs.
+STAGES = (
+    ("validate", None, "VALID", None),
+    ("quotient", "quotient", "QUOTIENT_VERIFIED", "stage_quotient"),
+    ("integrability", "integrability", "LIFTABLE", "stage_integrability"),
+    ("lift", "lift", "LIFTED", "stage_lift"),
+    ("synthesize", "feedback", "SYNTHESIZED", "stage_synthesize"),
+    ("simulate", "simulation", "LIFTABLE_AND_VERIFIED", "stage_simulate"),
+)
+COMMANDS = tuple(row[0] for row in STAGES) + ("report",)  # report runs the whole table, as simulate
+
+# Prefix of the verdict of a run a stage ended, by exit code.
+FAILED_VERDICTS = {EXIT_NOT_LIFTABLE: "NOT_LIFTABLE", EXIT_VALIDATION: "LIFTED_BUT_VALIDATION_FAILED"}
 
 
 def run(command: str, problem: Problem, traj_dir: str | None = None) -> tuple[dict, int]:
     """Execute the pipeline up to the requested command."""
-    last = _STAGE_OF[command]
+    stop = [row[0] for row in STAGES].index("simulate" if command == "report" else command)
     report: dict = {
         "spec": {
             "name": problem.name,
@@ -442,78 +502,22 @@ def run(command: str, problem: Problem, traj_dir: str | None = None) -> tuple[di
             "h": problem.options.h,
             "horizon": problem.options.horizon,
         },
-        "quotient": None,
-        "integrability": None,
-        "lift": None,
-        "feedback": None,
-        "simulation": None,
+        **{key: None for _, key, _, _ in STAGES if key is not None},
         "verdict": None,
         "reasons": [],
     }
-    if last == 0:
-        report["verdict"] = "VALID"
-        return report, EXIT_OK
-
-    section, clf = stage_quotient(problem)
-    report["quotient"] = section
-    if last == 1:
-        report["verdict"] = "QUOTIENT_VERIFIED"
-        return report, EXIT_OK
-
-    pair = stage_geometry(problem)
-    td = stage_target(problem, clf)
-    rs = ResidualSystem(pair, td.x_field)
-    section, integ = stage_integrability(problem, rs)
-    report["integrability"] = section
-    if not integ.liftable:
-        report["verdict"] = f"NOT_LIFTABLE({','.join(integ.reasons)})"
-        report["reasons"] = integ.reasons
-        return report, EXIT_NOT_LIFTABLE
-    if last == 2:
-        report["verdict"] = "LIFTABLE"
-        return report, EXIT_OK
-
-    try:
-        section, jet, vstar, diag = stage_lift(problem, rs, td)
-    except lift.JetInfeasibleError as exc:
-        report["lift"] = {"infeasible": True, "witness": exc.witness}
-        report["verdict"] = "NOT_LIFTABLE(lift_infeasible)"
-        report["reasons"] = ["lift_infeasible"]
-        return report, EXIT_NOT_LIFTABLE
-    report["lift"] = section
-    if not diag.ok:
-        report["verdict"] = "NOT_LIFTABLE(definiteness)"
-        report["reasons"] = ["definiteness"]
-        return report, EXIT_NOT_LIFTABLE
-    if last == 3:
-        report["verdict"] = "LIFTED"
-        return report, EXIT_OK
-
-    try:
-        section, feedback, loop = stage_synthesize(problem, td, jet)
-    except synth.FeedbackResidualError as exc:
-        report["feedback"] = {"error": str(exc)}
-        report["verdict"] = "LIFTED_BUT_VALIDATION_FAILED(feedback)"
-        report["reasons"] = ["feedback"]
-        return report, EXIT_VALIDATION
-    report["feedback"] = section
-    if last == 4:
-        report["verdict"] = "SYNTHESIZED"
-        return report, EXIT_OK
-
-    try:
-        section, decrease = stage_simulate(problem, loop, vstar, feedback, traj_dir)
-    except synth.DivergenceError as exc:
-        report["simulation"] = {"error": str(exc)}
-        report["verdict"] = "LIFTED_BUT_VALIDATION_FAILED(simulation)"
-        report["reasons"] = ["simulation"]
-        return report, EXIT_VALIDATION
-    report["simulation"] = section
-    if not decrease.passed:
-        report["verdict"] = "LIFTED_BUT_VALIDATION_FAILED(decrease)"
-        report["reasons"] = ["decrease"]
-        return report, EXIT_VALIDATION
-    report["verdict"] = "LIFTABLE_AND_VERIFIED"
+    state = RunState(problem, traj_dir)
+    for _, key, _, stage in STAGES[: stop + 1]:
+        if stage is None:
+            continue
+        try:
+            report[key] = globals()[stage](state)
+        except StageFailure as failure:
+            report[key] = failure.section
+            report["verdict"] = f"{FAILED_VERDICTS[failure.code]}({','.join(failure.reasons)})"
+            report["reasons"] = failure.reasons
+            return report, failure.code
+    report["verdict"] = STAGES[stop][2]
     return report, EXIT_OK
 
 

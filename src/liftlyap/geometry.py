@@ -22,6 +22,8 @@ from .poly import Poly, PolyMatrix, poly_adjugate, poly_det, poly_sum
 
 GridPoint = tuple[Fraction, ...]
 
+MAX_GRID_POINTS = 100_000  # largest per_axis ** m; each grid check holds every point at once
+
 
 class FrameRankError(ValueError):
     """A frame fails its constant-rank check somewhere on the grid."""
@@ -35,6 +37,8 @@ def default_grid(m: int, per_axis: int = 3, bound: Fraction | int = 1) -> list[G
     """Rational lattice over [-bound, bound]^m, origin always included."""
     if per_axis < 2:
         raise ValueError("per_axis must be at least 2")
+    if per_axis**m > MAX_GRID_POINTS:
+        raise ValueError(f"per_axis ** m must not exceed {MAX_GRID_POINTS} points")
     bound = Fraction(bound)
     values = [Fraction(2 * i, per_axis - 1) * bound - bound for i in range(per_axis)]
     points = [tuple(p) for p in itertools.product(values, repeat=m)]
@@ -64,8 +68,8 @@ class Frame:
     fields: tuple[tuple[Poly, ...], ...]
 
     @staticmethod
-    def build(dim: int, fields: Sequence[Sequence[Poly]], grid: Sequence[GridPoint] | None = None) -> "Frame":
-        """Validate shapes and constant rank on the check grid."""
+    def build(dim: int, fields: Sequence[Sequence[Poly]], points: np.ndarray | None = None) -> "Frame":
+        """Validate shapes and constant rank on the check grid (a (P, dim) float array)."""
         cols = tuple(tuple(col) for col in fields)
         for col in cols:
             if len(col) != dim:
@@ -75,7 +79,8 @@ class Frame:
                     raise ValueError("frame entries must be polynomials in the ambient variables")
         frame = Frame(dim, cols)
         if cols:
-            points = grid_floats(default_grid(dim) if grid is None else grid)
+            if points is None:
+                points = grid_floats(default_grid(dim))
             ranks = numeric_rank(frame.as_matrix().at(points))
             _require_on_grid(points, ranks == len(cols), "frame drops rank at grid point {}")
         return frame
@@ -93,15 +98,15 @@ class Frame:
         )
 
 
-def control_distribution(system, grid: Sequence[GridPoint] | None = None) -> Frame:
+def control_distribution(system, points: np.ndarray | None = None) -> Frame:
     """Frame spanned by the control vector fields of a control-affine system."""
-    return Frame.build(system.m, system.f, grid)
+    return Frame.build(system.m, system.f, points)
 
 
 def complement_frame(
     c: Frame,
     user_d: Sequence[Sequence[Poly]] | None = None,
-    grid: Sequence[GridPoint] | None = None,
+    points: np.ndarray | None = None,
 ) -> Frame:
     """A distribution D with TM = C (+) D, from the user or by coordinate search.
 
@@ -112,11 +117,10 @@ def complement_frame(
     :func:`build_projections`).
     """
     m = c.dim
-    if grid is None:
-        grid = default_grid(m)
-    points = grid_floats(grid)
+    if points is None:
+        points = grid_floats(default_grid(m))
     if user_d is not None:
-        d = Frame.build(m, user_d, grid)
+        d = Frame.build(m, user_d, points)
         if c.rank + d.rank != m:
             raise ComplementError("user complement has the wrong rank")
         ranks = numeric_rank(Frame(m, c.fields + d.fields).as_matrix().at(points))
@@ -184,15 +188,8 @@ def build_p_vm(conn: EhresmannConnection) -> PolyMatrix:
 
 def horizontal_frame(conn: EhresmannConnection) -> list[list[Poly]]:
     """The n horizontal frame fields h_q = d/dx^q + sum_p gamma^p_q d/dx^p."""
-    m, n = conn.m, conn.n
-    frame = []
-    for q in range(n):
-        field = [Poly.zero(m) for _ in range(m)]
-        field[q] = Poly.const(m, 1)
-        for p in range(m - n):
-            field[n + p] = conn.gamma[p][q]
-        frame.append(field)
-    return frame
+    p_vm = build_p_vm(conn)
+    return [p_vm.col(q) for q in range(conn.n)]
 
 
 def ann_horizontal_basis(conn: EhresmannConnection) -> list[list[Poly]]:

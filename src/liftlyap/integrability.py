@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry
-from .geometry import EhresmannConnection, Frame, GridPoint, ProjectionPair
+from .geometry import EhresmannConnection, Frame, ProjectionPair
 from .numutil import (
     RANK_RTOL,
     intersection_basis,
@@ -288,13 +288,12 @@ class ConsistencyReport:
 
 def pointwise_consistency(
     rs: ResidualSystem,
-    grid: Sequence[GridPoint] | None = None,
+    points: np.ndarray | None = None,
     rtol: float = CONSISTENCY_RTOL,
 ) -> ConsistencyReport:
-    """Check gradient-constraint solvability at every grid point."""
-    if grid is None:
-        grid = geometry.default_grid(rs.m)
-    points = geometry.grid_floats(grid)
+    """Check gradient-constraint solvability at every point of the (P, m) float check grid."""
+    if points is None:
+        points = geometry.grid_floats(geometry.default_grid(rs.m))
     m_mats, bs = stacked_system(rs, points)
     worst_gap = 0.0
     worst_point = None
@@ -514,18 +513,16 @@ class IntegrabilityReport:
 def full_check(
     rs: ResidualSystem,
     conn: EhresmannConnection,
-    grid: Sequence[GridPoint] | None = None,
+    points: np.ndarray | None = None,
 ) -> IntegrabilityReport:
     """Run every obstruction test and aggregate the verdict."""
     m = rs.m
-    if grid is None:
-        grid = geometry.default_grid(m)
     flat, flat_offenders = check_flatness(conn)
     a_entries = condition_a(rs.p_d, rs.delta)
     a_offenders = {key: val for key, val in a_entries.items() if not val.is_zero()}
     b_entries = condition_b(rs.p_d, rs.x_field)
     b_offenders = {key: val for key, val in b_entries.items() if not val.is_zero()}
-    consistency = pointwise_consistency(rs, grid)
+    consistency = pointwise_consistency(rs, points)
     origin = [0.0] * m
     symbol = symbol_dims(rs.pair.c_frame, conn, origin)
     return IntegrabilityReport(

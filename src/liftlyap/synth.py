@@ -19,11 +19,12 @@ import numpy as np
 
 from . import geometry
 from .geometry import GridPoint
-from .poly import Poly, PolyMatrix, eval_points, grad, poly_adjugate, poly_det, poly_sum
+from .poly import Poly, PolyMatrix, eval_points, grad, lie_derivative, poly_adjugate, poly_det, poly_sum
 from .sysmodel import ControlAffineSystem, TargetData
 
 FEEDBACK_RESIDUAL_TOL = 1e-8
 DIVERGENCE_GUARD = 1e6
+MAX_STEPS = 10**6  # most RK4 steps horizon / h that a problem may ask for
 
 
 class FeedbackResidualError(RuntimeError):
@@ -55,14 +56,14 @@ class FeedbackSolution:
 def solve_feedback(
     sys: ControlAffineSystem,
     rhs: Sequence[Poly],
-    grid: Sequence[GridPoint] | None = None,
+    points: np.ndarray | None = None,
     tol: float = FEEDBACK_RESIDUAL_TOL,
 ) -> FeedbackSolution:
     """Solve F(x) u(x) = rhs(x) in least-norm form, symbolically when possible.
 
     Raises FeedbackResidualError if the pointwise residual exceeds ``tol``
-    anywhere on the grid; under a LIFTABLE verdict this is unreachable and
-    signals an internal inconsistency.
+    anywhere on the check grid, a (P, m) float array; under a LIFTABLE
+    verdict this is unreachable and signals an internal inconsistency.
     """
     if len(rhs) != sys.m:
         raise ValueError("right-hand side must have one component per state")
@@ -78,9 +79,8 @@ def solve_feedback(
         u, *_ = np.linalg.lstsq(a, b, rcond=None)
         return u
 
-    if grid is None:
-        grid = geometry.default_grid(sys.m)
-    points = geometry.grid_floats(grid)
+    if points is None:
+        points = geometry.grid_floats(geometry.default_grid(sys.m))
     a = f_mat.at(points)
     b = eval_points(rhs, points)
     u = eval_points(symbolic, points) if symbolic is not None else np.array([pointwise(x) for x in points])
@@ -225,13 +225,10 @@ def verify_lyapunov_decrease(
     analytic_negative = True
     analytic_witness = None
     if field is not None:
-        m = vstar.nvars
         if grid is None:
-            grid = geometry.default_grid(m)
+            grid = geometry.default_grid(vstar.nvars)
         loop_polys = field.poly if isinstance(field, ClosedLoop) else None
         if loop_polys is not None:
-            from .poly import lie_derivative
-
             derivative = lie_derivative(list(loop_polys), vstar)
             for point in grid:
                 if all(v == 0 for v in point):
@@ -242,7 +239,7 @@ def verify_lyapunov_decrease(
                     break
         else:
             dv = grad(vstar)
-            for point in map(tuple, geometry.grid_floats(grid).tolist()):
+            for point in (tuple(map(float, exact)) for exact in grid):
                 if all(v == 0.0 for v in point):
                     continue
                 rate = float(np.dot([p.eval_float(point) for p in dv], field(point)))

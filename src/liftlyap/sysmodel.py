@@ -157,14 +157,19 @@ def pullback_clf(vtilde: Poly, m: int) -> Poly:
     return vtilde.embed(m)
 
 
-def closed_loop_decrease(qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Poly]) -> Poly:
-    """W(y): derivative of vtilde along the alpha-closed quotient loop."""
+def quotient_closed_loop(qsys: QuotientSystem, alpha: Sequence[Poly]) -> list[Poly]:
+    """The quotient vector field g0 + sum_k alpha_k g_k closed by the feedback alpha."""
     if len(alpha) != qsys.s:
         raise ValueError("feedback must have one component per quotient input")
     field = list(qsys.g0)
     for k in range(qsys.s):
         field = [field[q] + qsys.g[k][q] * alpha[k] for q in range(qsys.n)]
-    return lie_derivative(field, vtilde)
+    return field
+
+
+def closed_loop_decrease(qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Poly]) -> Poly:
+    """W(y): derivative of vtilde along the alpha-closed quotient loop."""
+    return lie_derivative(quotient_closed_loop(qsys, alpha), vtilde)
 
 
 @dataclass(frozen=True)
@@ -249,10 +254,7 @@ def build_target_x(
     m, n = sys.m, qsys.n
     if conn.m != m or conn.n != n:
         raise ValueError("connection shape does not match the system and quotient")
-    closed = list(qsys.g0)
-    for k in range(qsys.s):
-        closed = [closed[q] + qsys.g[k][q] * clf.alpha[k] for q in range(n)]
-    lifted = geometry.horizontal_lift(conn, closed)
+    lifted = geometry.horizontal_lift(conn, quotient_closed_loop(qsys, clf.alpha))
     pulled = pullback_clf(clf.vtilde, m)
     gradient = grad(pulled)
     x_field = tuple(lifted[i] - gradient[i] - sys.f0[i] for i in range(m))

@@ -12,9 +12,9 @@ def build_pipeline(name: str, **spec_overrides):
     """
     raw = cli.load_spec(cli.fixture_path(name))
     raw.update(spec_overrides)
-    problem = cli.build_problem(raw)
-    _, clf = cli.stage_quotient(problem)
-    pair = cli.stage_geometry(problem)
-    td = cli.stage_target(problem, clf)
+    state = cli.RunState(cli.build_problem(raw))
+    cli.stage_quotient(state)
+    pair = cli.stage_geometry(state)
+    td = cli.stage_target(state)
     rs = ResidualSystem(pair, td.x_field)
-    return problem, clf, pair, td, rs
+    return state.problem, state.clf, pair, td, rs

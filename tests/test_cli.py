@@ -9,10 +9,12 @@ from pathlib import Path
 import pytest
 
 import liftlyap
+from liftlyap import lift, synth
 from liftlyap.cli import (
     EXIT_INPUT,
     EXIT_NOT_LIFTABLE,
     EXIT_OK,
+    EXIT_VALIDATION,
     SpecError,
     build_problem,
     fixture_path,
@@ -171,6 +173,55 @@ def test_definiteness_failure_reported():
     json.dumps(report)  # report stays serializable on this path
 
 
+def _assert_stopped_at(report, code, verdict, reason, exit_code, key):
+    """The run ended at section ``key`` with this verdict; no later section ran."""
+    assert (report["verdict"], report["reasons"], code) == (verdict, [reason], exit_code)
+    order = ["quotient", "integrability", "lift", "feedback", "simulation"]
+    assert report[key] is not None
+    assert all(report[later] is None for later in order[order.index(key) + 1 :])
+
+
+def test_lift_infeasible_is_not_liftable(monkeypatch):
+    def infeasible(*args, **kwargs):
+        raise lift.JetInfeasibleError("forced", "d[2] @ x^(0, 2)")
+
+    monkeypatch.setattr(lift, "solve_jets", infeasible)
+    report, code = run("report", _problem("ex_ps"))
+    verdict = "NOT_LIFTABLE(lift_infeasible)"
+    _assert_stopped_at(report, code, verdict, "lift_infeasible", EXIT_NOT_LIFTABLE, "lift")
+    assert report["lift"] == {"infeasible": True, "witness": "d[2] @ x^(0, 2)"}
+
+
+def test_feedback_residual_is_validation_failure(monkeypatch):
+    def unsolvable(*args, **kwargs):
+        raise synth.FeedbackResidualError("feedback residual forced")
+
+    monkeypatch.setattr(synth, "solve_feedback", unsolvable)
+    report, code = run("report", _problem("ex_ps"))
+    verdict = "LIFTED_BUT_VALIDATION_FAILED(feedback)"
+    _assert_stopped_at(report, code, verdict, "feedback", EXIT_VALIDATION, "feedback")
+    assert report["feedback"] == {"error": "feedback residual forced"}
+
+
+def test_divergent_simulation_is_validation_failure():
+    raw = _fixture_raw("ex_ps")
+    raw["options"] = {"h": 2, "horizon": 40}  # RK4 is unstable at this step for the -2*x1 loop
+    report, code = run("report", build_problem(raw))
+    verdict = "LIFTED_BUT_VALIDATION_FAILED(simulation)"
+    _assert_stopped_at(report, code, verdict, "simulation", EXIT_VALIDATION, "simulation")
+    assert report["simulation"] == {"error": "state norm exceeded 1e+06 at t=18.000"}
+
+
+def test_sampled_increase_is_decrease_failure():
+    raw = _fixture_raw("ex_ps")
+    raw["options"] = {"h": 1.4, "horizon": 5}  # stable but overshooting steps
+    report, code = run("report", build_problem(raw))
+    verdict = "LIFTED_BUT_VALIDATION_FAILED(decrease)"
+    _assert_stopped_at(report, code, verdict, "decrease", EXIT_VALIDATION, "simulation")
+    assert report["simulation"]["vstar_monotone"] is False
+    assert report["simulation"]["analytic_negative"] is True
+
+
 def test_option_overrides():
     raw = _fixture_raw("ex_ps")
     p = build_problem(raw, {"order": 4, "h": 0.02})
@@ -235,6 +286,12 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         ([], {"x0": [1e200, 1]}, None, None),
         ([], {"x0": [float("nan"), 1]}, None, None),
         ([], None, None, [1, 2]),
+        (["--grid", "100000"], None, None, None),
+        ([], {"horizon": float("inf")}, None, None),
+        (["--horizon", "inf"], None, None, None),
+        (["--h", "1e-6"], None, None, None),
+        ([], {"order": 4.9}, None, None),
+        ([], {"grid": 2.7}, None, None),
     ],
     ids=[
         "grid-0",
@@ -249,6 +306,12 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "x0-beyond-guard",
         "x0-nan",
         "states-not-strings",
+        "grid-points-above-cap",
+        "horizon-infinite",
+        "horizon-flag-inf",
+        "steps-above-cap",
+        "order-fractional",
+        "grid-fractional",
     ],
 )
 def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, f0, states):

@@ -44,6 +44,8 @@ def test_default_grid_contains_origin():
     assert all(len(pt) == 2 for pt in grid)
     with pytest.raises(ValueError):
         default_grid(2, per_axis=1)
+    with pytest.raises(ValueError, match="100000"):
+        default_grid(17, per_axis=2)  # 131072 points: above the cap, small enough to build if unchecked
 
 
 def test_control_distribution_single_column():

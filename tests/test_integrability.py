@@ -470,21 +470,21 @@ def test_curvature_map_rejects_inconsistent_jet():
 
 def test_full_check_ex_ps():
     problem, _, _, _, rs = build_pipeline("ex_ps")
-    report = full_check(rs, problem.conn, problem.grid)
+    report = full_check(rs, problem.conn)
     assert report.liftable
     assert report.verdict == "LIFTABLE"
 
 
 def test_full_check_ex_di():
     problem, _, _, _, rs = build_pipeline("ex_di")
-    report = full_check(rs, problem.conn, problem.grid)
+    report = full_check(rs, problem.conn)
     assert not report.liftable
     assert report.reasons == ["consistency"]
 
 
 def test_full_check_ex_curv():
     problem, _, _, _, rs = build_pipeline("ex_curv")
-    report = full_check(rs, problem.conn, problem.grid)
+    report = full_check(rs, problem.conn)
     assert not report.liftable
     assert "flatness" in report.reasons
     assert report.flat_offenders[(3, 1, 2)] == Poly.const(3, -1)
