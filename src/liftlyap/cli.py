@@ -524,8 +524,19 @@ def run(command: str, problem: Problem, traj_dir: str | None = None) -> tuple[di
 # -- command line --------------------------------------------------------------
 
 
+class UsageError(ValueError):
+    """The command line itself is malformed (unknown command, bad flag value)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, and 2 is EXIT_NOT_LIFTABLE here
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liftlyap",
         description="Decide whether a quotient Lyapunov function lifts to the full system, "
         "construct the lift, and verify the closed loop.",
@@ -544,25 +555,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        "order": args.order,
-        "grid_per_axis": args.grid,
-        "h": args.h,
-        "horizon": args.horizon,
-    }
     try:
-        raw = load_spec(args.spec)
-        problem = build_problem(raw, overrides)
+        args = _build_parser().parse_args(argv)
+        overrides = {
+            "order": args.order,
+            "grid_per_axis": args.grid,
+            "h": args.h,
+            "horizon": args.horizon,
+        }
+        problem = build_problem(load_spec(args.spec), overrides)
         report, code = run(args.command, problem, args.trajectories)
-    except (SpecError, OSError, geometry.FrameRankError, geometry.ComplementError) as exc:
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        else:
+            print(text)
+    except (UsageError, SpecError, OSError, geometry.FrameRankError, geometry.ComplementError) as exc:
         print(f"[liftlyap] error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
     summary = f"[liftlyap] {args.command} {problem.name}: {report['verdict']}"
     if report["reasons"]:
         summary += f" (reasons: {', '.join(report['reasons'])})"

@@ -23,6 +23,7 @@ from .poly import Poly, PolyMatrix, poly_adjugate, poly_det, poly_sum
 GridPoint = tuple[Fraction, ...]
 
 MAX_GRID_POINTS = 100_000  # largest per_axis ** m; each grid check holds every point at once
+GRID_BOUND = Fraction(1)  # the check grid covers [-GRID_BOUND, GRID_BOUND]^m
 
 
 class FrameRankError(ValueError):
@@ -33,14 +34,13 @@ class ComplementError(ValueError):
     """No usable complement to the control distribution was found."""
 
 
-def default_grid(m: int, per_axis: int = 3, bound: Fraction | int = 1) -> list[GridPoint]:
-    """Rational lattice over [-bound, bound]^m, origin always included."""
+def default_grid(m: int, per_axis: int = 3) -> list[GridPoint]:
+    """Rational lattice over [-GRID_BOUND, GRID_BOUND]^m, origin always included."""
     if per_axis < 2:
         raise ValueError("per_axis must be at least 2")
     if per_axis**m > MAX_GRID_POINTS:
         raise ValueError(f"per_axis ** m must not exceed {MAX_GRID_POINTS} points")
-    bound = Fraction(bound)
-    values = [Fraction(2 * i, per_axis - 1) * bound - bound for i in range(per_axis)]
+    values = [Fraction(2 * i, per_axis - 1) * GRID_BOUND - GRID_BOUND for i in range(per_axis)]
     points = [tuple(p) for p in itertools.product(values, repeat=m)]
     origin = (Fraction(0),) * m
     if origin not in points:

@@ -21,13 +21,23 @@ constraints, and the symbol dimension bookkeeping behind the involutivity
 test.  The verdict LIFTABLE means every obstruction vanishes; each failed
 check carries a concrete witness.
 
+The symbol is reported and decides nothing.  It has a closed form (the
+Cartan-test setting of Seiler, *Involution*, 2010).  With E and F the two
+covector spans, G1 = E & F, and G2 = S^2 E & S^2 F is the set of symmetric
+matrices whose column space lies in G1, so dim G2 = k(k+1)/2 for
+k = dim G1.  For a row basis B of G1 and a coordinate order perm,
+dim(G1 & Sigma_j) = k - rank B[:, perm[:j]] >= max(k - j, 0), so the
+quasi-regularity identity holds exactly when B[:, perm[:k]] has rank k.
+The first such order in lexicographic order is G1's pivot columns, picked
+greedily in index order, followed by the other coordinates in ascending
+order; one identity call certifies it.
+
 Label conventions in returned mappings are 1-based; programmatic indices
 are 0-based.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -35,20 +45,12 @@ import numpy as np
 
 from . import geometry
 from .geometry import EhresmannConnection, Frame, ProjectionPair
-from .numutil import (
-    RANK_RTOL,
-    intersection_basis,
-    intersection_dim,
-    numeric_rank,
-    null_rows,
-    sym_intersection_dim,
-)
+from .numutil import intersection_basis, intersection_dim, null_rows, numeric_rank
 from .poly import Poly, PolyMatrix, eval_points, poly_sum
 
 CONSISTENCY_RTOL = 1e-9
-# Random bases the quasi-regular search tries once every coordinate order fails
-SYMBOL_RANDOM_BASES = 20
-SYMBOL_SEED = 0
+JET_SYMMETRY_TOL = 1e-12  # largest asymmetry a second-order jet may carry
+JET_TOL = 1e-8  # relative constraint violation a first-order jet may carry
 
 
 class InconsistentJetError(ValueError):
@@ -113,7 +115,6 @@ def prolonged_residual(
     point: Sequence[float],
     v1: Sequence[float],
     v2: np.ndarray,
-    sym_tol: float = 1e-12,
 ) -> dict[str, np.ndarray]:
     """Numeric value of the once-differentiated system at a second-order jet.
 
@@ -136,7 +137,7 @@ def prolonged_residual(
     v2 = np.asarray(v2, dtype=float)
     if v1.shape != (m,) or v2.shape != (m, m):
         raise ValueError("jet shapes must be (m,) and (m, m)")
-    if np.max(np.abs(v2 - v2.T)) > sym_tol:
+    if np.max(np.abs(v2 - v2.T)) > JET_SYMMETRY_TOL:
         raise ValueError("second-order jet must be symmetric")
 
     def jacobians(rows) -> np.ndarray:  # entry [r, i, i1] is d(rows[r][i1])/dx^i
@@ -248,9 +249,7 @@ def stacked_system(rs: ResidualSystem, points) -> tuple[np.ndarray, np.ndarray]:
     return m_mat, b
 
 
-def consistency_gap_at(
-    rs: ResidualSystem, point: Sequence[float], rtol: float = CONSISTENCY_RTOL
-) -> tuple[bool, float]:
+def consistency_gap_at(rs: ResidualSystem, point: Sequence[float]) -> tuple[bool, float]:
     """Solvability of the gradient constraints at one point.
 
     Returns (consistent, gap).  Rows are normalized to unit length and the
@@ -258,21 +257,21 @@ def consistency_gap_at(
     two directly contradictory unit equations report the distance between
     their right-hand sides.
     """
-    return _consistency_gap(*stacked_system(rs, point), rtol)
+    return _consistency_gap(*stacked_system(rs, point))
 
 
-def _consistency_gap(m_mat: np.ndarray, b: np.ndarray, rtol: float) -> tuple[bool, float]:
+def _consistency_gap(m_mat: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     norms = np.array([np.linalg.norm(row) for row in m_mat])
     zero = norms <= 1e-300
-    violated = np.flatnonzero(zero & (np.abs(b) > rtol))
+    violated = np.flatnonzero(zero & (np.abs(b) > CONSISTENCY_RTOL))
     if violated.size:
         return False, abs(b[violated[0]])
     if zero.all():
         return True, 0.0
     m_norm = m_mat[~zero] / norms[~zero, None]
     b_norm = b[~zero] / norms[~zero]
-    rank_m = numeric_rank(m_norm, rtol)
-    rank_aug = numeric_rank(np.hstack([m_norm, b_norm[:, None]]), rtol)
+    rank_m = numeric_rank(m_norm, CONSISTENCY_RTOL)
+    rank_aug = numeric_rank(np.hstack([m_norm, b_norm[:, None]]), CONSISTENCY_RTOL)
     solution, *_ = np.linalg.lstsq(m_norm, b_norm, rcond=None)
     gap = float(np.abs(m_norm @ solution - b_norm).sum())
     return rank_m == rank_aug, gap
@@ -286,11 +285,7 @@ class ConsistencyReport:
     failures: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
 
 
-def pointwise_consistency(
-    rs: ResidualSystem,
-    points: np.ndarray | None = None,
-    rtol: float = CONSISTENCY_RTOL,
-) -> ConsistencyReport:
+def pointwise_consistency(rs: ResidualSystem, points: np.ndarray | None = None) -> ConsistencyReport:
     """Check gradient-constraint solvability at every point of the (P, m) float check grid."""
     if points is None:
         points = geometry.grid_floats(geometry.default_grid(rs.m))
@@ -299,7 +294,7 @@ def pointwise_consistency(
     worst_point = None
     failures = []
     for point, m_mat, b in zip(points, m_mats, bs):
-        ok, gap = _consistency_gap(m_mat, b, rtol)
+        ok, gap = _consistency_gap(m_mat, b)
         if gap > worst_gap:
             worst_gap = gap
             worst_point = tuple(point.tolist())
@@ -336,9 +331,7 @@ class SymbolDims:
     permutation: tuple[int, ...] | None  # 1-based coordinate order, when one works
 
 
-def quasi_regular_identity(
-    g1_basis: np.ndarray, dim_g2: int, basis_rows: np.ndarray, rtol: float = RANK_RTOL
-) -> bool:
+def quasi_regular_identity(g1_basis: np.ndarray, dim_g2: int, basis_rows: np.ndarray) -> bool:
     """Dimension identity certifying a quasi-regular basis.
 
     With Sigma_j the span of the basis covectors after position j, checks
@@ -346,49 +339,41 @@ def quasi_regular_identity(
         dim_g2 == dim(G1) + sum_{j=1..m-1} dim(G1 & Sigma_j)
     """
     m = basis_rows.shape[0]
-    dim_g1 = numeric_rank(g1_basis, rtol)
+    dim_g1 = numeric_rank(g1_basis)
     total = dim_g1
     for j in range(1, m):
-        total += intersection_dim(g1_basis, basis_rows[j:], rtol)
+        total += intersection_dim(g1_basis, basis_rows[j:])
     return total == dim_g2
 
 
-def quasi_regular_search(e_span: np.ndarray, f_span: np.ndarray, rtol: float = RANK_RTOL) -> SymbolDims:
-    """Symbol dimensions for a covector-subspace pair, plus basis search.
+def quasi_regular_search(e_span: np.ndarray, f_span: np.ndarray) -> SymbolDims:
+    """Symbol dimensions for a covector-subspace pair, in closed form.
 
-    The first symbol is the intersection of the two spans; the prolonged
-    symbol is the intersection of their symmetric squares.  A basis
-    ordering satisfying the dimension identity is searched first among
-    coordinate permutations (reported 1-based when one works), then among
-    SYMBOL_RANDOM_BASES random bases drawn from a generator seeded with
-    SYMBOL_SEED, so the search is deterministic.
+    G1 is the intersection of the two spans and dim G2 = k(k+1)/2 with
+    k = dim G1.  The coordinate order leads with G1's pivot columns, picked
+    greedily in index order, then lists the other coordinates in ascending
+    order; it is the first order, lexicographically, that satisfies the
+    identity, and one identity call certifies it (reported 1-based when it
+    holds).
     """
     e_span = np.atleast_2d(np.asarray(e_span, dtype=float))
     m = e_span.shape[1]
-    dim_g1 = intersection_dim(e_span, f_span, rtol)
-    dim_g2 = sym_intersection_dim(e_span, f_span, rtol)
-    g1_basis = intersection_basis(e_span, f_span, rtol)
-
-    for perm in itertools.permutations(range(m)):
-        basis = np.eye(m)[list(perm)]
-        if quasi_regular_identity(g1_basis, dim_g2, basis, rtol):
-            return SymbolDims(dim_g1, dim_g2, True, tuple(p + 1 for p in perm))
-    rng = np.random.default_rng(SYMBOL_SEED)
-    for _ in range(SYMBOL_RANDOM_BASES):
-        basis = rng.standard_normal((m, m))
-        if numeric_rank(basis, rtol) != m:
-            continue
-        if quasi_regular_identity(g1_basis, dim_g2, basis, rtol):
-            return SymbolDims(dim_g1, dim_g2, True, None)
-    return SymbolDims(dim_g1, dim_g2, False, None)
+    dim_g1 = intersection_dim(e_span, f_span)
+    g1_basis = intersection_basis(e_span, f_span)
+    lead: list[int] = []
+    for i in range(m):
+        if len(lead) == dim_g1:
+            break
+        # g1_basis rows are orthonormal, so a column of pure roundoff must rank 0
+        if numeric_rank(g1_basis[:, lead + [i]], scale=1.0) > len(lead):
+            lead.append(i)
+    perm = lead + [i for i in range(m) if i not in lead]
+    dim_g2 = dim_g1 * (dim_g1 + 1) // 2
+    quasi_regular = quasi_regular_identity(g1_basis, dim_g2, np.eye(m)[perm])
+    return SymbolDims(dim_g1, dim_g2, quasi_regular, tuple(p + 1 for p in perm) if quasi_regular else None)
 
 
-def symbol_dims(
-    c_frame: Frame,
-    conn: EhresmannConnection,
-    point: Sequence[float],
-    rtol: float = RANK_RTOL,
-) -> SymbolDims:
+def symbol_dims(c_frame: Frame, conn: EhresmannConnection, point: Sequence[float]) -> SymbolDims:
     """Symbol dimensions of the lift system at a point.
 
     E* is spanned by the control directions viewed as covectors and F* is
@@ -396,8 +381,8 @@ def symbol_dims(
     transposed.
     """
     e_span = c_frame.as_matrix().at(point).T  # rows span E*
-    f_span = null_rows(geometry.build_p_vm(conn).at(point).T, rtol)
-    return quasi_regular_search(e_span, f_span, rtol)
+    f_span = null_rows(geometry.build_p_vm(conn).at(point).T)
+    return quasi_regular_search(e_span, f_span)
 
 
 # -- curvature map -------------------------------------------------------------
@@ -435,7 +420,6 @@ def curvature_map_eval(
     conn: EhresmannConnection,
     point: Sequence[float],
     v1: Sequence[float],
-    jet_tol: float = 1e-8,
 ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
     """Obstruction values (G, H) at a consistent first-order jet.
 
@@ -450,7 +434,7 @@ def curvature_map_eval(
     m = rs.m
     v1 = np.asarray(v1, dtype=float)
     m_mat, b = stacked_system(rs, point)
-    if m_mat.size and np.max(np.abs(m_mat @ v1 - b)) > jet_tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+    if m_mat.size and np.max(np.abs(m_mat @ v1 - b)) > JET_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
         raise InconsistentJetError("jet does not satisfy the first-order constraints at the point")
     a_entries = condition_a(p_d, rs.delta)
     b_entries = condition_b(p_d, rs.x_field)

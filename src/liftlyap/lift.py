@@ -25,7 +25,12 @@ import numpy as np
 
 from .integrability import ResidualSystem, residual_psi
 from .poly import DEGREE_CAP, MultiIndex, Poly, grlex_key
-from .sysmodel import hessian_at_origin
+from .sysmodel import HESSIAN_EIG_TOL, hessian_at_origin
+
+# Sphere probes of V* definiteness: radii, random unit directions per radius, generator seed
+SPHERE_RADII = (0.1, 0.5, 1.0)
+SPHERE_DIRECTIONS = 64
+SPHERE_SEED = 20240
 
 
 class JetInfeasibleError(ValueError):
@@ -233,32 +238,28 @@ class DefinitenessDiagnostics:
 def assemble_vstar(
     pullback_vtilde: Poly,
     jet: JetSolution,
-    eig_tol: float = 1e-9,
-    radii: Sequence[float] = (0.1, 0.5, 1.0),
-    directions: int = 64,
-    seed: int = 20240,
 ) -> tuple[Poly, DefinitenessDiagnostics]:
     """Assemble the candidate Lyapunov function and probe its definiteness.
 
     The candidate is the pulled-back quotient function plus the solved V.
     Diagnostics: Hessian eigenvalues at the origin (all must exceed
-    eig_tol) and sampled positivity on spheres of the given radii (at
-    least ``directions`` random unit directions each).  A failure carries
-    the offending direction.
+    HESSIAN_EIG_TOL) and sampled positivity on the spheres of radii
+    SPHERE_RADII (SPHERE_DIRECTIONS random unit directions each).  A
+    failure carries the offending direction.
     """
     m = pullback_vtilde.nvars
     vstar = pullback_vtilde + jet.polynomial(m)
     eigs = np.linalg.eigvalsh(hessian_at_origin(vstar))
     witness: list[float] | None = None
     ok = True
-    if eigs.min() <= eig_tol:
+    if eigs.min() <= HESSIAN_EIG_TOL:
         ok = False
         eigvecs = np.linalg.eigh(hessian_at_origin(vstar))[1]
         witness = [float(v) for v in eigvecs[:, 0]]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SPHERE_SEED)
     sphere_min = float("inf")
-    for radius in radii:
-        for _ in range(directions):
+    for radius in SPHERE_RADII:
+        for _ in range(SPHERE_DIRECTIONS):
             direction = rng.standard_normal(m)
             direction /= np.linalg.norm(direction)
             value = vstar.eval_float(radius * direction)

@@ -4,6 +4,9 @@ Subspaces of R^m are represented by row-stacked spanning matrices; ranks
 use a singular-value cutoff relative to the largest singular value
 (default 1e-9), which is the one numeric tolerance the symbolic layers
 cannot avoid.  :func:`numeric_rank` ranks a stack of matrices in one SVD.
+Subspace intersections (:func:`intersection_dim`, :func:`intersection_basis`)
+serve the symbol count, whose prolonged dimension is closed-form in
+:mod:`liftlyap.integrability`, so no symmetric-square basis is built here.
 """
 
 from __future__ import annotations
@@ -93,42 +96,3 @@ def _complement_projector(a: np.ndarray, rtol: float) -> np.ndarray:
     m = a.shape[1]
     basis = orth_rows(a, rtol)
     return np.eye(m) - basis.T @ basis
-
-
-def sym_basis(m: int) -> list[np.ndarray]:
-    """Basis of the symmetric m-by-m matrices: E_ii, then E_ij + E_ji."""
-    out = []
-    for i in range(m):
-        e = np.zeros((m, m))
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = np.zeros((m, m))
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            out.append(e)
-    return out
-
-
-def sym_intersection_dim(e_span: np.ndarray, f_span: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    """dim(S^2(span e) & S^2(span f)) for subspaces given by spanning rows.
-
-    A symmetric matrix lies in S^2 of a subspace exactly when its column
-    space does, i.e. when the projector onto the orthogonal complement of
-    the subspace annihilates it.  Stacking both complement projectors over
-    a basis of the symmetric matrices reduces the dimension count to a
-    kernel computation.
-    """
-    e_span = np.atleast_2d(np.asarray(e_span, dtype=float))
-    f_span = np.atleast_2d(np.asarray(f_span, dtype=float))
-    m = e_span.shape[1]
-    pe = _complement_projector(e_span, rtol)
-    pf = _complement_projector(f_span, rtol)
-    basis = sym_basis(m)
-    columns = []
-    for s in basis:
-        columns.append(np.concatenate([(pe @ s).ravel(), (pf @ s).ravel()]))
-    stacked = np.array(columns).T  # maps sym coordinates to stacked projections
-    dim_sym = len(basis)
-    return dim_sym - numeric_rank(stacked, rtol, scale=1.0)

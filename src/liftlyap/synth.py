@@ -25,6 +25,7 @@ from .sysmodel import ControlAffineSystem, TargetData
 FEEDBACK_RESIDUAL_TOL = 1e-8
 DIVERGENCE_GUARD = 1e6
 MAX_STEPS = 10**6  # most RK4 steps horizon / h that a problem may ask for
+VSTAR_FLOOR = 1e-12  # V* values at or below this end the sampled decrease check
 
 
 class FeedbackResidualError(RuntimeError):
@@ -57,13 +58,13 @@ def solve_feedback(
     sys: ControlAffineSystem,
     rhs: Sequence[Poly],
     points: np.ndarray | None = None,
-    tol: float = FEEDBACK_RESIDUAL_TOL,
 ) -> FeedbackSolution:
     """Solve F(x) u(x) = rhs(x) in least-norm form, symbolically when possible.
 
-    Raises FeedbackResidualError if the pointwise residual exceeds ``tol``
-    anywhere on the check grid, a (P, m) float array; under a LIFTABLE
-    verdict this is unreachable and signals an internal inconsistency.
+    Raises FeedbackResidualError if the pointwise residual exceeds
+    FEEDBACK_RESIDUAL_TOL anywhere on the check grid, a (P, m) float array;
+    under a LIFTABLE verdict this is unreachable and signals an internal
+    inconsistency.
     """
     if len(rhs) != sys.m:
         raise ValueError("right-hand side must have one component per state")
@@ -87,9 +88,9 @@ def solve_feedback(
     r = (a @ u[..., None])[..., 0] - b
     # |r| per point through the BLAS dot np.linalg.norm uses, so it matches bit for bit
     worst = float(np.sqrt((r[..., None, :] @ r[..., None]).max(initial=0.0)))
-    if worst > tol:
+    if worst > FEEDBACK_RESIDUAL_TOL:
         raise FeedbackResidualError(
-            f"feedback residual {worst:.3e} exceeds {tol:.1e}; target is outside the control range"
+            f"feedback residual {worst:.3e} exceeds {FEEDBACK_RESIDUAL_TOL:.1e}; target is outside the control range"
         )
     return FeedbackSolution(symbolic, pointwise, worst)
 
@@ -204,19 +205,18 @@ def verify_lyapunov_decrease(
     vstar: Poly,
     field: ClosedLoop | Callable[[Sequence[float]], np.ndarray] | None = None,
     grid: Sequence[GridPoint] | None = None,
-    floor: float = 1e-12,
 ) -> DecreaseReport:
     """Check sampled strict decrease of V* and sign of its derivative.
 
     The sampled check requires V*(x_{k+1}) < V*(x_k) whenever V*(x_k) is
-    above ``floor``.  The derivative check evaluates dV* . field on the
+    above VSTAR_FLOOR.  The derivative check evaluates dV* . field on the
     grid away from the origin: exactly, when the closed loop is available
     as polynomials; numerically otherwise.
     """
     monotone = True
     first_violation = None
     for k in range(len(traj.times) - 1):
-        if traj.vstar_values[k] <= floor:
+        if traj.vstar_values[k] <= VSTAR_FLOOR:
             break
         if not traj.vstar_values[k + 1] < traj.vstar_values[k]:
             monotone = False

@@ -19,6 +19,9 @@ from . import geometry
 from .geometry import EhresmannConnection, GridPoint
 from .poly import Poly, grad, lie_derivative
 
+# Smallest Hessian eigenvalue at the origin that counts as positive definite
+HESSIAN_EIG_TOL = 1e-9
+
 
 class CLFValidationError(ValueError):
     """The supplied quotient Lyapunov data fails a definiteness check."""
@@ -186,7 +189,6 @@ def make_quotient_clf(
     vtilde: Poly,
     alpha: Sequence[Poly],
     grid: Sequence[GridPoint] | None = None,
-    eig_tol: float = 1e-9,
 ) -> QuotientCLF:
     """Build and validate the quotient Lyapunov package.
 
@@ -202,7 +204,7 @@ def make_quotient_clf(
         raise CLFValidationError("vtilde(0) != 0")
     hess = hessian_at_origin(vtilde)
     eigs = np.linalg.eigvalsh(hess)
-    if eigs.min() <= eig_tol:
+    if eigs.min() <= HESSIAN_EIG_TOL:
         raise CLFValidationError(f"vtilde Hessian at 0 is not positive definite (min eig {eigs.min():.3e})")
     w = closed_loop_decrease(qsys, vtilde, alpha)
     if w.eval(origin) != 0:

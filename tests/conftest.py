@@ -1,7 +1,13 @@
-"""Shared builders for the bundled example problems."""
+"""Shared builders for the bundled example problems, and the hypothesis profile."""
+
+from hypothesis import settings
 
 from liftlyap import cli
 from liftlyap.integrability import ResidualSystem
+
+# Example run times vary with machine load, so no example has a deadline.
+settings.register_profile("liftlyap", deadline=None)
+settings.load_profile("liftlyap")
 
 
 def build_pipeline(name: str, **spec_overrides):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 from conftest import build_pipeline
+from symbol_oracle import sym_intersection_dim
 
 from liftlyap import cli
 from liftlyap.integrability import (
@@ -22,7 +23,6 @@ from liftlyap.integrability import (
     quasi_regular_search,
 )
 from liftlyap.lift import assemble_lift_system, assemble_vstar, solve_jets
-from liftlyap.numutil import sym_intersection_dim
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, PolyMatrix, lie_derivative
 from liftlyap.synth import closed_loop_field, simulate_rk4, solve_feedback

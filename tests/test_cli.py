@@ -292,6 +292,7 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         (["--h", "1e-6"], None, None, None),
         ([], {"order": 4.9}, None, None),
         ([], {"grid": 2.7}, None, None),
+        (["--grid", "2.7"], None, None, None),
     ],
     ids=[
         "grid-0",
@@ -312,6 +313,7 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "steps-above-cap",
         "order-fractional",
         "grid-fractional",
+        "grid-flag-not-int",
     ],
 )
 def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, f0, states):
@@ -327,6 +329,22 @@ def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, f0, stat
     code = main(["validate", "--spec", str(path), *args])
     assert code == EXIT_INPUT
     assert "[liftlyap] error:" in capsys.readouterr().err
+
+
+def test_main_unknown_command_is_input_error(capsys):
+    # argparse alone would exit 2, which reads as NOT_LIFTABLE
+    code = main(["bogus", "--spec", str(fixture_path("ex_ps"))])
+    assert code == EXIT_INPUT
+    assert "[liftlyap] error:" in capsys.readouterr().err
+
+
+def test_main_out_in_missing_directory_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["validate", "--spec", str(fixture_path("ex_ps")), "--out", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "[liftlyap] error:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_unknown_option_key_is_named():

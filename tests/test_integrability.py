@@ -6,6 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import build_pipeline
+from hypothesis import given
+from hypothesis import strategies as st
+from symbol_oracle import permutation_search, sym_intersection_dim
 
 from liftlyap.geometry import (
     EhresmannConnection,
@@ -32,7 +35,6 @@ from liftlyap.integrability import (
     symbol_dims,
     vm_curvature_coeffs,
 )
-from liftlyap.numutil import sym_intersection_dim
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, PolyMatrix
 
@@ -367,6 +369,43 @@ def test_symbol_lemma_nested_subspaces():
         dims = quasi_regular_search(e_basis, f_basis)
         assert dims.dim_g2 == s * (s + 1) // 2
         assert dims.quasi_regular
+
+
+@st.composite
+def _span_pairs(draw):
+    """Two spanning matrices in R^m, m <= 5: coordinate-aligned, sparse-integer or Gaussian."""
+    m = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["coordinate", "sparse", "gaussian"]))
+
+    def span(rows):
+        if kind == "coordinate":
+            return np.eye(m)[draw(st.lists(st.integers(0, m - 1), min_size=rows, max_size=rows))]
+        if kind == "sparse":
+            entries = st.sampled_from([0, 0, 0, 1, -1, 2])
+            return np.array(draw(st.lists(entries, min_size=rows * m, max_size=rows * m)), dtype=float).reshape(rows, m)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.standard_normal((rows, m))
+
+    return span(draw(st.integers(1, m))), span(draw(st.integers(0, m)))
+
+
+@given(_span_pairs())
+def test_symbol_closed_form_matches_permutation_search(pair):
+    e_span, f_span = pair
+    dims = quasi_regular_search(e_span, f_span)
+    assert dims == permutation_search(e_span, f_span)
+    assert dims.dim_g2 == sym_intersection_dim(e_span, f_span)
+
+
+def test_symbol_closed_form_non_nested_spans():
+    # E = span(e1, e2, e3), F = span(e1 + e2, e3, e4): G1 = span(e1 + e2, e3)
+    e_span = np.eye(4)[:3]
+    f_span = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    dims = quasi_regular_search(e_span, f_span)
+    assert (dims.dim_g1, dims.dim_g2) == (2, 3)
+    assert dims.dim_g2 == sym_intersection_dim(e_span, f_span)
+    assert dims.quasi_regular
+    assert dims.permutation == (1, 3, 2, 4)  # x2 repeats x1's column of G1, so x3 leads next
 
 
 # -- curvature map ---------------------------------------------------------------

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from conftest import build_pipeline
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from liftlyap.integrability import residual_psi
@@ -165,7 +165,6 @@ def _consistent_systems(draw):
     return system, seeds
 
 
-@settings(deadline=None)
 @given(_consistent_systems())
 def test_sparse_solve_satisfies_consistent_systems(case):
     system, seeds = case
@@ -175,7 +174,6 @@ def test_sparse_solve_satisfies_consistent_systems(case):
     assert all(values[c] == seeds.get(c, 0) for c in free_cols)
 
 
-@settings(deadline=None)
 @given(_consistent_systems(), st.data())
 def test_sparse_solve_names_the_shortest_infeasible_prefix(case, data):
     system, _ = case

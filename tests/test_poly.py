@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -297,7 +297,6 @@ def _polys_and_points(draw):
     return polys, points
 
 
-@settings(deadline=None)
 @given(_polys_and_points())
 def test_eval_points_is_eval_float_bitwise(case):
     polys, points = case
