@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,12 +82,11 @@ def fixture_path(name: str):
 
 
 def load_spec(path) -> dict:
-    if hasattr(path, "read_text") and not isinstance(path, (str, Path)):
-        text = path.read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+    source = path if hasattr(path, "read_text") else Path(path)
     try:
-        raw = json.loads(text)
+        raw = json.loads(source.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -121,6 +121,8 @@ def _parse_vector(items, variables, length: int, where: str) -> tuple[Poly, ...]
 def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     """Parse and cross-validate a loaded problem file."""
     name = raw.get("name", "unnamed")
+    if not isinstance(name, str):
+        raise SpecError("key 'name' must be a string")
     states = _require(raw, "states")
     inputs = _require(raw, "inputs")
     qstates = _require(raw, "quotient_states")
@@ -145,12 +147,12 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     f_cols = tuple(_parse_vector(col, states, m, f"f[{j}]") for j, col in enumerate(f_raw))
     g0 = _parse_vector(_require(raw, "g0"), qstates, n, "g0")
     g_raw = raw.get("g", [])
-    if len(g_raw) != s:
+    if not isinstance(g_raw, list) or len(g_raw) != s:
         raise SpecError(f"'g' must list {s} quotient control fields")
     g_cols = tuple(_parse_vector(col, qstates, n, f"g[{k}]") for k, col in enumerate(g_raw))
     varphi = _parse_vector(raw.get("varphi", []), states, s, "varphi")
     beta_raw = raw.get("beta", [])
-    if len(beta_raw) != s:
+    if not isinstance(beta_raw, list) or len(beta_raw) != s:
         raise SpecError(f"'beta' must have {s} rows")
     beta = tuple(_parse_vector(row, states, r, f"beta[{k}]") for k, row in enumerate(beta_raw))
     gamma_raw = _require(raw, "gamma")
@@ -262,7 +264,11 @@ class StageFailure(Exception):
 
 @dataclass
 class RunState:
-    """One pass of the pipeline: the problem, its check grid and what the stages made."""
+    """One pass of the pipeline: the problem, its check grids and what the stages made.
+
+    The grids are decided here and nowhere else; every grid check takes its
+    grid from the run state.
+    """
 
     problem: Problem
     traj_dir: str | None = None
@@ -283,6 +289,11 @@ class RunState:
         """The check grid as a (P, m) float array, for every float grid check."""
         return geometry.grid_floats(self.grid)
 
+    @cached_property
+    def quotient_grid(self) -> list[GridPoint]:
+        """The n-dimensional grid on which the quotient decrease W must be negative."""
+        return geometry.default_grid(self.problem.qsys.n, self.problem.options.grid_per_axis)
+
 
 def stage_quotient(state: RunState) -> dict:
     problem = state.problem
@@ -294,9 +305,8 @@ def stage_quotient(state: RunState) -> dict:
             f"supplied quotient is not a quotient: residual for y{q} has term "
             f"{coeff} * (x,u)^{monomial}"
         )
-    qgrid = geometry.default_grid(problem.qsys.n, problem.options.grid_per_axis)
     try:
-        state.clf = sysmodel.make_quotient_clf(problem.qsys, problem.vtilde, problem.alpha, qgrid)
+        state.clf = sysmodel.make_quotient_clf(problem.qsys, problem.vtilde, problem.alpha, state.quotient_grid)
     except CLFValidationError as exc:
         raise SpecError(f"quotient Lyapunov data rejected: {exc}") from exc
     return {
@@ -443,7 +453,9 @@ def stage_simulate(state: RunState) -> dict:
     if state.traj_dir is not None:
         out_dir = Path(state.traj_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = str(out_dir / f"{problem.name}_trajectory_0.csv")
+        # the name may hold "/" or "..": keep [A-Za-z0-9._-] so the file lands in out_dir
+        stem = re.sub(r"[^A-Za-z0-9._-]", "_", problem.name).lstrip(".")
+        csv_path = str(out_dir / f"{stem}_trajectory_0.csv")
         synth.write_trajectory_csv(traj, csv_path, problem.state_names, problem.input_names)
     section = {
         "x0": [float(v) for v in x0],
@@ -453,6 +465,10 @@ def stage_simulate(state: RunState) -> dict:
         "final_vstar": float(traj.vstar_values[-1]),
         "vstar_monotone": decrease.monotone,
         "analytic_negative": decrease.analytic_negative,
+        "monotone_violation": (
+            dict(zip(("t", "vstar", "next_vstar"), decrease.first_violation)) if decrease.first_violation else None
+        ),
+        "analytic_witness": list(decrease.analytic_witness) if decrease.analytic_witness else None,
         "csv": csv_path,
     }
     if not decrease.passed:

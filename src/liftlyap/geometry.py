@@ -34,7 +34,7 @@ class ComplementError(ValueError):
     """No usable complement to the control distribution was found."""
 
 
-def default_grid(m: int, per_axis: int = 3) -> list[GridPoint]:
+def default_grid(m: int, per_axis: int) -> list[GridPoint]:
     """Rational lattice over [-GRID_BOUND, GRID_BOUND]^m, origin always included."""
     if per_axis < 2:
         raise ValueError("per_axis must be at least 2")
@@ -53,6 +53,14 @@ def grid_floats(grid: Sequence[GridPoint]) -> np.ndarray:
     return np.array(grid, dtype=float)
 
 
+def first_nonnegative(p: Poly, grid: Sequence[GridPoint]) -> GridPoint | None:
+    """The first grid point off the origin where p >= 0, by exact evaluation, or None."""
+    for point in grid:
+        if any(point) and p.eval(point) >= 0:
+            return point
+    return None
+
+
 def _require_on_grid(points: np.ndarray, ok: np.ndarray, message: str) -> None:
     """Raise FrameRankError with the first grid point where ``ok`` is false."""
     bad = np.flatnonzero(~ok)
@@ -68,7 +76,7 @@ class Frame:
     fields: tuple[tuple[Poly, ...], ...]
 
     @staticmethod
-    def build(dim: int, fields: Sequence[Sequence[Poly]], points: np.ndarray | None = None) -> "Frame":
+    def build(dim: int, fields: Sequence[Sequence[Poly]], points: np.ndarray) -> "Frame":
         """Validate shapes and constant rank on the check grid (a (P, dim) float array)."""
         cols = tuple(tuple(col) for col in fields)
         for col in cols:
@@ -79,8 +87,6 @@ class Frame:
                     raise ValueError("frame entries must be polynomials in the ambient variables")
         frame = Frame(dim, cols)
         if cols:
-            if points is None:
-                points = grid_floats(default_grid(dim))
             ranks = numeric_rank(frame.as_matrix().at(points))
             _require_on_grid(points, ranks == len(cols), "frame drops rank at grid point {}")
         return frame
@@ -98,16 +104,12 @@ class Frame:
         )
 
 
-def control_distribution(system, points: np.ndarray | None = None) -> Frame:
+def control_distribution(system, points: np.ndarray) -> Frame:
     """Frame spanned by the control vector fields of a control-affine system."""
     return Frame.build(system.m, system.f, points)
 
 
-def complement_frame(
-    c: Frame,
-    user_d: Sequence[Sequence[Poly]] | None = None,
-    points: np.ndarray | None = None,
-) -> Frame:
+def complement_frame(c: Frame, user_d: Sequence[Sequence[Poly]] | None, points: np.ndarray) -> Frame:
     """A distribution D with TM = C (+) D, from the user or by coordinate search.
 
     Either way [C | D] has full rank at every grid point.  The automatic
@@ -117,8 +119,6 @@ def complement_frame(
     :func:`build_projections`).
     """
     m = c.dim
-    if points is None:
-        points = grid_floats(default_grid(m))
     if user_d is not None:
         d = Frame.build(m, user_d, points)
         if c.rank + d.rank != m:
@@ -169,11 +169,6 @@ class EhresmannConnection:
         self.n = n
         self.gamma = gamma
 
-    @classmethod
-    def flat(cls, m: int, n: int) -> "EhresmannConnection":
-        zero = Poly.zero(m)
-        return cls(m, n, [[zero] * n for _ in range(m - n)])
-
 
 def build_p_vm(conn: EhresmannConnection) -> PolyMatrix:
     """m-by-n projection matrix: identity on the base block, gamma below."""
@@ -184,25 +179,6 @@ def build_p_vm(conn: EhresmannConnection) -> PolyMatrix:
     for p in range(m - n):
         rows.append(list(conn.gamma[p]))
     return PolyMatrix(rows, cols=n, nvars=m)
-
-
-def horizontal_frame(conn: EhresmannConnection) -> list[list[Poly]]:
-    """The n horizontal frame fields h_q = d/dx^q + sum_p gamma^p_q d/dx^p."""
-    p_vm = build_p_vm(conn)
-    return [p_vm.col(q) for q in range(conn.n)]
-
-
-def ann_horizontal_basis(conn: EhresmannConnection) -> list[list[Poly]]:
-    """Covector basis of ann(HM): dx^p - sum_q gamma^p_q dx^q for each fibre p."""
-    m, n = conn.m, conn.n
-    basis = []
-    for p in range(m - n):
-        omega = [Poly.zero(m) for _ in range(m)]
-        omega[n + p] = Poly.const(m, 1)
-        for q in range(n):
-            omega[q] = -conn.gamma[p][q]
-        basis.append(omega)
-    return basis
 
 
 def horizontal_lift(conn: EhresmannConnection, w: Sequence[Poly]) -> list[Poly]:

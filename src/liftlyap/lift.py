@@ -141,7 +141,6 @@ class JetSolution:
     order: int
     coeffs: dict[MultiIndex, Fraction]
     free_seeded: list[MultiIndex]
-    residual_degree_checked: int
 
     def polynomial(self, m: int) -> Poly:
         return Poly(m, dict(self.coeffs))
@@ -157,12 +156,7 @@ def solve_jets(system: LinearSystem, rs: ResidualSystem, fibre_start: int) -> Je
     """
     values, free_cols = _solve_exact(system, _seed_policy(system.unknowns, rs.m, fibre_start))
     coeffs = {mi: values[j] for j, mi in enumerate(system.unknowns) if values[j] != 0}
-    solution = JetSolution(
-        order=system.order,
-        coeffs=coeffs,
-        free_seeded=[system.unknowns[j] for j in free_cols],
-        residual_degree_checked=system.order - 1,
-    )
+    solution = JetSolution(system.order, coeffs, [system.unknowns[j] for j in free_cols])
     v = solution.polynomial(rs.m)
     d_blk, vm_blk = residual_psi(rs, v)
     for comp in d_blk + vm_blk:
@@ -220,16 +214,9 @@ def _solve_exact(
     return values, free_cols
 
 
-def system_residual(system: LinearSystem, solution: JetSolution) -> list[Fraction]:
-    """Exact residual A @ c - b of the linear system at a solution."""
-    values = [solution.coeffs.get(mi, Fraction(0)) for mi in system.unknowns]
-    return [sum(v * values[c] for c, v in row) - rv for row, rv in zip(system.rows, system.rhs)]
-
-
 @dataclass
 class DefinitenessDiagnostics:
     hessian_eigenvalues: list[float]
-    min_eigenvalue: float
     sphere_min: float
     witness: list[float] | None
     ok: bool
@@ -273,7 +260,6 @@ def assemble_vstar(
         ok = False
     diagnostics = DefinitenessDiagnostics(
         hessian_eigenvalues=[float(e) for e in eigs],
-        min_eigenvalue=float(eigs.min()),
         sphere_min=sphere_min,
         witness=witness,
         ok=ok,

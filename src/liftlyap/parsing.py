@@ -11,6 +11,8 @@ Grammar (whitespace is ignored between tokens):
 There is no division operator: "3/2" is a single rational literal, and
 decimal literals convert exactly ("0.5" becomes 1/2).  Identifiers must be
 declared variable names; exponents must be non-negative integers.
+Parentheses nest at most MAX_NESTING deep, which keeps the recursive
+descent well inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Sequence
 
 from .poly import Poly
 
+MAX_NESTING = 100  # deepest parenthesis nesting; each level takes four stack frames
 
 class PolyParseError(ValueError):
     """Syntax or name error in a polynomial expression, with position."""
@@ -86,6 +89,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, object, int]], var_index: dict[str, int], nvars: int):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.var_index = var_index
         self.nvars = nvars
 
@@ -150,8 +154,12 @@ class _Parser:
                 raise PolyParseError(f"unknown identifier {value!r}", position)
             return Poly.variable(self.nvars, index)
         if kind == "op" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING}", position)
             inner = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise PolyParseError("expected a number, variable, or parenthesized expression", position)
 

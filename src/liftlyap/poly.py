@@ -364,10 +364,6 @@ class PolyMatrix:
         self.nvars = nvars if nvars is not None else 0
         self.entries = entries
 
-    @classmethod
-    def empty(cls, cols: int, nvars: int) -> "PolyMatrix":
-        return cls((), cols=cols, nvars=nvars)
-
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry
 from .geometry import GridPoint
 from .poly import Poly, PolyMatrix, eval_points, grad, lie_derivative, poly_adjugate, poly_det, poly_sum
-from .sysmodel import ControlAffineSystem, TargetData
+from .sysmodel import ControlAffineSystem
 
 FEEDBACK_RESIDUAL_TOL = 1e-8
 DIVERGENCE_GUARD = 1e6
@@ -36,12 +36,6 @@ class DivergenceError(RuntimeError):
     """A simulated trajectory left the divergence guard ball."""
 
 
-def target_field(sys: ControlAffineSystem, td: TargetData, v: Poly) -> list[Poly]:
-    """Closed-loop target dynamics: X + f0 - gradient of the solved V."""
-    dv = grad(v)
-    return [td.x_field[i] + sys.f0[i] - dv[i] for i in range(sys.m)]
-
-
 def control_matrix(sys: ControlAffineSystem) -> PolyMatrix:
     """m-by-r matrix with the control vector fields as columns."""
     return geometry.Frame(sys.m, sys.f).as_matrix()
@@ -54,11 +48,7 @@ class FeedbackSolution:
     residual_norm: float
 
 
-def solve_feedback(
-    sys: ControlAffineSystem,
-    rhs: Sequence[Poly],
-    points: np.ndarray | None = None,
-) -> FeedbackSolution:
+def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly], points: np.ndarray) -> FeedbackSolution:
     """Solve F(x) u(x) = rhs(x) in least-norm form, symbolically when possible.
 
     Raises FeedbackResidualError if the pointwise residual exceeds
@@ -80,8 +70,6 @@ def solve_feedback(
         u, *_ = np.linalg.lstsq(a, b, rcond=None)
         return u
 
-    if points is None:
-        points = geometry.grid_floats(geometry.default_grid(sys.m))
     a = f_mat.at(points)
     b = eval_points(rhs, points)
     u = eval_points(symbolic, points) if symbolic is not None else np.array([pointwise(x) for x in points])
@@ -203,8 +191,8 @@ class DecreaseReport:
 def verify_lyapunov_decrease(
     traj: TrajectoryRecord,
     vstar: Poly,
-    field: ClosedLoop | Callable[[Sequence[float]], np.ndarray] | None = None,
-    grid: Sequence[GridPoint] | None = None,
+    field: ClosedLoop | Callable[[Sequence[float]], np.ndarray],
+    grid: Sequence[GridPoint],
 ) -> DecreaseReport:
     """Check sampled strict decrease of V* and sign of its derivative.
 
@@ -222,32 +210,22 @@ def verify_lyapunov_decrease(
             monotone = False
             first_violation = (traj.times[k], traj.vstar_values[k], traj.vstar_values[k + 1])
             break
-    analytic_negative = True
     analytic_witness = None
-    if field is not None:
-        if grid is None:
-            grid = geometry.default_grid(vstar.nvars)
-        loop_polys = field.poly if isinstance(field, ClosedLoop) else None
-        if loop_polys is not None:
-            derivative = lie_derivative(list(loop_polys), vstar)
-            for point in grid:
-                if all(v == 0 for v in point):
-                    continue
-                if derivative.eval(point) >= 0:
-                    analytic_negative = False
-                    analytic_witness = tuple(float(v) for v in point)
-                    break
-        else:
-            dv = grad(vstar)
-            for point in (tuple(map(float, exact)) for exact in grid):
-                if all(v == 0.0 for v in point):
-                    continue
-                rate = float(np.dot([p.eval_float(point) for p in dv], field(point)))
-                if rate >= 0.0:
-                    analytic_negative = False
-                    analytic_witness = point
-                    break
-    return DecreaseReport(monotone, first_violation, analytic_negative, analytic_witness)
+    loop_polys = field.poly if isinstance(field, ClosedLoop) else None
+    if loop_polys is not None:
+        point = geometry.first_nonnegative(lie_derivative(list(loop_polys), vstar), grid)
+        if point is not None:
+            analytic_witness = tuple(float(v) for v in point)
+    else:
+        dv = grad(vstar)
+        for point in (tuple(map(float, exact)) for exact in grid):
+            if all(v == 0.0 for v in point):
+                continue
+            rate = float(np.dot([p.eval_float(point) for p in dv], field(point)))
+            if rate >= 0.0:
+                analytic_witness = point
+                break
+    return DecreaseReport(monotone, first_violation, analytic_witness is None, analytic_witness)
 
 
 def write_trajectory_csv(

@@ -185,10 +185,7 @@ class QuotientCLF:
 
 
 def make_quotient_clf(
-    qsys: QuotientSystem,
-    vtilde: Poly,
-    alpha: Sequence[Poly],
-    grid: Sequence[GridPoint] | None = None,
+    qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Poly], grid: Sequence[GridPoint]
 ) -> QuotientCLF:
     """Build and validate the quotient Lyapunov package.
 
@@ -209,13 +206,9 @@ def make_quotient_clf(
     w = closed_loop_decrease(qsys, vtilde, alpha)
     if w.eval(origin) != 0:
         raise CLFValidationError("W(0) != 0")
-    if grid is None:
-        grid = geometry.default_grid(n)
-    for point in grid:
-        if all(v == 0 for v in point):
-            continue
-        if w.eval(point) >= 0:
-            raise CLFValidationError(f"W is not negative at grid point {tuple(map(str, point))}")
+    point = geometry.first_nonnegative(w, grid)
+    if point is not None:
+        raise CLFValidationError(f"W is not negative at grid point {tuple(map(str, point))}")
     return QuotientCLF(vtilde, tuple(alpha), w)
 
 

@@ -1,13 +1,40 @@
-"""Shared builders for the bundled example problems, and the hypothesis profile."""
+"""Shared builders for the bundled example problems, the test check grid, and
+the hypothesis profile."""
 
 from hypothesis import settings
 
-from liftlyap import cli
+from liftlyap import cli, geometry
+from liftlyap.geometry import EhresmannConnection
 from liftlyap.integrability import ResidualSystem
+from liftlyap.poly import Poly, grad
 
 # Example run times vary with machine load, so no example has a deadline.
 settings.register_profile("liftlyap", deadline=None)
 settings.load_profile("liftlyap")
+
+GRID_PER_AXIS = cli.Options.grid_per_axis  # the problem-file default
+
+
+def check_grid(m: int) -> list[geometry.GridPoint]:
+    """The rational check grid a run with default options uses in dimension m."""
+    return geometry.default_grid(m, GRID_PER_AXIS)
+
+
+def check_points(m: int):
+    """:func:`check_grid` as the (P, m) float array the float grid checks take."""
+    return geometry.grid_floats(check_grid(m))
+
+
+def flat_connection(m: int, n: int) -> EhresmannConnection:
+    """The connection with every gamma entry zero."""
+    zero = Poly.zero(m)
+    return EhresmannConnection(m, n, [[zero] * n for _ in range(m - n)])
+
+
+def target_field(sys, td, v: Poly) -> list[Poly]:
+    """Closed-loop target dynamics: X + f0 - gradient of the solved V."""
+    dv = grad(v)
+    return [td.x_field[i] + sys.f0[i] - dv[i] for i in range(sys.m)]
 
 
 def build_pipeline(name: str, **spec_overrides):

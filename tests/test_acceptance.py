@@ -10,18 +10,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
-from conftest import build_pipeline
+from conftest import build_pipeline, check_points
+from obstruction_oracle import consistency_gap_at, consistent_jet, curvature_map_eval
 from symbol_oracle import sym_intersection_dim
 
 from liftlyap import cli
-from liftlyap.integrability import (
-    condition_a,
-    condition_b,
-    consistency_gap_at,
-    consistent_jet,
-    curvature_map_eval,
-    quasi_regular_search,
-)
+from liftlyap.integrability import condition_a, condition_b, quasi_regular_search
 from liftlyap.lift import assemble_lift_system, assemble_vstar, solve_jets
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, PolyMatrix, lie_derivative
@@ -67,7 +61,7 @@ def test_criterion_1_end_to_end_positive_fixture():
         from liftlyap.poly import grad
 
         rhs = [td.x_field[i] - grad(v)[i] for i in range(2)]
-        fb = solve_feedback(problem.sys, rhs)
+        fb = solve_feedback(problem.sys, rhs, check_points(2))
         assert fb.symbolic == (parse_poly("-2*x1", ["x1", "x2"]),)
 
         # exact Lie derivative of V* along the closed loop

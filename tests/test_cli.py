@@ -99,6 +99,8 @@ def test_report_ex_ps_verified():
     assert report["lift"]["coefficients"] == {"(0, 2)": "1/2"}
     assert report["feedback"]["symbolic"] == ["-2*x1"]
     assert report["simulation"]["final_norm"] <= 1e-3
+    assert report["simulation"]["monotone_violation"] is None
+    assert report["simulation"]["analytic_witness"] is None
 
 
 def test_report_ex_di_stops_before_lift():
@@ -220,6 +222,29 @@ def test_sampled_increase_is_decrease_failure():
     _assert_stopped_at(report, code, verdict, "decrease", EXIT_VALIDATION, "simulation")
     assert report["simulation"]["vstar_monotone"] is False
     assert report["simulation"]["analytic_negative"] is True
+    # the witness: the first step at which V* did not decrease
+    violation = report["simulation"]["monotone_violation"]
+    assert set(violation) == {"t", "vstar", "next_vstar"}
+    assert violation["next_vstar"] >= violation["vstar"] > 0
+    assert round(violation["t"] / 1.4) * 1.4 == pytest.approx(violation["t"])
+    assert report["simulation"]["analytic_witness"] is None
+
+
+@pytest.mark.parametrize(
+    "name, csv_name",
+    [
+        ("../../escaped", "_.._escaped_trajectory_0.csv"),
+        ("lift-exact/seed=7/#0", "lift-exact_seed_7__0_trajectory_0.csv"),
+    ],
+)
+def test_trajectory_csv_stays_in_its_directory(tmp_path, name, csv_name):
+    raw = _fixture_raw("ex_ps")
+    raw["name"] = name
+    out_dir = tmp_path / "a" / "b" / "out"
+    report, code = run("report", build_problem(raw), str(out_dir))
+    assert code == EXIT_OK
+    assert report["simulation"]["csv"] == str(out_dir / csv_name)
+    assert list(tmp_path.rglob("*.csv")) == [out_dir / csv_name]
 
 
 def test_option_overrides():
@@ -261,6 +286,15 @@ def test_main_malformed_json(tmp_path, capsys):
     assert code == EXIT_INPUT
 
 
+def test_main_spec_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    code = main(["validate", "--spec", str(bad)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "not valid UTF-8" in err and "Traceback" not in err
+
+
 def test_main_quotient_mismatch_exit(tmp_path, capsys):
     raw = _fixture_raw("ex_ps")
     raw["beta"] = [["2"]]
@@ -272,27 +306,31 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, options, f0, states",
+    "args, options, keys",
     [
-        (["--grid", "0"], None, None, None),
-        (["--grid", "1"], None, None, None),
-        ([], {"symbol_seed": 0}, None, None),
-        (["--h", "0"], None, None, None),
-        (["--h", "0.1", "--horizon", "0.01"], None, None, None),
-        (["--order", "30"], None, None, None),
-        ([], {"order": "six"}, None, None),
-        ([], {"x0": 5}, None, None),
-        ([], None, ["0", "x1^30"], None),
-        ([], {"x0": [1e200, 1]}, None, None),
-        ([], {"x0": [float("nan"), 1]}, None, None),
-        ([], None, None, [1, 2]),
-        (["--grid", "100000"], None, None, None),
-        ([], {"horizon": float("inf")}, None, None),
-        (["--horizon", "inf"], None, None, None),
-        (["--h", "1e-6"], None, None, None),
-        ([], {"order": 4.9}, None, None),
-        ([], {"grid": 2.7}, None, None),
-        (["--grid", "2.7"], None, None, None),
+        (["--grid", "0"], None, {}),
+        (["--grid", "1"], None, {}),
+        ([], {"symbol_seed": 0}, {}),
+        (["--h", "0"], None, {}),
+        (["--h", "0.1", "--horizon", "0.01"], None, {}),
+        (["--order", "30"], None, {}),
+        ([], {"order": "six"}, {}),
+        ([], {"x0": 5}, {}),
+        ([], None, {"f0": ["0", "x1^30"]}),
+        ([], {"x0": [1e200, 1]}, {}),
+        ([], {"x0": [float("nan"), 1]}, {}),
+        ([], None, {"states": [1, 2]}),
+        (["--grid", "100000"], None, {}),
+        ([], {"horizon": float("inf")}, {}),
+        (["--horizon", "inf"], None, {}),
+        (["--h", "1e-6"], None, {}),
+        ([], {"order": 4.9}, {}),
+        ([], {"grid": 2.7}, {}),
+        (["--grid", "2.7"], None, {}),
+        ([], None, {"g": 5}),
+        ([], None, {"beta": 5}),
+        ([], None, {"name": 5}),
+        ([], None, {"f0": ["0", "(" * 250 + "x1" + ")" * 250]}),
     ],
     ids=[
         "grid-0",
@@ -314,16 +352,17 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "order-fractional",
         "grid-fractional",
         "grid-flag-not-int",
+        "g-not-list",
+        "beta-not-list",
+        "name-not-string",
+        "f0-nested-250",
     ],
 )
-def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, f0, states):
+def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, keys):
     raw = _fixture_raw("ex_ps")
     if options is not None:
         raw["options"] = options
-    if f0 is not None:
-        raw["f0"] = f0
-    if states is not None:
-        raw["states"] = states
+    raw.update(keys)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     code = main(["validate", "--spec", str(path), *args])

@@ -5,19 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import check_grid, check_points, flat_connection
 
 from liftlyap.geometry import (
     EhresmannConnection,
     Frame,
     FrameRankError,
-    ann_horizontal_basis,
     build_p_vm,
     build_projections,
     complement_frame,
     control_distribution,
     curvature_components,
     default_grid,
-    horizontal_frame,
     horizontal_lift,
 )
 from liftlyap.parsing import parse_poly
@@ -37,8 +36,27 @@ def _p(text, names):
     return parse_poly(text, names)
 
 
+def horizontal_frame(conn: EhresmannConnection) -> list[list[Poly]]:
+    """The n horizontal frame fields h_q = d/dx^q + sum_p gamma^p_q d/dx^p."""
+    p_vm = build_p_vm(conn)
+    return [p_vm.col(q) for q in range(conn.n)]
+
+
+def ann_horizontal_basis(conn: EhresmannConnection) -> list[list[Poly]]:
+    """Covector basis of ann(HM): dx^p - sum_q gamma^p_q dx^q for each fibre p."""
+    m, n = conn.m, conn.n
+    basis = []
+    for p in range(m - n):
+        omega = [Poly.zero(m) for _ in range(m)]
+        omega[n + p] = Poly.const(m, 1)
+        for q in range(n):
+            omega[q] = -conn.gamma[p][q]
+        basis.append(omega)
+    return basis
+
+
 def test_default_grid_contains_origin():
-    grid = default_grid(2)
+    grid = check_grid(2)
     assert (Fraction(0), Fraction(0)) in grid
     assert len(grid) == 9
     assert all(len(pt) == 2 for pt in grid)
@@ -50,55 +68,55 @@ def test_default_grid_contains_origin():
 
 def test_control_distribution_single_column():
     sys = _Sys(2, [[_p("1", X2), _p("0", X2)]])
-    frame = control_distribution(sys)
+    frame = control_distribution(sys, check_points(2))
     assert frame.rank == 1
     assert frame.fields[0][0] == Poly.const(2, 1)
 
 
 def test_control_distribution_full_tangent():
     sys = _Sys(2, [[_p("1", X2), _p("0", X2)], [_p("0", X2), _p("1", X2)]])
-    assert control_distribution(sys).rank == 2
+    assert control_distribution(sys, check_points(2)).rank == 2
 
 
 def test_control_distribution_rank_deficient():
     # columns (1,0) and (x1,0): 2x2 determinant is identically zero
     sys = _Sys(2, [[_p("1", X2), _p("0", X2)], [_p("x1", X2), _p("0", X2)]])
     with pytest.raises(FrameRankError):
-        control_distribution(sys)
+        control_distribution(sys, check_points(2))
 
 
 def test_complement_coordinate_search():
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]])
-    d = complement_frame(c)
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_points(2))
+    d = complement_frame(c, None, check_points(2))
     assert d.rank == 1
     assert d.fields[0][1] == Poly.const(2, 1)  # picks d/dx2
-    pair = build_projections(c, d, EhresmannConnection.flat(2, 1))
+    pair = build_projections(c, d, flat_connection(2, 1))
     assert pair.delta == Poly.const(2, 1)
     assert pair.p_d.row(0) == [Poly.zero(2), Poly.const(2, 1)]  # P_D = [0 1]
 
 
 def test_complement_empty_when_controls_span():
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)], [_p("0", X2), _p("1", X2)]])
-    d = complement_frame(c)
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)], [_p("0", X2), _p("1", X2)]], check_points(2))
+    d = complement_frame(c, None, check_points(2))
     assert d.rank == 0
-    pair = build_projections(c, d, EhresmannConnection.flat(2, 1))
+    pair = build_projections(c, d, flat_connection(2, 1))
     assert pair.p_d.rows == 0
 
 
 def test_projection_from_user_complement():
     # C = {(1, x1)}, D = {(0, 1)}: det [C|D] = 1, projection row (-x1, 1)
-    c = Frame.build(2, [[_p("1", X2), _p("x1", X2)]])
-    d = complement_frame(c, user_d=[[_p("0", X2), _p("1", X2)]])
-    pair = build_projections(c, d, EhresmannConnection.flat(2, 1))
+    c = Frame.build(2, [[_p("1", X2), _p("x1", X2)]], check_points(2))
+    d = complement_frame(c, user_d=[[_p("0", X2), _p("1", X2)]], points=check_points(2))
+    pair = build_projections(c, d, flat_connection(2, 1))
     assert pair.delta == Poly.const(2, 1)
     assert pair.p_d.row(0) == [_p("-x1", X2), _p("1", X2)]
 
 
 def test_projection_invariants_exact():
     rng = random.Random(2)
-    c = Frame.build(3, [[_p("1", X3), _p("x1", X3), _p("0", X3)]])
-    d = complement_frame(c)
-    pair = build_projections(c, d, EhresmannConnection.flat(3, 1))
+    c = Frame.build(3, [[_p("1", X3), _p("x1", X3), _p("0", X3)]], check_points(3))
+    d = complement_frame(c, None, check_points(3))
+    pair = build_projections(c, d, flat_connection(3, 1))
     c_cols = c.as_matrix()
     d_cols = d.as_matrix()
     zero_block = pair.p_d @ c_cols
@@ -113,24 +131,24 @@ def test_projection_invariants_exact():
 
 
 def test_user_complement_singular_rejected():
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]])
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_points(2))
     with pytest.raises(FrameRankError):
-        complement_frame(c, user_d=[[_p("1", X2), _p("0", X2)]])
+        complement_frame(c, user_d=[[_p("1", X2), _p("0", X2)]], points=check_points(2))
 
 
 def test_rank_failures_name_the_first_grid_point():
     # the witness is the first failing point in grid order, printed as plain floats
     with pytest.raises(FrameRankError) as err:
-        Frame.build(2, [[_p("x1", X2), _p("0", X2)]])
+        Frame.build(2, [[_p("x1", X2), _p("0", X2)]], check_points(2))
     assert str(err.value) == "frame drops rank at grid point (0.0, -1.0)"
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]])
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_points(2))
     with pytest.raises(FrameRankError) as err:
-        complement_frame(c, user_d=[[_p("1", X2), _p("x2", X2)]])
+        complement_frame(c, user_d=[[_p("1", X2), _p("x2", X2)]], points=check_points(2))
     assert str(err.value) == "[C | D] is singular at grid point (-1.0, 0.0)"
 
 
 def test_build_p_vm_flat():
-    p_vm = build_p_vm(EhresmannConnection.flat(2, 1))
+    p_vm = build_p_vm(flat_connection(2, 1))
     assert p_vm.col(0) == [Poly.const(2, 1), Poly.zero(2)]
 
 
@@ -149,7 +167,7 @@ def test_connection_requires_fibre():
 
 
 def test_horizontal_lift_flat():
-    conn = EhresmannConnection.flat(2, 1)
+    conn = flat_connection(2, 1)
     lifted = horizontal_lift(conn, [parse_poly("-y1", ["y1"])])
     assert lifted == [_p("-x1", X2), Poly.zero(2)]
 
@@ -161,7 +179,7 @@ def test_horizontal_lift_with_gamma():
 
 
 def test_horizontal_lift_zero():
-    conn = EhresmannConnection.flat(3, 2)
+    conn = flat_connection(3, 2)
     lifted = horizontal_lift(conn, [Poly.zero(2), Poly.zero(2)])
     assert all(comp.is_zero() for comp in lifted)
 

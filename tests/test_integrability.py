@@ -5,9 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import build_pipeline
+from conftest import build_pipeline, check_points, flat_connection
 from hypothesis import given
 from hypothesis import strategies as st
+from obstruction_oracle import (
+    InconsistentJetError,
+    consistency_gap_at,
+    consistent_jet,
+    curvature_map_eval,
+    prolonged_residual,
+    vm_curvature_coeffs,
+)
 from symbol_oracle import permutation_search, sym_intersection_dim
 
 from liftlyap.geometry import (
@@ -19,21 +27,15 @@ from liftlyap.geometry import (
     default_grid,
 )
 from liftlyap.integrability import (
-    InconsistentJetError,
     ResidualSystem,
     check_flatness,
     condition_a,
     condition_b,
-    consistency_gap_at,
-    consistent_jet,
-    curvature_map_eval,
     full_check,
     pointwise_consistency,
-    prolonged_residual,
     quasi_regular_search,
     residual_psi,
     symbol_dims,
-    vm_curvature_coeffs,
 )
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, PolyMatrix
@@ -50,9 +52,9 @@ def _p(text, names):
 def _rs_from_pd_x(pd_rows, x_texts, names, c_cols, n=1):
     """Residual system with an explicitly chosen projection (for unit values)."""
     m = len(names)
-    c = Frame.build(m, c_cols)
-    d = complement_frame(c)
-    conn = EhresmannConnection.flat(m, n)
+    c = Frame.build(m, c_cols, check_points(m))
+    d = complement_frame(c, None, check_points(m))
+    conn = flat_connection(m, n)
     pair = build_projections(c, d, conn)
     expected = PolyMatrix([[_p(t, names) for t in row] for row in pd_rows], cols=m, nvars=m)
     assert pair.p_d == expected, "constructed projection differs from the intended rows"
@@ -129,7 +131,7 @@ def test_prolongation_differentiation_consistency():
 
 
 def test_flatness_flat_connection():
-    flat, offenders = check_flatness(EhresmannConnection.flat(3, 2))
+    flat, offenders = check_flatness(flat_connection(3, 2))
     assert flat and not offenders
 
 
@@ -268,9 +270,9 @@ def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols
     """condition_a / delta^3 and condition_b / delta^2 equal conditions A and
     B of the true P_D, the bottom rows of [C | D]^-1 differentiated by
     central differences, on a 5-per-axis grid."""
-    c = Frame.build(3, [[_p("1", X3), _p("0", X3), _p("0", X3)]])
-    d = Frame.build(3, [[_p(t, X3) for t in col] for col in d_cols])
-    pair = build_projections(c, d, EhresmannConnection.flat(3, 1))
+    c = Frame.build(3, [[_p("1", X3), _p("0", X3), _p("0", X3)]], check_points(3))
+    d = Frame.build(3, [[_p(t, X3) for t in col] for col in d_cols], check_points(3))
+    pair = build_projections(c, d, flat_connection(3, 1))
     assert pair.delta.constant_term == 1 and not pair.delta.is_constant()
     x_field = (_p("-x1", X3), _p("-x2 + x1*x3", X3), _p("-x3", X3))
     a_entries = condition_a(pair.p_d, pair.delta)
@@ -309,14 +311,14 @@ def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols
 
 def test_pointwise_consistency_ex_ps():
     _, _, _, _, rs = build_pipeline("ex_ps")
-    report = pointwise_consistency(rs)
+    report = pointwise_consistency(rs, check_points(2))
     assert report.consistent
     assert report.worst_gap < 1e-9
 
 
 def test_pointwise_consistency_ex_di():
     _, _, _, _, rs = build_pipeline("ex_di")
-    report = pointwise_consistency(rs)
+    report = pointwise_consistency(rs, check_points(2))
     assert not report.consistent
     ok, gap = consistency_gap_at(rs, [1.0, 0.0])
     assert not ok
@@ -328,7 +330,7 @@ def test_pointwise_consistency_ex_di():
 
 def test_pointwise_consistency_ex_fa():
     _, _, _, _, rs = build_pipeline("ex_fa")
-    report = pointwise_consistency(rs)
+    report = pointwise_consistency(rs, check_points(2))
     assert report.consistent
 
 
@@ -352,7 +354,7 @@ def test_symbol_dims_ex_fa():
 
 def test_symbol_dims_zero_control():
     frame = Frame(2, ())
-    dims = symbol_dims(frame, EhresmannConnection.flat(2, 1), [0.0, 0.0])
+    dims = symbol_dims(frame, flat_connection(2, 1), [0.0, 0.0])
     assert (dims.dim_g1, dims.dim_g2) == (0, 0)
     assert dims.quasi_regular
 
@@ -468,7 +470,7 @@ def test_curvature_map_flat_connection_h_zero():
     # the non-flat fixture has a nonzero coefficient...
     assert any(not v.is_zero() for v in coeffs.values())
     # ...and the flattened version of the same shape has none
-    flat_coeffs = vm_curvature_coeffs(build_p_vm(EhresmannConnection.flat(3, 2)))
+    flat_coeffs = vm_curvature_coeffs(build_p_vm(flat_connection(3, 2)))
     assert all(v.is_zero() for v in flat_coeffs.values())
 
 
@@ -509,33 +511,33 @@ def test_curvature_map_rejects_inconsistent_jet():
 
 def test_full_check_ex_ps():
     problem, _, _, _, rs = build_pipeline("ex_ps")
-    report = full_check(rs, problem.conn)
+    report = full_check(rs, problem.conn, check_points(problem.sys.m))
     assert report.liftable
     assert report.verdict == "LIFTABLE"
 
 
 def test_full_check_ex_di():
     problem, _, _, _, rs = build_pipeline("ex_di")
-    report = full_check(rs, problem.conn)
+    report = full_check(rs, problem.conn, check_points(problem.sys.m))
     assert not report.liftable
     assert report.reasons == ["consistency"]
 
 
 def test_full_check_ex_curv():
     problem, _, _, _, rs = build_pipeline("ex_curv")
-    report = full_check(rs, problem.conn)
+    report = full_check(rs, problem.conn, check_points(problem.sys.m))
     assert not report.liftable
     assert "flatness" in report.reasons
     assert report.flat_offenders[(3, 1, 2)] == Poly.const(3, -1)
 
 
 def test_full_check_non_constant_determinant():
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]])
-    d = complement_frame(c, user_d=[[_p("0", X2), _p("1 + 1/2*x1^2", X2)]])
-    conn = EhresmannConnection.flat(2, 1)
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_points(2))
+    d = complement_frame(c, user_d=[[_p("0", X2), _p("1 + 1/2*x1^2", X2)]], points=check_points(2))
+    conn = flat_connection(2, 1)
     pair = build_projections(c, d, conn)
     assert pair.delta == _p("1 + 1/2*x1^2", X2)
     rs = ResidualSystem(pair, (_p("-2*x1", X2), _p("x2", X2)))
-    report = full_check(rs, conn)
+    report = full_check(rs, conn, check_points(2))
     assert report.cond_a and report.cond_b
     assert report.consistency.consistent

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import build_pipeline
+from conftest import build_pipeline, target_field
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -19,17 +19,21 @@ from liftlyap.lift import (
     assemble_vstar,
     monomials_up_to,
     solve_jets,
-    system_residual,
 )
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, PolyMatrix, lie_derivative
-from liftlyap.synth import target_field
 
 X2 = ["x1", "x2"]
 
 
 def _p(text, names=X2):
     return parse_poly(text, names)
+
+
+def system_residual(system: LinearSystem, solution: JetSolution) -> list[Fraction]:
+    """Exact residual A @ c - b of the linear system at a solution."""
+    values = [solution.coeffs.get(mi, Fraction(0)) for mi in system.unknowns]
+    return [sum(v * values[c] for c, v in row) - rv for row, rv in zip(system.rows, system.rhs)]
 
 
 def test_monomials_up_to_counts():
@@ -170,7 +174,7 @@ def test_sparse_solve_satisfies_consistent_systems(case):
     system, seeds = case
     values, free_cols = _solve_exact(system, seeds)
     coeffs = {mi: v for mi, v in zip(system.unknowns, values) if v != 0}
-    assert all(v == 0 for v in system_residual(system, JetSolution(2, coeffs, [], 1)))
+    assert all(v == 0 for v in system_residual(system, JetSolution(2, coeffs, [])))
     assert all(values[c] == seeds.get(c, 0) for c in free_cols)
 
 
@@ -214,7 +218,7 @@ def test_assemble_vstar_ex_ps():
 
 def test_assemble_vstar_negative_direction_witness():
     pullback = _p("1/2*x1^2")
-    bad = JetSolution(2, {(0, 2): Fraction(-1)}, [], 1)
+    bad = JetSolution(2, {(0, 2): Fraction(-1)}, [])
     _, diag = assemble_vstar(pullback, bad)
     assert not diag.ok
     assert diag.witness is not None
@@ -224,7 +228,7 @@ def test_assemble_vstar_negative_direction_witness():
 
 def test_assemble_vstar_flat_vertical_direction_fails():
     pullback = _p("1/2*x1^2")
-    empty = JetSolution(2, {}, [], 1)
+    empty = JetSolution(2, {}, [])
     _, diag = assemble_vstar(pullback, empty)
     assert not diag.ok  # V* has a flat direction along the fibre
 

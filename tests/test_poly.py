@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from liftlyap.parsing import PolyParseError, parse_poly
+from liftlyap.parsing import MAX_NESTING, PolyParseError, parse_poly
 from liftlyap.poly import (
     DEGREE_CAP,
     DegreeCapError,
@@ -93,6 +93,15 @@ def test_parse_bad_exponent():
         parse_poly("x1^(2)", ["x1"])
     with pytest.raises(PolyParseError):
         parse_poly("x1^1/2", ["x1"])  # fractional exponent
+
+
+def test_parse_nesting_is_bounded():
+    deepest = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+    assert parse_poly(deepest, ["x1"]) == Poly.variable(1, 0)
+    # 250 levels overran the recursion limit before the bound
+    with pytest.raises(PolyParseError, match="nested deeper") as err:
+        parse_poly("(" * 250 + "x1" + ")" * 250, ["x1"])
+    assert err.value.position == MAX_NESTING
 
 
 def test_parse_trailing_garbage():

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from conftest import build_pipeline
+from conftest import build_pipeline, check_grid, check_points, target_field
 
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, grad
@@ -17,7 +17,6 @@ from liftlyap.synth import (
     control_matrix,
     simulate_rk4,
     solve_feedback,
-    target_field,
     verify_lyapunov_decrease,
     write_trajectory_csv,
 )
@@ -45,7 +44,7 @@ def _solved(name):
 
 def test_solve_feedback_ex_ps():
     problem, _, _, _, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs)
+    fb = solve_feedback(problem.sys, rhs, check_points(2))
     assert fb.symbolic == (_p("-2*x1"),)
     assert fb.residual_norm <= 1e-12
     loop = closed_loop_field(problem.sys, fb)
@@ -54,7 +53,7 @@ def test_solve_feedback_ex_ps():
 
 def test_solve_feedback_ex_fa():
     problem, _, _, _, rhs = _solved("ex_fa")
-    fb = solve_feedback(problem.sys, rhs)
+    fb = solve_feedback(problem.sys, rhs, check_points(2))
     assert fb.symbolic == (_p("-2*x1"), _p("-x2"))
     loop = closed_loop_field(problem.sys, fb)
     assert loop.poly == (_p("-2*x1"), _p("-x2"))
@@ -64,14 +63,14 @@ def test_solve_feedback_out_of_range_rhs():
     sys = ControlAffineSystem(2, 1, (Poly.zero(2), Poly.zero(2)), ((_p("1"), _p("0")),))
     rhs = [Poly.zero(2), Poly.const(2, 1)]  # unreachable second component
     with pytest.raises(FeedbackResidualError):
-        solve_feedback(sys, rhs)
+        solve_feedback(sys, rhs, check_points(2))
 
 
 def test_closed_loop_matches_target_exactly():
     """Symbolic mode identity: closed loop minus target vanishes as polynomials."""
     for name in ("ex_ps", "ex_fa"):
         problem, td, v, _, rhs = _solved(name)
-        fb = solve_feedback(problem.sys, rhs)
+        fb = solve_feedback(problem.sys, rhs, check_points(2))
         loop = closed_loop_field(problem.sys, fb)
         sigma = target_field(problem.sys, td, v)
         assert loop.poly is not None
@@ -95,7 +94,7 @@ def test_least_norm_orthogonal_to_kernel():
         ((_p("1"), _p("0")), (_p("0"), _p("1")), (_p("1"), _p("1"))),
     )
     rhs = [_p("x1"), _p("x2")]
-    fb = solve_feedback(sys, rhs)
+    fb = solve_feedback(sys, rhs, check_points(2))
     assert fb.symbolic is None  # more inputs than states: no square subselection
     f_mat = control_matrix(sys)
     rng = random.Random(71)
@@ -112,7 +111,7 @@ def test_least_norm_orthogonal_to_kernel():
 
 def test_simulate_ex_ps_against_exact_solution():
     problem, td, v, vstar, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs)
+    fb = solve_feedback(problem.sys, rhs, check_points(2))
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar, fb.pointwise)
     assert np.linalg.norm(traj.states[-1]) <= 1e-3
@@ -126,7 +125,7 @@ def test_simulate_ex_ps_against_exact_solution():
 
 def test_simulate_equilibrium_stays_put():
     problem, _, _, vstar, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs)
+    fb = solve_feedback(problem.sys, rhs, check_points(2))
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [0.0, 0.0], 0.01, 1.0, vstar, fb.pointwise)
     assert all(np.linalg.norm(state) == 0.0 for state in traj.states)
@@ -160,10 +159,10 @@ def test_rk4_convergence_ratio():
 
 def test_verify_decrease_ex_ps():
     problem, td, v, vstar, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs)
+    fb = solve_feedback(problem.sys, rhs, check_points(2))
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar, fb.pointwise)
-    report = verify_lyapunov_decrease(traj, vstar, loop)
+    report = verify_lyapunov_decrease(traj, vstar, loop, check_grid(2))
     assert report.passed
     from liftlyap.poly import lie_derivative
 
@@ -174,15 +173,16 @@ def test_verify_decrease_fails_for_frozen_state():
     vstar = _p("x1^2 + x2^2")
     field = lambda x: np.zeros(2)
     traj = simulate_rk4(field, [1.0, 0.0], 0.1, 1.0, vstar, None)
-    report = verify_lyapunov_decrease(traj, vstar, field)
+    report = verify_lyapunov_decrease(traj, vstar, field, check_grid(2))
     assert not report.monotone
     assert not report.analytic_negative
+    assert report.analytic_witness == (-1.0, -1.0)  # the first grid point off the origin
     assert not report.passed
 
 
 def test_trajectory_csv_export(tmp_path):
     problem, _, _, vstar, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs)
+    fb = solve_feedback(problem.sys, rhs, check_points(2))
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [1.0, 1.0], 0.1, 1.0, vstar, fb.pointwise)
     path = tmp_path / "traj.csv"

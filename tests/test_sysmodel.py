@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import check_grid, flat_connection
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liftlyap.geometry import EhresmannConnection
 from liftlyap.parsing import parse_poly
-from liftlyap.poly import Poly
+from liftlyap.poly import Poly, poly_sum
 from liftlyap.sysmodel import (
     CLFValidationError,
     ControlAffineSystem,
@@ -67,6 +69,70 @@ def test_verify_quotient_deliberate_mismatch():
     assert witness is not None and witness[0] == 1
 
 
+_COEFFS = st.fractions(-3, 3, max_denominator=3)
+_POLYS = {
+    nvars: st.dictionaries(st.tuples(*[st.integers(0, 2)] * nvars), _COEFFS, max_size=3).map(
+        lambda t, nvars=nvars: Poly(nvars, t)
+    )
+    for nvars in range(1, 5)
+}
+
+
+def _polys(nvars: int, count: int):
+    """``count`` random polynomials in ``nvars`` variables, degree at most 2 per variable."""
+    return st.lists(_POLYS[nvars], min_size=count, max_size=count)
+
+
+@st.composite
+def _exact_quotients(draw):
+    """A quotient claim that holds by construction.
+
+    The quotient data (g0, g, varphi, beta) is drawn first; the first n rows
+    of f0 and of each f_j are then set to what the quotient identity
+    demands, and the fibre rows are free.
+    """
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, m - 1))
+    r = draw(st.integers(1, 2))
+    s = draw(st.integers(0, 2))
+    g0 = draw(_polys(n, n))
+    g = [draw(_polys(n, n)) for _ in range(s)]
+    varphi = draw(_polys(m, s))
+    beta = [draw(_polys(m, r)) for _ in range(s)]
+    f0 = [g0[q].embed(m) + poly_sum((g[k][q].embed(m) * varphi[k] for k in range(s)), m) for q in range(n)]
+    f = [[poly_sum((g[k][q].embed(m) * beta[k][j] for k in range(s)), m) for q in range(n)] for j in range(r)]
+    f0 += draw(_polys(m, m - n))
+    f = [col + draw(_polys(m, m - n)) for col in f]
+    sys = ControlAffineSystem(m, r, tuple(f0), tuple(tuple(col) for col in f))
+    qsys = QuotientSystem(n, s, tuple(g0), tuple(tuple(col) for col in g))
+    return sys, qsys, QuotientMorphism(n, tuple(varphi), tuple(tuple(row) for row in beta))
+
+
+# each example draws a few dozen polynomials, so fewer examples keep this at about a second
+@settings(max_examples=40)
+@given(_exact_quotients())
+def test_quotient_by_construction_has_zero_residuals(case):
+    residuals = verify_quotient(*case)
+    assert len(residuals) == case[1].n
+    assert all(res.is_zero() for res in residuals)
+    assert quotient_witness(residuals) is None
+
+
+@settings(max_examples=40)
+@given(_exact_quotients(), st.data())
+def test_perturbed_quotient_witness_names_the_perturbation(case, data):
+    sys, qsys, morph = case
+    q = data.draw(st.integers(0, qsys.n - 1))
+    exponents = data.draw(st.tuples(*[st.integers(0, 2)] * sys.m))
+    coeff = data.draw(_COEFFS.filter(bool))
+    f0 = list(sys.f0)
+    f0[q] = f0[q] + Poly.monomial(sys.m, exponents, coeff)
+    residuals = verify_quotient(ControlAffineSystem(sys.m, sys.r, tuple(f0), sys.f), qsys, morph)
+    # the residual is linear in f0, so the perturbation is all that is left
+    assert [res.is_zero() for res in residuals] == [k != q for k in range(qsys.n)]
+    assert quotient_witness(residuals) == (q + 1, exponents + (0,) * sys.r, coeff)
+
+
 def test_pullback_clf():
     assert pullback_clf(_p("1/2*y1^2", Y1), 2) == _p("1/2*x1^2", X2)
     assert pullback_clf(Poly.zero(1), 2).is_zero()
@@ -97,20 +163,20 @@ def test_closed_loop_decrease_drift_only():
 def test_clf_sign_flip_rejected():
     qsys = QuotientSystem(1, 1, (_p("0", Y1),), ((_p("1", Y1),),))
     with pytest.raises(CLFValidationError):
-        make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("y1", Y1)])
+        make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("y1", Y1)], check_grid(1))
 
 
 def test_clf_origin_and_hessian_checks():
     qsys = QuotientSystem(1, 1, (_p("0", Y1),), ((_p("1", Y1),),))
     with pytest.raises(CLFValidationError):
-        make_quotient_clf(qsys, _p("1 + y1^2", Y1), [_p("-y1", Y1)])
+        make_quotient_clf(qsys, _p("1 + y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
     with pytest.raises(CLFValidationError):
-        make_quotient_clf(qsys, _p("y1^4", Y1), [_p("-y1", Y1)])  # degenerate Hessian
+        make_quotient_clf(qsys, _p("y1^4", Y1), [_p("-y1", Y1)], check_grid(1))  # degenerate Hessian
 
 
 def test_clf_accepts_ex_ps_data():
     qsys = QuotientSystem(1, 1, (_p("0", Y1),), ((_p("1", Y1),),))
-    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)])
+    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
     assert clf.w == _p("-y1^2", Y1)
 
 
@@ -148,8 +214,8 @@ def _target_fd_oracle(sys, qsys, conn, clf, point, h=1e-6):
 
 def test_build_target_x_ex_ps():
     sys, qsys, _ = ex_ps()
-    conn = EhresmannConnection.flat(2, 1)
-    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)])
+    conn = flat_connection(2, 1)
+    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
     td = build_target_x(sys, qsys, conn, clf)
     assert list(td.x_field) == [_p("-2*x1", X2), _p("x2", X2)]
     assert td.pullback_vtilde == _p("1/2*x1^2", X2)
@@ -163,8 +229,8 @@ def test_build_target_x_ex_ps():
 
 def test_build_target_x_ex_di():
     sys, qsys, _ = ex_di()
-    conn = EhresmannConnection.flat(2, 1)
-    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)])
+    conn = flat_connection(2, 1)
+    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
     td = build_target_x(sys, qsys, conn, clf)
     assert list(td.x_field) == [_p("-2*x1 - x2", X2), Poly.zero(2)]
 
@@ -175,7 +241,7 @@ def test_build_target_x_zero_case():
 
     sys = ControlAffineSystem(2, 1, (Poly.zero(2), Poly.zero(2)), ((_p("1", X2), _p("0", X2)),))
     qsys = QuotientSystem(1, 0, (Poly.zero(1),), ())
-    conn = EhresmannConnection.flat(2, 1)
+    conn = flat_connection(2, 1)
     zero_clf = QuotientCLF(Poly.zero(1), (), Poly.zero(1))
     td = build_target_x(sys, qsys, conn, zero_clf)
     assert all(comp.is_zero() for comp in td.x_field)
@@ -186,7 +252,7 @@ def test_build_target_x_affine_additivity():
     from liftlyap.sysmodel import QuotientCLF
 
     _, qsys, _ = ex_ps()
-    conn = EhresmannConnection.flat(2, 1)
+    conn = flat_connection(2, 1)
     alpha = (_p("-y1", Y1),)
     rng = random.Random(47)
     fields = ((_p("1", X2), _p("0", X2)),)
@@ -225,8 +291,8 @@ def test_build_target_x_affine_additivity():
 def test_equilibrium_rejection():
     sys = ControlAffineSystem(2, 1, (_p("1", X2), _p("-x2", X2)), ((_p("1", X2), _p("0", X2)),))
     qsys = QuotientSystem(1, 1, (_p("0", Y1),), ((_p("1", Y1),),))
-    conn = EhresmannConnection.flat(2, 1)
-    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)])
+    conn = flat_connection(2, 1)
+    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
     with pytest.raises(EquilibriumError):
         build_target_x(sys, qsys, conn, clf)
 
