@@ -89,6 +89,8 @@ def load_spec(path) -> dict:
         raise SpecError(f"not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SpecError("not valid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise SpecError("top level must be a JSON object")
     return raw

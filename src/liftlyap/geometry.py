@@ -11,6 +11,7 @@ are 0-based throughout.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -54,9 +55,32 @@ def grid_floats(grid: Sequence[GridPoint]) -> np.ndarray:
 
 
 def first_nonnegative(p: Poly, grid: Sequence[GridPoint]) -> GridPoint | None:
-    """The first grid point off the origin where p >= 0, by exact evaluation, or None."""
+    """The first grid point off the origin where p >= 0, by exact evaluation, or None.
+
+    The sign is decided in integers.  With den the lcm of p's coefficient
+    denominators, q that of the grid values and d = deg p, a point k/q has
+
+        den * q^d * p(k/q) = sum_a (den * c_a) * q^(d - |a|) * k^a,
+
+    an integer with the sign of p(k/q).
+    """
+    q = math.lcm(*(v.denominator for point in grid for v in point))
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    d = p.degree()
+    terms = [
+        (c.numerator * (den // c.denominator) * q ** (d - sum(mi)), [(i, e) for i, e in enumerate(mi) if e])
+        for mi, c in p.terms.items()
+    ]
     for point in grid:
-        if any(point) and p.eval(point) >= 0:
+        if not any(point):
+            continue
+        k = [v.numerator * (q // v.denominator) for v in point]
+        total = 0
+        for c, factors in terms:
+            for i, e in factors:
+                c *= k[i] ** e
+            total += c
+        if total >= 0:
             return point
     return None
 

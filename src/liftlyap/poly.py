@@ -8,7 +8,9 @@ the package is an exact comparison against the empty map rather than an
 epsilon check.
 
 Poly values are treated as immutable after construction and may be shared
-freely across threads.  Printing uses graded lexicographic term order so
+freely across threads.  Float evaluation reads a term table that each
+polynomial builds on first use and keeps; two threads racing to build it
+build the same table.  Printing uses graded lexicographic term order so
 that output is deterministic.
 """
 
@@ -21,6 +23,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 MultiIndex = tuple[int, ...]
+# Per term: the coefficient as a float and the (variable, exponent) pairs with exponent > 0
+FloatTerms = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
 
 # Products whose total degree would exceed this bound raise DegreeCapError
 # instead of silently producing huge term maps.
@@ -42,7 +46,7 @@ def _as_fraction(value) -> Fraction:
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_float_table")
 
     def __init__(self, nvars: int, terms: Mapping[MultiIndex, Fraction] | None = None):
         if nvars < 0:
@@ -60,6 +64,7 @@ class Poly:
                     clean[mi] = coeff
         self.nvars = nvars
         self.terms = clean
+        self._float_table: FloatTerms | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -182,6 +187,8 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
+        if n > DEGREE_CAP:
+            raise DegreeCapError(f"exponent {n} exceeds cap {DEGREE_CAP}")
         if n == 0:
             return Poly.const(self.nvars, 1)
         if self.degree() * n > DEGREE_CAP:
@@ -221,16 +228,23 @@ class Poly:
             total += term
         return total
 
+    def _float_terms(self) -> FloatTerms:
+        """The float term table of :meth:`eval_float` and :func:`eval_points`, built once."""
+        if self._float_table is None:
+            self._float_table = tuple(
+                (float(c), tuple((i, e) for i, e in enumerate(mi) if e)) for mi, c in self.terms.items()
+            )
+        return self._float_table
+
     def eval_float(self, point: Sequence[float]) -> float:
         """Floating-point evaluation; subject to rounding, unlike :meth:`eval`."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
         total = 0.0
-        for mi, c in self.terms.items():
-            term = float(c)
-            for e, v in zip(mi, point):
-                if e:
-                    term *= float(v) ** e
+        for c, factors in self._float_terms():
+            term = c
+            for i, e in factors:
+                term *= float(point[i]) ** e
             total += term
         return total
 
@@ -295,13 +309,12 @@ def eval_points(polys: Sequence[Poly], points) -> np.ndarray:
     out = np.zeros((flat.shape[0], len(polys)))
     for k, p in enumerate(polys):
         total = out[:, k]
-        for mi, c in p.terms.items():
-            term = np.full(flat.shape[0], float(c))
-            for i, e in enumerate(mi):
-                if e:
-                    if (i, e) not in powers:
-                        powers[i, e] = np.array([v**e for v in flat[:, i].tolist()])
-                    term *= powers[i, e]
+        for c, factors in p._float_terms():
+            term = np.full(flat.shape[0], c)
+            for i, e in factors:
+                if (i, e) not in powers:
+                    powers[i, e] = np.array([v**e for v in flat[:, i].tolist()])
+                term *= powers[i, e]
             total += term
     return out.reshape(points.shape[:-1] + (len(polys),))
 

@@ -331,6 +331,8 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         ([], None, {"beta": 5}),
         ([], None, {"name": 5}),
         ([], None, {"f0": ["0", "(" * 250 + "x1" + ")" * 250]}),
+        ([], None, {"f0": ["0", "2^100000000"]}),
+        ([], None, "[" * 100000),
     ],
     ids=[
         "grid-0",
@@ -356,15 +358,22 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "beta-not-list",
         "name-not-string",
         "f0-nested-250",
+        "f0-constant-power-huge",
+        "json-nested-100000",
     ],
 )
 def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, keys):
-    raw = _fixture_raw("ex_ps")
-    if options is not None:
-        raw["options"] = options
-    raw.update(keys)
+    # keys is either top-level keys to replace in EX-PS or the whole file as text
+    if isinstance(keys, str):
+        text = keys
+    else:
+        raw = _fixture_raw("ex_ps")
+        if options is not None:
+            raw["options"] = options
+        raw.update(keys)
+        text = json.dumps(raw)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(text)
     code = main(["validate", "--spec", str(path), *args])
     assert code == EXIT_INPUT
     assert "[liftlyap] error:" in capsys.readouterr().err

@@ -1,11 +1,14 @@
 """Frames, complements, projections, connections, and curvature."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import check_grid, check_points, flat_connection
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from liftlyap.geometry import (
     EhresmannConnection,
@@ -17,6 +20,7 @@ from liftlyap.geometry import (
     control_distribution,
     curvature_components,
     default_grid,
+    first_nonnegative,
     horizontal_lift,
 )
 from liftlyap.parsing import parse_poly
@@ -64,6 +68,40 @@ def test_default_grid_contains_origin():
         default_grid(2, per_axis=1)
     with pytest.raises(ValueError, match="100000"):
         default_grid(17, per_axis=2)  # 131072 points: above the cap, small enough to build if unchecked
+
+
+def _first_nonnegative_reference(p: Poly, grid):
+    """The sweep before the integer form: one exact Fraction evaluation per point."""
+    for point in grid:
+        if any(point) and p.eval(point) >= 0:
+            return point
+    return None
+
+
+@st.composite
+def _poly_and_grid(draw):
+    m = draw(st.integers(1, 3))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * m), coeffs, max_size=6))
+    if draw(st.booleans()):
+        # a negative-definite part, so many sweeps run the whole grid
+        for i in range(m):
+            unit_square = tuple(2 if j == i else 0 for j in range(m))
+            terms[unit_square] = terms.get(unit_square, Fraction(0)) - draw(st.integers(1, 4))
+    # 2-5 values per axis with denominators up to 4: halves, thirds and quarters
+    axis = st.lists(st.fractions(min_value=-1, max_value=1, max_denominator=4), min_size=2, max_size=5, unique=True)
+    grid = list(itertools.product(*[draw(axis) for _ in range(m)]))
+    return Poly(m, terms), grid
+
+
+@given(_poly_and_grid())
+@example((Poly.zero(2), default_grid(2, 3)))
+@example((Poly.const(2, Fraction(1, 3)), default_grid(2, 4)))
+@example((_p("-x1^2 - x2^2 + 1/2*x1^3 + 1/3", X2), default_grid(2, 5)))
+@example((_p("-x1^2 - x2^2 + 1/2*x1^3", X2), default_grid(2, 5)))
+def test_first_nonnegative_matches_exact_sweep(case):
+    p, grid = case
+    assert first_nonnegative(p, grid) == _first_nonnegative_reference(p, grid)
 
 
 def test_control_distribution_single_column():

@@ -2,11 +2,12 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -109,16 +110,17 @@ def test_parse_trailing_garbage():
         parse_poly("x1 x1", ["x1"])
 
 
-def test_print_parse_roundtrip():
-    rng = random.Random(7)
-    names = ["x1", "x2", "x3"]
-    for _ in range(40):
-        p = random_poly(rng, 3)
-        text = format_poly(p, names)
-        again = parse_poly(text, names)
-        assert again == p
-        point = random_rational_point(rng, 3)
-        assert again.eval(point) == p.eval(point)
+_NAMES3 = ["x1", "x2", "x3"]
+_COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_POLYS3 = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _COEFFS, max_size=6).map(lambda t: Poly(3, t))
+
+
+@given(_POLYS3, st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=3)] * 3))
+def test_print_parse_roundtrip(p, point):
+    text = format_poly(p, _NAMES3)
+    again = parse_poly(text, _NAMES3)
+    assert again == p
+    assert again.eval(point) == p.eval(point)
 
 
 # -- differentiation -----------------------------------------------------------
@@ -246,6 +248,17 @@ def test_degree_cap():
         _ = parse_poly("x1^2", ["x1"]) ** (DEGREE_CAP // 2 + 1)
 
 
+def test_power_exponent_is_capped_for_any_base():
+    # a constant base has degree 0, so only the exponent itself bounds the work
+    assert parse_poly(f"x1^{DEGREE_CAP}", ["x1"]) == Poly.monomial(1, (DEGREE_CAP,))
+    assert parse_poly(f"(1/2)^{DEGREE_CAP}", ["x1"]) == Poly.const(1, Fraction(1, 2**DEGREE_CAP))
+    for base in (Poly.const(1, 2), Poly.const(1, 1), Poly.zero(1)):
+        with pytest.raises(DegreeCapError, match=f"cap {DEGREE_CAP}"):
+            _ = base ** (DEGREE_CAP + 1)
+    with pytest.raises(DegreeCapError, match=f"cap {DEGREE_CAP}"):
+        parse_poly("2^100000000", ["x1"])
+
+
 def test_embed():
     p = parse_poly("y1*y2", ["y1", "y2"])
     wide = p.embed(4, offset=1)
@@ -304,6 +317,54 @@ def _polys_and_points(draw):
     lead = draw(st.sampled_from([(), (1,), (5,), (2, 3)]))
     points = draw(arrays(np.float64, lead + (nvars,), elements=st.floats(-3, 3)))
     return polys, points
+
+
+def _eval_float_reference(p: Poly, point) -> float:
+    """Poly.eval_float before the cached term table: converts every coefficient on every call."""
+    total = 0.0
+    for mi, c in p.terms.items():
+        term = float(c)
+        for e, v in zip(mi, point):
+            if e:
+                term *= float(v) ** e
+        total += term
+    return total
+
+
+def _float_outcome(evaluate, *args):
+    """The value's bytes, or the overflow a float power raised."""
+    try:
+        return struct.pack("<d", evaluate(*args))
+    except OverflowError:
+        return "overflow"
+
+
+_COORDS = st.one_of(
+    st.floats(-3, 3),
+    st.sampled_from([0.0, -0.0, 1e100, -1e100, 1e300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _poly_and_point(draw):
+    nvars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    p = Poly(nvars, draw(st.dictionaries(exponents, coeffs, max_size=6)))
+    return p, draw(st.lists(_COORDS, min_size=nvars, max_size=nvars))
+
+
+@given(_poly_and_point())
+@example((Poly.zero(2), [-0.0, 1e300]))
+@example((Poly(2, {(1, 0): Fraction(-3, 7), (0, 2): Fraction(1), (0, 0): Fraction(1, 3)}), [-0.0, -0.0]))
+@example((Poly(1, {(3,): Fraction(2), (0,): Fraction(-1)}), [1e200]))
+def test_eval_float_is_reference_bitwise(case):
+    p, point = case
+    want = _float_outcome(_eval_float_reference, p, point)
+    # the first call builds the term table, the second reads it
+    assert _float_outcome(p.eval_float, np.array(point)) == want
+    assert _float_outcome(p.eval_float, point) == want
 
 
 @given(_polys_and_points())
