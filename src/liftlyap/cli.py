@@ -109,9 +109,14 @@ def _parse_field(text, variables, where: str) -> Poly:
     if not isinstance(text, str):
         raise SpecError(f"{where}: expected a polynomial string")
     try:
-        return parse_poly(text, variables)
+        poly = parse_poly(text, variables)
+        for coeff in poly.terms.values():
+            float(coeff)  # every grid check evaluates in floats
     except (PolyParseError, DegreeCapError) as exc:
         raise SpecError(f"{where}: {exc}") from exc
+    except OverflowError as exc:
+        raise SpecError(f"{where}: a coefficient is beyond the float range") from exc
+    return poly
 
 
 def _parse_vector(items, variables, length: int, where: str) -> tuple[Poly, ...]:
@@ -588,7 +593,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             Path(args.out).write_text(text + "\n", encoding="utf-8")
         else:
             print(text)
-    except (UsageError, SpecError, OSError, geometry.FrameRankError, geometry.ComplementError) as exc:
+    except (UsageError, SpecError, OSError, DegreeCapError, geometry.FrameRankError, geometry.ComplementError) as exc:
         print(f"[liftlyap] error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     summary = f"[liftlyap] {args.command} {problem.name}: {report['verdict']}"

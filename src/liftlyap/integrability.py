@@ -21,6 +21,9 @@ dimension bookkeeping behind the involutivity test.  The verdict LIFTABLE
 means every obstruction vanishes; each failed check carries a concrete
 witness.
 
+Pointwise solvability ranks M and [M | b] with one stacked SVD call each
+over the check grid; only the reported least-squares gap is solved per point.
+
 The symbol is reported and decides nothing.  It has a closed form (the
 Cartan-test setting of Seiler, *Involution*, 2010).  With E and F the two
 covector spans, G1 = E & F, and G2 = S^2 E & S^2 F is the set of symmetric
@@ -47,8 +50,6 @@ from . import geometry
 from .geometry import EhresmannConnection, Frame, ProjectionPair
 from .numutil import intersection_basis, intersection_dim, null_rows, numeric_rank
 from .poly import Poly, PolyMatrix, eval_points, poly_sum
-
-CONSISTENCY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -195,23 +196,6 @@ def stacked_system(rs: ResidualSystem, points) -> tuple[np.ndarray, np.ndarray]:
     return m_mat, b
 
 
-def _consistency_gap(m_mat: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
-    norms = np.array([np.linalg.norm(row) for row in m_mat])
-    zero = norms <= 1e-300
-    violated = np.flatnonzero(zero & (np.abs(b) > CONSISTENCY_RTOL))
-    if violated.size:
-        return False, abs(b[violated[0]])
-    if zero.all():
-        return True, 0.0
-    m_norm = m_mat[~zero] / norms[~zero, None]
-    b_norm = b[~zero] / norms[~zero]
-    rank_m = numeric_rank(m_norm, CONSISTENCY_RTOL)
-    rank_aug = numeric_rank(np.hstack([m_norm, b_norm[:, None]]), CONSISTENCY_RTOL)
-    solution, *_ = np.linalg.lstsq(m_norm, b_norm, rcond=None)
-    gap = float(np.abs(m_norm @ solution - b_norm).sum())
-    return rank_m == rank_aug, gap
-
-
 @dataclass
 class ConsistencyReport:
     consistent: bool
@@ -221,19 +205,33 @@ class ConsistencyReport:
 
 
 def pointwise_consistency(rs: ResidualSystem, points: np.ndarray) -> ConsistencyReport:
-    """Check gradient-constraint solvability at every point of the (P, m) float check grid."""
-    m_mats, bs = stacked_system(rs, points)
-    worst_gap = 0.0
-    worst_point = None
-    failures = []
-    for point, m_mat, b in zip(points, m_mats, bs):
-        ok, gap = _consistency_gap(m_mat, b)
-        if gap > worst_gap:
-            worst_gap = gap
-            worst_point = tuple(point.tolist())
-        if not ok:
-            failures.append((tuple(point.tolist()), gap))
-    return ConsistencyReport(not failures, worst_gap, worst_point, failures)
+    """Check gradient-constraint solvability at every point of the (P, m) float check grid.
+
+    Rows of [M | b] are scaled to a unit M part; a vanishing row keeps scale 1,
+    so a nonzero right-hand side on it raises the rank of [M | b].  A point is
+    consistent when M and [M | b] have equal rank there, and its gap is the
+    total absolute violation of the least-squares gradient.
+    """
+    m_mat, b = stacked_system(rs, points)
+    m = rs.m
+    aug = np.concatenate([m_mat, b[..., None]], axis=-1)
+    del m_mat, b  # only [M | b] stays alive through the SVDs (peak memory)
+    rows = aug[..., None, :m]
+    # the BLAS dot np.linalg.norm uses, so each norm matches it bit for bit
+    norms = np.sqrt(rows @ rows.swapaxes(-1, -2))[..., 0]
+    norms[norms == 0.0] = 1.0
+    aug /= norms
+    consistent = numeric_rank(aug[..., :m]) == numeric_rank(aug)
+    # np.linalg.lstsq takes no stacks, and worst_gap and the failure gaps are
+    # reported, so each gap is one least-squares solve on its own point
+    gaps = np.array(
+        [np.abs(a[:, :m] @ np.linalg.lstsq(a[:, :m], a[:, m], rcond=None)[0] - a[:, m]).sum() for a in aug]
+    )
+    failures = [(tuple(points[i].tolist()), float(gaps[i])) for i in np.flatnonzero(~consistent)]
+    worst = int(np.argmax(gaps))  # the first largest gap in grid order
+    if gaps[worst] > 0.0:
+        return ConsistencyReport(not failures, float(gaps[worst]), tuple(points[worst].tolist()), failures)
+    return ConsistencyReport(not failures, 0.0, None, failures)
 
 
 # -- symbol dimensions and the involutivity bookkeeping -----------------------

@@ -1,12 +1,17 @@
 """Shared builders for the bundled example problems, the test check grid, and
 the hypothesis profile."""
 
+import sys
+from pathlib import Path
+
 from hypothesis import settings
 
 from liftlyap import cli, geometry
 from liftlyap.geometry import EhresmannConnection
 from liftlyap.integrability import ResidualSystem
 from liftlyap.poly import Poly, grad
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # liftbench sits beside src/
 
 # Example run times vary with machine load, so no example has a deadline.
 settings.register_profile("liftlyap", deadline=None)

@@ -4,6 +4,8 @@ The lift decides from the exact integrability conditions in
 :mod:`liftlyap.integrability`.  The functions here evaluate, at one point,
 the once-differentiated system and the obstruction values (G, H) those
 conditions come from, so that tests can check the conditions against them.
+:func:`consistency_gap` is the per-point solvability test that the stacked
+:func:`liftlyap.integrability.pointwise_consistency` must match bit for bit.
 They are kept as test oracles only.
 """
 
@@ -14,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from liftlyap.geometry import EhresmannConnection
-from liftlyap.integrability import ResidualSystem, _consistency_gap, condition_a, condition_b, stacked_system
-from liftlyap.numutil import null_rows
+from liftlyap.integrability import ResidualSystem, condition_a, condition_b, stacked_system
+from liftlyap.numutil import RANK_RTOL, null_rows, numeric_rank
 from liftlyap.poly import Poly, PolyMatrix, eval_points, poly_sum
 
 JET_SYMMETRY_TOL = 1e-12  # largest asymmetry a second-order jet may carry
@@ -74,6 +76,23 @@ def prolonged_residual(
     return {"d": d_block, "vm": vm_block, "d1": d1, "vm1": vm1}
 
 
+def consistency_gap(m_mat: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
+    norms = np.array([np.linalg.norm(row) for row in m_mat])
+    zero = norms <= 1e-300
+    violated = np.flatnonzero(zero & (np.abs(b) > RANK_RTOL))
+    if violated.size:
+        return False, abs(b[violated[0]])
+    if zero.all():
+        return True, 0.0
+    m_norm = m_mat[~zero] / norms[~zero, None]
+    b_norm = b[~zero] / norms[~zero]
+    rank_m = numeric_rank(m_norm, RANK_RTOL)
+    rank_aug = numeric_rank(np.hstack([m_norm, b_norm[:, None]]), RANK_RTOL)
+    solution, *_ = np.linalg.lstsq(m_norm, b_norm, rcond=None)
+    gap = float(np.abs(m_norm @ solution - b_norm).sum())
+    return rank_m == rank_aug, gap
+
+
 def consistency_gap_at(rs: ResidualSystem, point: Sequence[float]) -> tuple[bool, float]:
     """Solvability of the gradient constraints at one point.
 
@@ -82,7 +101,7 @@ def consistency_gap_at(rs: ResidualSystem, point: Sequence[float]) -> tuple[bool
     two directly contradictory unit equations report the distance between
     their right-hand sides.
     """
-    return _consistency_gap(*stacked_system(rs, point))
+    return consistency_gap(*stacked_system(rs, point))
 
 
 def consistent_jet(

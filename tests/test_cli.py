@@ -333,6 +333,9 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         ([], None, {"f0": ["0", "(" * 250 + "x1" + ")" * 250]}),
         ([], None, {"f0": ["0", "2^100000000"]}),
         ([], None, "[" * 100000),
+        ([], None, {"vtilde": "1/2*y1^2 + y1^20", "alpha": ["-y1 - y1^15"]}),
+        ([], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 400 + "*y1^4"}),
+        ([], None, {"f0": ["0", "-x2 + 1" + "0" * 400 + "*x1^3"]}),
     ],
     ids=[
         "grid-0",
@@ -360,6 +363,9 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "f0-nested-250",
         "f0-constant-power-huge",
         "json-nested-100000",
+        "derived-degree-above-cap",
+        "vtilde-coefficient-beyond-float",
+        "f0-coefficient-beyond-float",
     ],
 )
 def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, keys):
@@ -374,7 +380,7 @@ def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, keys):
         text = json.dumps(raw)
     path = tmp_path / "bad.json"
     path.write_text(text)
-    code = main(["validate", "--spec", str(path), *args])
+    code = main(["report", "--spec", str(path), *args])
     assert code == EXIT_INPUT
     assert "[liftlyap] error:" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 """Residual evaluation, obstruction conditions, consistency, and the symbol."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from conftest import build_pipeline, check_points, flat_connection
 from hypothesis import given
 from hypothesis import strategies as st
+from liftbench import gen
 from obstruction_oracle import (
     InconsistentJetError,
+    consistency_gap,
     consistency_gap_at,
     consistent_jet,
     curvature_map_eval,
@@ -18,6 +21,7 @@ from obstruction_oracle import (
 )
 from symbol_oracle import permutation_search, sym_intersection_dim
 
+from liftlyap import cli
 from liftlyap.geometry import (
     EhresmannConnection,
     Frame,
@@ -35,6 +39,7 @@ from liftlyap.integrability import (
     pointwise_consistency,
     quasi_regular_search,
     residual_psi,
+    stacked_system,
     symbol_dims,
 )
 from liftlyap.parsing import parse_poly
@@ -332,6 +337,36 @@ def test_pointwise_consistency_ex_fa():
     _, _, _, _, rs = build_pipeline("ex_fa")
     report = pointwise_consistency(rs, check_points(2))
     assert report.consistent
+
+
+@pytest.mark.parametrize("case", ["ex_ps", "ex_di", "ex_fa", "ex_curv", *gen.WORKLOADS])
+def test_stacked_consistency_matches_the_per_point_reference(case):
+    spec = gen.instance(case, 7, 0).spec if case in gen.WORKLOADS else cli.load_spec(cli.fixture_path(case))
+    state = cli.RunState(cli.build_problem(spec))
+    cli.stage_quotient(state)
+    rs = ResidualSystem(cli.stage_geometry(state), cli.stage_target(state).x_field)
+    points = state.points
+    expected = [consistency_gap(m_mat, b) for m_mat, b in zip(*stacked_system(rs, points))]
+    worst_gap, worst_point = 0.0, None
+    for point, (_, gap) in zip(points, expected):
+        if gap > worst_gap:
+            worst_gap, worst_point = gap, tuple(point.tolist())
+    failures = [(tuple(point.tolist()), float.hex(gap)) for point, (ok, gap) in zip(points, expected) if not ok]
+    report = pointwise_consistency(rs, points)
+    assert [(point, float.hex(gap)) for point, gap in report.failures] == failures
+    assert (float.hex(report.worst_gap), report.worst_point) == (float.hex(worst_gap), worst_point)
+    assert report.consistent == (not failures)
+
+
+def test_vanishing_row_with_nonzero_rhs_is_inconsistent():
+    """At the origin the D row [10^-170, x1^2 + x2^2] has a norm that
+    underflows to zero, while its right-hand side row . X = 1 does not."""
+    rs, _ = _rs_from_pd_x([["0", "1"]], ["0", "0"], X2, c_cols=[[_p("1", X2), _p("0", X2)]])
+    p_d = PolyMatrix([[Poly.const(2, Fraction(1, 10**170)), _p("x1^2 + x2^2", X2)]])
+    rs = ResidualSystem(replace(rs.pair, p_d=p_d), (Poly.const(2, 10**170), Poly.zero(2)))
+    report = pointwise_consistency(rs, check_points(2))
+    assert [point for point, _ in report.failures] == [(0.0, 0.0)]
+    assert not consistency_gap(*stacked_system(rs, [0.0, 0.0]))[0]
 
 
 # -- symbol dimensions ----------------------------------------------------------

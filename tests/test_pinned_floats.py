@@ -6,15 +6,10 @@ see a change in float bits.  These values were read as ``float.hex`` before
 change in evaluation order or rounding moves them.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
+from liftbench import gen
 
 from liftlyap import cli
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # liftbench sits beside src/
-from liftbench import gen  # noqa: E402
 
 FIELDS = ("simulation.final_norm", "simulation.final_vstar", "lift.sphere_min", "feedback.residual_norm")
 
