@@ -596,6 +596,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, SpecError, OSError, DegreeCapError, geometry.FrameRankError, geometry.ComplementError) as exc:
         print(f"[liftlyap] error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except OverflowError as exc:  # a derived value, e.g. a product of large coefficients
+        print(f"[liftlyap] error: a value is beyond the float range ({exc})", file=sys.stderr)
+        return EXIT_INPUT
     summary = f"[liftlyap] {args.command} {problem.name}: {report['verdict']}"
     if report["reasons"]:
         summary += f" (reasons: {', '.join(report['reasons'])})"

@@ -229,9 +229,8 @@ def pointwise_consistency(rs: ResidualSystem, points: np.ndarray) -> Consistency
     )
     failures = [(tuple(points[i].tolist()), float(gaps[i])) for i in np.flatnonzero(~consistent)]
     worst = int(np.argmax(gaps))  # the first largest gap in grid order
-    if gaps[worst] > 0.0:
-        return ConsistencyReport(not failures, float(gaps[worst]), tuple(points[worst].tolist()), failures)
-    return ConsistencyReport(not failures, 0.0, None, failures)
+    worst_point = tuple(points[worst].tolist()) if gaps[worst] > 0.0 else None
+    return ConsistencyReport(not failures, float(gaps[worst]) if worst_point else 0.0, worst_point, failures)
 
 
 # -- symbol dimensions and the involutivity bookkeeping -----------------------

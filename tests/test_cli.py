@@ -306,36 +306,37 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "args, options, keys",
+    "command, args, options, keys",
     [
-        (["--grid", "0"], None, {}),
-        (["--grid", "1"], None, {}),
-        ([], {"symbol_seed": 0}, {}),
-        (["--h", "0"], None, {}),
-        (["--h", "0.1", "--horizon", "0.01"], None, {}),
-        (["--order", "30"], None, {}),
-        ([], {"order": "six"}, {}),
-        ([], {"x0": 5}, {}),
-        ([], None, {"f0": ["0", "x1^30"]}),
-        ([], {"x0": [1e200, 1]}, {}),
-        ([], {"x0": [float("nan"), 1]}, {}),
-        ([], None, {"states": [1, 2]}),
-        (["--grid", "100000"], None, {}),
-        ([], {"horizon": float("inf")}, {}),
-        (["--horizon", "inf"], None, {}),
-        (["--h", "1e-6"], None, {}),
-        ([], {"order": 4.9}, {}),
-        ([], {"grid": 2.7}, {}),
-        (["--grid", "2.7"], None, {}),
-        ([], None, {"g": 5}),
-        ([], None, {"beta": 5}),
-        ([], None, {"name": 5}),
-        ([], None, {"f0": ["0", "(" * 250 + "x1" + ")" * 250]}),
-        ([], None, {"f0": ["0", "2^100000000"]}),
-        ([], None, "[" * 100000),
-        ([], None, {"vtilde": "1/2*y1^2 + y1^20", "alpha": ["-y1 - y1^15"]}),
-        ([], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 400 + "*y1^4"}),
-        ([], None, {"f0": ["0", "-x2 + 1" + "0" * 400 + "*x1^3"]}),
+        ("validate", ["--grid", "0"], None, {}),
+        ("validate", ["--grid", "1"], None, {}),
+        ("validate", [], {"symbol_seed": 0}, {}),
+        ("validate", ["--h", "0"], None, {}),
+        ("validate", ["--h", "0.1", "--horizon", "0.01"], None, {}),
+        ("validate", ["--order", "30"], None, {}),
+        ("validate", [], {"order": "six"}, {}),
+        ("validate", [], {"x0": 5}, {}),
+        ("validate", [], None, {"f0": ["0", "x1^30"]}),
+        ("validate", [], {"x0": [1e200, 1]}, {}),
+        ("validate", [], {"x0": [float("nan"), 1]}, {}),
+        ("validate", [], None, {"states": [1, 2]}),
+        ("validate", ["--grid", "100000"], None, {}),
+        ("validate", [], {"horizon": float("inf")}, {}),
+        ("validate", ["--horizon", "inf"], None, {}),
+        ("validate", ["--h", "1e-6"], None, {}),
+        ("validate", [], {"order": 4.9}, {}),
+        ("validate", [], {"grid": 2.7}, {}),
+        ("validate", ["--grid", "2.7"], None, {}),
+        ("validate", [], None, {"g": 5}),
+        ("validate", [], None, {"beta": 5}),
+        ("validate", [], None, {"name": 5}),
+        ("validate", [], None, {"f0": ["0", "(" * 250 + "x1" + ")" * 250]}),
+        ("validate", [], None, {"f0": ["0", "2^100000000"]}),
+        ("validate", [], None, "[" * 100000),
+        ("report", [], None, {"vtilde": "1/2*y1^2 + y1^20", "alpha": ["-y1 - y1^15"]}),
+        ("validate", [], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 400 + "*y1^4"}),
+        ("validate", [], None, {"f0": ["0", "-x2 + 1" + "0" * 400 + "*x1^3"]}),
+        ("report", [], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 308 + "*y1^2"}),
     ],
     ids=[
         "grid-0",
@@ -366,9 +367,10 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "derived-degree-above-cap",
         "vtilde-coefficient-beyond-float",
         "f0-coefficient-beyond-float",
+        "vtilde-derived-value-beyond-float",
     ],
 )
-def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, keys):
+def test_main_bad_input_is_input_error(tmp_path, capsys, command, args, options, keys):
     # keys is either top-level keys to replace in EX-PS or the whole file as text
     if isinstance(keys, str):
         text = keys
@@ -380,9 +382,10 @@ def test_main_bad_input_is_input_error(tmp_path, capsys, args, options, keys):
         text = json.dumps(raw)
     path = tmp_path / "bad.json"
     path.write_text(text)
-    code = main(["report", "--spec", str(path), *args])
+    code = main([command, "--spec", str(path), *args])
     assert code == EXIT_INPUT
-    assert "[liftlyap] error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "[liftlyap] error:" in err and "Traceback" not in err
 
 
 def test_main_unknown_command_is_input_error(capsys):
