@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry, integrability, lift, synth, sysmodel
-from .geometry import EhresmannConnection, Frame, GridPoint, ProjectionPair
+from .geometry import EhresmannConnection, Frame, Lattice, ProjectionPair
 from .integrability import ResidualSystem
 from .parsing import PolyParseError, parse_poly
 from .poly import DEGREE_CAP, DegreeCapError, Poly, PolyMatrix, format_poly, grad
@@ -287,17 +287,12 @@ class RunState:
     loop: synth.ClosedLoop | None = None
 
     @cached_property
-    def grid(self) -> list[GridPoint]:
+    def grid(self) -> Lattice:
         """The m-dimensional check grid, built on first use and kept for the run."""
         return geometry.default_grid(self.problem.sys.m, self.problem.options.grid_per_axis)
 
     @cached_property
-    def points(self) -> np.ndarray:
-        """The check grid as a (P, m) float array, for every float grid check."""
-        return geometry.grid_floats(self.grid)
-
-    @cached_property
-    def quotient_grid(self) -> list[GridPoint]:
+    def quotient_grid(self) -> Lattice:
         """The n-dimensional grid on which the quotient decrease W must be negative."""
         return geometry.default_grid(self.problem.qsys.n, self.problem.options.grid_per_axis)
 
@@ -325,8 +320,8 @@ def stage_quotient(state: RunState) -> dict:
 
 def stage_geometry(state: RunState) -> ProjectionPair:
     problem = state.problem
-    c = geometry.control_distribution(problem.sys, state.points)
-    d = geometry.complement_frame(c, problem.user_d, state.points)
+    c = geometry.control_distribution(problem.sys, state.grid.points)
+    d = geometry.complement_frame(c, problem.user_d, state.grid.points)
     if problem.user_p_d is not None:
         return projections_from_matrix(c, d, problem.user_p_d, problem.conn)
     return geometry.build_projections(c, d, problem.conn)
@@ -364,7 +359,7 @@ def stage_integrability(state: RunState) -> dict:
     pair = stage_geometry(state)
     state.td = stage_target(state)
     state.rs = ResidualSystem(pair, state.td.x_field)
-    report = integrability.full_check(state.rs, state.problem.conn, state.points)
+    report = integrability.full_check(state.rs, state.problem.conn, state.grid.points)
     names = state.problem.state_names
     section = {
         "flat": report.flat,
@@ -436,7 +431,7 @@ def stage_synthesize(state: RunState) -> dict:
     dv = grad(state.jet.polynomial(m))
     rhs = [state.td.x_field[i] - dv[i] for i in range(m)]
     try:
-        feedback = synth.solve_feedback(problem.sys, rhs, state.points)
+        feedback = synth.solve_feedback(problem.sys, rhs, state.grid.points)
     except synth.FeedbackResidualError as exc:
         raise StageFailure({"error": str(exc)}, ["feedback"], EXIT_VALIDATION) from exc
     loop = state.loop = synth.closed_loop_field(problem.sys, feedback)
@@ -452,7 +447,7 @@ def stage_simulate(state: RunState) -> dict:
     problem, opts, loop = state.problem, state.problem.options, state.loop
     x0 = opts.x0 if opts.x0 is not None else [1.0] * problem.sys.m
     try:
-        traj = synth.simulate_rk4(loop, x0, opts.h, opts.horizon, state.vstar, loop.feedback.pointwise)
+        traj = synth.simulate_rk4(loop, x0, opts.h, opts.horizon, state.vstar)
     except synth.DivergenceError as exc:
         raise StageFailure({"error": str(exc)}, ["simulation"], EXIT_VALIDATION) from exc
     decrease = synth.verify_lyapunov_decrease(traj, state.vstar, loop, state.grid)
@@ -463,7 +458,7 @@ def stage_simulate(state: RunState) -> dict:
         # the name may hold "/" or "..": keep [A-Za-z0-9._-] so the file lands in out_dir
         stem = re.sub(r"[^A-Za-z0-9._-]", "_", problem.name).lstrip(".")
         csv_path = str(out_dir / f"{stem}_trajectory_0.csv")
-        synth.write_trajectory_csv(traj, csv_path, problem.state_names, problem.input_names)
+        synth.write_trajectory_csv(traj, loop.feedback.pointwise, csv_path, problem.state_names, problem.input_names)
     section = {
         "x0": [float(v) for v in x0],
         "h": opts.h,

@@ -6,11 +6,13 @@ coordinate directions, and a connection tilts the horizontal complement by
 polynomial coefficients gamma.  Coordinate labels in returned mappings are
 1-based (matching the usual index notation); programmatic variable indices
 are 0-based throughout.
+
+The check grid is a :class:`Lattice` over [-1, 1]^m, built once by
+:func:`default_grid`; only this module reads its integer numerators.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,10 +23,7 @@ import numpy as np
 from .numutil import numeric_rank
 from .poly import Poly, PolyMatrix, poly_adjugate, poly_det, poly_sum
 
-GridPoint = tuple[Fraction, ...]
-
 MAX_GRID_POINTS = 100_000  # largest per_axis ** m; each grid check holds every point at once
-GRID_BOUND = Fraction(1)  # the check grid covers [-GRID_BOUND, GRID_BOUND]^m
 
 
 class FrameRankError(ValueError):
@@ -35,53 +34,68 @@ class ComplementError(ValueError):
     """No usable complement to the control distribution was found."""
 
 
-def default_grid(m: int, per_axis: int) -> list[GridPoint]:
-    """Rational lattice over [-GRID_BOUND, GRID_BOUND]^m, origin always included."""
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """The check grid: P points as integer (P, m) numerators over one denominator, and as floats."""
+
+    numerators: np.ndarray
+    denominator: int
+    points: np.ndarray  # numerators / denominator, each correctly rounded
+
+    def __len__(self) -> int:
+        return len(self.numerators)
+
+    def exact(self, index: int) -> tuple[Fraction, ...]:
+        """Point ``index`` in exact rationals."""
+        return tuple(Fraction(k, self.denominator) for k in self.numerators[index].tolist())
+
+
+def default_grid(m: int, per_axis: int) -> Lattice:
+    """The check grid: per_axis values per axis over [-1, 1]^m, in ``itertools.product`` order.
+
+    An even per_axis misses the origin, so it is appended last.
+    """
     if per_axis < 2:
         raise ValueError("per_axis must be at least 2")
     if per_axis**m > MAX_GRID_POINTS:
         raise ValueError(f"per_axis ** m must not exceed {MAX_GRID_POINTS} points")
-    values = [Fraction(2 * i, per_axis - 1) * GRID_BOUND - GRID_BOUND for i in range(per_axis)]
-    points = [tuple(p) for p in itertools.product(values, repeat=m)]
-    origin = (Fraction(0),) * m
-    if origin not in points:
-        points.append(origin)
-    return points
+    q = per_axis - 1
+    values = np.arange(-q, q + 1, 2)
+    size = per_axis**m
+    numerators = np.zeros((size + 1 - per_axis % 2, m), dtype=np.int64)  # the origin row stays 0
+    for i in range(m):
+        # column i of the product, written through a strided view: no full-size temporary
+        numerators[:size, i].reshape(per_axis**i, per_axis, -1)[...] = values[:, None]
+    return Lattice(numerators, q, numerators / q)
 
 
-def grid_floats(grid: Sequence[GridPoint]) -> np.ndarray:
-    """The grid as a (points, m) float array, in grid order."""
-    return np.array(grid, dtype=float)
-
-
-def first_nonnegative(p: Poly, grid: Sequence[GridPoint]) -> GridPoint | None:
-    """The first grid point off the origin where p >= 0, by exact evaluation, or None.
+def first_nonnegative(p: Poly, grid: Lattice) -> int | None:
+    """Index of the first grid point off the origin where p >= 0, by exact evaluation, or None.
 
     The sign is decided in integers.  With den the lcm of p's coefficient
-    denominators, q that of the grid values and d = deg p, a point k/q has
+    denominators, q the grid denominator and d = deg p, a point k/q has
 
         den * q^d * p(k/q) = sum_a (den * c_a) * q^(d - |a|) * k^a,
 
     an integer with the sign of p(k/q).
     """
-    q = math.lcm(*(v.denominator for point in grid for v in point))
+    q = grid.denominator
     den = math.lcm(*(c.denominator for c in p.terms.values()))
     d = p.degree()
     terms = [
         (c.numerator * (den // c.denominator) * q ** (d - sum(mi)), [(i, e) for i, e in enumerate(mi) if e])
         for mi, c in p.terms.items()
     ]
-    for point in grid:
-        if not any(point):
+    for index, k in enumerate(grid.numerators.tolist()):
+        if not any(k):
             continue
-        k = [v.numerator * (q // v.denominator) for v in point]
         total = 0
         for c, factors in terms:
             for i, e in factors:
                 c *= k[i] ** e
             total += c
         if total >= 0:
-            return point
+            return index
     return None
 
 

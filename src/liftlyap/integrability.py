@@ -21,8 +21,10 @@ dimension bookkeeping behind the involutivity test.  The verdict LIFTABLE
 means every obstruction vanishes; each failed check carries a concrete
 witness.
 
-Pointwise solvability ranks M and [M | b] with one stacked SVD call each
-over the check grid; only the reported least-squares gap is solved per point.
+Pointwise solvability ranks M, on rows scaled to a unit M part, and [M | b],
+on unit rows so that a large b cannot drown M, with one stacked SVD call
+each over the check grid; only the reported least-squares gap is solved per
+point, on the M-scaled rows.
 
 The symbol is reported and decides nothing.  It has a closed form (the
 Cartan-test setting of Seiler, *Involution*, 2010).  With E and F the two
@@ -207,30 +209,37 @@ class ConsistencyReport:
 def pointwise_consistency(rs: ResidualSystem, points: np.ndarray) -> ConsistencyReport:
     """Check gradient-constraint solvability at every point of the (P, m) float check grid.
 
-    Rows of [M | b] are scaled to a unit M part; a vanishing row keeps scale 1,
-    so a nonzero right-hand side on it raises the rank of [M | b].  A point is
-    consistent when M and [M | b] have equal rank there, and its gap is the
-    total absolute violation of the least-squares gradient.
+    M is ranked on rows scaled to a unit M part, and the gap, the total absolute
+    violation of the least-squares gradient, comes from the same rows.  [M | b]
+    is ranked on unit rows, so a large b cannot drown M.  A norm of 0 counts
+    as 1, so a nonzero b on a vanishing M row raises the rank of [M | b].  A
+    point is consistent when M and [M | b] have equal rank there.
     """
     m_mat, b = stacked_system(rs, points)
     m = rs.m
     aug = np.concatenate([m_mat, b[..., None]], axis=-1)
     del m_mat, b  # only [M | b] stays alive through the SVDs (peak memory)
-    rows = aug[..., None, :m]
-    # the BLAS dot np.linalg.norm uses, so each norm matches it bit for bit
-    norms = np.sqrt(rows @ rows.swapaxes(-1, -2))[..., 0]
-    norms[norms == 0.0] = 1.0
-    aug /= norms
-    consistent = numeric_rank(aug[..., :m]) == numeric_rank(aug)
+    _unit_rows(aug, m)
+    rank_m = numeric_rank(aug[..., :m])
     # np.linalg.lstsq takes no stacks, and worst_gap and the failure gaps are
     # reported, so each gap is one least-squares solve on its own point
     gaps = np.array(
         [np.abs(a[:, :m] @ np.linalg.lstsq(a[:, :m], a[:, m], rcond=None)[0] - a[:, m]).sum() for a in aug]
     )
+    _unit_rows(aug, m + 1)
+    consistent = rank_m == numeric_rank(aug)
     failures = [(tuple(points[i].tolist()), float(gaps[i])) for i in np.flatnonzero(~consistent)]
     worst = int(np.argmax(gaps))  # the first largest gap in grid order
     worst_point = tuple(points[worst].tolist()) if gaps[worst] > 0.0 else None
     return ConsistencyReport(not failures, float(gaps[worst]) if worst_point else 0.0, worst_point, failures)
+
+
+def _unit_rows(a: np.ndarray, cols: int) -> None:
+    """Divide each row of a stack (..., rows, _) by the norm of its first ``cols`` entries; 0 counts as 1."""
+    part = a[..., None, :cols]
+    norms = np.sqrt(part @ part.swapaxes(-1, -2))[..., 0]  # np.linalg.norm's BLAS dot, bit for bit
+    norms[norms == 0.0] = 1.0
+    a /= norms
 
 
 # -- symbol dimensions and the involutivity bookkeeping -----------------------

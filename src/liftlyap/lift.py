@@ -222,10 +222,7 @@ class DefinitenessDiagnostics:
     ok: bool
 
 
-def assemble_vstar(
-    pullback_vtilde: Poly,
-    jet: JetSolution,
-) -> tuple[Poly, DefinitenessDiagnostics]:
+def assemble_vstar(pullback_vtilde: Poly, jet: JetSolution) -> tuple[Poly, DefinitenessDiagnostics]:
     """Assemble the candidate Lyapunov function and probe its definiteness.
 
     The candidate is the pulled-back quotient function plus the solved V.
@@ -236,13 +233,13 @@ def assemble_vstar(
     """
     m = pullback_vtilde.nvars
     vstar = pullback_vtilde + jet.polynomial(m)
-    eigs = np.linalg.eigvalsh(hessian_at_origin(vstar))
+    hess = hessian_at_origin(vstar)
+    eigs = np.linalg.eigvalsh(hess)
     witness: list[float] | None = None
     ok = True
     if eigs.min() <= HESSIAN_EIG_TOL:
         ok = False
-        eigvecs = np.linalg.eigh(hessian_at_origin(vstar))[1]
-        witness = [float(v) for v in eigvecs[:, 0]]
+        witness = [float(v) for v in np.linalg.eigh(hess)[1][:, 0]]
     rng = np.random.default_rng(SPHERE_SEED)
     sphere_min = float("inf")
     for radius in SPHERE_RADII:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import geometry
-from .geometry import GridPoint
+from .geometry import Lattice
 from .poly import Poly, PolyMatrix, eval_points, grad, lie_derivative, poly_adjugate, poly_det, poly_sum
 from .sysmodel import ControlAffineSystem
 
@@ -26,6 +26,8 @@ FEEDBACK_RESIDUAL_TOL = 1e-8
 DIVERGENCE_GUARD = 1e6
 MAX_STEPS = 10**6  # most RK4 steps horizon / h that a problem may ask for
 VSTAR_FLOOR = 1e-12  # V* values at or below this end the sampled decrease check
+
+VectorMap = Callable[[Sequence[float]], np.ndarray]  # a point of R^m to a vector: a field or a feedback
 
 
 class FeedbackResidualError(RuntimeError):
@@ -44,7 +46,7 @@ def control_matrix(sys: ControlAffineSystem) -> PolyMatrix:
 @dataclass
 class FeedbackSolution:
     symbolic: tuple[Poly, ...] | None
-    pointwise: Callable[[Sequence[float]], np.ndarray]
+    pointwise: VectorMap
     residual_norm: float
 
 
@@ -129,31 +131,22 @@ class TrajectoryRecord:
     times: list[float]
     states: list[np.ndarray]
     vstar_values: list[float]
-    u_values: list[np.ndarray]
-    h: float
-    horizon: float
 
 
 def simulate_rk4(
-    field: Callable[[Sequence[float]], np.ndarray],
-    x0: Sequence[float],
-    h: float,
-    horizon: float,
-    vstar: Poly | None = None,
-    control: Callable[[Sequence[float]], np.ndarray] | None = None,
+    field: VectorMap, x0: Sequence[float], h: float, horizon: float, vstar: Poly | None = None
 ) -> TrajectoryRecord:
     """Classical fixed-step fourth-order integration with state recording."""
     if h <= 0 or horizon < h:
         raise ValueError("need h > 0 and horizon >= h")
     steps = int(round(horizon / h))
     x = np.array(x0, dtype=float)
-    record = TrajectoryRecord([], [], [], [], h, horizon)
+    record = TrajectoryRecord([], [], [])
 
     def log(t: float, state: np.ndarray) -> None:
         record.times.append(t)
         record.states.append(state.copy())
         record.vstar_values.append(vstar.eval_float(state) if vstar is not None else float("nan"))
-        record.u_values.append(control(state) if control is not None else np.zeros(0))
 
     def guard(state: np.ndarray, t: float) -> None:
         if not np.linalg.norm(state) <= DIVERGENCE_GUARD:
@@ -188,12 +181,7 @@ class DecreaseReport:
         return self.monotone and self.analytic_negative
 
 
-def verify_lyapunov_decrease(
-    traj: TrajectoryRecord,
-    vstar: Poly,
-    field: ClosedLoop | Callable[[Sequence[float]], np.ndarray],
-    grid: Sequence[GridPoint],
-) -> DecreaseReport:
+def verify_lyapunov_decrease(traj: TrajectoryRecord, vstar: Poly, field: VectorMap, grid: Lattice) -> DecreaseReport:
     """Check sampled strict decrease of V* and sign of its derivative.
 
     The sampled check requires V*(x_{k+1}) < V*(x_k) whenever V*(x_k) is
@@ -213,29 +201,24 @@ def verify_lyapunov_decrease(
     analytic_witness = None
     loop_polys = field.poly if isinstance(field, ClosedLoop) else None
     if loop_polys is not None:
-        point = geometry.first_nonnegative(lie_derivative(list(loop_polys), vstar), grid)
-        if point is not None:
-            analytic_witness = tuple(float(v) for v in point)
+        index = geometry.first_nonnegative(lie_derivative(list(loop_polys), vstar), grid)
+        if index is not None:
+            analytic_witness = tuple(grid.points[index].tolist())
     else:
         dv = grad(vstar)
-        for point in (tuple(map(float, exact)) for exact in grid):
-            if all(v == 0.0 for v in point):
-                continue
-            rate = float(np.dot([p.eval_float(point) for p in dv], field(point)))
-            if rate >= 0.0:
-                analytic_witness = point
-                break
+        rates = ((x, np.dot([p.eval_float(x) for p in dv], field(x))) for x in grid.points.tolist() if any(x))
+        analytic_witness = next((tuple(x) for x, rate in rates if rate >= 0.0), None)
     return DecreaseReport(monotone, first_violation, analytic_witness is None, analytic_witness)
 
 
 def write_trajectory_csv(
-    traj: TrajectoryRecord, path, state_names: Sequence[str], input_names: Sequence[str]
+    traj: TrajectoryRecord, control: VectorMap, path, state_names: Sequence[str], input_names: Sequence[str]
 ) -> None:
-    """CSV export: t, states, inputs, Vstar with 17 significant digits."""
+    """CSV export: t, states, inputs u = control(state), Vstar with 17 significant digits."""
     header = ["t", *state_names, *input_names, "Vstar"]
     lines = [",".join(header)]
-    for k, t in enumerate(traj.times):
-        row = [t, *traj.states[k], *traj.u_values[k], traj.vstar_values[k]]
+    for t, state, vstar in zip(traj.times, traj.states, traj.vstar_values):
+        row = [t, *state, *control(state), vstar]
         lines.append(",".join(f"{value:.17g}" for value in row))
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry
-from .geometry import EhresmannConnection, GridPoint
+from .geometry import EhresmannConnection, Lattice
 from .poly import Poly, grad, lie_derivative
 
 # Smallest Hessian eigenvalue at the origin that counts as positive definite
@@ -184,9 +184,7 @@ class QuotientCLF:
     w: Poly
 
 
-def make_quotient_clf(
-    qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Poly], grid: Sequence[GridPoint]
-) -> QuotientCLF:
+def make_quotient_clf(qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Poly], grid: Lattice) -> QuotientCLF:
     """Build and validate the quotient Lyapunov package.
 
     Checks vtilde(0) = 0 with a positive definite Hessian at the origin,
@@ -206,9 +204,9 @@ def make_quotient_clf(
     w = closed_loop_decrease(qsys, vtilde, alpha)
     if w.eval(origin) != 0:
         raise CLFValidationError("W(0) != 0")
-    point = geometry.first_nonnegative(w, grid)
-    if point is not None:
-        raise CLFValidationError(f"W is not negative at grid point {tuple(map(str, point))}")
+    index = geometry.first_nonnegative(w, grid)
+    if index is not None:
+        raise CLFValidationError(f"W is not negative at grid point {tuple(map(str, grid.exact(index)))}")
     return QuotientCLF(vtilde, tuple(alpha), w)
 
 

@@ -20,14 +20,14 @@ settings.load_profile("liftlyap")
 GRID_PER_AXIS = cli.Options.grid_per_axis  # the problem-file default
 
 
-def check_grid(m: int) -> list[geometry.GridPoint]:
-    """The rational check grid a run with default options uses in dimension m."""
+def check_grid(m: int) -> geometry.Lattice:
+    """The check lattice a run with default options uses in dimension m."""
     return geometry.default_grid(m, GRID_PER_AXIS)
 
 
 def check_points(m: int):
-    """:func:`check_grid` as the (P, m) float array the float grid checks take."""
-    return geometry.grid_floats(check_grid(m))
+    """:func:`check_grid`'s (P, m) float points, which the float grid checks take."""
+    return check_grid(m).points
 
 
 def flat_connection(m: int, n: int) -> EhresmannConnection:

@@ -87,7 +87,9 @@ def consistency_gap(m_mat: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     m_norm = m_mat[~zero] / norms[~zero, None]
     b_norm = b[~zero] / norms[~zero]
     rank_m = numeric_rank(m_norm, RANK_RTOL)
-    rank_aug = numeric_rank(np.hstack([m_norm, b_norm[:, None]]), RANK_RTOL)
+    # [M | b] is ranked on unit rows, so a large b cannot drown M; no row is zero here
+    aug = np.hstack([m_norm, b_norm[:, None]])
+    rank_aug = numeric_rank(aug / np.linalg.norm(aug, axis=1)[:, None], RANK_RTOL)
     solution, *_ = np.linalg.lstsq(m_norm, b_norm, rcond=None)
     gap = float(np.abs(m_norm @ solution - b_norm).sum())
     return rank_m == rank_aug, gap

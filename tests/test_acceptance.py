@@ -71,7 +71,7 @@ def test_criterion_1_end_to_end_positive_fixture():
         )
 
         # RK4 from (1,1): small terminal norm, strictly decreasing V* samples
-        traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar, fb.pointwise)
+        traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar)
         assert np.linalg.norm(traj.states[-1]) <= 1e-3
         for k in range(len(traj.times) - 1):
             if traj.vstar_values[k] <= 1e-12:

@@ -103,6 +103,24 @@ def test_report_ex_ps_verified():
     assert report["simulation"]["analytic_witness"] is None
 
 
+@pytest.mark.parametrize("coeff", ["10000000000", "1" + "0" * 20])
+def test_large_right_hand_side_stays_consistent(coeff):
+    """f0[1] = -x2 + c*x2^3 makes b huge at most points; [M | b] ranked against
+    its own largest singular value then lost M and read NOT_LIFTABLE(consistency)."""
+    raw = _fixture_raw("ex_ps")
+    raw["f0"] = ["0", f"-x2 + {coeff}*x2^3"]
+    report, code = run("integrability", build_problem(raw))
+    assert (code, report["verdict"]) == (EXIT_OK, "LIFTABLE")
+    assert report["integrability"]["failures"] == []
+
+
+def test_quotient_decrease_witness_is_an_exact_grid_point():
+    raw = _fixture_raw("ex_ps")
+    raw["alpha"] = ["-y1 + 3*y1^2"]  # W = -y1^2 + 3*y1^3 >= 0 from y1 = 1/3
+    with pytest.raises(SpecError, match=r"W is not negative at grid point \('1/3',\)$"):
+        run("quotient", build_problem(raw, {"grid_per_axis": 4}))
+
+
 def test_report_ex_di_stops_before_lift():
     report, code = run("report", _problem("ex_di"))
     assert code == EXIT_NOT_LIFTABLE

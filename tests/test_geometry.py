@@ -1,6 +1,7 @@
 """Frames, complements, projections, connections, and curvature."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from liftlyap.geometry import (
     EhresmannConnection,
     Frame,
     FrameRankError,
+    Lattice,
     build_p_vm,
     build_projections,
     complement_frame,
@@ -59,11 +61,42 @@ def ann_horizontal_basis(conn: EhresmannConnection) -> list[list[Poly]]:
     return basis
 
 
+def _fraction_grid(m: int, per_axis: int) -> list[tuple[Fraction, ...]]:
+    """The check grid as Fraction points: the product of per_axis values over [-1, 1], then the origin if missing."""
+    values = [Fraction(2 * i, per_axis - 1) - 1 for i in range(per_axis)]
+    points = list(itertools.product(values, repeat=m))
+    origin = (Fraction(0),) * m
+    if origin not in points:
+        points.append(origin)
+    return points
+
+
+def _lattice(grid: list[tuple[Fraction, ...]]) -> Lattice:
+    """A Fraction grid as numerators over the lcm of its denominators."""
+    q = math.lcm(*(v.denominator for point in grid for v in point))
+    numerators = [[v.numerator * (q // v.denominator) for v in point] for point in grid]
+    numerators = np.array(numerators, dtype=np.int64)
+    return Lattice(numerators, q, numerators / q)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("per_axis", range(2, 9))
+def test_default_grid_matches_the_fraction_reference(m, per_axis):
+    reference = _fraction_grid(m, per_axis)
+    lattice = default_grid(m, per_axis)
+    assert len(lattice) == len(reference)
+    assert [lattice.exact(i) for i in range(len(lattice))] == reference  # product order, origin last if appended
+    assert lattice.points.tobytes() == np.array(reference, dtype=float).tobytes()
+    assert sum(not any(point) for point in lattice.points.tolist()) == 1
+    p = Poly.variable(m, m - 1) - Fraction(1, 3)  # its denominator is not the lattice's
+    assert first_nonnegative(p, lattice) == _first_nonnegative_reference(p, reference)
+
+
 def test_default_grid_contains_origin():
     grid = check_grid(2)
-    assert (Fraction(0), Fraction(0)) in grid
+    assert (Fraction(0), Fraction(0)) in [grid.exact(i) for i in range(len(grid))]
     assert len(grid) == 9
-    assert all(len(pt) == 2 for pt in grid)
+    assert grid.points.shape == (9, 2)
     with pytest.raises(ValueError):
         default_grid(2, per_axis=1)
     with pytest.raises(ValueError, match="100000"):
@@ -72,9 +105,9 @@ def test_default_grid_contains_origin():
 
 def _first_nonnegative_reference(p: Poly, grid):
     """The sweep before the integer form: one exact Fraction evaluation per point."""
-    for point in grid:
+    for index, point in enumerate(grid):
         if any(point) and p.eval(point) >= 0:
-            return point
+            return index
     return None
 
 
@@ -95,13 +128,13 @@ def _poly_and_grid(draw):
 
 
 @given(_poly_and_grid())
-@example((Poly.zero(2), default_grid(2, 3)))
-@example((Poly.const(2, Fraction(1, 3)), default_grid(2, 4)))
-@example((_p("-x1^2 - x2^2 + 1/2*x1^3 + 1/3", X2), default_grid(2, 5)))
-@example((_p("-x1^2 - x2^2 + 1/2*x1^3", X2), default_grid(2, 5)))
+@example((Poly.zero(2), _fraction_grid(2, 3)))
+@example((Poly.const(2, Fraction(1, 3)), _fraction_grid(2, 4)))
+@example((_p("-x1^2 - x2^2 + 1/2*x1^3 + 1/3", X2), _fraction_grid(2, 5)))
+@example((_p("-x1^2 - x2^2 + 1/2*x1^3", X2), _fraction_grid(2, 5)))
 def test_first_nonnegative_matches_exact_sweep(case):
     p, grid = case
-    assert first_nonnegative(p, grid) == _first_nonnegative_reference(p, grid)
+    assert first_nonnegative(p, _lattice(grid)) == _first_nonnegative_reference(p, grid)
 
 
 def test_control_distribution_single_column():

@@ -288,8 +288,7 @@ def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols
 
     h = 1e-5
     worst_a = worst_b = 0.0
-    for point in default_grid(3, per_axis=5):
-        x = np.array([float(v) for v in point])
+    for x in default_grid(3, per_axis=5).points:
         delta = pair.delta.eval_float(x)
         pd_val = true_pd(x)
         dpd = [(true_pd(x + h * e) - true_pd(x - h * e)) / (2 * h) for e in np.eye(3)]
@@ -345,7 +344,7 @@ def test_stacked_consistency_matches_the_per_point_reference(case):
     state = cli.RunState(cli.build_problem(spec))
     cli.stage_quotient(state)
     rs = ResidualSystem(cli.stage_geometry(state), cli.stage_target(state).x_field)
-    points = state.points
+    points = state.grid.points
     expected = [consistency_gap(m_mat, b) for m_mat, b in zip(*stacked_system(rs, points))]
     worst_gap, worst_point = 0.0, None
     for point, (_, gap) in zip(points, expected):
@@ -356,6 +355,15 @@ def test_stacked_consistency_matches_the_per_point_reference(case):
     assert [(point, float.hex(gap)) for point, gap in report.failures] == failures
     assert (float.hex(report.worst_gap), report.worst_point) == (float.hex(worst_gap), worst_point)
     assert report.consistent == (not failures)
+
+
+@pytest.mark.parametrize("coeff", ["10000000000", "1" + "0" * 20])
+def test_large_right_hand_side_is_consistent_in_the_per_point_reference(coeff):
+    """[M | b] is ranked on unit rows in both, so a huge b does not drown M."""
+    _, _, _, _, rs = build_pipeline("ex_ps", f0=["0", f"-x2 + {coeff}*x2^3"])
+    points = check_points(2)
+    assert all(consistency_gap(m_mat, b)[0] for m_mat, b in zip(*stacked_system(rs, points)))
+    assert pointwise_consistency(rs, points).consistent
 
 
 def test_vanishing_row_with_nonzero_rhs_is_inconsistent():

@@ -1,11 +1,12 @@
 """Package surface: liftlyap ships only what its own pipeline uses.
 
-Every top-level function and class in ``src/liftlyap`` must be referenced
-somewhere in the package outside its own definition: by name, by attribute,
-or by its name as a string (the stage table in ``cli`` names its stages so).
-Imports do not count as uses.  Code that only tests call belongs under
-``tests/``.  The command-line entry points and the names the package
-``__init__`` exports are the allowed exceptions.
+Every top-level function, class and module-level assignment (a constant or
+a type alias) in ``src/liftlyap`` must be referenced somewhere in the
+package outside its own definition: by name, by attribute, or by its name
+as a string (the stage table in ``cli`` names its stages so).  Imports do
+not count as uses.  Code that only tests call belongs under ``tests/``.
+The command-line entry points, the names the package ``__init__`` exports
+and dunders such as ``__version__`` are the allowed exceptions.
 """
 
 import ast
@@ -17,8 +18,8 @@ PACKAGE = Path(liftlyap.__file__).parent
 ENTRY_POINTS = {"cli.main", "cli.entry", "cli.fixture_path"}
 
 
-def _exports() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+def _exports(package: Path) -> set[str]:
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
     return {
         f"{node.module}.{alias.name}"
         for node in tree.body
@@ -27,16 +28,29 @@ def _exports() -> set[str]:
     }
 
 
-def unreferenced_definitions() -> list[str]:
-    """Top-level functions and classes of the package that nothing in it references."""
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class, or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name) and not (t.id.startswith("__") and t.id.endswith("__"))]
+
+
+def unreferenced_definitions(package: Path = PACKAGE) -> list[str]:
+    """Top-level definitions of the package that nothing in it references."""
     definitions = []  # (module, name, first line, last line)
     uses = []  # (module, name, line)
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         module = path.stem
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((module, node.name, node.lineno, node.end_lineno))
+            for name in _defined_names(node):
+                definitions.append((module, name, node.lineno, node.end_lineno))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses.append((module, node.id, node.lineno))
@@ -44,7 +58,7 @@ def unreferenced_definitions() -> list[str]:
                 uses.append((module, node.attr, node.lineno))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
                 uses.append((module, node.value, node.lineno))
-    allowed = ENTRY_POINTS | _exports()
+    allowed = ENTRY_POINTS | _exports(package)
     return [
         f"{module}.{name}"
         for module, name, first, last in definitions
@@ -57,3 +71,12 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_definition_is_used_by_the_package():
     assert unreferenced_definitions() == []
+
+
+def test_unread_module_assignments_are_flagged(tmp_path):
+    (tmp_path / "__init__.py").write_text('__version__ = "1"\n', encoding="utf-8")
+    module = ["LIMIT = 3", "UNUSED = 4", "Alias = list[int]", "Typed: int = 5"]
+    module += ["def f(x: Alias) -> int:", "    return x[0] + LIMIT"]
+    (tmp_path / "mod.py").write_text("\n".join(module) + "\n", encoding="utf-8")
+    (tmp_path / "user.py").write_text("from .mod import f\n\nf([1])\n", encoding="utf-8")
+    assert unreferenced_definitions(tmp_path) == ["mod.UNUSED", "mod.Typed"]

@@ -113,7 +113,7 @@ def test_simulate_ex_ps_against_exact_solution():
     problem, td, v, vstar, rhs = _solved("ex_ps")
     fb = solve_feedback(problem.sys, rhs, check_points(2))
     loop = closed_loop_field(problem.sys, fb)
-    traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar, fb.pointwise)
+    traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar)
     assert np.linalg.norm(traj.states[-1]) <= 1e-3
     # closed loop is xdot = (-2 x1, -x2): exact solution (e^{-2t}, e^{-t})
     for k in (0, 100, 500, 1000):
@@ -127,7 +127,7 @@ def test_simulate_equilibrium_stays_put():
     problem, _, _, vstar, rhs = _solved("ex_ps")
     fb = solve_feedback(problem.sys, rhs, check_points(2))
     loop = closed_loop_field(problem.sys, fb)
-    traj = simulate_rk4(loop, [0.0, 0.0], 0.01, 1.0, vstar, fb.pointwise)
+    traj = simulate_rk4(loop, [0.0, 0.0], 0.01, 1.0, vstar)
     assert all(np.linalg.norm(state) == 0.0 for state in traj.states)
 
 
@@ -161,7 +161,7 @@ def test_verify_decrease_ex_ps():
     problem, td, v, vstar, rhs = _solved("ex_ps")
     fb = solve_feedback(problem.sys, rhs, check_points(2))
     loop = closed_loop_field(problem.sys, fb)
-    traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar, fb.pointwise)
+    traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar)
     report = verify_lyapunov_decrease(traj, vstar, loop, check_grid(2))
     assert report.passed
     from liftlyap.poly import lie_derivative
@@ -172,7 +172,7 @@ def test_verify_decrease_ex_ps():
 def test_verify_decrease_fails_for_frozen_state():
     vstar = _p("x1^2 + x2^2")
     field = lambda x: np.zeros(2)
-    traj = simulate_rk4(field, [1.0, 0.0], 0.1, 1.0, vstar, None)
+    traj = simulate_rk4(field, [1.0, 0.0], 0.1, 1.0, vstar)
     report = verify_lyapunov_decrease(traj, vstar, field, check_grid(2))
     assert not report.monotone
     assert not report.analytic_negative
@@ -184,9 +184,9 @@ def test_trajectory_csv_export(tmp_path):
     problem, _, _, vstar, rhs = _solved("ex_ps")
     fb = solve_feedback(problem.sys, rhs, check_points(2))
     loop = closed_loop_field(problem.sys, fb)
-    traj = simulate_rk4(loop, [1.0, 1.0], 0.1, 1.0, vstar, fb.pointwise)
+    traj = simulate_rk4(loop, [1.0, 1.0], 0.1, 1.0, vstar)
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path, problem.state_names, problem.input_names)
+    write_trajectory_csv(traj, fb.pointwise, path, problem.state_names, problem.input_names)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,x1,x2,u1,Vstar"
     assert len(lines) == len(traj.times) + 1
