@@ -21,10 +21,9 @@ dimension bookkeeping behind the involutivity test.  The verdict LIFTABLE
 means every obstruction vanishes; each failed check carries a concrete
 witness.
 
-Pointwise solvability ranks M, on rows scaled to a unit M part, and [M | b],
-on unit rows so that a large b cannot drown M, with one stacked SVD call
-each over the check grid; only the reported least-squares gap is solved per
-point, on the M-scaled rows.
+Pointwise solvability ranks M and [M | b] with one stacked SVD each over the
+check grid; the SVD of M, on rows scaled to a unit M part, also gives the
+least-squares gap at rank M, and [M | b] is ranked on unit rows.
 
 The symbol is reported and decides nothing.  It has a closed form (the
 Cartan-test setting of Seiler, *Involution*, 2010).  With E and F the two
@@ -50,7 +49,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import EhresmannConnection, Frame, ProjectionPair
-from .numutil import intersection_basis, intersection_dim, null_rows, numeric_rank
+from .numutil import intersection_basis, intersection_dim, least_squares_gap, null_rows, numeric_rank
 from .poly import Poly, PolyMatrix, eval_points, poly_sum
 
 
@@ -209,10 +208,10 @@ class ConsistencyReport:
 def pointwise_consistency(rs: ResidualSystem, points: np.ndarray) -> ConsistencyReport:
     """Check gradient-constraint solvability at every point of the (P, m) float check grid.
 
-    M is ranked on rows scaled to a unit M part, and the gap, the total absolute
-    violation of the least-squares gradient, comes from the same rows.  [M | b]
-    is ranked on unit rows, so a large b cannot drown M.  A norm of 0 counts
-    as 1, so a nonzero b on a vanishing M row raises the rank of [M | b].  A
+    On rows scaled to a unit M part, one SVD gives rank M = k and the gap
+    sum |U_k U_k^T b - b|, the least-squares violation at rank k.  [M | b] is
+    ranked on unit rows, so a large b cannot drown M.  A norm of 0 counts as
+    1, so a nonzero b on a vanishing M row raises the rank of [M | b].  A
     point is consistent when M and [M | b] have equal rank there.
     """
     m_mat, b = stacked_system(rs, points)
@@ -220,12 +219,7 @@ def pointwise_consistency(rs: ResidualSystem, points: np.ndarray) -> Consistency
     aug = np.concatenate([m_mat, b[..., None]], axis=-1)
     del m_mat, b  # only [M | b] stays alive through the SVDs (peak memory)
     _unit_rows(aug, m)
-    rank_m = numeric_rank(aug[..., :m])
-    # np.linalg.lstsq takes no stacks, and worst_gap and the failure gaps are
-    # reported, so each gap is one least-squares solve on its own point
-    gaps = np.array(
-        [np.abs(a[:, :m] @ np.linalg.lstsq(a[:, :m], a[:, m], rcond=None)[0] - a[:, m]).sum() for a in aug]
-    )
+    rank_m, gaps = least_squares_gap(aug[..., :m], aug[..., m])
     _unit_rows(aug, m + 1)
     consistent = rank_m == numeric_rank(aug)
     failures = [(tuple(points[i].tolist()), float(gaps[i])) for i in np.flatnonzero(~consistent)]
@@ -237,7 +231,10 @@ def pointwise_consistency(rs: ResidualSystem, points: np.ndarray) -> Consistency
 def _unit_rows(a: np.ndarray, cols: int) -> None:
     """Divide each row of a stack (..., rows, _) by the norm of its first ``cols`` entries; 0 counts as 1."""
     part = a[..., None, :cols]
-    norms = np.sqrt(part @ part.swapaxes(-1, -2))[..., 0]  # np.linalg.norm's BLAS dot, bit for bit
+    with np.errstate(over="ignore"):  # an overflowing norm raises OverflowError below
+        norms = np.sqrt(part @ part.swapaxes(-1, -2))[..., 0]  # np.linalg.norm's BLAS dot, bit for bit
+    if not np.isfinite(norms).all():
+        raise OverflowError("a row of the consistency system has a norm beyond the float range")
     norms[norms == 0.0] = 1.0
     a /= norms
 

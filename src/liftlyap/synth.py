@@ -48,6 +48,15 @@ class FeedbackSolution:
     symbolic: tuple[Poly, ...] | None
     pointwise: VectorMap
     residual_norm: float
+    rhs: tuple[Poly, ...]  # the equation is F(x) u = rhs(x)
+
+
+def _solve_at(sys: ControlAffineSystem, rhs: Sequence[Poly], x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """F(x) as an (m, r) array and the least-norm u of F(x) u = rhs(x) at one point, as an RK4 stage asks."""
+    a = np.array([[p.eval_float(x) for p in col] for col in sys.f]).T
+    b = np.array([p.eval_float(x) for p in rhs])
+    u, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return a, u
 
 
 def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly], points: np.ndarray) -> FeedbackSolution:
@@ -66,11 +75,7 @@ def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly], points: np.nda
     def pointwise(x: Sequence[float]) -> np.ndarray:
         if symbolic is not None:
             return np.array([u.eval_float(x) for u in symbolic])
-        # one point per RK4 stage, so Poly.eval_float rather than eval_points
-        a = np.array([[p.eval_float(x) for p in col] for col in sys.f]).T
-        b = np.array([p.eval_float(x) for p in rhs])
-        u, *_ = np.linalg.lstsq(a, b, rcond=None)
-        return u
+        return _solve_at(sys, rhs, x)[1]
 
     a = f_mat.at(points)
     b = eval_points(rhs, points)
@@ -82,7 +87,7 @@ def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly], points: np.nda
         raise FeedbackResidualError(
             f"feedback residual {worst:.3e} exceeds {FEEDBACK_RESIDUAL_TOL:.1e}; target is outside the control range"
         )
-    return FeedbackSolution(symbolic, pointwise, worst)
+    return FeedbackSolution(symbolic, pointwise, worst, tuple(rhs))
 
 
 def _symbolic_feedback(
@@ -113,7 +118,9 @@ class ClosedLoop:
     def __call__(self, x: Sequence[float]) -> np.ndarray:
         if self.poly is not None:
             return np.array([p.eval_float(x) for p in self.poly])
-        return self.sys.field_at(x, self.feedback.pointwise(x))
+        f_x, u = _solve_at(self.sys, self.feedback.rhs, x)  # F(x) once per evaluation
+        # f0 + u_1 F_1 + ... + u_r F_r summed left to right, the order test_pinned_floats pins
+        return sum((u[j] * f_x[:, j] for j in range(self.sys.r)), np.array([p.eval_float(x) for p in self.sys.f0]))
 
 
 def closed_loop_field(sys: ControlAffineSystem, feedback: FeedbackSolution) -> ClosedLoop:

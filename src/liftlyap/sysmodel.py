@@ -51,12 +51,6 @@ class ControlAffineSystem:
             if len(col) != self.m or any(p.nvars != self.m for p in col):
                 raise ValueError("each control field must be an m-vector in m variables")
 
-    def field_at(self, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
-        out = np.array([p.eval_float(x) for p in self.f0])
-        for j, col in enumerate(self.f):
-            out += u[j] * np.array([p.eval_float(x) for p in col])
-        return out
-
 
 @dataclass(frozen=True)
 class QuotientSystem:

@@ -86,12 +86,14 @@ def consistency_gap(m_mat: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
         return True, 0.0
     m_norm = m_mat[~zero] / norms[~zero, None]
     b_norm = b[~zero] / norms[~zero]
-    rank_m = numeric_rank(m_norm, RANK_RTOL)
+    rank_m = numeric_rank(m_norm)
     # [M | b] is ranked on unit rows, so a large b cannot drown M; no row is zero here
     aug = np.hstack([m_norm, b_norm[:, None]])
-    rank_aug = numeric_rank(aug / np.linalg.norm(aug, axis=1)[:, None], RANK_RTOL)
-    solution, *_ = np.linalg.lstsq(m_norm, b_norm, rcond=None)
-    gap = float(np.abs(m_norm @ solution - b_norm).sum())
+    rank_aug = numeric_rank(aug / np.linalg.norm(aug, axis=1)[:, None])
+    # the least-squares residual at rank rank_m: U_k U_k^T b - b over the kept singular vectors
+    u, s, _ = np.linalg.svd(m_norm, full_matrices=False)
+    u_k = u * (np.arange(s.size) < rank_m)
+    gap = float(np.abs(u_k @ (u_k.T @ b_norm) - b_norm).sum())
     return rank_m == rank_aug, gap
 
 
@@ -99,9 +101,9 @@ def consistency_gap_at(rs: ResidualSystem, point: Sequence[float]) -> tuple[bool
     """Solvability of the gradient constraints at one point.
 
     Returns (consistent, gap).  Rows are normalized to unit length and the
-    gap is the total absolute violation of the least-squares gradient, so
-    two directly contradictory unit equations report the distance between
-    their right-hand sides.
+    gap is the total absolute violation of the least-squares gradient at the
+    numeric rank of M, so two directly contradictory unit equations report
+    the distance between their right-hand sides.
     """
     return consistency_gap(*stacked_system(rs, point))
 

@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from liftlyap.integrability import SymbolDims, quasi_regular_identity
-from liftlyap.numutil import RANK_RTOL, intersection_basis, intersection_dim, numeric_rank, orth_rows
+from liftlyap.numutil import intersection_basis, intersection_dim, numeric_rank, orth_rows
 
 SYMBOL_RANDOM_BASES = 20
 SYMBOL_SEED = 0
@@ -35,12 +35,12 @@ def sym_basis(m: int) -> list[np.ndarray]:
     return out
 
 
-def _complement_projector(a: np.ndarray, rtol: float) -> np.ndarray:
-    basis = orth_rows(a, rtol)
+def _complement_projector(a: np.ndarray) -> np.ndarray:
+    basis = orth_rows(a)
     return np.eye(a.shape[1]) - basis.T @ basis
 
 
-def sym_intersection_dim(e_span: np.ndarray, f_span: np.ndarray, rtol: float = RANK_RTOL) -> int:
+def sym_intersection_dim(e_span: np.ndarray, f_span: np.ndarray) -> int:
     """dim(S^2(span e) & S^2(span f)) for subspaces given by spanning rows.
 
     A symmetric matrix lies in S^2 of a subspace exactly when its column
@@ -52,24 +52,24 @@ def sym_intersection_dim(e_span: np.ndarray, f_span: np.ndarray, rtol: float = R
     e_span = np.atleast_2d(np.asarray(e_span, dtype=float))
     f_span = np.atleast_2d(np.asarray(f_span, dtype=float))
     m = e_span.shape[1]
-    pe = _complement_projector(e_span, rtol)
-    pf = _complement_projector(f_span, rtol)
+    pe = _complement_projector(e_span)
+    pf = _complement_projector(f_span)
     basis = sym_basis(m)
     columns = []
     for s in basis:
         columns.append(np.concatenate([(pe @ s).ravel(), (pf @ s).ravel()]))
     stacked = np.array(columns).T  # maps sym coordinates to stacked projections
     dim_sym = len(basis)
-    return dim_sym - numeric_rank(stacked, rtol, scale=1.0)
+    return dim_sym - numeric_rank(stacked, scale=1.0)
 
 
-def permutation_search(e_span: np.ndarray, f_span: np.ndarray, rtol: float = RANK_RTOL) -> SymbolDims:
+def permutation_search(e_span: np.ndarray, f_span: np.ndarray) -> SymbolDims:
     """Symbol dimensions by searching every coordinate order, then random bases."""
     e_span = np.atleast_2d(np.asarray(e_span, dtype=float))
     m = e_span.shape[1]
-    dim_g1 = intersection_dim(e_span, f_span, rtol)
-    dim_g2 = sym_intersection_dim(e_span, f_span, rtol)
-    g1_basis = intersection_basis(e_span, f_span, rtol)
+    dim_g1 = intersection_dim(e_span, f_span)
+    dim_g2 = sym_intersection_dim(e_span, f_span)
+    g1_basis = intersection_basis(e_span, f_span)
 
     for perm in itertools.permutations(range(m)):
         basis = np.eye(m)[list(perm)]
@@ -78,7 +78,7 @@ def permutation_search(e_span: np.ndarray, f_span: np.ndarray, rtol: float = RAN
     rng = np.random.default_rng(SYMBOL_SEED)
     for _ in range(SYMBOL_RANDOM_BASES):
         basis = rng.standard_normal((m, m))
-        if numeric_rank(basis, rtol) != m:
+        if numeric_rank(basis) != m:
             continue
         if quasi_regular_identity(g1_basis, dim_g2, basis):
             return SymbolDims(dim_g1, dim_g2, True, None)

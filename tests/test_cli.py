@@ -355,6 +355,7 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         ("validate", [], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 400 + "*y1^4"}),
         ("validate", [], None, {"f0": ["0", "-x2 + 1" + "0" * 400 + "*x1^3"]}),
         ("report", [], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 308 + "*y1^2"}),
+        ("integrability", [], None, {"f0": ["0", "-x2 + 1" + "0" * 160 + "*x2^3"]}),
     ],
     ids=[
         "grid-0",
@@ -386,6 +387,7 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "vtilde-coefficient-beyond-float",
         "f0-coefficient-beyond-float",
         "vtilde-derived-value-beyond-float",
+        "consistency-row-norm-beyond-float",
     ],
 )
 def test_main_bad_input_is_input_error(tmp_path, capsys, command, args, options, keys):

@@ -338,13 +338,17 @@ def test_pointwise_consistency_ex_fa():
     assert report.consistent
 
 
-@pytest.mark.parametrize("case", ["ex_ps", "ex_di", "ex_fa", "ex_curv", *gen.WORKLOADS])
-def test_stacked_consistency_matches_the_per_point_reference(case):
+def _system_on_grid(case):
+    """The residual system of a fixture or a seed-7 workload instance, and its check grid."""
     spec = gen.instance(case, 7, 0).spec if case in gen.WORKLOADS else cli.load_spec(cli.fixture_path(case))
     state = cli.RunState(cli.build_problem(spec))
     cli.stage_quotient(state)
-    rs = ResidualSystem(cli.stage_geometry(state), cli.stage_target(state).x_field)
-    points = state.grid.points
+    return ResidualSystem(cli.stage_geometry(state), cli.stage_target(state).x_field), state.grid.points
+
+
+@pytest.mark.parametrize("case", ["ex_ps", "ex_di", "ex_fa", "ex_curv", *gen.WORKLOADS])
+def test_stacked_consistency_matches_the_per_point_reference(case):
+    rs, points = _system_on_grid(case)
     expected = [consistency_gap(m_mat, b) for m_mat, b in zip(*stacked_system(rs, points))]
     worst_gap, worst_point = 0.0, None
     for point, (_, gap) in zip(points, expected):
@@ -355,6 +359,30 @@ def test_stacked_consistency_matches_the_per_point_reference(case):
     assert [(point, float.hex(gap)) for point, gap in report.failures] == failures
     assert (float.hex(report.worst_gap), report.worst_point) == (float.hex(worst_gap), worst_point)
     assert report.consistent == (not failures)
+
+
+@pytest.mark.parametrize("case", ["ex_di", "ex_curv"])
+def test_gap_matches_a_least_squares_solve_where_the_rank_is_clear(case):
+    """Away from the rank cutoff, the gap at the numeric rank is the plain least-squares gap."""
+    rs, points = _system_on_grid(case)
+    for m_mat, b in zip(*stacked_system(rs, points)):
+        norms = np.linalg.norm(m_mat, axis=1)
+        a, y = m_mat / norms[:, None], b / norms
+        solution, *_ = np.linalg.lstsq(a, y, rcond=None)
+        assert abs(consistency_gap(m_mat, b)[1] - np.abs(a @ solution - y).sum()) <= 1e-12
+
+
+def test_near_singular_m_reports_the_gap_at_its_numeric_rank():
+    """M = [[1, 1e-12], [1, 0]] has numeric rank 1, and b = (1, 0) lies off its column at that
+    rank: a full-rank least-squares solve would report a gap of roundoff for a failing point."""
+    rs, _ = _rs_from_pd_x([["0", "1"]], ["0", "0"], X2, c_cols=[[_p("1", X2), _p("0", X2)]])
+    p_d = PolyMatrix([[Poly.const(2, 1), Poly.const(2, Fraction(1, 10**12))]])
+    rs = ResidualSystem(replace(rs.pair, p_d=p_d), (Poly.const(2, 1), Poly.zero(2)))
+    points = check_points(2)
+    report = pointwise_consistency(rs, points)
+    assert [point for point, _ in report.failures] == [tuple(point) for point in points.tolist()]
+    assert all(abs(gap - 1.0) <= 1e-12 for _, gap in report.failures)
+    assert abs(report.worst_gap - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("coeff", ["10000000000", "1" + "0" * 20])

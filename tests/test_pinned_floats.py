@@ -17,7 +17,7 @@ PINNED = {
     "ex_ps": ("0x1.7cd79b623c001p-15", "0x1.1b486570ffb88p-30", "0x1.47ae147ae147ap-8", "0x0.0p+0"),
     "ex_fa": ("0x1.7cd79b623c001p-15", "0x1.1b486570ffb88p-30", "0x1.47ae147ae147ap-8", "0x0.0p+0"),
     "lift-exact/7/0": ("0x1.39f425366db2ap-14", "0x1.81070bd737d1dp-29", "0x1.4653aa62211dfp-8", "0x0.0p+0"),
-    # pointwise least-squares feedback: the non-symbolic field_at path
+    # pointwise least-squares feedback: the non-symbolic closed loop
     "simulate-pointwise/7/0": ("0x1.b8c2d87f35544p-58", "0x1.7b6f2e410f9aap-116", "0x1.4616aeb07a76ep-8", "0x0.0p+0"),
 }
 

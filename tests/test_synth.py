@@ -80,7 +80,7 @@ def test_closed_loop_matches_target_exactly():
 
 def test_zero_feedback_returns_drift():
     sys = ControlAffineSystem(2, 1, (_p("-x1"), _p("-x2")), ((_p("1"), _p("0")),))
-    fb = FeedbackSolution((Poly.zero(2),), lambda x: np.zeros(1), 0.0)
+    fb = FeedbackSolution((Poly.zero(2),), lambda x: np.zeros(1), 0.0, (Poly.zero(2), Poly.zero(2)))
     loop = closed_loop_field(sys, fb)
     assert loop.poly == (_p("-x1"), _p("-x2"))
 
