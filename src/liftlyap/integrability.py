@@ -7,12 +7,10 @@ equations:
     VM-block:  sum_i P_VM[i][q] * dV/dx^i = 0             (q = 1..n)
 
 P_D = Q / delta with Q and delta polynomial and delta(0) = 1 (see
-geometry.build_projections).  Every check here works on Q: the D-block
+geometry.build_projections).  The exact checks work on Q: the D-block
 times delta, condition B times delta^2 and condition A times delta^3 are
 polynomials.  delta is not the zero polynomial, so each is identically
-zero exactly when its P_D form is; and [C | D] has full rank on the check
-grid, so delta does not vanish at the points where the pointwise checks
-run.
+zero exactly when its P_D form is.
 
 This module evaluates those residuals, the structural obstruction terms
 (connection curvature, the two antisymmetric coefficient conditions),
@@ -21,9 +19,10 @@ dimension bookkeeping behind the involutivity test.  The verdict LIFTABLE
 means every obstruction vanishes; each failed check carries a concrete
 witness.
 
-Pointwise solvability ranks M and [M | b] with one stacked SVD each over the
-check grid; the SVD of M, on rows scaled to a unit M part, also gives the
-least-squares gap at rank M, and [M | b] is ranked on unit rows.
+Pointwise solvability is decided on the n x r system P_VM^T C a = -P_VM^T X,
+which reads neither D nor P_D, with one stacked SVD of each of A = P_VM^T C
+and [A | beta] over the check grid, ranked against a unit scale on rows
+divided by a bound that cannot vanish (see :func:`pointwise_consistency`).
 
 The symbol is reported and decides nothing.  It has a closed form (the
 Cartan-test setting of Seiler, *Involution*, 2010).  With E and F the two
@@ -50,12 +49,12 @@ import numpy as np
 from . import geometry
 from .geometry import EhresmannConnection, Frame, ProjectionPair
 from .numutil import intersection_basis, intersection_dim, least_squares_gap, null_rows, numeric_rank
-from .poly import Poly, PolyMatrix, eval_points, poly_sum
+from .poly import Poly, PolyMatrix, poly_sum
 
 
 @dataclass(frozen=True)
 class ResidualSystem:
-    """Projection data plus the target field X, fixing the PDE for V."""
+    """Projection data plus the target field X, fixing the PDE for V; consistency reads only C, P_VM and X."""
 
     pair: ProjectionPair
     x_field: tuple[Poly, ...]
@@ -181,22 +180,6 @@ def condition_b(p_d: PolyMatrix, x_field: Sequence[Poly]) -> dict[tuple[int, int
 # -- pointwise solvability -----------------------------------------------------
 
 
-def stacked_system(rs: ResidualSystem, points) -> tuple[np.ndarray, np.ndarray]:
-    """Linear constraints M @ (V_1..V_m) = b on the gradient of V.
-
-    At points (..., m), M is (..., rows, m) and b (..., rows): the D rows,
-    then one row per column of P_VM.  The D rows are those of P_D times
-    delta(point), which leaves the solution set unchanged wherever
-    delta(point) is nonzero.
-    """
-    rows = PolyMatrix([*rs.p_d.entries, *(rs.p_vm.col(q) for q in range(rs.n))], cols=rs.m, nvars=rs.m)
-    m_mat = rows.at(points)
-    x_val = eval_points(rs.x_field, points)
-    b = np.zeros(m_mat.shape[:-1])
-    b[..., : rs.p_d.rows] = (m_mat[..., : rs.p_d.rows, :] @ x_val[..., None])[..., 0]
-    return m_mat, b
-
-
 @dataclass
 class ConsistencyReport:
     consistent: bool
@@ -205,38 +188,46 @@ class ConsistencyReport:
     failures: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
 
 
+def quotient_rows(rs: ResidualSystem, points) -> np.ndarray:
+    """[A | beta] (..., n, r + 1) at points (..., m), row q divided by |P_VM column q| * |C|_F.
+
+    The divisor bounds the norm of row q of A and does not vanish on the
+    check grid, where P_VM has its identity block and C has full rank, so a
+    row of A that is exactly zero stays at roundoff.
+    """
+    m, n = rs.m, rs.n
+    rows = PolyMatrix([*(rs.p_vm.col(q) for q in range(n)), *rs.pair.c_frame.fields, rs.x_field], cols=m, nvars=m)
+    values = rows.at(points)
+    p_vm_t, c_x_t = values[..., :n, :], values[..., n:, :]  # P_VM^T, then [C | X]^T
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises OverflowError below
+        p_norms = np.hypot.reduce(p_vm_t, axis=-1)  # hypot: no overflow in the squares
+        c_norms = np.hypot.reduce(c_x_t[..., :-1, :].reshape(*values.shape[:-2], -1), axis=-1)
+        aug = (p_vm_t / p_norms[..., None]) @ (c_x_t / c_norms[..., None, None]).swapaxes(-1, -2)
+    if not (np.isfinite(p_norms).all() and np.isfinite(c_norms).all() and np.isfinite(aug).all()):
+        raise OverflowError("a row of the consistency system is beyond the float range")
+    return aug
+
+
 def pointwise_consistency(rs: ResidualSystem, points: np.ndarray) -> ConsistencyReport:
     """Check gradient-constraint solvability at every point of the (P, m) float check grid.
 
-    On rows scaled to a unit M part, one SVD gives rank M = k and the gap
-    sum |U_k U_k^T b - b|, the least-squares violation at rank k.  [M | b] is
-    ranked on unit rows, so a large b cannot drown M.  A norm of 0 counts as
-    1, so a nonzero b on a vanishing M row raises the rank of [M | b].  A
-    point is consistent when M and [M | b] have equal rank there.
+    Where [C | D] is invertible, the D-block says grad V = X + C a for some
+    a in R^r, and the VM-block then reads A a = -beta with A = P_VM^T C
+    (n x r) and beta = P_VM^T X.  On the rows of :func:`quotient_rows`, one
+    SVD gives rank A = k against a unit scale and the gap
+    sum |U_k U_k^T beta - beta|, the least-squares violation at rank k.
+    Rows longer than 1 are then shrunk to unit length, since the SVD's
+    roundoff grows with the largest entry, and [A | beta] is ranked against
+    the same scale.  A point is consistent when the two ranks agree.
     """
-    m_mat, b = stacked_system(rs, points)
-    m = rs.m
-    aug = np.concatenate([m_mat, b[..., None]], axis=-1)
-    del m_mat, b  # only [M | b] stays alive through the SVDs (peak memory)
-    _unit_rows(aug, m)
-    rank_m, gaps = least_squares_gap(aug[..., :m], aug[..., m])
-    _unit_rows(aug, m + 1)
-    consistent = rank_m == numeric_rank(aug)
+    aug = quotient_rows(rs, points)
+    rank_a, gaps = least_squares_gap(aug[..., :-1], aug[..., -1])
+    aug /= np.maximum(np.hypot.reduce(aug, axis=-1), 1.0)[..., None]
+    consistent = rank_a == numeric_rank(aug, scale=1.0)
     failures = [(tuple(points[i].tolist()), float(gaps[i])) for i in np.flatnonzero(~consistent)]
     worst = int(np.argmax(gaps))  # the first largest gap in grid order
     worst_point = tuple(points[worst].tolist()) if gaps[worst] > 0.0 else None
     return ConsistencyReport(not failures, float(gaps[worst]) if worst_point else 0.0, worst_point, failures)
-
-
-def _unit_rows(a: np.ndarray, cols: int) -> None:
-    """Divide each row of a stack (..., rows, _) by the norm of its first ``cols`` entries; 0 counts as 1."""
-    part = a[..., None, :cols]
-    with np.errstate(over="ignore"):  # an overflowing norm raises OverflowError below
-        norms = np.sqrt(part @ part.swapaxes(-1, -2))[..., 0]  # np.linalg.norm's BLAS dot, bit for bit
-    if not np.isfinite(norms).all():
-        raise OverflowError("a row of the consistency system has a norm beyond the float range")
-    norms[norms == 0.0] = 1.0
-    a /= norms
 
 
 # -- symbol dimensions and the involutivity bookkeeping -----------------------

@@ -4,8 +4,8 @@ Subspaces of R^m are represented by row-stacked spanning matrices; ranks
 count the singular values above RANK_RTOL times a scale, by default the
 largest singular value (:func:`_kept`), which is the one numeric tolerance
 the symbolic layers cannot avoid.  :func:`numeric_rank` ranks a stack of
-matrices in one SVD, and :func:`least_squares_gap` also gives each system's
-least-squares gap at that rank.  Subspace intersections serve the symbol
+matrices in one SVD; :func:`least_squares_gap` ranks against a unit scale and
+also gives each system's least-squares gap.  Subspace intersections serve the symbol
 count, whose prolonged dimension is closed-form in
 :mod:`liftlyap.integrability`, so no symmetric-square basis is built here.
 """
@@ -42,10 +42,12 @@ def least_squares_gap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     U_k holds the left singular vectors of the k kept singular values, so the gap is the
     total absolute residual of the least-squares solution at the rank the cutoff decides.
+    The cutoff is RANK_RTOL against a unit scale: the rows of ``a`` must have norm at most
+    1 on their natural scale, so that a system that is all roundoff has rank 0.
     """
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     del vh  # peak memory
-    kept = _kept(s, s[..., :1])
+    kept = _kept(s, 1.0)
     u *= kept[..., None, :]
     return kept.sum(axis=-1), np.abs((u @ (u.swapaxes(-1, -2) @ b[..., None]))[..., 0] - b).sum(axis=-1)
 

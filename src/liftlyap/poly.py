@@ -296,9 +296,10 @@ def poly_sum(items: Iterable[Poly], nvars: int) -> Poly:
 def eval_points(polys: Sequence[Poly], points) -> np.ndarray:
     """Values of ``polys`` at points (..., m), as an array (..., len(polys)).
 
-    Every value is :meth:`Poly.eval_float`'s bit for bit: the same terms in
-    the same order, with powers from Python's float ``**`` (numpy's power
-    rounds differently).
+    Wherever it is finite, every value is :meth:`Poly.eval_float`'s bit for
+    bit: the same terms in the same order, with powers from Python's float
+    ``**`` (numpy's power rounds differently).  A value that overflows, or
+    a sum of overflowed terms, raises OverflowError instead.
     """
     points = np.asarray(points, dtype=float)
     m = points.shape[-1]
@@ -307,15 +308,18 @@ def eval_points(polys: Sequence[Poly], points) -> np.ndarray:
     flat = points.reshape(math.prod(points.shape[:-1]), m)
     powers: dict[tuple[int, int], np.ndarray] = {}
     out = np.zeros((flat.shape[0], len(polys)))
-    for k, p in enumerate(polys):
-        total = out[:, k]
-        for c, factors in p._float_terms():
-            term = np.full(flat.shape[0], c)
-            for i, e in factors:
-                if (i, e) not in powers:
-                    powers[i, e] = np.array([v**e for v in flat[:, i].tolist()])
-                term *= powers[i, e]
-            total += term
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises OverflowError below
+        for k, p in enumerate(polys):
+            total = out[:, k]
+            for c, factors in p._float_terms():
+                term = np.full(flat.shape[0], c)
+                for i, e in factors:
+                    if (i, e) not in powers:
+                        powers[i, e] = np.array([v**e for v in flat[:, i].tolist()])
+                    term *= powers[i, e]
+                total += term
+    if not np.isfinite(out).all():
+        raise OverflowError("a polynomial value on the check grid is beyond the float range")
     return out.reshape(points.shape[:-1] + (len(polys),))
 
 

@@ -161,14 +161,16 @@ def simulate_rk4(
 
     try:
         log(0.0, x)
-        for k in range(steps):
-            guard(x, k * h)
-            k1 = field(x)
-            k2 = field(x + 0.5 * h * k1)
-            k3 = field(x + 0.5 * h * k2)
-            k4 = field(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            log((k + 1) * h, x)
+        # inf and NaN from an overflowing step fail the guard: `not norm <= DIVERGENCE_GUARD`
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps):
+                guard(x, k * h)
+                k1 = field(x)
+                k2 = field(x + 0.5 * h * k1)
+                k3 = field(x + 0.5 * h * k2)
+                k4 = field(x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                log((k + 1) * h, x)
     except OverflowError as exc:
         t = record.times[-1]
         raise DivergenceError(f"float overflow evaluating the field or V* at t={t:.3f}") from exc

@@ -4,9 +4,15 @@ The lift decides from the exact integrability conditions in
 :mod:`liftlyap.integrability`.  The functions here evaluate, at one point,
 the once-differentiated system and the obstruction values (G, H) those
 conditions come from, so that tests can check the conditions against them.
-:func:`consistency_gap` is the per-point solvability test that the stacked
-:func:`liftlyap.integrability.pointwise_consistency` must match bit for bit.
-They are kept as test oracles only.
+
+:func:`liftlyap.integrability.pointwise_consistency` decides solvability on
+the n x r system A a = -beta, A = P_VM^T C and beta = P_VM^T X.  Two
+references check it: :func:`quotient_gap` on one point's scaled [A | beta]
+must match its gap bit for bit and its verdict, and :func:`consistency_gap`
+on one point's :func:`stacked_system`, the full m-column system
+[Q; P_VM^T] y = (Q X, 0) for the gradient y of V, builds the system from
+the complement instead and must give the same verdict.  They are kept as
+test oracles only.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from liftlyap.geometry import EhresmannConnection
-from liftlyap.integrability import ResidualSystem, condition_a, condition_b, stacked_system
+from liftlyap.integrability import ResidualSystem, condition_a, condition_b
 from liftlyap.numutil import RANK_RTOL, null_rows, numeric_rank
 from liftlyap.poly import Poly, PolyMatrix, eval_points, poly_sum
 
@@ -76,6 +82,22 @@ def prolonged_residual(
     return {"d": d_block, "vm": vm_block, "d1": d1, "vm1": vm1}
 
 
+def stacked_system(rs: ResidualSystem, points) -> tuple[np.ndarray, np.ndarray]:
+    """Linear constraints M @ (V_1..V_m) = b on the gradient of V.
+
+    At points (..., m), M is (..., rows, m) and b (..., rows): the D rows,
+    then one row per column of P_VM.  The D rows are those of P_D times
+    delta(point), which leaves the solution set unchanged wherever
+    delta(point) is nonzero.
+    """
+    rows = PolyMatrix([*rs.p_d.entries, *(rs.p_vm.col(q) for q in range(rs.n))], cols=rs.m, nvars=rs.m)
+    m_mat = rows.at(points)
+    x_val = eval_points(rs.x_field, points)
+    b = np.zeros(m_mat.shape[:-1])
+    b[..., : rs.p_d.rows] = (m_mat[..., : rs.p_d.rows, :] @ x_val[..., None])[..., 0]
+    return m_mat, b
+
+
 def consistency_gap(m_mat: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     norms = np.array([np.linalg.norm(row) for row in m_mat])
     zero = norms <= 1e-300
@@ -95,6 +117,19 @@ def consistency_gap(m_mat: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     u_k = u * (np.arange(s.size) < rank_m)
     gap = float(np.abs(u_k @ (u_k.T @ b_norm) - b_norm).sum())
     return rank_m == rank_aug, gap
+
+
+def quotient_gap(aug: np.ndarray) -> tuple[bool, float]:
+    """(consistent, gap) at one point from its (n, r + 1) [A | beta] rows, as
+    :func:`liftlyap.integrability.quotient_rows` scales them, in plain 2-D numpy."""
+    a, beta = aug[:, :-1], aug[:, -1]
+    rank_a = numeric_rank(a, scale=1.0)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    u_k = u * (np.arange(s.size) < rank_a)
+    gap = float(np.abs(u_k @ (u_k.T @ beta) - beta).sum())
+    # rows longer than 1 shrink to unit length; shorter ones keep their size
+    rank_aug = numeric_rank(aug / np.maximum(np.linalg.norm(aug, axis=1), 1.0)[:, None], scale=1.0)
+    return rank_a == rank_aug, gap
 
 
 def consistency_gap_at(rs: ResidualSystem, point: Sequence[float]) -> tuple[bool, float]:

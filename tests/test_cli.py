@@ -114,6 +114,43 @@ def test_large_right_hand_side_stays_consistent(coeff):
     assert report["integrability"]["failures"] == []
 
 
+@pytest.mark.parametrize(
+    ("keys", "outcome"),
+    [
+        ({"f0": ["0", "-x2 + 1" + "0" * 160 + "*x2^3"]}, (EXIT_NOT_LIFTABLE, "NOT_LIFTABLE(definiteness)")),
+        ({"vtilde": "1/2*y1^2 + 1" + "0" * 160 + "*y1^4"}, (EXIT_VALIDATION, "LIFTED_BUT_VALIDATION_FAILED(simulation)")),
+    ],
+    ids=["f0", "vtilde"],
+)
+def test_right_hand_side_beyond_the_squared_float_range_is_decided(keys, outcome):
+    """f0[1] = -x2 + 10^160*x2^3 makes P_D X huge, which the consistency check does not read, and
+    vtilde = 1/2*y1^2 + 10^160*y1^4 makes beta = P_VM^T X about 4e160, whose square is beyond the
+    float range; the row norms are taken with hypot, so both runs reach a verdict."""
+    raw = _fixture_raw("ex_ps")
+    raw.update(keys)
+    report, code = run("integrability", build_problem(raw))
+    assert (code, report["verdict"]) == (EXIT_OK, "LIFTABLE")
+    report, code = run("report", build_problem(raw))
+    assert (code, report["verdict"]) == outcome
+
+
+def test_consistency_does_not_depend_on_the_complement():
+    """A = P_VM^T C and beta = P_VM^T X read neither D nor P_D, so the automatic complement
+    and two user ones, one with a non-constant det [C | D], give the same consistency fields."""
+    sections = []
+    for d in (None, [["0", "1", "0"], ["0", "x1", "1"]], [["0", "1 + 1/2*x1^2", "0"], ["0", "0", "1"]]):
+        raw = _fixture_raw("ex_curv")
+        if d is not None:
+            raw["d"] = d
+        report, code = run("integrability", build_problem(raw))
+        assert code == EXIT_NOT_LIFTABLE
+        section = report["integrability"]
+        sections.append({key: section[key] for key in ("consistent", "failures", "worst_gap", "worst_point")})
+    # |beta_2| = 3 at (-1, -1, -1), divided by |P_VM column 2| * |C|_F = sqrt(2) * 1
+    assert abs(sections[0]["worst_gap"] - 3 / 2**0.5) <= 1e-15
+    assert sections[1] == sections[0] and sections[2] == sections[0]
+
+
 def test_quotient_decrease_witness_is_an_exact_grid_point():
     raw = _fixture_raw("ex_ps")
     raw["alpha"] = ["-y1 + 3*y1^2"]  # W = -y1^2 + 3*y1^3 >= 0 from y1 = 1/3
@@ -355,7 +392,19 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         ("validate", [], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 400 + "*y1^4"}),
         ("validate", [], None, {"f0": ["0", "-x2 + 1" + "0" * 400 + "*x1^3"]}),
         ("report", [], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 308 + "*y1^2"}),
-        ("integrability", [], None, {"f0": ["0", "-x2 + 1" + "0" * 160 + "*x2^3"]}),
+        # X1 and X2 about 1.6e308 at a corner, and gamma = 1 adds them in beta = (X1 + X2)/sqrt(2)
+        (
+            "integrability",
+            [],
+            None,
+            {
+                "gamma": [["1"]],
+                "vtilde": "1/2*y1^2 + 4" + "0" * 307 + "*y1^4",
+                "f0": ["0", "-x2 + 16" + "0" * 307 + "*x2^3"],
+            },
+        ),
+        ("integrability", [], None, {"f": [["1", "1" + "0" * 308 + "*x1^2 + 1" + "0" * 308 + "*x1^4"]]}),
+        ("integrability", [], None, {"d": [["0", "1 + 1" + "0" * 308 + "*x1^2 + 1" + "0" * 308 + "*x1^4"]]}),
     ],
     ids=[
         "grid-0",
@@ -388,9 +437,11 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "f0-coefficient-beyond-float",
         "vtilde-derived-value-beyond-float",
         "consistency-row-norm-beyond-float",
+        "frame-value-beyond-float",
+        "complement-value-beyond-float",
     ],
 )
-def test_main_bad_input_is_input_error(tmp_path, capsys, command, args, options, keys):
+def test_main_bad_input_is_input_error(request, tmp_path, capsys, command, args, options, keys):
     # keys is either top-level keys to replace in EX-PS or the whole file as text
     if isinstance(keys, str):
         text = keys
@@ -406,6 +457,8 @@ def test_main_bad_input_is_input_error(tmp_path, capsys, command, args, options,
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert "[liftlyap] error:" in err and "Traceback" not in err
+    if request.node.callspec.id.endswith("-beyond-float"):
+        assert "beyond the float range" in err
 
 
 def test_main_unknown_command_is_input_error(capsys):

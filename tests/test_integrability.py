@@ -1,13 +1,13 @@
 """Residual evaluation, obstruction conditions, consistency, and the symbol."""
 
+import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from conftest import build_pipeline, check_points, flat_connection
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from liftbench import gen
 from obstruction_oracle import (
@@ -17,12 +17,15 @@ from obstruction_oracle import (
     consistent_jet,
     curvature_map_eval,
     prolonged_residual,
+    quotient_gap,
+    stacked_system,
     vm_curvature_coeffs,
 )
 from symbol_oracle import permutation_search, sym_intersection_dim
 
 from liftlyap import cli
 from liftlyap.geometry import (
+    ComplementError,
     EhresmannConnection,
     Frame,
     build_projections,
@@ -38,12 +41,12 @@ from liftlyap.integrability import (
     full_check,
     pointwise_consistency,
     quasi_regular_search,
+    quotient_rows,
     residual_psi,
-    stacked_system,
     symbol_dims,
 )
 from liftlyap.parsing import parse_poly
-from liftlyap.poly import Poly, PolyMatrix
+from liftlyap.poly import Poly, PolyMatrix, poly_sum
 
 X2 = ["x1", "x2"]
 X3 = ["x1", "x2", "x3"]
@@ -55,14 +58,16 @@ def _p(text, names):
 
 
 def _rs_from_pd_x(pd_rows, x_texts, names, c_cols, n=1):
-    """Residual system with an explicitly chosen projection (for unit values)."""
+    """Residual system with an explicitly chosen projection (for unit values); pd_rows None
+    skips the check of the projection, which the consistency check does not read."""
     m = len(names)
     c = Frame.build(m, c_cols, check_points(m))
     d = complement_frame(c, None, check_points(m))
     conn = flat_connection(m, n)
     pair = build_projections(c, d, conn)
-    expected = PolyMatrix([[_p(t, names) for t in row] for row in pd_rows], cols=m, nvars=m)
-    assert pair.p_d == expected, "constructed projection differs from the intended rows"
+    if pd_rows is not None:
+        expected = PolyMatrix([[_p(t, names) for t in row] for row in pd_rows], cols=m, nvars=m)
+        assert pair.p_d == expected, "constructed projection differs from the intended rows"
     return ResidualSystem(pair, tuple(_p(t, names) for t in x_texts)), conn
 
 
@@ -349,7 +354,7 @@ def _system_on_grid(case):
 @pytest.mark.parametrize("case", ["ex_ps", "ex_di", "ex_fa", "ex_curv", *gen.WORKLOADS])
 def test_stacked_consistency_matches_the_per_point_reference(case):
     rs, points = _system_on_grid(case)
-    expected = [consistency_gap(m_mat, b) for m_mat, b in zip(*stacked_system(rs, points))]
+    expected = [quotient_gap(aug) for aug in quotient_rows(rs, points)]
     worst_gap, worst_point = 0.0, None
     for point, (_, gap) in zip(points, expected):
         if gap > worst_gap:
@@ -359,50 +364,125 @@ def test_stacked_consistency_matches_the_per_point_reference(case):
     assert [(point, float.hex(gap)) for point, gap in report.failures] == failures
     assert (float.hex(report.worst_gap), report.worst_point) == (float.hex(worst_gap), worst_point)
     assert report.consistent == (not failures)
+    stacked = [consistency_gap(m_mat, b)[0] for m_mat, b in zip(*stacked_system(rs, points))]
+    assert stacked == [ok for ok, _ in expected]
+
+
+@st.composite
+def _consistency_systems(draw):
+    """A residual system with m <= 4 on a grid of 6 points per axis: a constant-rank C, gamma
+    and X with small integer polynomial entries, and an automatic or a user complement.  Half
+    of the entries carry a factor x_i^2 - 1/25, which is exactly zero on the grid plane
+    x_i = +-0.2 but evaluates to roundoff there, and half of the connections are flat, so that
+    a row of A can be zero up to roundoff."""
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(1, m - 1))
+    r = draw(st.integers(1, m))
+    points = default_grid(m, 6).points
+    monomials = [mi for mi in itertools.product(range(3), repeat=m) if sum(mi) <= 2]
+    term = st.tuples(st.sampled_from(monomials), st.integers(-2, 2))
+
+    def poly():
+        p = poly_sum((Poly.monomial(m, mi, c) for mi, c in draw(st.lists(term, max_size=3))), m)
+        if draw(st.booleans()):
+            i = draw(st.integers(0, m - 1))
+            p = p * (Poly.monomial(m, [2 if k == i else 0 for k in range(m)], 1) - Poly.const(m, Fraction(1, 25)))
+        return p
+
+    def column(lead, free):  # 1 at lead, a drawn polynomial on free, 0 elsewhere
+        return [Poly.const(m, 1) if i == lead else poly() if i in free else Poly.zero(m) for i in range(m)]
+
+    # each C column is 1 at its pivot and 0 at the earlier pivots, so the pivot rows are unit triangular
+    pivots = draw(st.permutations(range(m)))[:r]
+    c = Frame.build(m, [column(k, set(range(m)) - set(pivots[: j + 1])) for j, k in enumerate(pivots)], points)
+    if draw(st.booleans()):
+        try:
+            d = complement_frame(c, None, points)
+        except ComplementError:
+            assume(False)
+    else:
+        # zero on the pivots and unit triangular on the other coordinates: det [C | D] = 1
+        rest = [i for i in range(m) if i not in pivots]
+        d = complement_frame(c, [column(k, rest[j + 1 :]) for j, k in enumerate(rest)], points)
+    flat = draw(st.booleans())
+    conn = EhresmannConnection(m, n, [[Poly.zero(m) if flat else poly() for _ in range(n)] for _ in range(m - n)])
+    return ResidualSystem(build_projections(c, d, conn), tuple(poly() for _ in range(m))), points
+
+
+@given(_consistency_systems())
+def test_quotient_consistency_agrees_with_the_stacked_system(case):
+    """Where [C | D] is invertible, M y = b is solvable exactly when A a = -beta is."""
+    rs, points = case
+    failing = {point for point, _ in pointwise_consistency(rs, points).failures}
+    stacked = [consistency_gap(m_mat, b)[0] for m_mat, b in zip(*stacked_system(rs, points))]
+    assert stacked == [tuple(point) not in failing for point in points.tolist()]
 
 
 @pytest.mark.parametrize("case", ["ex_di", "ex_curv"])
 def test_gap_matches_a_least_squares_solve_where_the_rank_is_clear(case):
     """Away from the rank cutoff, the gap at the numeric rank is the plain least-squares gap."""
     rs, points = _system_on_grid(case)
-    for m_mat, b in zip(*stacked_system(rs, points)):
-        norms = np.linalg.norm(m_mat, axis=1)
-        a, y = m_mat / norms[:, None], b / norms
+    for aug in quotient_rows(rs, points):
+        a, y = aug[:, :-1], aug[:, -1]
         solution, *_ = np.linalg.lstsq(a, y, rcond=None)
-        assert abs(consistency_gap(m_mat, b)[1] - np.abs(a @ solution - y).sum()) <= 1e-12
+        assert abs(quotient_gap(aug)[1] - np.abs(a @ solution - y).sum()) <= 1e-12
+
+
+def _rs_from_c_x(c_cols, x_texts, names, n):
+    """Residual system for the control columns C (texts), the target X and the flat connection."""
+    return _rs_from_pd_x(None, x_texts, names, [[_p(t, names) for t in col] for col in c_cols], n)[0]
+
+
+def test_a_row_that_is_zero_up_to_roundoff_is_inconsistent_with_a_nonzero_beta():
+    """C = (x1^2 - 1/25, 1) and X = (1, 0) give A = x1^2 - 1/25 and beta = 1.  At x1 = +-0.2, A is
+    exactly zero but evaluates to about 7e-18: scaled by |P_VM column| * |C| = 1 it stays below the
+    cutoff, so the point fails, as the stacked system says."""
+    rs = _rs_from_c_x([["x1^2 - 1/25", "1"]], ["1", "0"], X2, n=1)
+    points = default_grid(2, 6).points
+    assert 0.0 < abs(quotient_rows(rs, [0.2, 0.0])[0, 0]) < 1e-16
+    report = pointwise_consistency(rs, points)
+    assert [point for point, _ in report.failures] == [tuple(p) for p in points.tolist() if abs(p[0]) == 0.2]
+    stacked = [consistency_gap(m_mat, b)[0] for m_mat, b in zip(*stacked_system(rs, points))]
+    assert stacked == [abs(p[0]) != 0.2 for p in points.tolist()]
 
 
 def test_near_singular_m_reports_the_gap_at_its_numeric_rank():
-    """M = [[1, 1e-12], [1, 0]] has numeric rank 1, and b = (1, 0) lies off its column at that
-    rank: a full-rank least-squares solve would report a gap of roundoff for a failing point."""
-    rs, _ = _rs_from_pd_x([["0", "1"]], ["0", "0"], X2, c_cols=[[_p("1", X2), _p("0", X2)]])
-    p_d = PolyMatrix([[Poly.const(2, 1), Poly.const(2, Fraction(1, 10**12))]])
-    rs = ResidualSystem(replace(rs.pair, p_d=p_d), (Poly.const(2, 1), Poly.zero(2)))
-    points = check_points(2)
+    """A = P_VM^T C = [[1, 1e-12], [1, 0]] has numeric rank 1, and beta = (1, 0) lies off its
+    column at that rank: a full-rank least-squares solve would report a gap of roundoff for a
+    failing point.  Each row is divided by |P_VM column| * |C|_F = sqrt(3), so the gap at rank 1,
+    which is 1 on the unscaled rows, reads 1/sqrt(3)."""
+    rs = _rs_from_c_x([["1", "1", "0"], ["1/1000000000000", "0", "1"]], ["1", "0", "0"], X3, n=2)
+    points = check_points(3)
+    aug = quotient_rows(rs, points) * np.sqrt(3.0)
+    assert np.allclose(aug, np.broadcast_to([[1.0, 1e-12, 1.0], [1.0, 0.0, 0.0]], aug.shape), rtol=1e-15, atol=0)
     report = pointwise_consistency(rs, points)
     assert [point for point, _ in report.failures] == [tuple(point) for point in points.tolist()]
-    assert all(abs(gap - 1.0) <= 1e-12 for _, gap in report.failures)
-    assert abs(report.worst_gap - 1.0) <= 1e-12
+    assert all(abs(gap - 3**-0.5) <= 1e-12 for _, gap in report.failures)
+    assert abs(report.worst_gap - 3**-0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("coeff", ["10000000000", "1" + "0" * 20])
 def test_large_right_hand_side_is_consistent_in_the_per_point_reference(coeff):
-    """[M | b] is ranked on unit rows in both, so a huge b does not drown M."""
+    """[A | beta] and [M | b] have their long rows shrunk to unit length, so a huge right-hand side
+    does not drown the system."""
     _, _, _, _, rs = build_pipeline("ex_ps", f0=["0", f"-x2 + {coeff}*x2^3"])
     points = check_points(2)
     assert all(consistency_gap(m_mat, b)[0] for m_mat, b in zip(*stacked_system(rs, points)))
+    assert all(quotient_gap(aug)[0] for aug in quotient_rows(rs, points))
     assert pointwise_consistency(rs, points).consistent
 
 
 def test_vanishing_row_with_nonzero_rhs_is_inconsistent():
-    """At the origin the D row [10^-170, x1^2 + x2^2] has a norm that
-    underflows to zero, while its right-hand side row . X = 1 does not."""
-    rs, _ = _rs_from_pd_x([["0", "1"]], ["0", "0"], X2, c_cols=[[_p("1", X2), _p("0", X2)]])
-    p_d = PolyMatrix([[Poly.const(2, Fraction(1, 10**170)), _p("x1^2 + x2^2", X2)]])
-    rs = ResidualSystem(replace(rs.pair, p_d=p_d), (Poly.const(2, 10**170), Poly.zero(2)))
-    report = pointwise_consistency(rs, check_points(2))
-    assert [point for point, _ in report.failures] == [(0.0, 0.0)]
-    assert not consistency_gap(*stacked_system(rs, [0.0, 0.0]))[0]
+    """At the origin the A row is [10^-170, x1^2 + x2^2 + x3^2] = [10^-170, 0], whose squared
+    norm underflows to zero, while its right-hand side beta = 1 does not; divided by
+    |P_VM column| * |C|_F = sqrt(2), the row stays below the cutoff and beta stays 1/sqrt(2)."""
+    rs = _rs_from_c_x([["1/1" + "0" * 170, "1", "0"], ["x1^2 + x2^2 + x3^2", "0", "1"]], ["1", "0", "0"], X3, n=2)
+    origin = [0.0, 0.0, 0.0]
+    aug = quotient_rows(rs, origin)
+    assert np.allclose(aug[0] * np.sqrt(2.0), [1e-170, 0.0, 1.0], rtol=1e-15, atol=0)
+    report = pointwise_consistency(rs, check_points(3))
+    assert [point for point, _ in report.failures] == [tuple(origin)]
+    assert not quotient_gap(aug)[0]
 
 
 # -- symbol dimensions ----------------------------------------------------------

@@ -145,6 +145,9 @@ def test_simulate_overflow_and_nan_are_divergence():
         simulate_rk4(lambda x: np.array([quintic.eval_float(x)]), [1e5], 0.01, 1.0)
     with pytest.raises(DivergenceError):
         simulate_rk4(lambda x: np.array([math.nan]), [1.0], 0.01, 1.0)
+    # the first stage overflows to -inf and a later sum to NaN, with no numpy warning
+    with pytest.raises(DivergenceError):
+        simulate_rk4(lambda x: np.array([-1e300 * float(x[0]) ** 3]), [1e3], 0.01, 1.0)
 
 
 def test_rk4_convergence_ratio():
