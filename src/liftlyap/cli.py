@@ -212,10 +212,10 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
             setattr(options, key, value)
     if not 2 <= options.order <= DEGREE_CAP:
         raise SpecError(f"order must be between 2 and {DEGREE_CAP}")
-    if options.grid_per_axis < 2:
-        raise SpecError("grid must be at least 2 points per axis")
-    if options.grid_per_axis**m > geometry.MAX_GRID_POINTS:
-        raise SpecError(f"grid ** m must not exceed {geometry.MAX_GRID_POINTS} points")
+    try:
+        geometry.validate_grid(m, options.grid_per_axis)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
     if not (math.isfinite(options.h) and math.isfinite(options.horizon)):
         raise SpecError("h and horizon must be finite")
     if not options.h > 0:

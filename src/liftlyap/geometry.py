@@ -50,15 +50,20 @@ class Lattice:
         return tuple(Fraction(k, self.denominator) for k in self.numerators[index].tolist())
 
 
+def validate_grid(m: int, per_axis: int) -> None:
+    """Refuse a check grid of fewer than 2 points per axis or more than MAX_GRID_POINTS points."""
+    if per_axis < 2:
+        raise ValueError("grid must be at least 2 points per axis")
+    if per_axis**m > MAX_GRID_POINTS:
+        raise ValueError(f"grid ** m must not exceed {MAX_GRID_POINTS} points")
+
+
 def default_grid(m: int, per_axis: int) -> Lattice:
     """The check grid: per_axis values per axis over [-1, 1]^m, in ``itertools.product`` order.
 
     An even per_axis misses the origin, so it is appended last.
     """
-    if per_axis < 2:
-        raise ValueError("per_axis must be at least 2")
-    if per_axis**m > MAX_GRID_POINTS:
-        raise ValueError(f"per_axis ** m must not exceed {MAX_GRID_POINTS} points")
+    validate_grid(m, per_axis)
     q = per_axis - 1
     values = np.arange(-q, q + 1, 2)
     size = per_axis**m

@@ -9,22 +9,25 @@ epsilon check.
 
 Poly values are treated as immutable after construction and may be shared
 freely across threads.  Float evaluation reads a term table that each
-polynomial builds on first use and keeps; two threads racing to build it
-build the same table.  Printing uses graded lexicographic term order so
-that output is deterministic.
+polynomial builds on first use and keeps, and :meth:`Poly.eval_float`
+keeps the function :func:`compile_float` generates from it; two threads
+racing to build either build the same one.  Printing uses graded
+lexicographic term order so that output is deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 MultiIndex = tuple[int, ...]
 # Per term: the coefficient as a float and the (variable, exponent) pairs with exponent > 0
 FloatTerms = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
+FloatVector = Callable[[Sequence[float]], tuple[float, ...]]  # what compile_float returns
 
 # Products whose total degree would exceed this bound raise DegreeCapError
 # instead of silently producing huge term maps.
@@ -46,7 +49,7 @@ def _as_fraction(value) -> Fraction:
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("nvars", "terms", "_float_table")
+    __slots__ = ("nvars", "terms", "_float_table", "_float_fn")
 
     def __init__(self, nvars: int, terms: Mapping[MultiIndex, Fraction] | None = None):
         if nvars < 0:
@@ -65,6 +68,7 @@ class Poly:
         self.nvars = nvars
         self.terms = clean
         self._float_table: FloatTerms | None = None
+        self._float_fn: FloatVector | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -229,7 +233,7 @@ class Poly:
         return total
 
     def _float_terms(self) -> FloatTerms:
-        """The float term table of :meth:`eval_float` and :func:`eval_points`, built once."""
+        """The float term table of :func:`compile_float` and :func:`eval_points`, built once."""
         if self._float_table is None:
             self._float_table = tuple(
                 (float(c), tuple((i, e) for i, e in enumerate(mi) if e)) for mi, c in self.terms.items()
@@ -240,13 +244,9 @@ class Poly:
         """Floating-point evaluation; subject to rounding, unlike :meth:`eval`."""
         if len(point) != self.nvars:
             raise ValueError(f"point has {len(point)} coordinates, expected {self.nvars}")
-        total = 0.0
-        for c, factors in self._float_terms():
-            term = c
-            for i, e in factors:
-                term *= float(point[i]) ** e
-            total += term
-        return total
+        if self._float_fn is None:
+            self._float_fn = compile_float([self])
+        return self._float_fn(point)[0]
 
     def truncate(self, max_degree: int) -> "Poly":
         """Drop all terms of total degree above ``max_degree`` (exact)."""
@@ -291,6 +291,36 @@ def poly_sum(items: Iterable[Poly], nvars: int) -> Poly:
     for item in items:
         total = total + item
     return total
+
+
+def compile_float(polys: Sequence[Poly]) -> FloatVector:
+    """One function from a point to the values of ``polys``, as a tuple of floats.
+
+    The function is straight-line Python generated from the float term
+    tables, one flat statement per term, so a long polynomial never nests.
+    Each coordinate used is converted by ``float`` first (an ``np.float64``
+    power rounds differently), then each value is summed from 0.0 term by
+    term, left to right, each term the coefficient times Python float
+    powers: ``t0 += -0.5 * x2 ** 2 * x4 ** 1``.  An overflowing power raises
+    OverflowError; a product or sum that overflows gives inf or NaN.  The
+    source holds only ``repr`` of finite floats and integer indices and
+    exponents.  The point is not length-checked; a missing coordinate
+    raises IndexError.
+    """
+    tables = [p._float_terms() for p in polys]
+    used = sorted({i for table in tables for _, factors in table for i, _ in factors})
+    lines = ["def values(p):"]
+    lines += [f"    x{i} = float(p[{i}])" for i in used]
+    for k, table in enumerate(tables):
+        lines.append(f"    t{k} = 0.0")
+        for c, factors in table:
+            assert math.isfinite(c), c  # float(Fraction) raises rather than give inf
+            powers = "".join(f" * x{i} ** {operator.index(e)}" for i, e in factors)
+            lines.append(f"    t{k} += {c!r}{powers}")
+    lines.append("    return (" + "".join(f"t{k}, " for k in range(len(tables))) + ")")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<compile_float>", "exec"), namespace)
+    return namespace["values"]
 
 
 def eval_points(polys: Sequence[Poly], points) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from dataclasses import field as dataclass_field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -19,7 +20,18 @@ import numpy as np
 
 from . import geometry
 from .geometry import Lattice
-from .poly import Poly, PolyMatrix, eval_points, grad, lie_derivative, poly_adjugate, poly_det, poly_sum
+from .poly import (
+    FloatVector,
+    Poly,
+    PolyMatrix,
+    compile_float,
+    eval_points,
+    grad,
+    lie_derivative,
+    poly_adjugate,
+    poly_det,
+    poly_sum,
+)
 from .sysmodel import ControlAffineSystem
 
 FEEDBACK_RESIDUAL_TOL = 1e-8
@@ -27,7 +39,7 @@ DIVERGENCE_GUARD = 1e6
 MAX_STEPS = 10**6  # most RK4 steps horizon / h that a problem may ask for
 VSTAR_FLOOR = 1e-12  # V* values at or below this end the sampled decrease check
 
-VectorMap = Callable[[Sequence[float]], np.ndarray]  # a point of R^m to a vector: a field or a feedback
+VectorMap = Callable[[Sequence[float]], Sequence[float]]  # a point of R^m to a vector: a field or a feedback
 
 
 class FeedbackResidualError(RuntimeError):
@@ -51,10 +63,19 @@ class FeedbackSolution:
     rhs: tuple[Poly, ...]  # the equation is F(x) u = rhs(x)
 
 
-def _solve_at(sys: ControlAffineSystem, rhs: Sequence[Poly], x: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """F(x) as an (m, r) array and the least-norm u of F(x) u = rhs(x) at one point, as an RK4 stage asks."""
-    a = np.array([[p.eval_float(x) for p in col] for col in sys.f]).T
-    b = np.array([p.eval_float(x) for p in rhs])
+def _columns_and_rhs(sys: ControlAffineSystem, rhs: Sequence[Poly]) -> tuple[Poly, ...]:
+    """The polynomials :func:`_solve_at` reads: the columns of F, then rhs."""
+    return (*(p for col in sys.f for p in col), *rhs)
+
+
+def _solve_at(sys: ControlAffineSystem, values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """F(x) as an (m, r) array and the least-norm u of F(x) u = rhs(x) at one point, as an RK4 stage asks.
+
+    ``values`` starts with the values of :func:`_columns_and_rhs` at x.
+    """
+    size = sys.m * sys.r
+    a = np.array(values[:size]).reshape(sys.r, sys.m).T
+    b = np.array(values[size : size + sys.m])
     u, *_ = np.linalg.lstsq(a, b, rcond=None)
     return a, u
 
@@ -71,11 +92,12 @@ def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly], points: np.nda
         raise ValueError("right-hand side must have one component per state")
     f_mat = control_matrix(sys)
     symbolic = _symbolic_feedback(sys, f_mat, rhs)
+    values = compile_float(_columns_and_rhs(sys, rhs)) if symbolic is None else None
 
     def pointwise(x: Sequence[float]) -> np.ndarray:
         if symbolic is not None:
             return np.array([u.eval_float(x) for u in symbolic])
-        return _solve_at(sys, rhs, x)[1]
+        return _solve_at(sys, values(x))[1]
 
     a = f_mat.at(points)
     b = eval_points(rhs, points)
@@ -114,13 +136,23 @@ class ClosedLoop:
     sys: ControlAffineSystem
     feedback: FeedbackSolution
     poly: tuple[Poly, ...] | None
+    _values: FloatVector | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
-    def __call__(self, x: Sequence[float]) -> np.ndarray:
+    def __call__(self, x: Sequence[float]) -> Sequence[float]:
+        if self._values is None:
+            # compiled on the first call, inside simulate_rk4, which turns an
+            # OverflowError from a coefficient beyond the float range into a DivergenceError
+            polys = self.poly
+            if polys is None:
+                polys = (*_columns_and_rhs(self.sys, self.feedback.rhs), *self.sys.f0)
+            self._values = compile_float(polys)
+        values = self._values(x)
         if self.poly is not None:
-            return np.array([p.eval_float(x) for p in self.poly])
-        f_x, u = _solve_at(self.sys, self.feedback.rhs, x)  # F(x) once per evaluation
+            return values
+        f_x, u = _solve_at(self.sys, values)  # F(x) once per evaluation
         # f0 + u_1 F_1 + ... + u_r F_r summed left to right, the order test_pinned_floats pins
-        return sum((u[j] * f_x[:, j] for j in range(self.sys.r)), np.array([p.eval_float(x) for p in self.sys.f0]))
+        f0 = np.array(values[-self.sys.m :])
+        return sum((u[j] * f_x[:, j] for j in range(self.sys.r)), f0).tolist()
 
 
 def closed_loop_field(sys: ControlAffineSystem, feedback: FeedbackSolution) -> ClosedLoop:
@@ -143,38 +175,47 @@ class TrajectoryRecord:
 def simulate_rk4(
     field: VectorMap, x0: Sequence[float], h: float, horizon: float, vstar: Poly | None = None
 ) -> TrajectoryRecord:
-    """Classical fixed-step fourth-order integration with state recording."""
+    """Classical fixed-step fourth-order integration with state recording.
+
+    The state is a list of Python floats, and each stage is formed
+    coordinate by coordinate in the order of the vector expressions
+    ``x + (0.5*h)*k1`` and ``x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the
+    trajectory is that of the same formulas over float64 arrays, bit for bit.
+    """
     if h <= 0 or horizon < h:
         raise ValueError("need h > 0 and horizon >= h")
     steps = int(round(horizon / h))
-    x = np.array(x0, dtype=float)
+    half, sixth = 0.5 * h, h / 6.0
     record = TrajectoryRecord([], [], [])
 
-    def log(t: float, state: np.ndarray) -> None:
+    def log(t: float, x: list[float]) -> np.ndarray:
+        state = np.array(x)
         record.times.append(t)
-        record.states.append(state.copy())
-        record.vstar_values.append(vstar.eval_float(state) if vstar is not None else float("nan"))
+        record.states.append(state)
+        record.vstar_values.append(vstar.eval_float(x) if vstar is not None else float("nan"))
+        return state
 
     def guard(state: np.ndarray, t: float) -> None:
         if not np.linalg.norm(state) <= DIVERGENCE_GUARD:
             raise DivergenceError(f"state norm exceeded {DIVERGENCE_GUARD:.0e} at t={t:.3f}")
 
+    x = np.array(x0, dtype=float).tolist()
     try:
-        log(0.0, x)
+        state = log(0.0, x)
         # inf and NaN from an overflowing step fail the guard: `not norm <= DIVERGENCE_GUARD`
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps):
-                guard(x, k * h)
+                guard(state, k * h)
                 k1 = field(x)
-                k2 = field(x + 0.5 * h * k1)
-                k3 = field(x + 0.5 * h * k2)
-                k4 = field(x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                log((k + 1) * h, x)
+                k2 = field([a + half * b for a, b in zip(x, k1)])
+                k3 = field([a + half * b for a, b in zip(x, k2)])
+                k4 = field([a + h * b for a, b in zip(x, k3)])
+                x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+                state = log((k + 1) * h, x)
     except OverflowError as exc:
         t = record.times[-1]
         raise DivergenceError(f"float overflow evaluating the field or V* at t={t:.3f}") from exc
-    guard(x, horizon)
+    guard(state, horizon)
     return record
 
 
@@ -214,8 +255,8 @@ def verify_lyapunov_decrease(traj: TrajectoryRecord, vstar: Poly, field: VectorM
         if index is not None:
             analytic_witness = tuple(grid.points[index].tolist())
     else:
-        dv = grad(vstar)
-        rates = ((x, np.dot([p.eval_float(x) for p in dv], field(x))) for x in grid.points.tolist() if any(x))
+        dv = eval_points(grad(vstar), grid.points)
+        rates = ((x, np.dot(dv_x, field(x))) for x, dv_x in zip(grid.points.tolist(), dv) if any(x))
         analytic_witness = next((tuple(x) for x, rate in rates if rate >= 0.0), None)
     return DecreaseReport(monotone, first_violation, analytic_witness is None, analytic_witness)
 

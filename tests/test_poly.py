@@ -17,6 +17,7 @@ from liftlyap.poly import (
     DegreeCapError,
     Poly,
     PolyMatrix,
+    compile_float,
     eval_points,
     format_poly,
     grad,
@@ -375,3 +376,37 @@ def test_eval_points_is_eval_float_bitwise(case):
     flat = points.reshape(-1, points.shape[-1])
     want = np.array([[p.eval_float(x) for p in polys] for x in flat.tolist()]).reshape(got.shape)
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _polys_and_point(draw):
+    nvars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * nvars)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    polys = draw(st.lists(st.dictionaries(exponents, coeffs, max_size=6).map(lambda t: Poly(nvars, t)), max_size=4))
+    return polys, draw(st.lists(_COORDS, min_size=nvars, max_size=nvars))
+
+
+@given(_polys_and_point())
+@example(([Poly(2, {(1, 0): Fraction(-3, 7), (0, 2): Fraction(1)}), Poly.zero(2)], [-0.0, 0.0]))
+@example(([Poly(2, {(3, 3): Fraction(5)}), Poly(2, {(3, 3): Fraction(1), (3, 2): Fraction(-1)})], [1e100, 1e100]))
+@example(([Poly.variable(1, 0), Poly(1, {(3,): Fraction(2), (0,): Fraction(-1)})], [1e200]))
+def test_compile_float_is_reference_bitwise(case):
+    polys, point = case
+    want = [_float_outcome(_eval_float_reference, p, point) for p in polys]
+    if "overflow" in want:  # one overflowing power ends the whole vector
+        want = ["overflow"] * len(polys)
+    values = compile_float(polys)
+    # an np.ndarray point hands out np.float64, whose ** rounds differently from float's
+    for x in (point, np.array(point)):
+        assert [_float_outcome(lambda x: values(x)[k], x) for k in range(len(polys))] == want
+
+
+@given(_polys_and_points())
+def test_compile_float_is_eval_points_bitwise(case):
+    polys, points = case
+    flat = points.reshape(-1, points.shape[-1])
+    want = eval_points(polys, points).reshape(len(flat), len(polys))
+    values = compile_float(polys)
+    for x, row in zip(flat, want):
+        assert np.array(values(x), dtype=float).tobytes() == row.tobytes()

@@ -5,8 +5,11 @@ import random
 
 import numpy as np
 import pytest
+import rk4_oracle
 from conftest import build_pipeline, check_grid, check_points, target_field
+from liftbench import gen
 
+from liftlyap import cli, synth
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, grad
 from liftlyap.synth import (
@@ -148,6 +151,59 @@ def test_simulate_overflow_and_nan_are_divergence():
     # the first stage overflows to -inf and a later sum to NaN, with no numpy warning
     with pytest.raises(DivergenceError):
         simulate_rk4(lambda x: np.array([-1e300 * float(x[0]) ** 3]), [1e3], 0.01, 1.0)
+
+
+def _report_simulation(monkeypatch, case: str) -> tuple:
+    """The arguments `report` passes to simulate_rk4 on a fixture or on workload/seed/index."""
+    if "/" in case:
+        workload, seed, index = case.split("/")
+        spec = gen.instance(workload, int(seed), int(index)).spec
+    else:
+        spec = cli.load_spec(cli.fixture_path(case))
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return simulate_rk4(*args)
+
+    monkeypatch.setattr(synth, "simulate_rk4", recorded)
+    cli.run("report", cli.build_problem(spec))
+    (args,) = calls
+    return args
+
+
+def _trajectory_bits(record) -> tuple:
+    return (
+        [float.hex(t) for t in record.times],
+        b"".join(state.tobytes() for state in record.states),
+        [float.hex(v) for v in record.vstar_values],
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["ex_ps", "ex_fa", "lift-exact/7/0", "lift-exact/7/1", "lift-exact/7/2", "simulate-pointwise/7/0"]
+)
+def test_simulate_matches_the_numpy_oracle_bitwise(monkeypatch, case):
+    loop, x0, h, horizon, vstar = _report_simulation(monkeypatch, case)
+    assert (loop.poly is None) == case.startswith("simulate-pointwise")  # both closed-loop paths
+    want = rk4_oracle.simulate_rk4(lambda x: np.asarray(loop(x)), x0, h, horizon, vstar)
+    assert _trajectory_bits(simulate_rk4(loop, x0, h, horizon, vstar)) == _trajectory_bits(want)
+
+
+@pytest.mark.parametrize(
+    "drift, x0, message",
+    [("x1^2", [1.0], "state norm exceeded 1e+06 at t="), ("x1^5", [1e5], "float overflow evaluating the field")],
+    ids=["guard", "overflow"],
+)
+def test_simulate_divergence_matches_the_numpy_oracle(drift, x0, message):
+    sys = ControlAffineSystem(1, 1, (_p(drift, ["x1"]),), ((Poly.zero(1),),))
+    loop = closed_loop_field(sys, FeedbackSolution((Poly.zero(1),), lambda x: np.zeros(1), 0.0, (Poly.zero(1),)))
+    with pytest.raises(DivergenceError) as want:
+        rk4_oracle.simulate_rk4(lambda x: np.asarray(loop(x)), x0, 0.01, 10.0)
+    with pytest.raises(DivergenceError) as got:
+        simulate_rk4(loop, x0, 0.01, 10.0)
+    assert message in str(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def test_rk4_convergence_ratio():
