@@ -320,8 +320,8 @@ def stage_quotient(state: RunState) -> dict:
 
 def stage_geometry(state: RunState) -> ProjectionPair:
     problem = state.problem
-    c = geometry.control_distribution(problem.sys, state.grid.points)
-    d = geometry.complement_frame(c, problem.user_d, state.grid.points)
+    c = geometry.control_distribution(problem.sys, state.grid)
+    d = geometry.complement_frame(c, problem.user_d, state.grid)
     if problem.user_p_d is not None:
         return projections_from_matrix(c, d, problem.user_p_d, problem.conn)
     return geometry.build_projections(c, d, problem.conn)

@@ -8,7 +8,9 @@ polynomial coefficients gamma.  Coordinate labels in returned mappings are
 are 0-based throughout.
 
 The check grid is a :class:`Lattice` over [-1, 1]^m, built once by
-:func:`default_grid`; only this module reads its integer numerators.
+:func:`default_grid`; only this module reads its integer numerators.  The
+frame checks evaluate and rank a frame once per distinct value on the grid
+(:meth:`Lattice.distinct`), since a frame reads only some of the variables.
 """
 
 from __future__ import annotations
@@ -16,14 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .numutil import numeric_rank
 from .poly import Poly, PolyMatrix, poly_adjugate, poly_det, poly_sum
 
-MAX_GRID_POINTS = 100_000  # largest per_axis ** m; each grid check holds every point at once
+MAX_GRID_POINTS = 100_000  # largest per_axis ** m; the point-by-point grid checks hold every point at once
 
 
 class FrameRankError(ValueError):
@@ -48,6 +50,28 @@ class Lattice:
     def exact(self, index: int) -> tuple[Fraction, ...]:
         """Point ``index`` in exact rationals."""
         return tuple(Fraction(k, self.denominator) for k in self.numerators[index].tolist())
+
+    def distinct(self, variables: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+        """One lattice row per combination of digits on ``variables``, and each point's position among them.
+
+        For a :func:`default_grid` lattice: the digit of numerator k is (k + q) / 2, and
+        combinations run in ``itertools.product`` order over ``variables`` taken ascending.
+        Each combination's representative has digit 0 off ``variables``; an appended origin
+        is its own representative, last.  So ``index`` is onto ``range(len(rows))``.
+        """
+        q = self.denominator
+        per_axis = q + 1
+        m = self.numerators.shape[1]
+        size = per_axis**m
+        rows = np.zeros(1, dtype=np.int64)
+        index = np.zeros(size, dtype=np.int64)
+        for i in sorted(variables):
+            rows = (rows[:, None] + np.arange(per_axis) * per_axis ** (m - 1 - i)).ravel()
+            index = index * per_axis + (self.numerators[:size, i] + q) // 2
+        if len(self) > size:
+            index = np.append(index, len(rows))
+            rows = np.append(rows, size)
+        return rows, index
 
 
 def validate_grid(m: int, per_axis: int) -> None:
@@ -104,11 +128,23 @@ def first_nonnegative(p: Poly, grid: Lattice) -> int | None:
     return None
 
 
-def _require_on_grid(points: np.ndarray, ok: np.ndarray, message: str) -> None:
-    """Raise FrameRankError with the first grid point where ``ok`` is false."""
-    bad = np.flatnonzero(~ok)
+def _distinct_values(matrix: PolyMatrix, grid: Lattice) -> tuple[np.ndarray, np.ndarray]:
+    """``matrix`` at one grid point per distinct value, and each grid point's position among them.
+
+    A value depends only on the variables the entries read, so one point per
+    combination of digits on those gives every value on the grid, bit for bit.
+    """
+    support = {i for row in matrix.entries for p in row for mi in p.terms for i, e in enumerate(mi) if e}
+    rows, index = grid.distinct(support)
+    return matrix.at(grid.points[rows]), index
+
+
+def _require_rank_on_grid(matrix: PolyMatrix, grid: Lattice, rank: int, message: str) -> None:
+    """Raise FrameRankError with the first grid point, in grid order, where ``matrix`` does not have rank ``rank``."""
+    values, index = _distinct_values(matrix, grid)
+    bad = np.flatnonzero(numeric_rank(values)[index] != rank)
     if bad.size:
-        raise FrameRankError(message.format(tuple(points[bad[0]].tolist())))
+        raise FrameRankError(message.format(tuple(grid.points[bad[0]].tolist())))
 
 
 @dataclass(frozen=True)
@@ -119,8 +155,8 @@ class Frame:
     fields: tuple[tuple[Poly, ...], ...]
 
     @staticmethod
-    def build(dim: int, fields: Sequence[Sequence[Poly]], points: np.ndarray) -> "Frame":
-        """Validate shapes and constant rank on the check grid (a (P, dim) float array)."""
+    def build(dim: int, fields: Sequence[Sequence[Poly]], grid: Lattice) -> "Frame":
+        """Validate shapes and constant rank on the check grid."""
         cols = tuple(tuple(col) for col in fields)
         for col in cols:
             if len(col) != dim:
@@ -130,8 +166,7 @@ class Frame:
                     raise ValueError("frame entries must be polynomials in the ambient variables")
         frame = Frame(dim, cols)
         if cols:
-            ranks = numeric_rank(frame.as_matrix().at(points))
-            _require_on_grid(points, ranks == len(cols), "frame drops rank at grid point {}")
+            _require_rank_on_grid(frame.as_matrix(), grid, len(cols), "frame drops rank at grid point {}")
         return frame
 
     @property
@@ -147,12 +182,12 @@ class Frame:
         )
 
 
-def control_distribution(system, points: np.ndarray) -> Frame:
+def control_distribution(system, grid: Lattice) -> Frame:
     """Frame spanned by the control vector fields of a control-affine system."""
-    return Frame.build(system.m, system.f, points)
+    return Frame.build(system.m, system.f, grid)
 
 
-def complement_frame(c: Frame, user_d: Sequence[Sequence[Poly]] | None, points: np.ndarray) -> Frame:
+def complement_frame(c: Frame, user_d: Sequence[Sequence[Poly]] | None, grid: Lattice) -> Frame:
     """A distribution D with TM = C (+) D, from the user or by coordinate search.
 
     Either way [C | D] has full rank at every grid point.  The automatic
@@ -163,17 +198,17 @@ def complement_frame(c: Frame, user_d: Sequence[Sequence[Poly]] | None, points: 
     """
     m = c.dim
     if user_d is not None:
-        d = Frame.build(m, user_d, points)
+        d = Frame.build(m, user_d, grid)
         if c.rank + d.rank != m:
             raise ComplementError("user complement has the wrong rank")
-        ranks = numeric_rank(Frame(m, c.fields + d.fields).as_matrix().at(points))
-        _require_on_grid(points, ranks == m, "[C | D] is singular at grid point {}")
+        t = Frame(m, c.fields + d.fields).as_matrix()
+        _require_rank_on_grid(t, grid, m, "[C | D] is singular at grid point {}")
         return d
 
-    # [C | chosen | candidate] at every grid point: C evaluated straight into
-    # the first columns of one array, then one unit column per step
+    # [C | chosen | candidate] at each distinct value of C: C evaluated straight
+    # into the first columns of one array, then one unit column per step
     zero = (Poly.zero(m),) * m
-    span = Frame(m, c.fields + (zero,) * (m - c.rank)).as_matrix().at(points)
+    span = _distinct_values(Frame(m, c.fields + (zero,) * (m - c.rank)).as_matrix(), grid)[0]
     chosen: list[tuple[Poly, ...]] = []
     for i in range(m):
         k = c.rank + len(chosen)

@@ -283,7 +283,7 @@ def quasi_regular_search(e_span: np.ndarray, f_span: np.ndarray) -> SymbolDims:
     return SymbolDims(dim_g1, dim_g2, quasi_regular, tuple(p + 1 for p in perm) if quasi_regular else None)
 
 
-def symbol_dims(c_frame: Frame, conn: EhresmannConnection, point: Sequence[float]) -> SymbolDims:
+def symbol_dims(c_frame: Frame, p_vm: PolyMatrix, point: Sequence[float]) -> SymbolDims:
     """Symbol dimensions of the lift system at a point.
 
     E* is spanned by the control directions viewed as covectors and F* is
@@ -291,7 +291,7 @@ def symbol_dims(c_frame: Frame, conn: EhresmannConnection, point: Sequence[float
     transposed.
     """
     e_span = c_frame.as_matrix().at(point).T  # rows span E*
-    f_span = null_rows(geometry.build_p_vm(conn).at(point).T)
+    f_span = null_rows(p_vm.at(point).T)
     return quasi_regular_search(e_span, f_span)
 
 
@@ -341,7 +341,7 @@ def full_check(rs: ResidualSystem, conn: EhresmannConnection, points: np.ndarray
     b_offenders = {key: val for key, val in b_entries.items() if not val.is_zero()}
     consistency = pointwise_consistency(rs, points)
     origin = [0.0] * m
-    symbol = symbol_dims(rs.pair.c_frame, conn, origin)
+    symbol = symbol_dims(rs.pair.c_frame, rs.pair.p_vm, origin)
     return IntegrabilityReport(
         flat=flat,
         flat_offenders=flat_offenders,

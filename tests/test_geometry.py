@@ -5,13 +5,17 @@ import math
 import random
 from fractions import Fraction
 
+import frame_oracle
 import numpy as np
 import pytest
-from conftest import check_grid, check_points, flat_connection
+from conftest import build_pipeline, check_grid, flat_connection
 from hypothesis import example, given
 from hypothesis import strategies as st
+from liftbench import gen
 
+from liftlyap import cli, geometry
 from liftlyap.geometry import (
+    ComplementError,
     EhresmannConnection,
     Frame,
     FrameRankError,
@@ -26,7 +30,7 @@ from liftlyap.geometry import (
     horizontal_lift,
 )
 from liftlyap.parsing import parse_poly
-from liftlyap.poly import Poly
+from liftlyap.poly import Poly, poly_sum
 
 X2 = ["x1", "x2"]
 X3 = ["x1", "x2", "x3"]
@@ -103,6 +107,32 @@ def test_default_grid_contains_origin():
         default_grid(17, per_axis=2)  # 131072 points: above the cap, small enough to build if unchecked
 
 
+@st.composite
+def _lattice_and_variables(draw):
+    m = draw(st.integers(1, 5))
+    return m, draw(st.integers(2, 6)), tuple(sorted(draw(st.sets(st.integers(0, m - 1)))))
+
+
+@given(_lattice_and_variables())
+@example((3, 3, ()))
+@example((3, 4, ()))
+@example((3, 5, (0, 1, 2)))
+@example((3, 4, (0, 1, 2)))
+def test_distinct_rows_give_every_point_on_the_chosen_variables(case):
+    m, per_axis, variables = case
+    grid = default_grid(m, per_axis)
+    rows, index = grid.distinct(variables)
+    cols = list(variables)
+    assert grid.points[rows][index][:, cols].tobytes() == grid.points[:, cols].tobytes()
+    assert sorted(set(index.tolist())) == list(range(len(rows)))
+    assert len(rows) == per_axis ** len(variables) + (per_axis % 2 == 0)
+    # the combinations in product order, then the origin if it was appended
+    combos = [tuple(grid.exact(k)[i] for i in variables) for k in rows.tolist()]
+    values = [Fraction(2 * i, per_axis - 1) - 1 for i in range(per_axis)]
+    origin = [(Fraction(0),) * len(variables)] if per_axis % 2 == 0 else []
+    assert combos == list(itertools.product(values, repeat=len(variables))) + origin
+
+
 def _first_nonnegative_reference(p: Poly, grid):
     """The sweep before the integer form: one exact Fraction evaluation per point."""
     for index, point in enumerate(grid):
@@ -139,26 +169,26 @@ def test_first_nonnegative_matches_exact_sweep(case):
 
 def test_control_distribution_single_column():
     sys = _Sys(2, [[_p("1", X2), _p("0", X2)]])
-    frame = control_distribution(sys, check_points(2))
+    frame = control_distribution(sys, check_grid(2))
     assert frame.rank == 1
     assert frame.fields[0][0] == Poly.const(2, 1)
 
 
 def test_control_distribution_full_tangent():
     sys = _Sys(2, [[_p("1", X2), _p("0", X2)], [_p("0", X2), _p("1", X2)]])
-    assert control_distribution(sys, check_points(2)).rank == 2
+    assert control_distribution(sys, check_grid(2)).rank == 2
 
 
 def test_control_distribution_rank_deficient():
     # columns (1,0) and (x1,0): 2x2 determinant is identically zero
     sys = _Sys(2, [[_p("1", X2), _p("0", X2)], [_p("x1", X2), _p("0", X2)]])
     with pytest.raises(FrameRankError):
-        control_distribution(sys, check_points(2))
+        control_distribution(sys, check_grid(2))
 
 
 def test_complement_coordinate_search():
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_points(2))
-    d = complement_frame(c, None, check_points(2))
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_grid(2))
+    d = complement_frame(c, None, check_grid(2))
     assert d.rank == 1
     assert d.fields[0][1] == Poly.const(2, 1)  # picks d/dx2
     pair = build_projections(c, d, flat_connection(2, 1))
@@ -167,8 +197,8 @@ def test_complement_coordinate_search():
 
 
 def test_complement_empty_when_controls_span():
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)], [_p("0", X2), _p("1", X2)]], check_points(2))
-    d = complement_frame(c, None, check_points(2))
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)], [_p("0", X2), _p("1", X2)]], check_grid(2))
+    d = complement_frame(c, None, check_grid(2))
     assert d.rank == 0
     pair = build_projections(c, d, flat_connection(2, 1))
     assert pair.p_d.rows == 0
@@ -176,8 +206,8 @@ def test_complement_empty_when_controls_span():
 
 def test_projection_from_user_complement():
     # C = {(1, x1)}, D = {(0, 1)}: det [C|D] = 1, projection row (-x1, 1)
-    c = Frame.build(2, [[_p("1", X2), _p("x1", X2)]], check_points(2))
-    d = complement_frame(c, user_d=[[_p("0", X2), _p("1", X2)]], points=check_points(2))
+    c = Frame.build(2, [[_p("1", X2), _p("x1", X2)]], check_grid(2))
+    d = complement_frame(c, user_d=[[_p("0", X2), _p("1", X2)]], grid=check_grid(2))
     pair = build_projections(c, d, flat_connection(2, 1))
     assert pair.delta == Poly.const(2, 1)
     assert pair.p_d.row(0) == [_p("-x1", X2), _p("1", X2)]
@@ -185,8 +215,8 @@ def test_projection_from_user_complement():
 
 def test_projection_invariants_exact():
     rng = random.Random(2)
-    c = Frame.build(3, [[_p("1", X3), _p("x1", X3), _p("0", X3)]], check_points(3))
-    d = complement_frame(c, None, check_points(3))
+    c = Frame.build(3, [[_p("1", X3), _p("x1", X3), _p("0", X3)]], check_grid(3))
+    d = complement_frame(c, None, check_grid(3))
     pair = build_projections(c, d, flat_connection(3, 1))
     c_cols = c.as_matrix()
     d_cols = d.as_matrix()
@@ -202,20 +232,100 @@ def test_projection_invariants_exact():
 
 
 def test_user_complement_singular_rejected():
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_points(2))
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_grid(2))
     with pytest.raises(FrameRankError):
-        complement_frame(c, user_d=[[_p("1", X2), _p("0", X2)]], points=check_points(2))
+        complement_frame(c, user_d=[[_p("1", X2), _p("0", X2)]], grid=check_grid(2))
 
 
 def test_rank_failures_name_the_first_grid_point():
     # the witness is the first failing point in grid order, printed as plain floats
     with pytest.raises(FrameRankError) as err:
-        Frame.build(2, [[_p("x1", X2), _p("0", X2)]], check_points(2))
+        Frame.build(2, [[_p("x1", X2), _p("0", X2)]], check_grid(2))
     assert str(err.value) == "frame drops rank at grid point (0.0, -1.0)"
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_points(2))
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_grid(2))
     with pytest.raises(FrameRankError) as err:
-        complement_frame(c, user_d=[[_p("1", X2), _p("x2", X2)]], points=check_points(2))
+        complement_frame(c, user_d=[[_p("1", X2), _p("x2", X2)]], grid=check_grid(2))
     assert str(err.value) == "[C | D] is singular at grid point (-1.0, 0.0)"
+
+
+def test_rank_failures_at_the_appended_origin_and_on_constant_frames():
+    # C = (x1, x2) vanishes on a 4-per-axis grid only at the origin, its own distinct value, last
+    with pytest.raises(FrameRankError) as err:
+        Frame.build(2, [[_p("x1", X2), _p("x2", X2)]], default_grid(2, 4))
+    assert str(err.value) == "frame drops rank at grid point (0.0, 0.0)"
+    # constant C and D: one distinct value, whose failure is reported at the first grid point
+    with pytest.raises(FrameRankError) as err:
+        build_pipeline("ex_ps", d=[["1", "0"]])
+    assert str(err.value) == "[C | D] is singular at grid point (-1.0, -1.0)"
+
+
+@st.composite
+def _frames_on_a_strict_subset(draw):
+    """C and an automatic or user D on a grid of 2-5 points per axis, with small integer polynomial
+    entries in a strict subset of the m <= 4 variables; each column may carry a unit pivot, so that
+    both full and dropping ranks are drawn."""
+    m = draw(st.integers(2, 4))
+    variables = draw(st.sets(st.integers(0, m - 1), max_size=m - 1))
+    monomials = [
+        mi
+        for mi in itertools.product(range(3), repeat=m)
+        if sum(mi) <= 2 and all(e == 0 or i in variables for i, e in enumerate(mi))
+    ]
+    term = st.tuples(st.sampled_from(monomials), st.integers(-2, 2))
+
+    def column():
+        pivot = draw(st.one_of(st.none(), st.integers(0, m - 1)))
+        return [
+            poly_sum((Poly.monomial(m, mi, c) for mi, c in draw(st.lists(term, max_size=3))), m)
+            + (1 if i == pivot else 0)
+            for i in range(m)
+        ]
+
+    r = draw(st.integers(1, m))
+    c_cols = [column() for _ in range(r)]
+    user_d = draw(st.one_of(st.none(), st.integers(max(0, m - r - 1), m - r + 1)))
+    if user_d is not None:
+        user_d = [column() for _ in range(user_d)]
+    return default_grid(m, draw(st.integers(2, 5))), c_cols, user_d
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (FrameRankError, ComplementError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_frames_on_a_strict_subset())
+def test_projected_frame_checks_match_the_full_grid_oracle(case):
+    grid, c_cols, user_d = case
+    m = len(c_cols[0])
+    c = _outcome(Frame.build, m, c_cols, grid)
+    assert c == _outcome(frame_oracle.frame_build, m, c_cols, grid.points)
+    if isinstance(c, Frame):
+        expected = _outcome(frame_oracle.complement_frame, c, user_d, grid.points)
+        assert _outcome(complement_frame, c, user_d, grid) == expected
+
+
+@pytest.mark.parametrize("workload, index", [("obstruct-wide", 2), ("simulate-pointwise", 0)])
+def test_frame_checks_rank_one_matrix_per_distinct_value(monkeypatch, workload, index):
+    """The work of the frame checks, not their time: every rank stack in the geometry stage holds
+    at most per_axis ** |support| + 1 matrices, the support being the variables C and D read."""
+    state = cli.RunState(cli.build_problem(gen.instance(workload, 7, index).spec))
+    stacks = []
+    rank = geometry.numeric_rank
+
+    def recording(a, *args, **kwargs):
+        stacks.append(math.prod(np.shape(a)[:-2]))
+        return rank(a, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "numeric_rank", recording)
+    pair = cli.stage_geometry(state)
+    fields = pair.c_frame.fields + pair.d_frame.fields
+    support = {i for col in fields for p in col for mi in p.terms for i, e in enumerate(mi) if e}
+    bound = state.problem.options.grid_per_axis ** len(support) + 1
+    assert bound < len(state.grid)
+    assert stacks and max(stacks) <= bound
 
 
 def test_build_p_vm_flat():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import build_pipeline, check_points, flat_connection
+from conftest import build_pipeline, check_grid, check_points, flat_connection
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from liftbench import gen
@@ -28,6 +28,7 @@ from liftlyap.geometry import (
     ComplementError,
     EhresmannConnection,
     Frame,
+    build_p_vm,
     build_projections,
     complement_frame,
     curvature_components,
@@ -61,8 +62,8 @@ def _rs_from_pd_x(pd_rows, x_texts, names, c_cols, n=1):
     """Residual system with an explicitly chosen projection (for unit values); pd_rows None
     skips the check of the projection, which the consistency check does not read."""
     m = len(names)
-    c = Frame.build(m, c_cols, check_points(m))
-    d = complement_frame(c, None, check_points(m))
+    c = Frame.build(m, c_cols, check_grid(m))
+    d = complement_frame(c, None, check_grid(m))
     conn = flat_connection(m, n)
     pair = build_projections(c, d, conn)
     if pd_rows is not None:
@@ -280,8 +281,8 @@ def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols
     """condition_a / delta^3 and condition_b / delta^2 equal conditions A and
     B of the true P_D, the bottom rows of [C | D]^-1 differentiated by
     central differences, on a 5-per-axis grid."""
-    c = Frame.build(3, [[_p("1", X3), _p("0", X3), _p("0", X3)]], check_points(3))
-    d = Frame.build(3, [[_p(t, X3) for t in col] for col in d_cols], check_points(3))
+    c = Frame.build(3, [[_p("1", X3), _p("0", X3), _p("0", X3)]], check_grid(3))
+    d = Frame.build(3, [[_p(t, X3) for t in col] for col in d_cols], check_grid(3))
     pair = build_projections(c, d, flat_connection(3, 1))
     assert pair.delta.constant_term == 1 and not pair.delta.is_constant()
     x_field = (_p("-x1", X3), _p("-x2 + x1*x3", X3), _p("-x3", X3))
@@ -378,7 +379,7 @@ def _consistency_systems(draw):
     m = draw(st.integers(2, 4))
     n = draw(st.integers(1, m - 1))
     r = draw(st.integers(1, m))
-    points = default_grid(m, 6).points
+    grid = default_grid(m, 6)
     monomials = [mi for mi in itertools.product(range(3), repeat=m) if sum(mi) <= 2]
     term = st.tuples(st.sampled_from(monomials), st.integers(-2, 2))
 
@@ -394,19 +395,19 @@ def _consistency_systems(draw):
 
     # each C column is 1 at its pivot and 0 at the earlier pivots, so the pivot rows are unit triangular
     pivots = draw(st.permutations(range(m)))[:r]
-    c = Frame.build(m, [column(k, set(range(m)) - set(pivots[: j + 1])) for j, k in enumerate(pivots)], points)
+    c = Frame.build(m, [column(k, set(range(m)) - set(pivots[: j + 1])) for j, k in enumerate(pivots)], grid)
     if draw(st.booleans()):
         try:
-            d = complement_frame(c, None, points)
+            d = complement_frame(c, None, grid)
         except ComplementError:
             assume(False)
     else:
         # zero on the pivots and unit triangular on the other coordinates: det [C | D] = 1
         rest = [i for i in range(m) if i not in pivots]
-        d = complement_frame(c, [column(k, rest[j + 1 :]) for j, k in enumerate(rest)], points)
+        d = complement_frame(c, [column(k, rest[j + 1 :]) for j, k in enumerate(rest)], grid)
     flat = draw(st.booleans())
     conn = EhresmannConnection(m, n, [[Poly.zero(m) if flat else poly() for _ in range(n)] for _ in range(m - n)])
-    return ResidualSystem(build_projections(c, d, conn), tuple(poly() for _ in range(m))), points
+    return ResidualSystem(build_projections(c, d, conn), tuple(poly() for _ in range(m))), grid.points
 
 
 @given(_consistency_systems())
@@ -489,15 +490,15 @@ def test_vanishing_row_with_nonzero_rhs_is_inconsistent():
 
 
 def test_symbol_dims_ex_ps():
-    problem, _, pair, _, _ = build_pipeline("ex_ps")
-    dims = symbol_dims(pair.c_frame, problem.conn, [0.0, 0.0])
+    _, _, pair, _, _ = build_pipeline("ex_ps")
+    dims = symbol_dims(pair.c_frame, pair.p_vm, [0.0, 0.0])
     assert (dims.dim_g1, dims.dim_g2) == (0, 0)
     assert dims.quasi_regular
 
 
 def test_symbol_dims_ex_fa():
-    problem, _, pair, _, _ = build_pipeline("ex_fa")
-    dims = symbol_dims(pair.c_frame, problem.conn, [0.0, 0.0])
+    _, _, pair, _, _ = build_pipeline("ex_fa")
+    dims = symbol_dims(pair.c_frame, pair.p_vm, [0.0, 0.0])
     assert (dims.dim_g1, dims.dim_g2) == (1, 1)
     assert dims.quasi_regular
     assert dims.permutation == (2, 1)  # the second coordinate must lead
@@ -505,7 +506,7 @@ def test_symbol_dims_ex_fa():
 
 def test_symbol_dims_zero_control():
     frame = Frame(2, ())
-    dims = symbol_dims(frame, flat_connection(2, 1), [0.0, 0.0])
+    dims = symbol_dims(frame, build_p_vm(flat_connection(2, 1)), [0.0, 0.0])
     assert (dims.dim_g1, dims.dim_g2) == (0, 0)
     assert dims.quasi_regular
 
@@ -569,7 +570,6 @@ def test_vm_curvature_coeffs_match_connection_curvature():
         [_p("x2*x4", ["x1", "x2", "x3", "x4"]), _p("x1^2", ["x1", "x2", "x3", "x4"])],
         [_p("x3", ["x1", "x2", "x3", "x4"]), _p("x1*x2", ["x1", "x2", "x3", "x4"])],
     ])
-    from liftlyap.geometry import build_p_vm
 
     coeffs = vm_curvature_coeffs(build_p_vm(conn))
     curv = curvature_components(conn)
@@ -614,7 +614,6 @@ def test_curvature_map_b_term_reference():
 
 def test_curvature_map_flat_connection_h_zero():
     """With a flat connection the H coefficients are identically zero polys."""
-    from liftlyap.geometry import build_p_vm
 
     _, _, _, _, rs = build_pipeline("ex_curv")
     coeffs = vm_curvature_coeffs(rs.p_vm)
@@ -683,8 +682,8 @@ def test_full_check_ex_curv():
 
 
 def test_full_check_non_constant_determinant():
-    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_points(2))
-    d = complement_frame(c, user_d=[[_p("0", X2), _p("1 + 1/2*x1^2", X2)]], points=check_points(2))
+    c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_grid(2))
+    d = complement_frame(c, user_d=[[_p("0", X2), _p("1 + 1/2*x1^2", X2)]], grid=check_grid(2))
     conn = flat_connection(2, 1)
     pair = build_projections(c, d, conn)
     assert pair.delta == _p("1 + 1/2*x1^2", X2)
