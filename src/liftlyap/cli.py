@@ -125,6 +125,10 @@ def _parse_vector(items, variables, length: int, where: str) -> tuple[Poly, ...]
     return tuple(_parse_field(t, variables, f"{where}[{i}]") for i, t in enumerate(items))
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true loads as an int
+
+
 def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     """Parse and cross-validate a loaded problem file."""
     name = raw.get("name", "unnamed")
@@ -194,19 +198,22 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     unknown = sorted(set(opt_raw) - OPTION_KEYS)
     if unknown:
         raise SpecError(f"'options': unknown key {unknown[0]!r} (allowed: {', '.join(sorted(OPTION_KEYS))})")
-    for key in ("order", "grid"):
-        if isinstance(opt_raw.get(key), float) and not opt_raw[key].is_integer():
-            raise SpecError(f"'options': {key} must be a whole number, not {opt_raw[key]}")
-    try:
-        options = Options(
-            order=int(opt_raw.get("order", 6)),
-            grid_per_axis=int(opt_raw.get("grid", 3)),
-            h=float(opt_raw.get("h", 0.01)),
-            horizon=float(opt_raw.get("horizon", 10.0)),
-            x0=[float(v) for v in opt_raw["x0"]] if "x0" in opt_raw else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"'options': {exc}") from exc
+    for key in ("order", "grid", "h", "horizon"):
+        value = opt_raw.get(key, 0)
+        if not _is_number(value):
+            raise SpecError(f"'options': {key} must be a number")
+        if key in ("order", "grid") and isinstance(value, float) and not value.is_integer():
+            raise SpecError(f"'options': {key} must be a whole number, not {value}")
+    x0 = opt_raw.get("x0", [])
+    if not (isinstance(x0, list) and all(map(_is_number, x0))):
+        raise SpecError("'options': x0 must be a list of numbers")
+    options = Options(
+        order=int(opt_raw.get("order", 6)),
+        grid_per_axis=int(opt_raw.get("grid", 3)),
+        h=float(opt_raw.get("h", 0.01)),
+        horizon=float(opt_raw.get("horizon", 10.0)),
+        x0=[float(v) for v in opt_raw["x0"]] if "x0" in opt_raw else None,
+    )
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(options, key, value)

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numutil import numeric_rank
-from .poly import Poly, PolyMatrix, poly_adjugate, poly_det, poly_sum
+from .poly import Poly, PolyMatrix, lie_bracket, poly_adjugate, poly_det
 
 MAX_GRID_POINTS = 100_000  # largest per_axis ** m; the point-by-point grid checks hold every point at once
 
@@ -260,7 +260,7 @@ def build_p_vm(conn: EhresmannConnection) -> PolyMatrix:
 
 
 def horizontal_lift(conn: EhresmannConnection, w: Sequence[Poly]) -> list[Poly]:
-    """Lift a base vector field (components in y1..yn) to the total space.
+    """Lift a base vector field (components in y1..yn) to the total space: P_VM w.
 
     Base slot q carries w^q with y identified with the first base
     coordinates; fibre slot p carries sum_q gamma^p_q * w^q.
@@ -268,15 +268,9 @@ def horizontal_lift(conn: EhresmannConnection, w: Sequence[Poly]) -> list[Poly]:
     m, n = conn.m, conn.n
     if len(w) != n:
         raise ValueError(f"expected {n} base components, got {len(w)}")
-    lifted_base = []
-    for comp in w:
-        if comp.nvars != n:
-            raise ValueError("base components must be polynomials in the n base variables")
-        lifted_base.append(comp.embed(m))
-    out = list(lifted_base)
-    for p in range(m - n):
-        out.append(poly_sum((g * w for g, w in zip(conn.gamma[p], lifted_base)), m))
-    return out
+    if any(comp.nvars != n for comp in w):
+        raise ValueError("base components must be polynomials in the n base variables")
+    return build_p_vm(conn).matvec([comp.embed(m) for comp in w])
 
 
 def curvature_components(conn: EhresmannConnection) -> dict[tuple[int, int, int], Poly]:
@@ -284,26 +278,20 @@ def curvature_components(conn: EhresmannConnection) -> dict[tuple[int, int, int]
 
     Keys are 1-based coordinate labels (l is a fibre coordinate, q1 and q2
     base coordinates).  The connection is flat exactly when every returned
-    polynomial is identically zero.  The component formula is
+    polynomial is identically zero.  F^l_(q1,q2) is component l of the Lie
+    bracket [H_q2, H_q1] of the horizontal lifts H_q = d/dx^q +
+    sum_l1 gamma^l1_q d/dx^l1, the columns of P_VM:
 
         F^l_(q1,q2) = d(gamma^l_q1)/dx^q2 - d(gamma^l_q2)/dx^q1
                       + sum_l1 [ gamma^l1_q2 * d(gamma^l_q1)/dx^l1
                                  - gamma^l1_q1 * d(gamma^l_q2)/dx^l1 ]
 
-    with l1 running over the fibre coordinates.
+    with l1 running over the fibre coordinates; the base components vanish.
     """
     m, n = conn.m, conn.n
-    out: dict[tuple[int, int, int], Poly] = {}
-    for p in range(m - n):
-        g_l = conn.gamma[p]
-        for q1 in range(n):
-            for q2 in range(q1 + 1, n):
-                comp = g_l[q1].diff(q2) - g_l[q2].diff(q1)
-                for l1 in range(m - n):
-                    comp = comp + conn.gamma[l1][q2] * g_l[q1].diff(n + l1)
-                    comp = comp - conn.gamma[l1][q1] * g_l[q2].diff(n + l1)
-                out[(n + 1 + p, q1 + 1, q2 + 1)] = comp
-    return out
+    p_vm = build_p_vm(conn)
+    brackets = {(q1, q2): lie_bracket(p_vm.col(q2), p_vm.col(q1)) for q1 in range(n) for q2 in range(q1 + 1, n)}
+    return {(l + 1, q1 + 1, q2 + 1): bracket[l] for l in range(n, m) for (q1, q2), bracket in brackets.items()}
 
 
 @dataclass

@@ -12,10 +12,15 @@ times delta, condition B times delta^2 and condition A times delta^3 are
 polynomials.  delta is not the zero polynomial, so each is identically
 zero exactly when its P_D form is.
 
-This module evaluates those residuals, the structural obstruction terms
-(connection curvature, the two antisymmetric coefficient conditions),
-pointwise solvability of the first-order constraints, and the symbol
-dimension bookkeeping behind the involutivity test.  The verdict LIFTABLE
+Read as vector fields Q_a = sum_i Q[a][i] d/dx^i, the D-block is
+Q_a(V) = Q_a . X, and by Frobenius its integrability conditions are Lie
+brackets (poly.lie_bracket): condition A is the involutivity
+[Q_a1, Q_a2] = 0 of the D rows, corrected by the derivatives of delta,
+condition B the compatibility Q_a1(Q_a2 . X) - Q_a2(Q_a1 . X) = 0 once A
+holds, and flatness the fibre part of [H_q2, H_q1] for the horizontal
+lifts H_q, the columns of P_VM.  The module also decides pointwise
+solvability of the first-order constraints and reports the symbol
+dimensions behind the involutivity test.  The verdict LIFTABLE
 means every obstruction vanishes; each failed check carries a concrete
 witness.
 
@@ -49,7 +54,7 @@ import numpy as np
 from . import geometry
 from .geometry import EhresmannConnection, Frame, ProjectionPair
 from .numutil import intersection_basis, intersection_dim, least_squares_gap, null_rows, numeric_rank
-from .poly import Poly, PolyMatrix, poly_sum
+from .poly import Poly, PolyMatrix, lie_bracket, lie_derivative, poly_sum
 
 
 @dataclass(frozen=True)
@@ -116,64 +121,50 @@ def check_flatness(conn: EhresmannConnection) -> tuple[bool, dict[tuple[int, int
 
 
 def condition_a(p_d: PolyMatrix, delta: Poly) -> dict[tuple[int, int, int], Poly]:
-    """Antisymmetrized derivative contraction of the D-projection rows.
+    """Involutivity of the D rows, read as vector fields Q_a = sum_i Q[a][i] d/dx^i.
 
     For P_D = Q / delta, entry (a1, a2, i1), with 1-based labels and
-    a1 < a2, is delta^3 times
+    a1 < a2, is delta^3 times component i1 of the Lie bracket of rows a1
+    and a2 of P_D, which is the polynomial
 
-        sum_i [ P_D[a1][i] d(P_D[a2][i1])/dx^i - P_D[a2][i] d(P_D[a1][i1])/dx^i ]
-
-    which is the polynomial
-
-        delta * sum_i [ Q[a1][i] d(Q[a2][i1])/dx^i - Q[a2][i] d(Q[a1][i1])/dx^i ]
-        - sum_i [ Q[a1][i] Q[a2][i1] - Q[a2][i] Q[a1][i1] ] d(delta)/dx^i
+        delta * [Q_a1, Q_a2]^i1 - (Q[a2][i1] Q_a1(delta) - Q[a1][i1] Q_a2(delta))
 
     The condition holds when every entry is identically zero; with fewer
     than two D rows it is vacuous.
     """
-    m = p_d.cols
-    d_delta = [(i, dd) for i in range(m) if not (dd := delta.diff(i)).is_zero()]
+    rows = p_d.entries
+    along = None if delta.is_constant() else [lie_derivative(row, delta) for row in rows]  # Q_a(delta)
     out: dict[tuple[int, int, int], Poly] = {}
     for a1 in range(p_d.rows):
         for a2 in range(a1 + 1, p_d.rows):
-            for i1 in range(m):
-                entry = poly_sum(
-                    (
-                        p_d.entry(a1, i) * p_d.entry(a2, i1).diff(i)
-                        - p_d.entry(a2, i) * p_d.entry(a1, i1).diff(i)
-                        for i in range(m)
-                    ),
-                    p_d.nvars,
-                )
-                if not delta.is_constant():
-                    entry = delta * entry
-                for i, dd in d_delta:
-                    cross = p_d.entry(a1, i) * p_d.entry(a2, i1) - p_d.entry(a2, i) * p_d.entry(a1, i1)
-                    entry = entry - cross * dd
+            for i1, entry in enumerate(lie_bracket(rows[a1], rows[a2])):
+                if along is not None:
+                    entry = delta * entry - (rows[a2][i1] * along[a1] - rows[a1][i1] * along[a2])
                 out[(a1 + 1, a2 + 1, i1 + 1)] = entry
     return out
 
 
 def condition_b(p_d: PolyMatrix, x_field: Sequence[Poly]) -> dict[tuple[int, int], Poly]:
-    """Antisymmetrized pairing of D-projection rows with the Jacobian of X.
+    """Compatibility of the D block Q_a(V) = Q_a . X once condition A holds.
 
     Entry (a1, a2), a1 < a2 (1-based), holds
 
-        sum_i sum_i1 [ Q[a2][i] Q[a1][i1] - Q[a1][i] Q[a2][i1] ] d(X^i1)/dx^i
+        Q_a2(Q_a1 . X) - Q_a1(Q_a2 . X) + [Q_a1, Q_a2] . X
+            = sum_i1 [ Q[a1][i1] Q_a2(X^i1) - Q[a2][i1] Q_a1(X^i1) ]
 
     which is delta^2 times the same sum over the rows of P_D = Q / delta.
     """
-    m = p_d.cols
-    dx = [[x_field[i1].diff(i) for i1 in range(m)] for i in range(m)]
+    if p_d.rows < 2:
+        return {}
+    rows = p_d.entries
+    along = [[lie_derivative(row, x) for x in x_field] for row in rows]  # along[a][i1] = Q_a(X^i1)
     out: dict[tuple[int, int], Poly] = {}
     for a1 in range(p_d.rows):
         for a2 in range(a1 + 1, p_d.rows):
-            total = Poly.zero(p_d.nvars)
-            for i in range(m):
-                for i1 in range(m):
-                    coeff = p_d.entry(a2, i) * p_d.entry(a1, i1) - p_d.entry(a1, i) * p_d.entry(a2, i1)
-                    total = total + coeff * dx[i][i1]
-            out[(a1 + 1, a2 + 1)] = total
+            out[(a1 + 1, a2 + 1)] = poly_sum(
+                (rows[a1][i1] * along[a2][i1] - rows[a2][i1] * along[a1][i1] for i1 in range(p_d.cols)),
+                p_d.nvars,
+            )
     return out
 
 

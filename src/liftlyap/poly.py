@@ -277,13 +277,25 @@ def grad(p: Poly) -> list[Poly]:
 
 
 def lie_derivative(field: Sequence[Poly], p: Poly) -> Poly:
-    """Derivative of p along the vector field (sum of field_i * dp/dx_i)."""
+    """Derivative of p along the vector field (sum of field_i * dp/dx_i).
+
+    A variable p does not read is skipped, so it costs no product.
+    """
     if len(field) != p.nvars:
         raise ValueError("field dimension does not match variable count")
     total = Poly.zero(p.nvars)
     for i, component in enumerate(field):
-        total = total + component * p.diff(i)
+        dp = p.diff(i)
+        if not dp.is_zero():
+            total = total + component * dp
     return total
+
+
+def lie_bracket(x: Sequence[Poly], y: Sequence[Poly]) -> list[Poly]:
+    """Components of the vector field [x, y]: L_x y^k - L_y x^k."""
+    if len(x) != len(y):
+        raise ValueError("vector fields have different dimensions")
+    return [lie_derivative(x, yk) - lie_derivative(y, xk) for xk, yk in zip(x, y)]
 
 
 def poly_sum(items: Iterable[Poly], nvars: int) -> Poly:

@@ -188,15 +188,14 @@ def make_quotient_clf(qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Poly],
     n = qsys.n
     if vtilde.nvars != n or any(a.nvars != n for a in alpha):
         raise ValueError("vtilde and alpha must be polynomials in the quotient variables")
-    origin = (Fraction(0),) * n
-    if vtilde.eval(origin) != 0:
+    if vtilde.constant_term != 0:
         raise CLFValidationError("vtilde(0) != 0")
     hess = hessian_at_origin(vtilde)
     eigs = np.linalg.eigvalsh(hess)
     if eigs.min() <= HESSIAN_EIG_TOL:
         raise CLFValidationError(f"vtilde Hessian at 0 is not positive definite (min eig {eigs.min():.3e})")
     w = closed_loop_decrease(qsys, vtilde, alpha)
-    if w.eval(origin) != 0:
+    if w.constant_term != 0:
         raise CLFValidationError("W(0) != 0")
     index = geometry.first_nonnegative(w, grid)
     if index is not None:
@@ -245,8 +244,7 @@ def build_target_x(
     pulled = pullback_clf(clf.vtilde, m)
     gradient = grad(pulled)
     x_field = tuple(lifted[i] - gradient[i] - sys.f0[i] for i in range(m))
-    origin = (Fraction(0),) * m
-    bad = [i + 1 for i, comp in enumerate(x_field) if comp.eval(origin) != 0]
+    bad = [i + 1 for i, comp in enumerate(x_field) if comp.constant_term != 0]
     if bad:
         raise EquilibriumError(
             f"target field X does not vanish at the origin (components {bad}); "

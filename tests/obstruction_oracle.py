@@ -13,6 +13,12 @@ on one point's :func:`stacked_system`, the full m-column system
 [Q; P_VM^T] y = (Q X, 0) for the gradient y of V, builds the system from
 the complement instead and must give the same verdict.  They are kept as
 test oracles only.
+
+The package reads flatness and conditions A and B as Lie brackets and the
+horizontal lift as P_VM w.  :func:`condition_a_by_sums`,
+:func:`condition_b_by_sums`, :func:`curvature_by_sums` and
+:func:`horizontal_lift_by_sums` expand the same quantities into index sums
+by hand, as the package once did, and must return equal polynomials.
 """
 
 from __future__ import annotations
@@ -228,3 +234,94 @@ def curvature_map_eval(
                 total += h_coeffs[(q1 + 1, q2 + 1, i1 + 1)].eval_float(point) * v1[i1]
             h_map[(q1 + 1, q2 + 1)] = total
     return g_map, h_map
+
+
+# -- the obstructions expanded into index sums ---------------------------------
+
+
+def condition_a_by_sums(p_d: PolyMatrix, delta: Poly) -> dict[tuple[int, int, int], Poly]:
+    """:func:`liftlyap.integrability.condition_a` expanded by hand.
+
+    Entry (a1, a2, i1) is
+
+        delta * sum_i [ Q[a1][i] d(Q[a2][i1])/dx^i - Q[a2][i] d(Q[a1][i1])/dx^i ]
+        - sum_i [ Q[a1][i] Q[a2][i1] - Q[a2][i] Q[a1][i1] ] d(delta)/dx^i
+    """
+    m = p_d.cols
+    d_delta = [(i, dd) for i in range(m) if not (dd := delta.diff(i)).is_zero()]
+    out: dict[tuple[int, int, int], Poly] = {}
+    for a1 in range(p_d.rows):
+        for a2 in range(a1 + 1, p_d.rows):
+            for i1 in range(m):
+                entry = poly_sum(
+                    (
+                        p_d.entry(a1, i) * p_d.entry(a2, i1).diff(i)
+                        - p_d.entry(a2, i) * p_d.entry(a1, i1).diff(i)
+                        for i in range(m)
+                    ),
+                    p_d.nvars,
+                )
+                if not delta.is_constant():
+                    entry = delta * entry
+                for i, dd in d_delta:
+                    cross = p_d.entry(a1, i) * p_d.entry(a2, i1) - p_d.entry(a2, i) * p_d.entry(a1, i1)
+                    entry = entry - cross * dd
+                out[(a1 + 1, a2 + 1, i1 + 1)] = entry
+    return out
+
+
+def condition_b_by_sums(p_d: PolyMatrix, x_field: Sequence[Poly]) -> dict[tuple[int, int], Poly]:
+    """:func:`liftlyap.integrability.condition_b` expanded by hand: entry (a1, a2) is
+
+        sum_i sum_i1 [ Q[a2][i] Q[a1][i1] - Q[a1][i] Q[a2][i1] ] d(X^i1)/dx^i
+    """
+    m = p_d.cols
+    dx = [[x_field[i1].diff(i) for i1 in range(m)] for i in range(m)]
+    out: dict[tuple[int, int], Poly] = {}
+    for a1 in range(p_d.rows):
+        for a2 in range(a1 + 1, p_d.rows):
+            total = Poly.zero(p_d.nvars)
+            for i in range(m):
+                for i1 in range(m):
+                    coeff = p_d.entry(a2, i) * p_d.entry(a1, i1) - p_d.entry(a1, i) * p_d.entry(a2, i1)
+                    total = total + coeff * dx[i][i1]
+            out[(a1 + 1, a2 + 1)] = total
+    return out
+
+
+def horizontal_lift_by_sums(conn: EhresmannConnection, w: Sequence[Poly]) -> list[Poly]:
+    """:func:`liftlyap.geometry.horizontal_lift` expanded by hand: base slot q
+    carries w^q and fibre slot p carries sum_q gamma^p_q * w^q."""
+    m, n = conn.m, conn.n
+    if len(w) != n:
+        raise ValueError(f"expected {n} base components, got {len(w)}")
+    lifted_base = []
+    for comp in w:
+        if comp.nvars != n:
+            raise ValueError("base components must be polynomials in the n base variables")
+        lifted_base.append(comp.embed(m))
+    out = list(lifted_base)
+    for p in range(m - n):
+        out.append(poly_sum((g * w for g, w in zip(conn.gamma[p], lifted_base)), m))
+    return out
+
+
+def curvature_by_sums(conn: EhresmannConnection) -> dict[tuple[int, int, int], Poly]:
+    """:func:`liftlyap.geometry.curvature_components` expanded by hand:
+
+        F^l_(q1,q2) = d(gamma^l_q1)/dx^q2 - d(gamma^l_q2)/dx^q1
+                      + sum_l1 [ gamma^l1_q2 * d(gamma^l_q1)/dx^l1
+                                 - gamma^l1_q1 * d(gamma^l_q2)/dx^l1 ]
+    """
+    m, n = conn.m, conn.n
+    out: dict[tuple[int, int, int], Poly] = {}
+    for p in range(m - n):
+        g_l = conn.gamma[p]
+        for q1 in range(n):
+            for q2 in range(q1 + 1, n):
+                comp = g_l[q1].diff(q2) - g_l[q2].diff(q1)
+                for l1 in range(m - n):
+                    comp = comp + conn.gamma[l1][q2] * g_l[q1].diff(n + l1)
+                    comp = comp - conn.gamma[l1][q1] * g_l[q2].diff(n + l1)
+                out[(n + 1 + p, q1 + 1, q2 + 1)] = comp
+    return out

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -371,6 +372,10 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         ("validate", ["--order", "30"], None, {}),
         ("validate", [], {"order": "six"}, {}),
         ("validate", [], {"x0": 5}, {}),
+        ("validate", [], {"x0": "11"}, {}),
+        ("validate", [], {"x0": ["1", 1]}, {}),
+        ("validate", [], {"h": True}, {}),
+        ("validate", [], {"grid": "3"}, {}),
         ("validate", [], None, {"f0": ["0", "x1^30"]}),
         ("validate", [], {"x0": [1e200, 1]}, {}),
         ("validate", [], {"x0": [float("nan"), 1]}, {}),
@@ -415,6 +420,10 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "order-30",
         "order-six",
         "x0-scalar",
+        "x0-string",
+        "x0-entry-string",
+        "h-boolean",
+        "grid-string",
         "f0-degree-30",
         "x0-beyond-guard",
         "x0-nan",
@@ -459,6 +468,8 @@ def test_main_bad_input_is_input_error(request, tmp_path, capsys, command, args,
     assert "[liftlyap] error:" in err and "Traceback" not in err
     if request.node.callspec.id.endswith("-beyond-float"):
         assert "beyond the float range" in err
+    if options is not None:  # a refused option is named
+        assert any(re.search(rf"\b{key}\b", err) for key in options)
 
 
 def test_main_unknown_command_is_input_error(capsys):
@@ -482,6 +493,13 @@ def test_unknown_option_key_is_named():
     raw["options"] = {"order": 4, "grdi": 5}
     with pytest.raises(SpecError, match="unknown key 'grdi'"):
         build_problem(raw)
+
+
+def test_whole_float_order_and_grid_are_accepted():
+    raw = _fixture_raw("ex_ps")
+    raw["options"] = {"order": 4.0, "grid": 3.0, "h": 1, "x0": [1, 0.5]}
+    options = build_problem(raw).options
+    assert (options.order, options.grid_per_axis, options.h, options.x0) == (4, 3, 1.0, [1.0, 0.5])
 
 
 @pytest.mark.parametrize("module", ["liftlyap", "liftlyap.cli"])

@@ -12,10 +12,14 @@ from hypothesis import strategies as st
 from liftbench import gen
 from obstruction_oracle import (
     InconsistentJetError,
+    condition_a_by_sums,
+    condition_b_by_sums,
     consistency_gap,
     consistency_gap_at,
     consistent_jet,
+    curvature_by_sums,
     curvature_map_eval,
+    horizontal_lift_by_sums,
     prolonged_residual,
     quotient_gap,
     stacked_system,
@@ -33,6 +37,7 @@ from liftlyap.geometry import (
     complement_frame,
     curvature_components,
     default_grid,
+    horizontal_lift,
 )
 from liftlyap.integrability import (
     ResidualSystem,
@@ -267,6 +272,68 @@ def test_condition_b_antisymmetry_and_oracle():
                 ) / (2 * h)
                 total += (pd_val[1, i] * pd_val[0, i1] - pd_val[0, i] * pd_val[1, i1]) * dx
         assert abs(entries[(1, 2)].eval_float(point) - total) < 1e-5
+
+
+@st.composite
+def _bracket_cases(draw):
+    """For m from 2 to 5: Q with 0 to 4 rows of zero, constant and cubic entries, delta = 1 or
+    1 + a random polynomial, X, a connection with random gamma and 1 <= n < m, and a base field w."""
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, m - 1))
+
+    def poly(nvars, low=0):
+        monomials = [mi for mi in itertools.product(range(4), repeat=nvars) if low <= sum(mi) <= 3]
+        terms = draw(st.lists(st.tuples(st.sampled_from(monomials), st.integers(-3, 3)), max_size=4))
+        return poly_sum((Poly.monomial(nvars, mi, c) for mi, c in terms), nvars)
+
+    def entry():
+        kind = draw(st.sampled_from(["zero", "constant", "cubic"]))
+        if kind == "zero":
+            return Poly.zero(m)
+        return Poly.const(m, draw(st.integers(-3, 3))) if kind == "constant" else poly(m)
+
+    q = PolyMatrix([[entry() for _ in range(m)] for _ in range(draw(st.integers(0, 4)))], cols=m, nvars=m)
+    delta = Poly.const(m, 1) + (poly(m, low=1) if draw(st.booleans()) else Poly.zero(m))
+    x_field = tuple(poly(m) for _ in range(m))
+    conn = EhresmannConnection(m, n, [[poly(m) for _ in range(n)] for _ in range(m - n)])
+    return q, delta, x_field, conn, [poly(n) for _ in range(n)]
+
+
+@given(_bracket_cases())
+def test_brackets_match_the_index_sums(case):
+    """The bracket forms return the hand-expanded polynomials, keyed in the same order, and the
+    horizontal lift's terms come in the same order too, since float evaluation sums them so."""
+    q, delta, x_field, conn, w = case
+    assert list(condition_a(q, delta).items()) == list(condition_a_by_sums(q, delta).items())
+    assert list(condition_b(q, x_field).items()) == list(condition_b_by_sums(q, x_field).items())
+    assert list(curvature_components(conn).items()) == list(curvature_by_sums(conn).items())
+    lifted, by_sums = horizontal_lift(conn, w), horizontal_lift_by_sums(conn, w)
+    assert [list(p.terms.items()) for p in lifted] == [list(p.terms.items()) for p in by_sums]
+
+
+def test_conditions_make_only_the_needed_products(monkeypatch):
+    """On obstruct-wide seed 7 #0 (m = 7, four constant rows of Q, delta = 1) condition A makes no
+    product and condition B at most rows * m^2 + 2 * m * pairs; the index sums made 588 and 882."""
+    state = cli.RunState(cli.build_problem(gen.instance("obstruct-wide", 7, 0).spec))
+    cli.stage_quotient(state)
+    pair = cli.stage_geometry(state)
+    x_field = cli.stage_target(state).x_field
+    m, rows = pair.m, pair.p_d.rows
+    assert (m, rows, pair.delta) == (7, 4, Poly.const(7, 1))
+    assert all(e.is_constant() for row in pair.p_d.entries for e in row)
+    products = 0
+    multiply = Poly.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    condition_a(pair.p_d, pair.delta)
+    assert products == 0
+    condition_b(pair.p_d, x_field)
+    assert products <= rows * m**2 + 2 * m * (rows * (rows - 1) // 2) == 280
 
 
 @pytest.mark.parametrize(

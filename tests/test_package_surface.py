@@ -12,6 +12,10 @@ Every defaulted parameter of a top-level function must also be passed by
 some call in the package, by position or by keyword; a default that no
 caller overrides is a constant.  ``cli.main`` takes ``argv`` only from
 tests and embedders, so it is exempt.
+
+Every name a module imports must be read in that module.  ``from
+__future__`` imports and the names the package ``__init__`` re-exports are
+exempt.
 """
 
 import ast
@@ -112,6 +116,22 @@ def unpassed_defaults(package: Path = PACKAGE) -> list[str]:
     ]
 
 
+def unread_imports(package: Path = PACKAGE) -> list[str]:
+    """Names a package module imports and never reads."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__" and path.stem != "__init__":
+                imported += [alias.asname or alias.name for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        out += [f"{path.stem}.{name}" for name in imported if name not in read]
+    return out
+
+
 def test_every_definition_is_used_by_the_package():
     assert unreferenced_definitions() == []
 
@@ -135,3 +155,16 @@ def test_defaults_no_call_passes_are_flagged(tmp_path):
     module += ["def h(c=0):", "    return c", "", "h()"]
     (tmp_path / "mod.py").write_text("\n".join(module) + "\n", encoding="utf-8")
     assert unpassed_defaults(tmp_path) == ["mod.f(z)", "mod.h(c)"]
+
+
+def test_every_import_is_read():
+    assert unread_imports() == []
+
+
+def test_unread_imports_are_flagged(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import f\n", encoding="utf-8")
+    module = ["from __future__ import annotations", "import math", "import os.path", "import numpy as np"]
+    module += ["from fractions import Fraction", "from typing import Sequence as Seq, Iterable"]
+    module += ["def f(x: Seq) -> float:", "    return np.sqrt(math.pi) + len(x)"]
+    (tmp_path / "mod.py").write_text("\n".join(module) + "\n", encoding="utf-8")
+    assert unread_imports(tmp_path) == ["mod.os", "mod.Fraction", "mod.Iterable"]
