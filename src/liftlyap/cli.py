@@ -129,6 +129,13 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)  # JSON true loads as an int
 
 
+def _option_float(value: int | float, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise SpecError(f"'options': {where} is beyond the float range") from exc
+
+
 def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     """Parse and cross-validate a loaded problem file."""
     name = raw.get("name", "unnamed")
@@ -210,9 +217,9 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     options = Options(
         order=int(opt_raw.get("order", 6)),
         grid_per_axis=int(opt_raw.get("grid", 3)),
-        h=float(opt_raw.get("h", 0.01)),
-        horizon=float(opt_raw.get("horizon", 10.0)),
-        x0=[float(v) for v in opt_raw["x0"]] if "x0" in opt_raw else None,
+        h=_option_float(opt_raw.get("h", 0.01), "h"),
+        horizon=_option_float(opt_raw.get("horizon", 10.0), "horizon"),
+        x0=[_option_float(v, f"x0[{k}]") for k, v in enumerate(opt_raw["x0"])] if "x0" in opt_raw else None,
     )
     for key, value in (overrides or {}).items():
         if value is not None:

@@ -305,31 +305,46 @@ def poly_sum(items: Iterable[Poly], nvars: int) -> Poly:
     return total
 
 
+def value_lines(polys: Sequence[Poly], point: str, x: str = "x", t: str = "t") -> list[str]:
+    """Statements that set ``t0``, ``t1``, ... to the float values of ``polys``.
+
+    ``point`` is a format with one ``{}`` for a variable index, the
+    expression that holds that coordinate; each coordinate used is read
+    once as ``float(...)`` into ``x<i>``, because an ``np.float64`` power
+    rounds differently.  Each power (variable, exponent > 1) is then
+    computed once into ``x<i>_<e>`` and shared by every term and every
+    polynomial, and each value is summed from 0.0 term by term, left to
+    right, each term the coefficient times its factors in variable order:
+    ``t0 += -0.5 * x2_2 * x4``.  The statements hold only ``repr`` of
+    finite floats and integer indices and exponents.
+    """
+    tables = [p._float_terms() for p in polys]
+    powers = sorted({(i, operator.index(e)) for table in tables for _, term in table for i, e in term})
+    lines = [f"{x}{i} = float({point.format(i)})" for i in sorted({i for i, _ in powers})]
+    lines += [f"{x}{i}_{e} = {x}{i} ** {e}" for i, e in powers if e > 1]
+    for k, table in enumerate(tables):
+        lines.append(f"{t}{k} = 0.0")
+        for c, term in table:
+            assert math.isfinite(c), c  # float(Fraction) raises rather than give inf
+            product = "".join(f" * {x}{i}_{e}" if e > 1 else f" * {x}{i}" for i, e in term)
+            lines.append(f"{t}{k} += {c!r}{product}")
+    return lines
+
+
 def compile_float(polys: Sequence[Poly]) -> FloatVector:
     """One function from a point to the values of ``polys``, as a tuple of floats.
 
-    The function is straight-line Python generated from the float term
-    tables, one flat statement per term, so a long polynomial never nests.
-    Each coordinate used is converted by ``float`` first (an ``np.float64``
-    power rounds differently), then each value is summed from 0.0 term by
-    term, left to right, each term the coefficient times Python float
-    powers: ``t0 += -0.5 * x2 ** 2 * x4 ** 1``.  An overflowing power raises
+    The function is the straight-line Python of :func:`value_lines`, one
+    flat statement per term, so a long polynomial never nests.  The
+    arithmetic is the per-term product ``c * x ** e * ...`` summed from
+    0.0: a power computed once and shared, and ``x ** 1`` written as
+    ``x``, give the same floats.  An overflowing power raises
     OverflowError; a product or sum that overflows gives inf or NaN.  The
-    source holds only ``repr`` of finite floats and integer indices and
-    exponents.  The point is not length-checked; a missing coordinate
-    raises IndexError.
+    point is not length-checked; a missing coordinate raises IndexError.
     """
-    tables = [p._float_terms() for p in polys]
-    used = sorted({i for table in tables for _, factors in table for i, _ in factors})
     lines = ["def values(p):"]
-    lines += [f"    x{i} = float(p[{i}])" for i in used]
-    for k, table in enumerate(tables):
-        lines.append(f"    t{k} = 0.0")
-        for c, factors in table:
-            assert math.isfinite(c), c  # float(Fraction) raises rather than give inf
-            powers = "".join(f" * x{i} ** {operator.index(e)}" for i, e in factors)
-            lines.append(f"    t{k} += {c!r}{powers}")
-    lines.append("    return (" + "".join(f"t{k}, " for k in range(len(tables))) + ")")
+    lines += [f"    {line}" for line in value_lines(polys, "p[{}]")]
+    lines.append("    return (" + "".join(f"t{k}, " for k in range(len(polys))) + ")")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<compile_float>", "exec"), namespace)
     return namespace["values"]

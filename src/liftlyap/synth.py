@@ -11,6 +11,7 @@ satisfies all m equations identically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .poly import (
     poly_adjugate,
     poly_det,
     poly_sum,
+    value_lines,
 )
 from .sysmodel import ControlAffineSystem
 
@@ -168,8 +170,75 @@ def closed_loop_field(sys: ControlAffineSystem, feedback: FeedbackSolution) -> C
 @dataclass
 class TrajectoryRecord:
     times: list[float]
-    states: list[np.ndarray]
+    states: np.ndarray  # (len(times), m): one row per recorded state
     vstar_values: list[float]
+
+
+def guard_box(m: int) -> float:
+    """Half-width of the cube in R^m whose states pass the divergence guard without a norm.
+
+    A state inside the cube passes ``np.linalg.norm(state) <=
+    DIVERGENCE_GUARD`` too, so the box never changes a decision: a state
+    outside it, or with a NaN or an infinite coordinate, is decided by the
+    norm itself.  With G = DIVERGENCE_GUARD and u = 2^-53: the returned BOX exceeds G / (2 sqrt(m))
+    by at most a factor (1 + u) / (1 - u) (doubling is exact; the square
+    root and the quotient round), so every |x_i| <= BOX makes the exact
+    norm at most G / 2 * (1 + u) / (1 - u).  The norm is the rounded
+    square root of a dot product of m nonnegative squares, which in any
+    summation order, with or without fused multiply-adds, is at most
+    (1 + u)^m times the exact sum; the computed norm is therefore at most
+    G / 2 * (1 + u)^(m/2 + 2) / (1 - u), below G for every m < 2^52.  The
+    squares are at most 2.5e11 and cannot overflow, and underflow only
+    makes them smaller.
+    """
+    return DIVERGENCE_GUARD / (2.0 * math.sqrt(m))
+
+
+def _guard(state: Sequence[float], t: float) -> None:
+    if not np.linalg.norm(state) <= DIVERGENCE_GUARD:
+        raise DivergenceError(f"state norm exceeded {DIVERGENCE_GUARD:.0e} at t={t:.3f}")
+
+
+def _rk4_loop(m: int, vstar: Poly | None) -> Callable[..., None]:
+    """The generated body of :func:`simulate_rk4` for dimension m and this V*."""
+    xs = [f"x{i}" for i in range(m)]
+
+    def stage(k: str, scale: str) -> str:
+        return "s = " + "".join(f"x{i} + {scale} * {k}{i}, " for i in range(m))
+
+    def field_at_s(k: str) -> str:
+        return "".join(f"{k}{i}, " for i in range(m)) + "= field(s)"
+
+    box = guard_box(m)
+    body = [
+        "t = k * h",
+        "s = " + "".join(f"{x}, " for x in xs),
+        "times_append(t)",
+        "states_append(s)",
+        *(value_lines([vstar], "x{}", x="y", t="v") if vstar is not None else ["v0 = nan"]),
+        "vstar_append(v0)",
+        "if k == steps:",
+        "    return",
+        "if not (" + " and ".join(f"{-box!r} <= {x} <= {box!r}" for x in xs) + "):",
+        "    guard(s, t)",
+        field_at_s("a"),
+        stage("a", "half"),
+        field_at_s("b"),
+        stage("b", "half"),
+        field_at_s("c"),
+        stage("c", "h"),
+        field_at_s("d"),
+        *(f"x{i} = x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i in range(m)),
+    ]
+    params = ", ".join(["field", *xs, "steps", "h", "half", "sixth", "guard", "times_append", "states_append", "vstar_append"])
+    lines = [
+        f"def run({params}):",
+        "    for k in range(steps + 1):",
+        *(f"        {line}" for line in body),
+    ]
+    namespace: dict = {"nan": math.nan}
+    exec(compile("\n".join(lines), "<simulate_rk4>", "exec"), namespace)
+    return namespace["run"]
 
 
 def simulate_rk4(
@@ -177,46 +246,42 @@ def simulate_rk4(
 ) -> TrajectoryRecord:
     """Classical fixed-step fourth-order integration with state recording.
 
-    The state is a list of Python floats, and each stage is formed
-    coordinate by coordinate in the order of the vector expressions
-    ``x + (0.5*h)*k1`` and ``x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the
-    trajectory is that of the same formulas over float64 arrays, bit for bit.
+    One straight-line loop is generated per call for the dimension m and
+    V*.  It keeps the state in locals x0 .. x{m-1} and forms each stage
+    input and the update coordinate by coordinate, in the order of the
+    vector expressions ``x + (0.5*h)*k1``, ``x + (0.5*h)*k2``,
+    ``x + h*k3`` and ``x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the
+    trajectory is that of the same formulas over float64 arrays, bit for
+    bit.  Each state is recorded as it is reached, with V* evaluated
+    inline on ``float`` of its coordinates (the code of
+    :func:`poly.value_lines`, so the values are :meth:`Poly.eval_float`'s),
+    and the states become one array at the end.  Before each step, and
+    at the horizon, the state must satisfy ``norm <= DIVERGENCE_GUARD``;
+    inside the cube of :func:`guard_box` it does without computing the
+    norm, and elsewhere ``np.linalg.norm`` decides.  Every field
+    evaluation is a call of ``field`` with a tuple of the m coordinates.
     """
     if h <= 0 or horizon < h:
         raise ValueError("need h > 0 and horizon >= h")
     steps = int(round(horizon / h))
-    half, sixth = 0.5 * h, h / 6.0
-    record = TrajectoryRecord([], [], [])
-
-    def log(t: float, x: list[float]) -> np.ndarray:
-        state = np.array(x)
-        record.times.append(t)
-        record.states.append(state)
-        record.vstar_values.append(vstar.eval_float(x) if vstar is not None else float("nan"))
-        return state
-
-    def guard(state: np.ndarray, t: float) -> None:
-        if not np.linalg.norm(state) <= DIVERGENCE_GUARD:
-            raise DivergenceError(f"state norm exceeded {DIVERGENCE_GUARD:.0e} at t={t:.3f}")
-
-    x = np.array(x0, dtype=float).tolist()
+    start = np.array(x0, dtype=float).tolist()
+    if not start:
+        raise ValueError("need at least one state coordinate")
+    if vstar is not None and vstar.nvars != len(start):
+        raise ValueError(f"V* has {vstar.nvars} variables, but the state has {len(start)} coordinates")
+    run = _rk4_loop(len(start), vstar)
+    times: list[float] = []
+    states: list[tuple[float, ...]] = []
+    values: list[float] = []
     try:
-        state = log(0.0, x)
-        # inf and NaN from an overflowing step fail the guard: `not norm <= DIVERGENCE_GUARD`
+        # inf and NaN from an overflowing step fail the guard, `not norm <= DIVERGENCE_GUARD`,
+        # and so does a finite state whose squared norm overflows, the last one too
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(steps):
-                guard(state, k * h)
-                k1 = field(x)
-                k2 = field([a + half * b for a, b in zip(x, k1)])
-                k3 = field([a + half * b for a, b in zip(x, k2)])
-                k4 = field([a + h * b for a, b in zip(x, k3)])
-                x = [a + sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-                state = log((k + 1) * h, x)
+            run(field, *start, steps, h, 0.5 * h, h / 6.0, _guard, times.append, states.append, values.append)
+            _guard(states[-1], horizon)
     except OverflowError as exc:
-        t = record.times[-1]
-        raise DivergenceError(f"float overflow evaluating the field or V* at t={t:.3f}") from exc
-    guard(state, horizon)
-    return record
+        raise DivergenceError(f"float overflow evaluating the field or V* at t={times[-1]:.3f}") from exc
+    return TrajectoryRecord(times, np.array(states, dtype=float), values)
 
 
 @dataclass

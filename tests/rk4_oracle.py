@@ -1,8 +1,9 @@
 """The numpy RK4 that ``synth.simulate_rk4`` replaced, kept as a test oracle.
 
 ``simulate_rk4`` below is the body that stepped a float64 array with vector
-expressions; ``synth.simulate_rk4`` now steps a list of Python floats in the
-same order of operations and must give the same trajectory bit for bit.  The
+expressions; ``synth.simulate_rk4`` now runs a generated loop over Python
+floats in the same order of operations and must give the same trajectory bit
+for bit.  The
 field must return an array, so a closed loop is passed wrapped in
 ``np.asarray``.
 """

@@ -495,6 +495,23 @@ def test_unknown_option_key_is_named():
         build_problem(raw)
 
 
+@pytest.mark.parametrize(
+    "options, named",
+    [({"h": 10**400}, "h"), ({"horizon": 10**400}, "horizon"), ({"x0": [1, -(10**400)]}, "x0[1]")],
+    ids=["h", "horizon", "x0-entry"],
+)
+def test_integer_option_beyond_float_is_named(tmp_path, capsys, options, named):
+    raw = _fixture_raw("ex_ps")
+    raw["options"] = options
+    with pytest.raises(SpecError, match=re.escape(f"'options': {named} is beyond the float range")):
+        build_problem(raw)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--spec", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"[liftlyap] error: 'options': {named} is beyond the float range" in err and "Traceback" not in err
+
+
 def test_whole_float_order_and_grid_are_accepted():
     raw = _fixture_raw("ex_ps")
     raw["options"] = {"order": 4.0, "grid": 3.0, "h": 1, "x0": [1, 0.5]}

@@ -378,6 +378,13 @@ def test_eval_points_is_eval_float_bitwise(case):
     assert got.tobytes() == want.tobytes()
 
 
+_SHARED_POWER = [
+    Poly(2, {(2, 0): Fraction(1), (2, 1): Fraction(-3, 7), (0, 2): Fraction(2)}),
+    Poly(2, {(2, 0): Fraction(5, 3), (2, 2): Fraction(1), (0, 3): Fraction(-1)}),
+]
+_EXPONENT_ONE = [Poly(2, {(1, 1): Fraction(1, 3), (1, 0): Fraction(-1), (0, 1): Fraction(2)}), Poly.variable(2, 1)]
+
+
 @st.composite
 def _polys_and_point(draw):
     nvars = draw(st.integers(1, 4))
@@ -391,6 +398,12 @@ def _polys_and_point(draw):
 @example(([Poly(2, {(1, 0): Fraction(-3, 7), (0, 2): Fraction(1)}), Poly.zero(2)], [-0.0, 0.0]))
 @example(([Poly(2, {(3, 3): Fraction(5)}), Poly(2, {(3, 3): Fraction(1), (3, 2): Fraction(-1)})], [1e100, 1e100]))
 @example(([Poly.variable(1, 0), Poly(1, {(3,): Fraction(2), (0,): Fraction(-1)})], [1e200]))
+# x1^2 shared by terms of both polynomials, finite and then overflowing
+@example((_SHARED_POWER, [1.7, -0.3]))
+@example((_SHARED_POWER, [1e200, -0.3]))
+# exponent-1 factors, written without a power
+@example((_EXPONENT_ONE, [-0.0, 1e200]))
+@example((_EXPONENT_ONE, [1e200, -0.0]))
 def test_compile_float_is_reference_bitwise(case):
     polys, point = case
     want = [_float_outcome(_eval_float_reference, p, point) for p in polys]
@@ -403,6 +416,8 @@ def test_compile_float_is_reference_bitwise(case):
 
 
 @given(_polys_and_points())
+@example((_SHARED_POWER, np.array([[1.7, -0.3], [-2.5, 3.0]])))
+@example((_EXPONENT_ONE, np.array([[-0.0, 1e200], [1e200, -0.0]])))
 def test_compile_float_is_eval_points_bitwise(case):
     polys, points = case
     flat = points.reshape(-1, points.shape[-1])

@@ -3,21 +3,27 @@
 import math
 import random
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import rk4_oracle
+from hypothesis import example, given
+from hypothesis import strategies as st
 from conftest import build_pipeline, check_grid, check_points, target_field
 from liftbench import gen
 
 from liftlyap import cli, synth
 from liftlyap.parsing import parse_poly
-from liftlyap.poly import Poly, grad
+from liftlyap.poly import Poly, compile_float, grad
 from liftlyap.synth import (
+    DIVERGENCE_GUARD,
     DivergenceError,
     FeedbackResidualError,
     FeedbackSolution,
     closed_loop_field,
     control_matrix,
+    guard_box,
     simulate_rk4,
     solve_feedback,
     verify_lyapunov_decrease,
@@ -204,6 +210,107 @@ def test_simulate_divergence_matches_the_numpy_oracle(drift, x0, message):
         simulate_rk4(loop, x0, 0.01, 10.0)
     assert message in str(want.value)
     assert str(got.value) == str(want.value)
+
+
+def _polynomial_loop(polys):
+    """The closed loop x' = polys(x), through ClosedLoop with a zero feedback."""
+    m = len(polys)
+    zero = (Poly.zero(m),) * m
+    sys = ControlAffineSystem(m, 1, tuple(polys), (zero,))
+    return closed_loop_field(sys, FeedbackSolution((Poly.zero(m),), lambda x: np.zeros(1), 0.0, zero))
+
+
+def _simulation_outcome(simulate, field, x0, h, steps, vstar):
+    try:
+        return _trajectory_bits(simulate(field, x0, h, steps * h, vstar))
+    except DivergenceError as exc:
+        return str(exc)
+
+
+@st.composite
+def _rk4_cases(draw):
+    """A polynomial field in m = 1..4 variables, x0, h, a step count and V* (or None)."""
+    m = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * m)
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    polys = st.dictionaries(exponents, coeffs, max_size=4).map(lambda t: Poly(m, t))
+    field = draw(st.lists(polys, min_size=m, max_size=m))
+    x0 = draw(st.lists(st.one_of(st.floats(-3, 3), st.just(-0.0)), min_size=m, max_size=m))
+    h = draw(st.sampled_from([0.01, 0.1, 0.37, 1.0]))
+    return field, x0, h, draw(st.integers(1, 30)), draw(st.none() | polys)
+
+
+def _const(value):
+    return Poly.const(1, value)
+
+
+@given(_rk4_cases(), st.booleans())
+# the guard trips at t = 1.01
+@example(([Poly.monomial(1, (2,))], [1.0], 0.01, 200, None), False)
+# x^5 overflows in the field's third stage
+@example(([Poly.monomial(1, (5,))], [1e5], 0.01, 3, None), True)
+# the last state is finite but its squared norm overflows in the final guard
+@example(([_const(10**200)], [1.0], 0.01, 1, None), False)
+# the state after one step is recorded, then V* = x^24 overflows at it
+@example(([_const(10**15)], [1.0], 0.01, 3, Poly.monomial(1, (24,))), False)
+@example(([_const(10**15)], [1.0], 0.01, 3, Poly.monomial(1, (24,))), True)
+def test_simulate_matches_the_numpy_oracle_on_random_loops(case, as_array):
+    polys, x0, h, steps, vstar = case
+    if as_array:  # a plain callable that returns np.float64 values
+        values = compile_float(polys)
+        field = lambda x: np.array(values(x))
+    else:
+        field = _polynomial_loop(polys)
+    with np.errstate(over="ignore"):  # the oracle's last guard warns when the squared norm overflows
+        want = _simulation_outcome(rk4_oracle.simulate_rk4, lambda x: np.asarray(field(x)), x0, h, steps, vstar)
+    assert _simulation_outcome(simulate_rk4, field, x0, h, steps, vstar) == want
+
+
+def test_simulate_oracle_examples_diverge_where_intended():
+    overflow = Poly.monomial(1, (24,))
+    with pytest.raises(DivergenceError, match=r"float overflow evaluating the field or V\* at t=0.010"):
+        simulate_rk4(_polynomial_loop([_const(10**15)]), [1.0], 0.01, 0.03, overflow)
+    with pytest.raises(DivergenceError, match=r"float overflow evaluating the field or V\* at t=0.000"):
+        simulate_rk4(_polynomial_loop([Poly.monomial(1, (5,))]), [1e5], 0.01, 0.03)
+    with pytest.raises(DivergenceError, match=r"state norm exceeded 1e\+06 at t=1.010"):
+        simulate_rk4(_polynomial_loop([Poly.monomial(1, (2,))]), [1.0], 0.01, 2.0)
+
+
+def _guard_cases(m: int) -> list[list[float]]:
+    """States at and just beyond the box edge, at and just beyond norm DIVERGENCE_GUARD, and non-finite ones."""
+    box = guard_box(m)
+    cases = [[-0.0] * m]
+    for edge in (box, -box):
+        beyond = float(np.nextafter(edge, 2 * edge))
+        cases += [[edge] * m, [beyond] + [edge] * (m - 1), [edge] * (m - 1) + [beyond]]
+    under = DIVERGENCE_GUARD / math.sqrt(m)  # the largest c with norm([c] * m) <= DIVERGENCE_GUARD
+    while not np.linalg.norm([under] * m) <= DIVERGENCE_GUARD:
+        under = float(np.nextafter(under, 0.0))
+    while np.linalg.norm([float(np.nextafter(under, math.inf))] * m) <= DIVERGENCE_GUARD:
+        under = float(np.nextafter(under, math.inf))
+    over = float(np.nextafter(under, math.inf))
+    cases += [[under] * m, [over] * m, [-under] * m, [-over] * (m - 1) + [-under]]
+    cases += [[DIVERGENCE_GUARD] + [0.0] * (m - 1), [0.0] * (m - 1) + [float(np.nextafter(DIVERGENCE_GUARD, math.inf))]]
+    cases += [[bad] + [box] * (m - 1) for bad in (math.nan, math.inf, -math.inf)]
+    cases += [[-0.0] * (m - 1) + [bad] for bad in (math.nan, -math.inf)]
+    return cases
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_guard_box_decides_like_the_norm(m):
+    box = guard_box(m)
+    zero = lambda x: (0.0,) * m
+    for state in _guard_cases(m):
+        passes = bool(np.linalg.norm(np.array(state)) <= DIVERGENCE_GUARD)
+        if all(-box <= v <= box for v in state):
+            assert passes, state  # the rounding argument in guard_box
+        try:
+            simulate_rk4(zero, state, 1.0, 1.0)
+        except DivergenceError as exc:
+            assert not passes, state
+            assert str(exc) == "state norm exceeded 1e+06 at t=0.000"
+        else:
+            assert passes, state
 
 
 def test_rk4_convergence_ratio():
