@@ -453,7 +453,7 @@ def stage_synthesize(state: RunState) -> dict:
     return {
         "symbolic": [format_poly(u, names) for u in feedback.symbolic] if feedback.symbolic else None,
         "residual_norm": float(feedback.residual_norm),
-        "closed_loop": [format_poly(p, names) for p in loop.poly] if loop.poly else None,
+        "closed_loop": [format_poly(p, names) for p in loop.numer] if feedback.symbolic is not None else None,
     }
 
 

@@ -16,7 +16,6 @@ trusted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .integrability import ResidualSystem, residual_psi
-from .poly import DEGREE_CAP, MultiIndex, Poly, grlex_key
+from .poly import DEGREE_CAP, MultiIndex, Poly
 from .sysmodel import HESSIAN_EIG_TOL, hessian_at_origin
 
 # Sphere probes of V* definiteness: radii, random unit directions per radius, generator seed
@@ -41,21 +40,12 @@ class JetInfeasibleError(ValueError):
         self.witness = witness
 
 
-def _monomials_of_degree(m: int, degree: int) -> list[MultiIndex]:
-    out = []
-    for combo in itertools.combinations_with_replacement(range(m), degree):
-        exps = [0] * m
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return sorted(out, key=grlex_key)
-
-
 def monomials_up_to(m: int, max_degree: int, min_degree: int = 0) -> list[MultiIndex]:
-    out: list[MultiIndex] = []
-    for d in range(min_degree, max_degree + 1):
-        out.extend(_monomials_of_degree(m, d))
-    return out
+    """The exponent tuples in m variables of total degree min_degree..max_degree, each degree in grlex order."""
+    by_degree: list[list[MultiIndex]] = [[()]] + [[] for _ in range(max_degree)]  # over no variables yet
+    for _ in range(m):  # prepend one variable, its exponent descending: lexicographic order within a degree
+        by_degree = [[(e, *rest) for e in range(d, -1, -1) for rest in by_degree[d - e]] for d in range(max_degree + 1)]
+    return [mi for d in range(min_degree, max_degree + 1) for mi in by_degree[d]]
 
 
 SparseRow = list[tuple[int, Fraction]]

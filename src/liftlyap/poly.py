@@ -202,6 +202,30 @@ class Poly:
             result = result * self
         return result
 
+    def __truediv__(self, other) -> "Poly":
+        """Exact quotient; raises ValueError when ``other`` does not divide self.
+
+        A constant divisor scales each coefficient, keeping the term order.
+        Otherwise each step divides the remainder's leading (grlex) term by
+        the divisor's; leading terms multiply, so one that does not divide
+        proves a nonzero remainder.
+        """
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if other.is_constant():  # zero too: 1 / Fraction(0) raises ZeroDivisionError
+            return self * (1 / other.constant_term)
+        lead = min(other.terms, key=grlex_key)
+        quotient, rest = Poly.zero(self.nvars), self
+        while rest:
+            top = min(rest.terms, key=grlex_key)
+            shift = tuple(a - b for a, b in zip(top, lead))
+            if min(shift) < 0:
+                raise ValueError(f"{other!r} does not divide {self!r}")
+            step = Poly.monomial(self.nvars, shift, rest.terms[top] / other.terms[lead])
+            quotient, rest = quotient + step, rest - step * other
+        return quotient
+
     # -- calculus and evaluation --------------------------------------------
 
     def diff(self, index: int) -> "Poly":
@@ -331,7 +355,7 @@ def value_lines(polys: Sequence[Poly], point: str, x: str = "x", t: str = "t") -
     return lines
 
 
-def compile_float(polys: Sequence[Poly]) -> FloatVector:
+def compile_float(polys: Sequence[Poly], den: Poly | None = None) -> FloatVector:
     """One function from a point to the values of ``polys``, as a tuple of floats.
 
     The function is the straight-line Python of :func:`value_lines`, one
@@ -341,10 +365,14 @@ def compile_float(polys: Sequence[Poly]) -> FloatVector:
     ``x``, give the same floats.  An overflowing power raises
     OverflowError; a product or sum that overflows gives inf or NaN.  The
     point is not length-checked; a missing coordinate raises IndexError.
+    With ``den``, each value is divided by den's value, computed with them
+    (no division for a den of 1; ZeroDivisionError where den is 0.0).
     """
+    tail = [] if den is None or den == Poly.const(den.nvars, 1) else [den]
+    over = f" / t{len(polys)}" if tail else ""
     lines = ["def values(p):"]
-    lines += [f"    {line}" for line in value_lines(polys, "p[{}]")]
-    lines.append("    return (" + "".join(f"t{k}, " for k in range(len(polys))) + ")")
+    lines += [f"    {line}" for line in value_lines([*polys, *tail], "p[{}]")]
+    lines.append("    return (" + "".join(f"t{k}{over}, " for k in range(len(polys))) + ")")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<compile_float>", "exec"), namespace)
     return namespace["values"]

@@ -1,20 +1,20 @@
 """Feedback synthesis, closed-loop assembly, simulation, and verification.
 
-The feedback u(x) solves F(x) u = target(x) - f0(x) where F stacks the
-control vector fields as columns.  The system is under-determined in
-general; the minimum-norm solution is used pointwise, and an exact
-polynomial feedback is emitted whenever some square subselection of rows
-of F has a constant nonzero determinant and the resulting candidate
-satisfies all m equations identically.
+The feedback solves F(x) u = rhs(x), F the m-by-r matrix of control fields,
+as u = N / den from one square system M u = b: den = det M, N = adj(M) b.
+M is F_S, the pivot rows S of F(0) in index order, when +-det F_S is
+evidently positive (a positive constant, positive coefficients on even
+powers elsewhere), and otherwise F^T F with b = F^T rhs: by Cauchy-Binet
+det(F^T F) > 0 where F has rank r.  When den divides N and F u = rhs
+identically, u is an exact polynomial.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .poly import (
     PolyMatrix,
     compile_float,
     eval_points,
-    grad,
     lie_derivative,
     poly_adjugate,
     poly_det,
@@ -52,119 +51,107 @@ class DivergenceError(RuntimeError):
     """A simulated trajectory left the divergence guard ball."""
 
 
-def control_matrix(sys: ControlAffineSystem) -> PolyMatrix:
-    """m-by-r matrix with the control vector fields as columns."""
-    return geometry.Frame(sys.m, sys.f).as_matrix()
-
-
 @dataclass
 class FeedbackSolution:
+    """The feedback u = numer / den solving F(x) u = rhs(x), den > 0 on R^m; den is 1 when u is polynomial (symbolic)."""
+
     symbolic: tuple[Poly, ...] | None
-    pointwise: VectorMap
+    numer: tuple[Poly, ...]
+    den: Poly
     residual_norm: float
-    rhs: tuple[Poly, ...]  # the equation is F(x) u = rhs(x)
+
+    @cached_property
+    def pointwise(self) -> FloatVector:
+        """u at a point, as a tuple of floats."""
+        return compile_float(self.numer, self.den)
 
 
-def _columns_and_rhs(sys: ControlAffineSystem, rhs: Sequence[Poly]) -> tuple[Poly, ...]:
-    """The polynomials :func:`_solve_at` reads: the columns of F, then rhs."""
-    return (*(p for col in sys.f for p in col), *rhs)
+def _pivot_rows(f_mat: PolyMatrix) -> list[int]:
+    """The first r independent rows of F(0) in index order, by exact elimination."""
+    basis: list[list[Fraction]] = []  # reduced rows, each zero at the pivots of those before it
+    rows = []
+    for i in range(f_mat.rows):
+        row = [p.constant_term for p in f_mat.row(i)]
+        for pivot in basis:
+            col = next(j for j, a in enumerate(pivot) if a)
+            factor = row[col] / pivot[col]
+            row = [a - factor * b for a, b in zip(row, pivot)]
+        if any(row):
+            basis.append(row)
+            rows.append(i)
+    if len(rows) < f_mat.cols:
+        raise ValueError(f"F(0) has rank {len(rows)}, not {f_mat.cols}")
+    return rows
 
 
-def _solve_at(sys: ControlAffineSystem, values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """F(x) as an (m, r) array and the least-norm u of F(x) u = rhs(x) at one point, as an RK4 stage asks.
-
-    ``values`` starts with the values of :func:`_columns_and_rhs` at x.
-    """
-    size = sys.m * sys.r
-    a = np.array(values[:size]).reshape(sys.r, sys.m).T
-    b = np.array(values[size : size + sys.m])
-    u, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return a, u
+def _evidently_positive(p: Poly) -> bool:
+    """A positive constant term, and positive coefficients on even powers elsewhere: p > 0 on R^m."""
+    return p.constant_term > 0 and all(c > 0 and not any(e % 2 for e in mi) for mi, c in p.terms.items())
 
 
 def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly], points: np.ndarray) -> FeedbackSolution:
-    """Solve F(x) u(x) = rhs(x) in least-norm form, symbolically when possible.
+    """Solve F(x) u(x) = rhs(x) as u = N / den, exactly.
 
-    Raises FeedbackResidualError if the pointwise residual exceeds
-    FEEDBACK_RESIDUAL_TOL anywhere on the check grid, a (P, m) float array;
-    under a LIFTABLE verdict this is unreachable and signals an internal
-    inconsistency.
+    Raises ValueError if F(0) has rank below r, and FeedbackResidualError
+    if the residual exceeds FEEDBACK_RESIDUAL_TOL anywhere on the check
+    grid, a (P, m) float array; under a LIFTABLE verdict this is
+    unreachable and signals an internal inconsistency.
     """
     if len(rhs) != sys.m:
         raise ValueError("right-hand side must have one component per state")
-    f_mat = control_matrix(sys)
-    symbolic = _symbolic_feedback(sys, f_mat, rhs)
-    values = compile_float(_columns_and_rhs(sys, rhs)) if symbolic is None else None
-
-    def pointwise(x: Sequence[float]) -> np.ndarray:
-        if symbolic is not None:
-            return np.array([u.eval_float(x) for u in symbolic])
-        return _solve_at(sys, values(x))[1]
-
-    a = f_mat.at(points)
-    b = eval_points(rhs, points)
-    u = eval_points(symbolic, points) if symbolic is not None else np.array([pointwise(x) for x in points])
-    r = (a @ u[..., None])[..., 0] - b
+    f_mat = geometry.Frame(sys.m, sys.f).as_matrix()
+    rows = _pivot_rows(f_mat)
+    square = PolyMatrix([f_mat.row(i) for i in rows], cols=sys.r, nvars=sys.m)
+    b = [rhs[i] for i in rows]
+    den = poly_det(square)
+    if _evidently_positive(-den):
+        den, b = -den, [-p for p in b]
+    elif not _evidently_positive(den):
+        f_t = PolyMatrix(sys.f)
+        square, b = f_t @ f_mat, f_t.matvec(rhs)
+        den = poly_det(square)
+    numer = tuple(poly_adjugate(square).matvec(b))
+    symbolic = None
+    try:
+        quotient = tuple(p / den for p in numer)
+    except ValueError:
+        pass
+    else:
+        if all(a == want for a, want in zip(f_mat.matvec(quotient), rhs)):
+            symbolic, numer, den = quotient, quotient, Poly.const(sys.m, 1)
+    u = eval_points(numer, points) / eval_points([den], points)
+    r = (f_mat.at(points) @ u[..., None])[..., 0] - eval_points(rhs, points)
     # |r| per point through the BLAS dot np.linalg.norm uses, so it matches bit for bit
     worst = float(np.sqrt((r[..., None, :] @ r[..., None]).max(initial=0.0)))
-    if worst > FEEDBACK_RESIDUAL_TOL:
+    if not worst <= FEEDBACK_RESIDUAL_TOL:  # NaN fails too
         raise FeedbackResidualError(
             f"feedback residual {worst:.3e} exceeds {FEEDBACK_RESIDUAL_TOL:.1e}; target is outside the control range"
         )
-    return FeedbackSolution(symbolic, pointwise, worst, tuple(rhs))
-
-
-def _symbolic_feedback(
-    sys: ControlAffineSystem, f_mat: PolyMatrix, rhs: Sequence[Poly]
-) -> tuple[Poly, ...] | None:
-    """Exact feedback from a constant-determinant square row subselection."""
-    for rows in itertools.combinations(range(sys.m), sys.r):
-        sub = PolyMatrix([[f_mat.entry(i, j) for j in range(sys.r)] for i in rows], cols=sys.r, nvars=sys.m)
-        det = poly_det(sub)
-        if not det.is_constant() or det.is_zero():
-            continue
-        inv = poly_adjugate(sub).scale(Fraction(1) / det.constant_term)
-        candidate = inv.matvec([rhs[i] for i in rows])
-        achieved = f_mat.matvec(candidate)
-        if all((achieved[i] - rhs[i]).is_zero() for i in range(sys.m)):
-            return tuple(candidate)
-    return None
+    return FeedbackSolution(symbolic, numer, den, worst)
 
 
 @dataclass
 class ClosedLoop:
-    """Closed-loop vector field f0 + F u; exact polynomials in symbolic mode."""
+    """Closed-loop vector field f0 + F u = numer / den, with numer = f0 den + F N."""
 
-    sys: ControlAffineSystem
     feedback: FeedbackSolution
-    poly: tuple[Poly, ...] | None
-    _values: FloatVector | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+    numer: tuple[Poly, ...]
+
+    @cached_property
+    def _values(self) -> FloatVector:
+        # compiled on the first call, inside simulate_rk4, which makes an OverflowError a DivergenceError
+        return compile_float(self.numer, self.feedback.den)
 
     def __call__(self, x: Sequence[float]) -> Sequence[float]:
-        if self._values is None:
-            # compiled on the first call, inside simulate_rk4, which turns an
-            # OverflowError from a coefficient beyond the float range into a DivergenceError
-            polys = self.poly
-            if polys is None:
-                polys = (*_columns_and_rhs(self.sys, self.feedback.rhs), *self.sys.f0)
-            self._values = compile_float(polys)
-        values = self._values(x)
-        if self.poly is not None:
-            return values
-        f_x, u = _solve_at(self.sys, values)  # F(x) once per evaluation
-        # f0 + u_1 F_1 + ... + u_r F_r summed left to right, the order test_pinned_floats pins
-        f0 = np.array(values[-self.sys.m :])
-        return sum((u[j] * f_x[:, j] for j in range(self.sys.r)), f0).tolist()
+        return self._values(x)
 
 
 def closed_loop_field(sys: ControlAffineSystem, feedback: FeedbackSolution) -> ClosedLoop:
-    poly = None
-    if feedback.symbolic is not None:
-        poly = tuple(
-            sys.f0[i] + poly_sum((feedback.symbolic[j] * sys.f[j][i] for j in range(sys.r)), sys.m)
-            for i in range(sys.m)
-        )
-    return ClosedLoop(sys, feedback, poly)
+    numer = tuple(
+        sys.f0[i] * feedback.den + poly_sum((feedback.numer[j] * sys.f[j][i] for j in range(sys.r)), sys.m)
+        for i in range(sys.m)
+    )
+    return ClosedLoop(feedback, numer)
 
 
 @dataclass
@@ -281,6 +268,8 @@ def simulate_rk4(
             _guard(states[-1], horizon)
     except OverflowError as exc:
         raise DivergenceError(f"float overflow evaluating the field or V* at t={times[-1]:.3f}") from exc
+    except ZeroDivisionError as exc:
+        raise DivergenceError(f"the closed loop's denominator is 0.0 at t={times[-1]:.3f}") from exc
     return TrajectoryRecord(times, np.array(states, dtype=float), values)
 
 
@@ -296,13 +285,13 @@ class DecreaseReport:
         return self.monotone and self.analytic_negative
 
 
-def verify_lyapunov_decrease(traj: TrajectoryRecord, vstar: Poly, field: VectorMap, grid: Lattice) -> DecreaseReport:
+def verify_lyapunov_decrease(traj: TrajectoryRecord, vstar: Poly, loop: ClosedLoop, grid: Lattice) -> DecreaseReport:
     """Check sampled strict decrease of V* and sign of its derivative.
 
     The sampled check requires V*(x_{k+1}) < V*(x_k) whenever V*(x_k) is
-    above VSTAR_FLOOR.  The derivative check evaluates dV* . field on the
-    grid away from the origin: exactly, when the closed loop is available
-    as polynomials; numerically otherwise.
+    above VSTAR_FLOOR.  The derivative check evaluates dV* . numer exactly
+    on the grid away from the origin; since the closed loop is numer / den
+    with den > 0, that is the sign of dV* along it.
     """
     monotone = True
     first_violation = None
@@ -313,16 +302,8 @@ def verify_lyapunov_decrease(traj: TrajectoryRecord, vstar: Poly, field: VectorM
             monotone = False
             first_violation = (traj.times[k], traj.vstar_values[k], traj.vstar_values[k + 1])
             break
-    analytic_witness = None
-    loop_polys = field.poly if isinstance(field, ClosedLoop) else None
-    if loop_polys is not None:
-        index = geometry.first_nonnegative(lie_derivative(list(loop_polys), vstar), grid)
-        if index is not None:
-            analytic_witness = tuple(grid.points[index].tolist())
-    else:
-        dv = eval_points(grad(vstar), grid.points)
-        rates = ((x, np.dot(dv_x, field(x))) for x, dv_x in zip(grid.points.tolist(), dv) if any(x))
-        analytic_witness = next((tuple(x) for x, rate in rates if rate >= 0.0), None)
+    index = geometry.first_nonnegative(lie_derivative(list(loop.numer), vstar), grid)
+    analytic_witness = None if index is None else tuple(grid.points[index].tolist())
     return DecreaseReport(monotone, first_violation, analytic_witness is None, analytic_witness)
 
 

@@ -66,7 +66,7 @@ def test_criterion_1_end_to_end_positive_fixture():
 
         # exact Lie derivative of V* along the closed loop
         loop = closed_loop_field(problem.sys, fb)
-        assert lie_derivative(list(loop.poly), vstar) == parse_poly(
+        assert lie_derivative(list(loop.numer), vstar) == parse_poly(
             "-2*x1^2 - x2^2", ["x1", "x2"]
         )
 

@@ -23,6 +23,9 @@ from liftlyap.cli import (
     main,
     run,
 )
+from liftlyap.parsing import parse_poly
+from liftlyap.poly import Poly
+from liftlyap.sysmodel import ControlAffineSystem
 
 
 def _fixture_raw(name):
@@ -259,6 +262,18 @@ def test_feedback_residual_is_validation_failure(monkeypatch):
     verdict = "LIFTED_BUT_VALIDATION_FAILED(feedback)"
     _assert_stopped_at(report, code, verdict, "feedback", EXIT_VALIDATION, "feedback")
     assert report["feedback"] == {"error": "feedback residual forced"}
+
+
+def test_feedback_degree_cap_is_input_error(monkeypatch, capsys):
+    # normal equations F^T F of degree 26, beyond DEGREE_CAP: exit 1, as every other cap
+    solve = synth.solve_feedback
+    column = (parse_poly("1 - x1^13", ["x1", "x2"]), parse_poly("x1^13", ["x1", "x2"]))
+    capped = ControlAffineSystem(2, 1, (Poly.zero(2),) * 2, (column,))
+    monkeypatch.setattr(synth, "solve_feedback", lambda sys, rhs, points: solve(capped, rhs, points))
+    code = main(["report", "--spec", str(fixture_path("ex_ps"))])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "[liftlyap] error: product degree 26 exceeds cap 24" in err and "Traceback" not in err
 
 
 def test_divergent_simulation_is_validation_failure():

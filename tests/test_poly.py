@@ -291,6 +291,35 @@ def test_matrix_adjugate_identity():
                 assert product.entry(i, j) == expected
 
 
+def test_exact_division():
+    rng = random.Random(23)
+    for _ in range(20):
+        a = random_poly(rng, 3)
+        b = random_poly(rng, 3, max_deg=2, terms=3)
+        if b.is_constant():
+            continue
+        assert (a * b) / b == a
+        with pytest.raises(ValueError, match="does not divide"):
+            (a * b + 1) / b
+    p = parse_poly("x2^2 - 3*x1 + 1/2", ["x1", "x2"])
+    assert list((p / Fraction(-2, 3)).terms) == list(p.terms)  # a constant divisor keeps the term order
+    assert p / 1 == p
+    with pytest.raises(ZeroDivisionError):
+        p / Poly.zero(2)
+
+
+def test_compile_float_divides_by_den():
+    polys = [parse_poly(t, ["x1", "x2"]) for t in ("x1^2 - x2", "3*x1*x2", "0")]
+    den = parse_poly("1 + x1^2 + 1/3*x2^4", ["x1", "x2"])
+    one = Poly.const(2, 1)
+    for x in ([0.3, -1.7], [1e3, 2.0], [-0.0, 0.0]):
+        *values, d = compile_float([*polys, den])(x)
+        assert compile_float(polys, den)(x) == tuple(v / d for v in values)
+        assert compile_float(polys, one)(x) == compile_float(polys)(x)
+    with pytest.raises(ZeroDivisionError):
+        compile_float(polys, parse_poly("x1", ["x1", "x2"]))([0.0, 1.0])
+
+
 def test_matrix_matvec_and_empty():
     mat = PolyMatrix([[Poly.const(2, 1), Poly.variable(2, 0)]])
     out = mat.matvec([Poly.variable(2, 1), Poly.const(2, 2)])

@@ -1,10 +1,12 @@
 """Feedback solving, closed loops, simulation, and decrease verification."""
 
+import itertools
 import math
 import random
 
 from fractions import Fraction
 
+import feedback_oracle
 import numpy as np
 import pytest
 import rk4_oracle
@@ -15,14 +17,13 @@ from liftbench import gen
 
 from liftlyap import cli, synth
 from liftlyap.parsing import parse_poly
-from liftlyap.poly import Poly, compile_float, grad
+from liftlyap.poly import DegreeCapError, Poly, compile_float, grad, poly_det, poly_sum
 from liftlyap.synth import (
     DIVERGENCE_GUARD,
     DivergenceError,
     FeedbackResidualError,
     FeedbackSolution,
     closed_loop_field,
-    control_matrix,
     guard_box,
     simulate_rk4,
     solve_feedback,
@@ -36,6 +37,11 @@ X2 = ["x1", "x2"]
 
 def _p(text, names=X2):
     return parse_poly(text, names)
+
+
+def _zero_feedback(m):
+    """The polynomial feedback u = 0 of one input."""
+    return FeedbackSolution((Poly.zero(m),), (Poly.zero(m),), Poly.const(m, 1), 0.0)
 
 
 def _solved(name):
@@ -57,7 +63,7 @@ def test_solve_feedback_ex_ps():
     assert fb.symbolic == (_p("-2*x1"),)
     assert fb.residual_norm <= 1e-12
     loop = closed_loop_field(problem.sys, fb)
-    assert loop.poly == (_p("-2*x1"), _p("-x2"))
+    assert (loop.numer, fb.den) == ((_p("-2*x1"), _p("-x2")), _p("1"))
 
 
 def test_solve_feedback_ex_fa():
@@ -65,7 +71,7 @@ def test_solve_feedback_ex_fa():
     fb = solve_feedback(problem.sys, rhs, check_points(2))
     assert fb.symbolic == (_p("-2*x1"), _p("-x2"))
     loop = closed_loop_field(problem.sys, fb)
-    assert loop.poly == (_p("-2*x1"), _p("-x2"))
+    assert (loop.numer, fb.den) == ((_p("-2*x1"), _p("-x2")), _p("1"))
 
 
 def test_solve_feedback_out_of_range_rhs():
@@ -82,40 +88,154 @@ def test_closed_loop_matches_target_exactly():
         fb = solve_feedback(problem.sys, rhs, check_points(2))
         loop = closed_loop_field(problem.sys, fb)
         sigma = target_field(problem.sys, td, v)
-        assert loop.poly is not None
+        assert fb.den == _p("1")
         for i in range(problem.sys.m):
-            assert (loop.poly[i] - sigma[i]).is_zero()
+            assert (loop.numer[i] - sigma[i]).is_zero()
 
 
 def test_zero_feedback_returns_drift():
     sys = ControlAffineSystem(2, 1, (_p("-x1"), _p("-x2")), ((_p("1"), _p("0")),))
-    fb = FeedbackSolution((Poly.zero(2),), lambda x: np.zeros(1), 0.0, (Poly.zero(2), Poly.zero(2)))
-    loop = closed_loop_field(sys, fb)
-    assert loop.poly == (_p("-x1"), _p("-x2"))
+    loop = closed_loop_field(sys, _zero_feedback(2))
+    assert loop.numer == (_p("-x1"), _p("-x2"))
 
 
-def test_least_norm_orthogonal_to_kernel():
-    """The pointwise solution carries no component in the null space of F."""
-    sys = ControlAffineSystem(
-        2,
-        3,
-        (Poly.zero(2), Poly.zero(2)),
-        ((_p("1"), _p("0")), (_p("0"), _p("1")), (_p("1"), _p("1"))),
-    )
+def test_solve_feedback_needs_rank_r_at_the_origin():
+    zero = (Poly.zero(2), Poly.zero(2))
+    sys = ControlAffineSystem(2, 2, zero, ((_p("1"), _p("0")), (_p("x1"), _p("x2"))))
+    with pytest.raises(ValueError, match=r"F\(0\) has rank 1, not 2"):
+        solve_feedback(sys, list(zero), check_points(2))
+
+
+def _system(columns, f0=("0", "0")):
+    """A two-state system with these control columns, as text."""
+    return ControlAffineSystem(2, len(columns), tuple(map(_p, f0)), tuple(tuple(map(_p, col)) for col in columns))
+
+
+def _image(sys, w):
+    """F w, as a right-hand side that F reaches with the polynomial feedback w."""
+    return [poly_sum((w[j] * sys.f[j][i] for j in range(sys.r)), sys.m) for i in range(sys.m)]
+
+
+# F_S is square and det F_S = (1 + x1^2)(1 + x2^2) is evidently positive: u = rhs_j / (1 + x_j^2)
+_EVIDENT = _system([("1 + x1^2", "0"), ("0", "1 + x2^2")], ("x2", "-x1"))
+# det F_S = x1^2 - x1 + 1 > 0 has an odd power: the normal equations, with det F^T F = (det F_S)^2
+_NORMAL = _system([("1", "x1"), ("1", "1 + x1^2")], ("x2", "-x1"))
+# one input, two states: F_S = (1 + x2^2), and F_S = (1 - x1^2) with det F^T F = x1^4 - x1^2 + 1
+_EVIDENT_TALL = _system([("1 + x2^2", "x1")])
+_NORMAL_TALL = _system([("1 - x1^2", "x1")])
+
+
+def test_feedback_square_system():
+    """F_S when +-det F_S is evidently positive, the normal equations F^T F otherwise."""
     rhs = [_p("x1"), _p("x2")]
-    fb = solve_feedback(sys, rhs, check_points(2))
-    assert fb.symbolic is None  # more inputs than states: no square subselection
-    f_mat = control_matrix(sys)
-    rng = random.Random(71)
-    for _ in range(5):
-        x = [rng.uniform(-1, 1), rng.uniform(-1, 1)]
-        u = fb.pointwise(x)
-        a = f_mat.at(x)
-        b = np.array([p.eval_float(x) for p in rhs])
-        np.testing.assert_allclose(a @ u, b, atol=1e-9)
-        _, _, vh = np.linalg.svd(a)
-        for z in vh[2:]:  # kernel directions of the 2x3 matrix
-            assert abs(np.dot(u, z)) < 1e-9
+    assert solve_feedback(_EVIDENT, rhs, check_points(2)).den == _p("(1 + x1^2)*(1 + x2^2)")
+    fb = solve_feedback(_NORMAL, rhs, check_points(2))
+    assert (fb.den, fb.symbolic) == (_p("(x1^2 - x1 + 1)^2"), None)
+    neg = _system([("-1 - x1^2", "0"), ("0", "1")])
+    assert solve_feedback(neg, rhs, check_points(2)).den == _p("1 + x1^2")  # -det F_S is evidently positive
+    for sys in (_EVIDENT_TALL, _NORMAL_TALL):
+        fb = solve_feedback(sys, _image(sys, [_p("x2 - x1^2")]), check_points(2))
+        assert (fb.symbolic, fb.den) == ((_p("x2 - x1^2"),), _p("1"))  # den divides N: an exact feedback
+
+
+@st.composite
+def _feedback_cases(draw):
+    """A system in m = 2..5 states with F of rank r at the origin, a right-hand side, and points.
+
+    F's entries have degree <= 2: the rows S get a nonzero constant on a
+    diagonal and the other rows any constant, plus up to two terms of degree
+    1 or 2 everywhere.  A square F gets any polynomial rhs, so u = F^-1 rhs
+    is rational; a tall one rhs = F w for a polynomial w, so u = w.
+    """
+    m = draw(st.integers(2, 5))
+    r = draw(st.integers(1, min(m, 3)))
+    rows = draw(st.permutations(range(m)))[:r]
+    small = st.integers(-3, 3)
+    exponents = [mi for mi in itertools.product(range(3), repeat=m) if sum(mi) <= 2]
+    poly = st.dictionaries(st.sampled_from(exponents), small, max_size=3).map(lambda t: Poly(m, t))
+    higher = st.dictionaries(st.sampled_from([mi for mi in exponents if any(mi)]), small, max_size=2)
+
+    def entry(i, j):
+        const = draw(small) if i not in rows else draw(small.filter(bool)) if rows[j] == i else 0
+        return Poly(m, {**draw(higher), (0,) * m: const})
+
+    f = tuple(tuple(entry(i, j) for i in range(m)) for j in range(r))
+    sys = ControlAffineSystem(m, r, tuple(draw(poly) for _ in range(m)), f)
+    if r == m:
+        rhs = [draw(poly) for _ in range(m)]
+    else:
+        rhs = _image(sys, [draw(poly) for _ in range(r)])
+    points = draw(st.lists(st.tuples(*[st.floats(-1, 1)] * m), min_size=1, max_size=4))
+    return sys, rhs, points
+
+
+_POINTS = [(0.5, -0.25), (-0.9, 0.7), (0.3, 1.0)]
+
+
+@given(_feedback_cases())
+@example((_EVIDENT, [_p("x1"), _p("x2^2 - 1")], _POINTS))
+@example((_NORMAL, [_p("x1"), _p("x2^2 - 1")], _POINTS))
+@example((_EVIDENT_TALL, _image(_EVIDENT_TALL, [_p("x1*x2")]), _POINTS))
+@example((_NORMAL_TALL, _image(_NORMAL_TALL, [_p("x1*x2")]), _POINTS))
+def test_rational_feedback_matches_the_least_squares_oracle(case):
+    sys, rhs, points = case
+    points = [x for x in points if np.linalg.cond(feedback_oracle.control_at(sys, x)) < 1e3]
+    fb = solve_feedback(sys, rhs, np.array(points).reshape(-1, sys.m))
+    loop = closed_loop_field(sys, fb)
+    for x in points:
+        want = feedback_oracle.feedback_at(sys, rhs, x)
+        np.testing.assert_allclose(fb.pointwise(x), want, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(loop(x), feedback_oracle.closed_loop_at(sys, rhs, x), rtol=1e-9, atol=1e-9)
+
+
+def test_feedback_work_is_bounded(monkeypatch):
+    """One determinant for 10 states and 5 inputs, where a search of row subsets takes C(10, 5) = 252.
+
+    Column j is (1 + x_j^2) e_j + x_j e_{j+5}: every 5-row subset has a zero
+    or a non-constant determinant.
+    """
+    m, r = 10, 5
+    names = [f"x{i + 1}" for i in range(m)]
+    cols = [[f"1 + x{j + 1}^2" if i == j else f"x{j + 1}" if i == j + 5 else "0" for i in range(m)] for j in range(r)]
+    f = tuple(tuple(_p(t, names) for t in col) for col in cols)
+    sys = ControlAffineSystem(m, r, (Poly.zero(m),) * m, f)
+    w = [_p(f"x{j + 6} - x{j + 1}", names) for j in range(r)]
+    dets = []
+    monkeypatch.setattr(synth, "poly_det", lambda mat: dets.append(poly_det(mat)) or dets[-1])
+    fb = solve_feedback(sys, _image(sys, w), check_points(m)[::1000])
+    assert len(dets) == 1
+    assert fb.symbolic == tuple(w)
+
+
+def test_normal_equations_degree_cap_is_raised():
+    # F^T F = (1 - x1^13)^2 + x1^26 has degree 26, beyond DEGREE_CAP
+    sys = _system([("1 - x1^13", "x1^13")])
+    with pytest.raises(DegreeCapError):
+        solve_feedback(sys, [Poly.zero(2)] * 2, check_points(2))
+
+
+def _normal_equations_spec() -> dict:
+    """A liftable problem whose feedback comes from the normal equations.
+
+    The second input column (0, 1 - x2^2, x2) makes det F_S = 1 - x2^2,
+    which vanishes at the grid points x2 = +-1.
+    """
+    spec = gen.liftable_flat(random.Random("fb"), "fb", 3, 1, 4).spec
+    spec["f"] = [*spec["f"], ["0", "1 - x2^2", "x2"]]
+    spec["inputs"] = ["u1", "u2"]
+    spec["beta"] = [["1", "0"]]
+    spec["d"] = [["0", "-x2", "1 - x2^2"]]
+    return spec
+
+
+def test_normal_equations_on_a_pipeline_problem(monkeypatch):
+    dets = []
+    monkeypatch.setattr(synth, "poly_det", lambda mat: dets.append(poly_det(mat)) or dets[-1])
+    report, code = cli.run("report", cli.build_problem(_normal_equations_spec()))
+    assert (code, report["verdict"]) == (cli.EXIT_OK, "LIFTABLE_AND_VERIFIED")
+    names = ["x1", "x2", "x3"]
+    assert dets == [_p("1 - x2^2", names), _p("x2^4 - x2^2 + 1", names)]
+    assert report["feedback"]["symbolic"] == ["-2*x1", "0"]  # den divides N
 
 
 def test_simulate_ex_ps_against_exact_solution():
@@ -191,7 +311,8 @@ def _trajectory_bits(record) -> tuple:
 )
 def test_simulate_matches_the_numpy_oracle_bitwise(monkeypatch, case):
     loop, x0, h, horizon, vstar = _report_simulation(monkeypatch, case)
-    assert (loop.poly is None) == case.startswith("simulate-pointwise")  # both closed-loop paths
+    # a polynomial closed loop (den = 1) and a rational one (den = (1 + x1^2)(1 + x2^2))
+    assert loop.feedback.den.is_constant() != case.startswith("simulate-pointwise")
     want = rk4_oracle.simulate_rk4(lambda x: np.asarray(loop(x)), x0, h, horizon, vstar)
     assert _trajectory_bits(simulate_rk4(loop, x0, h, horizon, vstar)) == _trajectory_bits(want)
 
@@ -203,7 +324,7 @@ def test_simulate_matches_the_numpy_oracle_bitwise(monkeypatch, case):
 )
 def test_simulate_divergence_matches_the_numpy_oracle(drift, x0, message):
     sys = ControlAffineSystem(1, 1, (_p(drift, ["x1"]),), ((Poly.zero(1),),))
-    loop = closed_loop_field(sys, FeedbackSolution((Poly.zero(1),), lambda x: np.zeros(1), 0.0, (Poly.zero(1),)))
+    loop = closed_loop_field(sys, _zero_feedback(1))
     with pytest.raises(DivergenceError) as want:
         rk4_oracle.simulate_rk4(lambda x: np.asarray(loop(x)), x0, 0.01, 10.0)
     with pytest.raises(DivergenceError) as got:
@@ -215,9 +336,8 @@ def test_simulate_divergence_matches_the_numpy_oracle(drift, x0, message):
 def _polynomial_loop(polys):
     """The closed loop x' = polys(x), through ClosedLoop with a zero feedback."""
     m = len(polys)
-    zero = (Poly.zero(m),) * m
-    sys = ControlAffineSystem(m, 1, tuple(polys), (zero,))
-    return closed_loop_field(sys, FeedbackSolution((Poly.zero(m),), lambda x: np.zeros(1), 0.0, zero))
+    sys = ControlAffineSystem(m, 1, tuple(polys), ((Poly.zero(m),) * m,))
+    return closed_loop_field(sys, _zero_feedback(m))
 
 
 def _simulation_outcome(simulate, field, x0, h, steps, vstar):
@@ -264,6 +384,13 @@ def test_simulate_matches_the_numpy_oracle_on_random_loops(case, as_array):
     with np.errstate(over="ignore"):  # the oracle's last guard warns when the squared norm overflows
         want = _simulation_outcome(rk4_oracle.simulate_rk4, lambda x: np.asarray(field(x)), x0, h, steps, vstar)
     assert _simulation_outcome(simulate_rk4, field, x0, h, steps, vstar) == want
+
+
+def test_simulate_zero_denominator_is_divergence():
+    sys = ControlAffineSystem(1, 1, (Poly.zero(1),), ((Poly.zero(1),),))
+    loop = closed_loop_field(sys, FeedbackSolution(None, (Poly.zero(1),), Poly.variable(1, 0), 0.0))
+    with pytest.raises(DivergenceError, match=r"the closed loop's denominator is 0.0 at t=0.000"):
+        simulate_rk4(loop, [0.0], 0.01, 0.1)
 
 
 def test_simulate_oracle_examples_diverge_where_intended():
@@ -332,12 +459,12 @@ def test_verify_decrease_ex_ps():
     assert report.passed
     from liftlyap.poly import lie_derivative
 
-    assert lie_derivative(list(loop.poly), vstar) == _p("-2*x1^2 - x2^2")
+    assert lie_derivative(list(loop.numer), vstar) == _p("-2*x1^2 - x2^2")
 
 
 def test_verify_decrease_fails_for_frozen_state():
     vstar = _p("x1^2 + x2^2")
-    field = lambda x: np.zeros(2)
+    field = _polynomial_loop([Poly.zero(2)] * 2)
     traj = simulate_rk4(field, [1.0, 0.0], 0.1, 1.0, vstar)
     report = verify_lyapunov_decrease(traj, vstar, field, check_grid(2))
     assert not report.monotone
