@@ -29,7 +29,7 @@ MAX_GRID_POINTS = 100_000  # largest per_axis ** m; the point-by-point grid chec
 
 
 class FrameRankError(ValueError):
-    """A frame fails its constant-rank check somewhere on the grid."""
+    """A frame fails its constant-rank check on the grid, or the lift system its rank at the origin."""
 
 
 class ComplementError(ValueError):

@@ -1,33 +1,30 @@
 """Integrability analysis of the first-order system defining the lift V.
 
-The unknown V : R^m -> R must satisfy two blocks of linear first-order
-equations:
+V : R^m -> R must satisfy two blocks of linear first-order equations:
 
     D-block:   sum_i P_D[a][i] * (dV/dx^i - X^i) = 0      (a = 1..m-r)
     VM-block:  sum_i P_VM[i][q] * dV/dx^i = 0             (q = 1..n)
 
-P_D = Q / delta with Q and delta polynomial and delta(0) = 1 (see
-geometry.build_projections).  The exact checks work on Q: the D-block
-times delta, condition B times delta^2 and condition A times delta^3 are
-polynomials.  delta is not the zero polynomial, so each is identically
-zero exactly when its P_D form is.
-
-Read as vector fields Q_a = sum_i Q[a][i] d/dx^i, the D-block is
-Q_a(V) = Q_a . X, and by Frobenius its integrability conditions are Lie
-brackets (poly.lie_bracket): condition A is the involutivity
-[Q_a1, Q_a2] = 0 of the D rows, corrected by the derivatives of delta,
-condition B the compatibility Q_a1(Q_a2 . X) - Q_a2(Q_a1 . X) = 0 once A
-holds, and flatness the fibre part of [H_q2, H_q1] for the horizontal
-lifts H_q, the columns of P_VM.  The module also decides pointwise
-solvability of the first-order constraints and reports the symbol
-dimensions behind the involutivity test.  The verdict LIFTABLE
-means every obstruction vanishes; each failed check carries a concrete
-witness.
-
-Pointwise solvability is decided on the n x r system P_VM^T C a = -P_VM^T X,
-which reads neither D nor P_D, with one stacked SVD of each of A = P_VM^T C
-and [A | beta] over the check grid, ranked against a unit scale on rows
-divided by a bound that cannot vanish (see :func:`pointwise_consistency`).
+with P_D = Q / delta and delta(0) = 1 (geometry.build_projections).  The
+verdict tests both blocks as one system, the rows L = [Q; P_VM^T] with
+right-hand sides b = (Q X, 0), by Frobenius in graph form (Lee,
+*Introduction to Smooth Manifolds*, 2nd ed., ch. 19; Seiler, *Involution*,
+2010).  Exact elimination of L(0) (poly.origin_pivots) keeps rows S with
+pivot columns P, and M = L[S, P] is invertible at the origin.  With
+d = det M / det M(0) and adj(M) also divided by det M(0), the rows
+G = adj(M) L_S read d * I on P, and near the origin the system is
+(G_i / d)(V) = beta_i / d with beta = adj(M) b_S.  Graph-form fields span
+an involutive distribution exactly when they commute, whatever basis the
+rows came in, so condition A is [G_i / d, G_j / d] = 0 and condition B is
+(G_i / d)(beta_j / d) = (G_j / d)(beta_i / d) for every pair, D and VM rows
+alike (both times d^3).  A row l outside S must satisfy
+d L_l = sum_p L_l,p G_p identically (else the rank at the origin is below
+the rank nearby), and consistency asks that its identity
+d b_l - sum_p L_l,p beta_p be the zero polynomial.  Flatness of the
+connection, the fibre part of [H_q2, H_q1] for the columns H_q of P_VM, is
+tested as well.  All four are exact; A and B offenders are keyed by the
+pivot coordinates of their graph rows, which do not depend on the
+complement D, and the check grid only locates where an identity fails.
 
 The symbol is reported and decides nothing.  It has a closed form (the
 Cartan-test setting of Seiler, *Involution*, 2010).  With E and F the two
@@ -46,20 +43,30 @@ are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import geometry
-from .geometry import EhresmannConnection, Frame, ProjectionPair
-from .numutil import intersection_basis, intersection_dim, least_squares_gap, null_rows, numeric_rank
-from .poly import Poly, PolyMatrix, lie_bracket, lie_derivative, poly_sum
+from .geometry import EhresmannConnection, Frame, FrameRankError, ProjectionPair
+from .numutil import intersection_basis, intersection_dim, null_rows, numeric_rank
+from .poly import (
+    Poly,
+    PolyMatrix,
+    eval_points,
+    lie_bracket,
+    lie_derivative,
+    origin_pivots,
+    poly_adjugate,
+    poly_det,
+    poly_sum,
+)
 
 
 @dataclass(frozen=True)
 class ResidualSystem:
-    """Projection data plus the target field X, fixing the PDE for V; consistency reads only C, P_VM and X."""
+    """Projection data plus the target field X, fixing the PDE for V."""
 
     pair: ProjectionPair
     x_field: tuple[Poly, ...]
@@ -79,10 +86,6 @@ class ResidualSystem:
     @property
     def p_d(self) -> PolyMatrix:
         return self.pair.p_d
-
-    @property
-    def delta(self) -> Poly:
-        return self.pair.delta
 
     @property
     def p_vm(self) -> PolyMatrix:
@@ -120,55 +123,91 @@ def check_flatness(conn: EhresmannConnection) -> tuple[bool, dict[tuple[int, int
     return (not offenders, offenders)
 
 
-def condition_a(p_d: PolyMatrix, delta: Poly) -> dict[tuple[int, int, int], Poly]:
-    """Involutivity of the D rows, read as vector fields Q_a = sum_i Q[a][i] d/dx^i.
+@dataclass(frozen=True)
+class GraphForm:
+    """The stacked system near the origin, solved for its pivot coordinates (see the module docstring)."""
 
-    For P_D = Q / delta, entry (a1, a2, i1), with 1-based labels and
-    a1 < a2, is delta^3 times component i1 of the Lie bracket of rows a1
-    and a2 of P_D, which is the polynomial
+    pivots: tuple[int, ...]  # the pivot coordinate of each graph row, ascending (0-based)
+    rows: PolyMatrix  # G, k x m: d on its own pivot column, 0 on the other pivot columns
+    rhs: tuple[Poly, ...]  # beta
+    den: Poly  # d, with d(0) = 1
+    identities: tuple[Poly, ...]  # d b_l - sum_p L_l,p beta_p, one per row l that reduces to zero
 
-        delta * [Q_a1, Q_a2]^i1 - (Q[a2][i1] Q_a1(delta) - Q[a1][i1] Q_a2(delta))
+
+def graph_form(rs: ResidualSystem) -> GraphForm:
+    """Bring the stacked rows [Q; P_VM^T], with right-hand sides (Q X, 0), into graph form.
+
+    Raises FrameRankError naming a row that reduces to zero at the origin but
+    not identically: the rank is lower there than nearby, so no graph form holds.
+    """
+    m, d_rows = rs.m, rs.p_d.rows
+    aug = [[*q, poly_sum((e * x for e, x in zip(q, rs.x_field) if e), m)] for q in rs.p_d.entries]
+    aug += [[*rs.p_vm.col(j), Poly.zero(m)] for j in range(rs.n)]  # [L | b]
+    pivots = sorted(origin_pivots(PolyMatrix([row[:m] for row in aug])), key=lambda pivot: pivot[1])
+    kept, cols = [i for i, _ in pivots], [j for _, j in pivots]
+    block = PolyMatrix([[aug[i][j] for j in cols] for i in kept])
+    det = poly_det(block)
+    scale = 1 / det.constant_term
+    den = det * scale
+    graph = [list(row) for row in (poly_adjugate(block).scale(scale) @ PolyMatrix([aug[i] for i in kept])).entries]
+    identities = []
+    for l in sorted(set(range(len(aug))) - set(kept)):
+        reduced = (PolyMatrix([[den, *(-aug[l][j] for j in cols)]]) @ PolyMatrix([aug[l], *graph])).entries[0]
+        if any(reduced[:m]):
+            label = f"d[{l + 1}]" if l < d_rows else f"vm[{l - d_rows + 1}]"
+            raise FrameRankError(
+                f"the lift system has a lower rank at the origin than nearby: row {label} reduces to zero there only"
+            )
+        identities.append(reduced[m])
+    rhs = tuple(row.pop() for row in graph)
+    return GraphForm(tuple(cols), PolyMatrix(graph), rhs, den, tuple(identities))
+
+
+def condition_a(rows: PolyMatrix, den: Poly) -> dict[tuple[int, int, int], Poly]:
+    """Involutivity of the fields G_a / den, with G_a = sum_i rows[a][i] d/dx^i.
+
+    Entry (a1, a2, i1), with 1-based labels and a1 < a2, is den^3 times
+    component i1 of the Lie bracket [G_a1 / den, G_a2 / den], which is the
+    polynomial
+
+        den * [G_a1, G_a2]^i1 - (G[a2][i1] G_a1(den) - G[a1][i1] G_a2(den))
 
     The condition holds when every entry is identically zero; with fewer
-    than two D rows it is vacuous.
+    than two rows it is vacuous.
     """
-    rows = p_d.entries
-    along = None if delta.is_constant() else [lie_derivative(row, delta) for row in rows]  # Q_a(delta)
+    g = rows.entries
+    along = None if den.is_constant() else [lie_derivative(row, den) for row in g]  # G_a(den)
     out: dict[tuple[int, int, int], Poly] = {}
-    for a1 in range(p_d.rows):
-        for a2 in range(a1 + 1, p_d.rows):
-            for i1, entry in enumerate(lie_bracket(rows[a1], rows[a2])):
+    for a1 in range(rows.rows):
+        for a2 in range(a1 + 1, rows.rows):
+            for i1, entry in enumerate(lie_bracket(g[a1], g[a2])):
                 if along is not None:
-                    entry = delta * entry - (rows[a2][i1] * along[a1] - rows[a1][i1] * along[a2])
+                    entry = den * entry - (g[a2][i1] * along[a1] - g[a1][i1] * along[a2])
                 out[(a1 + 1, a2 + 1, i1 + 1)] = entry
     return out
 
 
-def condition_b(p_d: PolyMatrix, x_field: Sequence[Poly]) -> dict[tuple[int, int], Poly]:
-    """Compatibility of the D block Q_a(V) = Q_a . X once condition A holds.
+def condition_b(rows: PolyMatrix, rhs: Sequence[Poly], den: Poly) -> dict[tuple[int, int], Poly]:
+    """Compatibility of the system (G_a / den)(V) = rhs[a] / den, G_a as in :func:`condition_a`.
 
-    Entry (a1, a2), a1 < a2 (1-based), holds
+    Entry (a1, a2), a1 < a2 (1-based), is den^3 times
+    (G_a1 / den)(rhs[a2] / den) - (G_a2 / den)(rhs[a1] / den), the polynomial
 
-        Q_a2(Q_a1 . X) - Q_a1(Q_a2 . X) + [Q_a1, Q_a2] . X
-            = sum_i1 [ Q[a1][i1] Q_a2(X^i1) - Q[a2][i1] Q_a1(X^i1) ]
-
-    which is delta^2 times the same sum over the rows of P_D = Q / delta.
+        den * (G_a1(rhs[a2]) - G_a2(rhs[a1])) - (rhs[a2] G_a1(den) - rhs[a1] G_a2(den))
     """
-    if p_d.rows < 2:
-        return {}
-    rows = p_d.entries
-    along = [[lie_derivative(row, x) for x in x_field] for row in rows]  # along[a][i1] = Q_a(X^i1)
+    g = rows.entries
+    along = None if den.is_constant() else [lie_derivative(row, den) for row in g]
     out: dict[tuple[int, int], Poly] = {}
-    for a1 in range(p_d.rows):
-        for a2 in range(a1 + 1, p_d.rows):
-            out[(a1 + 1, a2 + 1)] = poly_sum(
-                (rows[a1][i1] * along[a2][i1] - rows[a2][i1] * along[a1][i1] for i1 in range(p_d.cols)),
-                p_d.nvars,
-            )
+    for a1 in range(rows.rows):
+        for a2 in range(a1 + 1, rows.rows):
+            entry = lie_derivative(g[a1], rhs[a2]) - lie_derivative(g[a2], rhs[a1])
+            if along is not None:
+                entry = den * entry - (rhs[a2] * along[a1] - rhs[a1] * along[a2])
+            out[(a1 + 1, a2 + 1)] = entry
     return out
 
 
-# -- pointwise solvability -----------------------------------------------------
+# -- consistency -----------------------------------------------------------------
 
 
 @dataclass
@@ -176,49 +215,22 @@ class ConsistencyReport:
     consistent: bool
     worst_gap: float
     worst_point: tuple[float, ...] | None
-    failures: list[tuple[tuple[float, ...], float]] = field(default_factory=list)
+    failures: list[tuple[tuple[float, ...], float]]
 
 
-def quotient_rows(rs: ResidualSystem, points) -> np.ndarray:
-    """[A | beta] (..., n, r + 1) at points (..., m), row q divided by |P_VM column q| * |C|_F.
+def pointwise_consistency(form: GraphForm, points: np.ndarray) -> ConsistencyReport:
+    """Consistency from the exact identities, and where they fail on the (P, m) float check grid.
 
-    The divisor bounds the norm of row q of A and does not vanish on the
-    check grid, where P_VM has its identity block and C has full rank, so a
-    row of A that is exactly zero stays at roundoff.
+    The system is consistent when every identity is the zero polynomial.
+    The gap at a point is the sum of |identity| there, and the points with
+    a nonzero gap are the failures.
     """
-    m, n = rs.m, rs.n
-    rows = PolyMatrix([*(rs.p_vm.col(q) for q in range(n)), *rs.pair.c_frame.fields, rs.x_field], cols=m, nvars=m)
-    values = rows.at(points)
-    p_vm_t, c_x_t = values[..., :n, :], values[..., n:, :]  # P_VM^T, then [C | X]^T
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value raises OverflowError below
-        p_norms = np.hypot.reduce(p_vm_t, axis=-1)  # hypot: no overflow in the squares
-        c_norms = np.hypot.reduce(c_x_t[..., :-1, :].reshape(*values.shape[:-2], -1), axis=-1)
-        aug = (p_vm_t / p_norms[..., None]) @ (c_x_t / c_norms[..., None, None]).swapaxes(-1, -2)
-    if not (np.isfinite(p_norms).all() and np.isfinite(c_norms).all() and np.isfinite(aug).all()):
-        raise OverflowError("a row of the consistency system is beyond the float range")
-    return aug
-
-
-def pointwise_consistency(rs: ResidualSystem, points: np.ndarray) -> ConsistencyReport:
-    """Check gradient-constraint solvability at every point of the (P, m) float check grid.
-
-    Where [C | D] is invertible, the D-block says grad V = X + C a for some
-    a in R^r, and the VM-block then reads A a = -beta with A = P_VM^T C
-    (n x r) and beta = P_VM^T X.  On the rows of :func:`quotient_rows`, one
-    SVD gives rank A = k against a unit scale and the gap
-    sum |U_k U_k^T beta - beta|, the least-squares violation at rank k.
-    Rows longer than 1 are then shrunk to unit length, since the SVD's
-    roundoff grows with the largest entry, and [A | beta] is ranked against
-    the same scale.  A point is consistent when the two ranks agree.
-    """
-    aug = quotient_rows(rs, points)
-    rank_a, gaps = least_squares_gap(aug[..., :-1], aug[..., -1])
-    aug /= np.maximum(np.hypot.reduce(aug, axis=-1), 1.0)[..., None]
-    consistent = rank_a == numeric_rank(aug, scale=1.0)
-    failures = [(tuple(points[i].tolist()), float(gaps[i])) for i in np.flatnonzero(~consistent)]
+    identities = [p for p in form.identities if p]
+    gaps = np.abs(eval_points(identities, points)).sum(axis=-1)
+    failures = [(tuple(points[i].tolist()), float(gaps[i])) for i in np.flatnonzero(gaps)]
     worst = int(np.argmax(gaps))  # the first largest gap in grid order
     worst_point = tuple(points[worst].tolist()) if gaps[worst] > 0.0 else None
-    return ConsistencyReport(not failures, float(gaps[worst]) if worst_point else 0.0, worst_point, failures)
+    return ConsistencyReport(not identities, float(gaps[worst]), worst_point, failures)
 
 
 # -- symbol dimensions and the involutivity bookkeeping -----------------------
@@ -323,16 +335,16 @@ class IntegrabilityReport:
 
 
 def full_check(rs: ResidualSystem, conn: EhresmannConnection, points: np.ndarray) -> IntegrabilityReport:
-    """Run every obstruction test and aggregate the verdict."""
-    m = rs.m
+    """Run every obstruction test and aggregate the verdict; A and B offenders are keyed by graph row pivots."""
     flat, flat_offenders = check_flatness(conn)
-    a_entries = condition_a(rs.p_d, rs.delta)
-    a_offenders = {key: val for key, val in a_entries.items() if not val.is_zero()}
-    b_entries = condition_b(rs.p_d, rs.x_field)
-    b_offenders = {key: val for key, val in b_entries.items() if not val.is_zero()}
-    consistency = pointwise_consistency(rs, points)
-    origin = [0.0] * m
-    symbol = symbol_dims(rs.pair.c_frame, rs.pair.p_vm, origin)
+    form = graph_form(rs)
+    label = [p + 1 for p in form.pivots]
+    a_entries = condition_a(form.rows, form.den)
+    a_offenders = {(label[a1 - 1], label[a2 - 1], i1): val for (a1, a2, i1), val in a_entries.items() if val}
+    b_entries = condition_b(form.rows, form.rhs, form.den)
+    b_offenders = {(label[a1 - 1], label[a2 - 1]): val for (a1, a2), val in b_entries.items() if val}
+    consistency = pointwise_consistency(form, points)
+    symbol = symbol_dims(rs.pair.c_frame, rs.pair.p_vm, [0.0] * rs.m)
     return IntegrabilityReport(
         flat=flat,
         flat_offenders=flat_offenders,

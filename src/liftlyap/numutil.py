@@ -1,13 +1,10 @@
-"""Floating-point linear algebra helpers shared by the geometric checks.
+"""Floating-point linear algebra for the frame premises and the symbol.
 
-Subspaces of R^m are represented by row-stacked spanning matrices; ranks
+No integrability verdict reads a float rank: floats decide only that the
+frames keep their rank on the check grid, and the symbol dimensions.  Ranks
 count the singular values above RANK_RTOL times a scale, by default the
-largest singular value (:func:`_kept`), which is the one numeric tolerance
-the symbolic layers cannot avoid.  :func:`numeric_rank` ranks a stack of
-matrices in one SVD; :func:`least_squares_gap` ranks against a unit scale and
-also gives each system's least-squares gap.  Subspace intersections serve the symbol
-count, whose prolonged dimension is closed-form in
-:mod:`liftlyap.integrability`, so no symmetric-square basis is built here.
+largest singular value (:func:`_kept`); :func:`numeric_rank` ranks a stack
+of matrices in one SVD.  Subspaces of R^m are row-stacked spanning matrices.
 """
 
 from __future__ import annotations
@@ -35,21 +32,6 @@ def numeric_rank(a: np.ndarray, scale: float | None = None) -> int | np.ndarray:
     s = np.linalg.svd(a, compute_uv=False)
     ranks = np.sum(_kept(s, s[..., :1] if scale is None else scale), axis=-1)
     return int(ranks) if a.ndim == 2 else ranks
-
-
-def least_squares_gap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks k (...) and gaps sum |U_k U_k^T b - b| (...) of a stack of systems a x = b.
-
-    U_k holds the left singular vectors of the k kept singular values, so the gap is the
-    total absolute residual of the least-squares solution at the rank the cutoff decides.
-    The cutoff is RANK_RTOL against a unit scale: the rows of ``a`` must have norm at most
-    1 on their natural scale, so that a system that is all roundoff has rank 0.
-    """
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    del vh  # peak memory
-    kept = _kept(s, 1.0)
-    u *= kept[..., None, :]
-    return kept.sum(axis=-1), np.abs((u @ (u.swapaxes(-1, -2) @ b[..., None]))[..., 0] - b).sum(axis=-1)
 
 
 def orth_rows(a: np.ndarray) -> np.ndarray:

@@ -303,14 +303,14 @@ def grad(p: Poly) -> list[Poly]:
 def lie_derivative(field: Sequence[Poly], p: Poly) -> Poly:
     """Derivative of p along the vector field (sum of field_i * dp/dx_i).
 
-    A variable p does not read is skipped, so it costs no product.
+    A zero component of the field, or a variable p does not read, is
+    skipped, so it costs no product.
     """
     if len(field) != p.nvars:
         raise ValueError("field dimension does not match variable count")
     total = Poly.zero(p.nvars)
     for i, component in enumerate(field):
-        dp = p.diff(i)
-        if not dp.is_zero():
+        if component and (dp := p.diff(i)):
             total = total + component * dp
     return total
 
@@ -487,10 +487,10 @@ class PolyMatrix:
             raise ValueError("inner dimensions differ")
         out = [
             [
-                poly_sum((self.entries[i][k] * other.entries[k][j] for k in range(self.cols)), self.nvars)
+                poly_sum((a * other.entries[k][j] for k, a in enumerate(row) if a and other.entries[k][j]), self.nvars)
                 for j in range(other.cols)
             ]
-            for i in range(self.rows)
+            for row in self.entries
         ]
         return PolyMatrix(out, cols=other.cols, nvars=self.nvars)
 
@@ -510,6 +510,25 @@ class PolyMatrix:
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
 
+def origin_pivots(matrix: PolyMatrix) -> list[tuple[int, int]]:
+    """(row, pivot column) of the first independent rows of matrix(0) in index order.
+
+    Exact elimination: each row is reduced against the rows kept before it
+    and, if nonzero, kept with its first nonzero column as pivot.  The block
+    of matrix(0) on the kept rows and their pivots is invertible.
+    """
+    basis: list[tuple[int, int, list[Fraction]]] = []  # (row, pivot, reduced row), zero at earlier pivots
+    for i, entries in enumerate(matrix.entries):
+        row = [p.constant_term for p in entries]
+        for _, col, pivot in basis:
+            if row[col]:
+                factor = row[col] / pivot[col]
+                row = [a - factor * b for a, b in zip(row, pivot)]
+        if any(row):
+            basis.append((i, next(j for j, a in enumerate(row) if a), row))
+    return [(i, col) for i, col, _ in basis]
+
+
 def poly_det(matrix: PolyMatrix) -> Poly:
     """Exact determinant by cofactor expansion (intended for small matrices)."""
     if matrix.rows != matrix.cols:
@@ -523,6 +542,8 @@ def _det_rows(rows: list[list[Poly]], nvars: int) -> Poly:
         return Poly.const(nvars, 1)
     if n == 1:
         return rows[0][0]
+    if not all(any(row) for row in rows):  # a zero row: the expansion would sum nothing
+        return Poly.zero(nvars)
     total = Poly.zero(nvars)
     for j, top in enumerate(rows[0]):
         if top.is_zero():

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -28,6 +27,7 @@ from .poly import (
     compile_float,
     eval_points,
     lie_derivative,
+    origin_pivots,
     poly_adjugate,
     poly_det,
     poly_sum,
@@ -66,24 +66,6 @@ class FeedbackSolution:
         return compile_float(self.numer, self.den)
 
 
-def _pivot_rows(f_mat: PolyMatrix) -> list[int]:
-    """The first r independent rows of F(0) in index order, by exact elimination."""
-    basis: list[list[Fraction]] = []  # reduced rows, each zero at the pivots of those before it
-    rows = []
-    for i in range(f_mat.rows):
-        row = [p.constant_term for p in f_mat.row(i)]
-        for pivot in basis:
-            col = next(j for j, a in enumerate(pivot) if a)
-            factor = row[col] / pivot[col]
-            row = [a - factor * b for a, b in zip(row, pivot)]
-        if any(row):
-            basis.append(row)
-            rows.append(i)
-    if len(rows) < f_mat.cols:
-        raise ValueError(f"F(0) has rank {len(rows)}, not {f_mat.cols}")
-    return rows
-
-
 def _evidently_positive(p: Poly) -> bool:
     """A positive constant term, and positive coefficients on even powers elsewhere: p > 0 on R^m."""
     return p.constant_term > 0 and all(c > 0 and not any(e % 2 for e in mi) for mi, c in p.terms.items())
@@ -100,7 +82,9 @@ def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly], points: np.nda
     if len(rhs) != sys.m:
         raise ValueError("right-hand side must have one component per state")
     f_mat = geometry.Frame(sys.m, sys.f).as_matrix()
-    rows = _pivot_rows(f_mat)
+    rows = [i for i, _ in origin_pivots(f_mat)]
+    if len(rows) < sys.r:
+        raise ValueError(f"F(0) has rank {len(rows)}, not {sys.r}")
     square = PolyMatrix([f_mat.row(i) for i in rows], cols=sys.r, nvars=sys.m)
     b = [rhs[i] for i in rows]
     den = poly_det(square)

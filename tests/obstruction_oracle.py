@@ -5,20 +5,19 @@ The lift decides from the exact integrability conditions in
 the once-differentiated system and the obstruction values (G, H) those
 conditions come from, so that tests can check the conditions against them.
 
-:func:`liftlyap.integrability.pointwise_consistency` decides solvability on
-the n x r system A a = -beta, A = P_VM^T C and beta = P_VM^T X.  Two
-references check it: :func:`quotient_gap` on one point's scaled [A | beta]
-must match its gap bit for bit and its verdict, and :func:`consistency_gap`
-on one point's :func:`stacked_system`, the full m-column system
-[Q; P_VM^T] y = (Q X, 0) for the gradient y of V, builds the system from
-the complement instead and must give the same verdict.  They are kept as
-test oracles only.
+:func:`liftlyap.integrability.pointwise_consistency` decides solvability
+from exact identities of the stacked system in graph form.
+:func:`consistency_gap` decides it at one point from the float values of
+:func:`stacked_system`, the full m-column system [Q; P_VM^T] y = (Q X, 0)
+for the gradient y of V, by comparing the numeric ranks of M and [M | b];
+the identities must vanish exactly at the points it calls consistent.  It
+is kept as a test oracle only.
 
 The package reads flatness and conditions A and B as Lie brackets and the
 horizontal lift as P_VM w.  :func:`condition_a_by_sums`,
 :func:`condition_b_by_sums`, :func:`curvature_by_sums` and
 :func:`horizontal_lift_by_sums` expand the same quantities into index sums
-by hand, as the package once did, and must return equal polynomials.
+by hand and must return equal polynomials.
 """
 
 from __future__ import annotations
@@ -125,19 +124,6 @@ def consistency_gap(m_mat: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     return rank_m == rank_aug, gap
 
 
-def quotient_gap(aug: np.ndarray) -> tuple[bool, float]:
-    """(consistent, gap) at one point from its (n, r + 1) [A | beta] rows, as
-    :func:`liftlyap.integrability.quotient_rows` scales them, in plain 2-D numpy."""
-    a, beta = aug[:, :-1], aug[:, -1]
-    rank_a = numeric_rank(a, scale=1.0)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    u_k = u * (np.arange(s.size) < rank_a)
-    gap = float(np.abs(u_k @ (u_k.T @ beta) - beta).sum())
-    # rows longer than 1 shrink to unit length; shorter ones keep their size
-    rank_aug = numeric_rank(aug / np.maximum(np.linalg.norm(aug, axis=1), 1.0)[:, None], scale=1.0)
-    return rank_a == rank_aug, gap
-
-
 def consistency_gap_at(rs: ResidualSystem, point: Sequence[float]) -> tuple[bool, float]:
     """Solvability of the gradient constraints at one point.
 
@@ -201,10 +187,12 @@ def curvature_map_eval(
 ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
     """Obstruction values (G, H) at a consistent first-order jet.
 
-    G combines the condition-A polynomials against (V_i1 - X^i1) plus the
-    condition-B polynomials, each divided by its power of delta(point) so
-    that G is the value for P_D itself; H contracts the VM curvature
-    coefficients with the jet.  When flatness and conditions A and B hold
+    G is [P_a1, P_a2] . V_1 - (P_a1(P_a2 . X) - P_a2(P_a1 . X)) for the rows
+    P_a = Q_a / delta of P_D: the condition-A polynomials contracted with the
+    jet minus the condition-B polynomials of the D rows with right-hand
+    sides Q X, both delta^3 times their P_D values, divided by
+    delta(point)^3.  H contracts the VM curvature coefficients with the
+    jet.  When flatness and conditions A and B hold
     identically, every coefficient polynomial is exactly zero and so are
     the returned values, for any consistent jet at any point.
     """
@@ -214,16 +202,15 @@ def curvature_map_eval(
     m_mat, b = stacked_system(rs, point)
     if m_mat.size and np.max(np.abs(m_mat @ v1 - b)) > JET_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
         raise InconsistentJetError("jet does not satisfy the first-order constraints at the point")
-    a_entries = condition_a(p_d, rs.delta)
-    b_entries = condition_b(p_d, rs.x_field)
-    x_val = np.array([p.eval_float(point) for p in rs.x_field])
-    delta = rs.delta.eval_float(point)
+    a_entries = condition_a(p_d, rs.pair.delta)
+    b_entries = condition_b(p_d, p_d.matvec(rs.x_field), rs.pair.delta)
+    delta = rs.pair.delta.eval_float(point)
     g_map: dict[tuple[int, int], float] = {}
     for a1 in range(p_d.rows):
         for a2 in range(a1 + 1, p_d.rows):
-            total = b_entries[(a1 + 1, a2 + 1)].eval_float(point) * delta
+            total = -b_entries[(a1 + 1, a2 + 1)].eval_float(point)
             for i1 in range(m):
-                total += a_entries[(a1 + 1, a2 + 1, i1 + 1)].eval_float(point) * (v1[i1] - x_val[i1])
+                total += a_entries[(a1 + 1, a2 + 1, i1 + 1)].eval_float(point) * v1[i1]
             g_map[(a1 + 1, a2 + 1)] = total / delta**3
     h_coeffs = vm_curvature_coeffs(rs.p_vm)
     h_map: dict[tuple[int, int], float] = {}
@@ -270,22 +257,26 @@ def condition_a_by_sums(p_d: PolyMatrix, delta: Poly) -> dict[tuple[int, int, in
     return out
 
 
-def condition_b_by_sums(p_d: PolyMatrix, x_field: Sequence[Poly]) -> dict[tuple[int, int], Poly]:
+def condition_b_by_sums(rows: PolyMatrix, rhs: Sequence[Poly], den: Poly) -> dict[tuple[int, int], Poly]:
     """:func:`liftlyap.integrability.condition_b` expanded by hand: entry (a1, a2) is
 
-        sum_i sum_i1 [ Q[a2][i] Q[a1][i1] - Q[a1][i] Q[a2][i1] ] d(X^i1)/dx^i
+        den * sum_i [ G[a1][i] d(rhs[a2])/dx^i - G[a2][i] d(rhs[a1])/dx^i ]
+        - sum_i [ rhs[a2] G[a1][i] - rhs[a1] G[a2][i] ] d(den)/dx^i
     """
-    m = p_d.cols
-    dx = [[x_field[i1].diff(i) for i1 in range(m)] for i in range(m)]
+    m = rows.cols
+    d_den = [(i, dd) for i in range(m) if not (dd := den.diff(i)).is_zero()]
     out: dict[tuple[int, int], Poly] = {}
-    for a1 in range(p_d.rows):
-        for a2 in range(a1 + 1, p_d.rows):
-            total = Poly.zero(p_d.nvars)
-            for i in range(m):
-                for i1 in range(m):
-                    coeff = p_d.entry(a2, i) * p_d.entry(a1, i1) - p_d.entry(a1, i) * p_d.entry(a2, i1)
-                    total = total + coeff * dx[i][i1]
-            out[(a1 + 1, a2 + 1)] = total
+    for a1 in range(rows.rows):
+        for a2 in range(a1 + 1, rows.rows):
+            entry = poly_sum(
+                (rows.entry(a1, i) * rhs[a2].diff(i) - rows.entry(a2, i) * rhs[a1].diff(i) for i in range(m)),
+                rows.nvars,
+            )
+            if not den.is_constant():
+                entry = den * entry
+            for i, dd in d_den:
+                entry = entry - (rhs[a2] * rows.entry(a1, i) - rhs[a1] * rows.entry(a2, i)) * dd
+            out[(a1 + 1, a2 + 1)] = entry
     return out
 
 

@@ -114,7 +114,8 @@ def test_criterion_4_condition_unit_values():
 
         b_entries = condition_b(
             rows([["1", "0", "0"], ["0", "1", "0"]]),
-            (parse_poly("x2", names), Poly.zero(3), Poly.zero(3)),
+            (Poly.zero(3), parse_poly("x1", names)),
+            Poly.const(3, 1),
         )
         assert b_entries[(1, 2)] == Poly.const(3, 1)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -9,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
+from liftbench import gen
+
 import liftlyap
-from liftlyap import lift, synth
+from liftlyap import lift, numutil, synth
 from liftlyap.cli import (
     EXIT_INPUT,
     EXIT_NOT_LIFTABLE,
@@ -127,9 +130,9 @@ def test_large_right_hand_side_stays_consistent(coeff):
     ids=["f0", "vtilde"],
 )
 def test_right_hand_side_beyond_the_squared_float_range_is_decided(keys, outcome):
-    """f0[1] = -x2 + 10^160*x2^3 makes P_D X huge, which the consistency check does not read, and
-    vtilde = 1/2*y1^2 + 10^160*y1^4 makes beta = P_VM^T X about 4e160, whose square is beyond the
-    float range; the row norms are taken with hypot, so both runs reach a verdict."""
+    """f0[1] = -x2 + 10^160*x2^3 makes P_D X huge, and vtilde = 1/2*y1^2 + 10^160*y1^4 puts about
+    4e160 into X, whose square is beyond the float range; the integrability test is exact and
+    evaluates nothing on the grid when it holds, so both runs reach a verdict."""
     raw = _fixture_raw("ex_ps")
     raw.update(keys)
     report, code = run("integrability", build_problem(raw))
@@ -139,8 +142,9 @@ def test_right_hand_side_beyond_the_squared_float_range_is_decided(keys, outcome
 
 
 def test_consistency_does_not_depend_on_the_complement():
-    """A = P_VM^T C and beta = P_VM^T X read neither D nor P_D, so the automatic complement
-    and two user ones, one with a non-constant det [C | D], give the same consistency fields."""
+    """The graph form reads D only through the scale d of its rows: the automatic complement and
+    the sheared one give the same consistency fields, and one with det [C | D] = 1 + x1^2/2 makes
+    d = 1 + x1^2/2, which scales each gap and leaves the verdict and the failing points."""
     sections = []
     for d in (None, [["0", "1", "0"], ["0", "x1", "1"]], [["0", "1 + 1/2*x1^2", "0"], ["0", "0", "1"]]):
         raw = _fixture_raw("ex_curv")
@@ -150,9 +154,80 @@ def test_consistency_does_not_depend_on_the_complement():
         assert code == EXIT_NOT_LIFTABLE
         section = report["integrability"]
         sections.append({key: section[key] for key in ("consistent", "failures", "worst_gap", "worst_point")})
-    # |beta_2| = 3 at (-1, -1, -1), divided by |P_VM column 2| * |C|_F = sqrt(2) * 1
-    assert abs(sections[0]["worst_gap"] - 3 / 2**0.5) <= 1e-15
-    assert sections[1] == sections[0] and sections[2] == sections[0]
+    # the identity -(X2 + x1 X3) is 3 at (-1, -1, -1)
+    assert (sections[0]["worst_gap"], sections[0]["worst_point"]) == (3.0, [-1.0, -1.0, -1.0])
+    assert sections[1] == sections[0]
+    scaled = sections[2]
+    assert (scaled["consistent"], scaled["worst_point"]) == (False, [-1.0, -1.0, -1.0])
+    assert [f["point"] for f in scaled["failures"]] == [f["point"] for f in sections[0]["failures"]]
+    for got, want in zip(scaled["failures"], sections[0]["failures"]):
+        assert got["gap"] == want["gap"] * (1 + got["point"][0] ** 2 / 2)
+
+
+def test_sheared_complement_lifts_with_the_automatic_coefficients():
+    """D = (e3, e4 + x4 e3) spans the same distribution as the automatic (e3, e4); its P_D rows
+    do not commute, which once read NOT_LIFTABLE(condition_a) with A[4](1,2) = 1."""
+    inst = gen.liftable_flat(random.Random("flip"), "flip", 4, 2, 4)
+    automatic, _ = run("report", build_problem(inst.spec))
+    sheared, code = run("report", build_problem({**inst.spec, "d": [["0", "0", "1", "0"], ["0", "0", "x4", "1"]]}))
+    assert (code, sheared["verdict"]) == (EXIT_OK, "LIFTABLE_AND_VERIFIED")
+    assert sheared["lift"]["coefficients"] == automatic["lift"]["coefficients"] == inst.coefficients
+    assert sheared["integrability"] == automatic["integrability"]
+
+
+CROSS_BLOCK = {
+    "name": "cross-block",
+    "states": ["x1", "x2", "x3"],
+    "inputs": ["u1"],
+    "quotient_states": ["y1"],
+    "quotient_inputs": ["v1"],
+    "f0": ["0", "-x2 + x1*x2", "-x3"],
+    "f": [["1", "0", "0"]],
+    "g0": ["0"],
+    "g": [["1"]],
+    "varphi": ["0"],
+    "beta": [["1"]],
+    "gamma": [["0"], ["0"]],
+    "vtilde": "1/2*y1^2",
+    "alpha": ["-y1"],
+}
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 6, 8])
+def test_fibre_drift_reading_the_base_is_not_liftable(order, tmp_path, capsys):
+    """The VM block says d1 V = 0 and the D block d2 V = x2 - x1 x2, so d1 d2 V = -x2 != d2 d1 V:
+    a D row paired with a VM row.  No check saw it before, and the lift then failed."""
+    path = tmp_path / "cross.json"
+    path.write_text(json.dumps(CROSS_BLOCK))
+    assert main(["integrability", "--spec", str(path), "--order", str(order)]) == EXIT_NOT_LIFTABLE
+    section = json.loads(capsys.readouterr().out)["integrability"]
+    assert (section["verdict"], section["reasons"]) == ("NOT_LIFTABLE", ["condition_b"])
+    assert section["condition_b_offenders"] == {"B(1,2)": "-x2"}
+
+
+def test_rank_drop_at_the_origin_is_input_error(tmp_path, capsys):
+    """f = (x1, 1) and beta = x1: the D row (1, -x1) and the VM row (1, x1) agree only at the
+    origin, so no graph form holds there; the run names the row and exits 1."""
+    raw = _fixture_raw("ex_ps")
+    raw.update(f=[["x1", "1"]], beta=[["x1"]])
+    path = tmp_path / "drop.json"
+    path.write_text(json.dumps(raw))
+    for command in ("integrability", "report"):
+        assert main([command, "--spec", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "[liftlyap] error:" in err and "row vm[1]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-15])
+def test_integrability_verdict_does_not_rest_on_float_rounding(monkeypatch, rtol):
+    keys = ("verdict", "reasons", "flat_offenders", "condition_a_offenders", "condition_b_offenders", "consistent")
+    expected = {}
+    for name in ("ex_ps", "ex_di", "ex_fa", "ex_curv"):
+        expected[name] = {key: run("integrability", _problem(name))[0]["integrability"][key] for key in keys}
+    monkeypatch.setattr(numutil, "RANK_RTOL", rtol)
+    for name in ("ex_ps", "ex_di", "ex_fa", "ex_curv"):
+        section = run("integrability", _problem(name))[0]["integrability"]
+        assert {key: section[key] for key in keys} == expected[name]
 
 
 def test_quotient_decrease_witness_is_an_exact_grid_point():
@@ -412,15 +487,17 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         ("validate", [], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 400 + "*y1^4"}),
         ("validate", [], None, {"f0": ["0", "-x2 + 1" + "0" * 400 + "*x1^3"]}),
         ("report", [], None, {"vtilde": "1/2*y1^2 + 1" + "0" * 308 + "*y1^2"}),
-        # X1 and X2 about 1.6e308 at a corner, and gamma = 1 adds them in beta = (X1 + X2)/sqrt(2)
+        # EX-DI, whose consistency identity -X1 reads about 2e308 at x1 = +-1 with this alpha
         (
             "integrability",
             [],
             None,
             {
-                "gamma": [["1"]],
-                "vtilde": "1/2*y1^2 + 4" + "0" * 307 + "*y1^4",
-                "f0": ["0", "-x2 + 16" + "0" * 307 + "*x2^3"],
+                "f0": ["x2", "0"],
+                "f": [["0", "1"]],
+                "varphi": ["x2"],
+                "beta": [["0"]],
+                "alpha": ["-y1 - 1" + "0" * 308 + "*y1^3 - 1" + "0" * 308 + "*y1^5"],
             },
         ),
         ("integrability", [], None, {"f": [["1", "1" + "0" * 308 + "*x1^2 + 1" + "0" * 308 + "*x1^4"]]}),
@@ -460,7 +537,7 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "vtilde-coefficient-beyond-float",
         "f0-coefficient-beyond-float",
         "vtilde-derived-value-beyond-float",
-        "consistency-row-norm-beyond-float",
+        "consistency-identity-beyond-float",
         "frame-value-beyond-float",
         "complement-value-beyond-float",
     ],
