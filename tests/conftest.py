@@ -46,10 +46,16 @@ def build_pipeline(name: str, **spec_overrides):
     """Load a bundled problem and run it up to the residual system.
 
     Keyword arguments replace top-level keys of the problem file.
+    Returns what :func:`pipeline_of` returns.
+    """
+    return pipeline_of({**cli.load_spec(cli.fixture_path(name)), **spec_overrides})
+
+
+def pipeline_of(raw: dict):
+    """Run a problem spec up to the residual system.
+
     Returns (problem, clf, pair, target_data, residual_system).
     """
-    raw = cli.load_spec(cli.fixture_path(name))
-    raw.update(spec_overrides)
     state = cli.RunState(cli.build_problem(raw))
     cli.stage_quotient(state)
     pair = cli.stage_geometry(state)

@@ -1,16 +1,22 @@
 """Taylor-coefficient assembly, exact solving, and candidate validation."""
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import build_pipeline, target_field
-from hypothesis import given
+from conftest import build_pipeline, pipeline_of, target_field
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from liftbench import gen
+from liftlyap import cli
 from liftlyap.integrability import residual_psi
 from liftlyap.lift import (
+    SPHERE_DIRECTIONS,
+    SPHERE_RADII,
+    SPHERE_SEED,
     JetInfeasibleError,
     JetSolution,
     LinearSystem,
@@ -22,6 +28,7 @@ from liftlyap.lift import (
 )
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, PolyMatrix, lie_derivative
+from liftlyap.sysmodel import HESSIAN_EIG_TOL, hessian_at_origin
 
 X2 = ["x1", "x2"]
 
@@ -104,19 +111,40 @@ def _dense_reference_system(rs, order):
     return rows, rhs, labels
 
 
+def _fixture_spec(name, **overrides):
+    return {**cli.load_spec(cli.fixture_path(name)), **overrides}
+
+
+def _automatic_complement_spec():
+    """The simulate-pointwise shape without d and p_d: delta = (1 + x1^2)(1 + x2^2), and the factors are polynomials."""
+    spec = gen.state_actuated(random.Random("auto"), "auto", 4, 2, 4, 40.0).spec
+    del spec["d"], spec["p_d"]
+    return spec
+
+
 @pytest.mark.parametrize(
-    "name, overrides",
+    "spec",
     [
-        ("ex_ps", {}),
-        ("ex_di", {}),
-        ("ex_curv", {}),
-        ("ex_fa", {}),
-        ("ex_ps", {"d": [["0", "1 + 1/2*x1^2"]]}),
+        _fixture_spec("ex_ps"),
+        _fixture_spec("ex_di"),
+        _fixture_spec("ex_curv"),
+        _fixture_spec("ex_fa"),
+        _fixture_spec("ex_ps", d=[["0", "1 + 1/2*x1^2"]]),
+        _automatic_complement_spec(),
+        gen.liftable_flat(random.Random("flat"), "flat", 4, 2, 4).spec,
     ],
-    ids=["ex_ps", "ex_di", "ex_curv", "ex_fa", "ex_ps-non-constant-d"],
+    ids=[
+        "ex_ps",
+        "ex_di",
+        "ex_curv",
+        "ex_fa",
+        "ex_ps-non-constant-d",
+        "state-actuated-automatic-d",
+        "liftable-flat-4-2-4",
+    ],
 )
-def test_assembly_matches_dense_reference(name, overrides):
-    _, _, _, _, rs = build_pipeline(name, **overrides)
+def test_assembly_matches_dense_reference(spec):
+    _, _, _, _, rs = pipeline_of(spec)
     for order in (2, 4, 6):
         system = assemble_lift_system(rs, order)
         assert (system.rows, system.rhs, system.labels) == _dense_reference_system(rs, order)
@@ -155,10 +183,59 @@ _RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 @st.composite
+def _residual_systems(draw):
+    """A residual system in m <= 4 variables: factors of degree <= 2, some components zero."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, m))
+    monomials = monomials_up_to(m, 2)
+
+    def polys(count):
+        terms = st.dictionaries(st.sampled_from(monomials), _RATIONALS, max_size=3)
+        return [Poly(m, t) for t in draw(st.lists(terms, min_size=count, max_size=count))]
+
+    p_d = PolyMatrix([polys(m) for _ in range(draw(st.integers(0, m)))], cols=m, nvars=m)
+    p_vm = PolyMatrix([polys(n) for _ in range(m)], cols=n, nvars=m)
+    return SimpleNamespace(m=m, n=n, p_d=p_d, p_vm=p_vm, x_field=tuple(polys(m)))
+
+
+@given(_residual_systems(), st.integers(1, 5))
+def test_assembly_matches_dense_reference_on_drawn_factors(rs, order):
+    system = assemble_lift_system(rs, order)
+    assert (system.rows, system.rhs, system.labels) == _dense_reference_system(rs, order)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [_fixture_spec("ex_ps"), gen.liftable_flat(random.Random("work"), "work", 5, 2, 6).spec],
+    ids=["ex_ps", "liftable-flat-5-2"],
+)
+def test_assembly_forms_no_polynomial_per_unknown(spec, monkeypatch):
+    """Poly products do not grow with the order: none is formed per unknown, one at most per factor entry."""
+    _, _, _, _, rs = pipeline_of(spec)
+    calls = []
+    multiply = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+
+    def products(f, *args):
+        calls.clear()
+        f(*args)
+        return len(calls)
+
+    own = products(residual_psi, rs, Poly.zero(rs.m))
+    entries = rs.p_d.rows * rs.m + rs.m * rs.n
+    assert products(assemble_lift_system, rs, 3) == products(assemble_lift_system, rs, 6) <= entries + own
+
+
+@st.composite
 def _consistent_systems(draw):
-    """A sparse system A @ c = A @ x*, plus seeds for some columns."""
+    """A sparse system A @ c = A @ x*, plus seeds for some columns; entries are ints or Fractions."""
     ncols = draw(st.integers(1, 6))
-    entry = st.one_of(st.just(Fraction(0)), _RATIONALS)
+    entry = st.one_of(st.just(Fraction(0)), _RATIONALS, st.integers(-3, 3))
     dense = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=8))
     x_star = draw(st.lists(_RATIONALS, min_size=ncols, max_size=ncols))
     rows = [[(j, v) for j, v in enumerate(row) if v != 0] for row in dense]
@@ -176,6 +253,7 @@ def test_sparse_solve_satisfies_consistent_systems(case):
     coeffs = {mi: v for mi, v in zip(system.unknowns, values) if v != 0}
     assert all(v == 0 for v in system_residual(system, JetSolution(2, coeffs, [])))
     assert all(values[c] == seeds.get(c, 0) for c in free_cols)
+    assert all(type(v) is Fraction for v in values)  # int / int would be a float, which Poly refuses
 
 
 @given(_consistent_systems(), st.data())
@@ -231,6 +309,60 @@ def test_assemble_vstar_flat_vertical_direction_fails():
     empty = JetSolution(2, {}, [])
     _, diag = assemble_vstar(pullback, empty)
     assert not diag.ok  # V* has a flat direction along the fibre
+
+
+def _definiteness_by_direction(vstar):
+    """The sphere probes one direction at a time, the oracle for assemble_vstar's batch: (sphere_min, witness)."""
+    m = vstar.nvars
+    hess = hessian_at_origin(vstar)
+    witness = None
+    if np.linalg.eigvalsh(hess).min() <= HESSIAN_EIG_TOL:
+        witness = [float(v) for v in np.linalg.eigh(hess)[1][:, 0]]
+    rng = np.random.default_rng(SPHERE_SEED)
+    sphere_min = float("inf")
+    for radius in SPHERE_RADII:
+        for _ in range(SPHERE_DIRECTIONS):
+            direction = rng.standard_normal(m)
+            direction /= np.linalg.norm(direction)
+            value = vstar.eval_float(radius * direction)
+            if value < sphere_min:
+                sphere_min = value
+                if value <= 0.0 and witness is None:
+                    witness = [float(v) for v in direction]
+    return sphere_min, witness
+
+
+def _assert_probes_match(vstar):
+    _, diag = assemble_vstar(vstar, JetSolution(2, {}, []))
+    sphere_min, witness = _definiteness_by_direction(vstar)
+    assert diag.sphere_min.hex() == sphere_min.hex()
+    assert (diag.witness is None) == (witness is None)
+    if witness is not None:
+        assert [v.hex() for v in diag.witness] == [v.hex() for v in witness]
+
+
+@pytest.mark.parametrize("name", ["ex_ps", "ex_di", "ex_curv", "ex_fa"])
+def test_batched_sphere_probes_match_the_direction_loop_on_fixtures(name):
+    problem, _, _, td, rs = build_pipeline(name)
+    try:
+        jet = solve_jets(assemble_lift_system(rs, 4), rs, fibre_start=problem.qsys.n)
+    except JetInfeasibleError:
+        jet = JetSolution(4, {}, [])  # the pulled-back quotient function alone, flat along the fibre
+    _assert_probes_match(td.pullback_vtilde + jet.polynomial(rs.m))
+
+
+@st.composite
+def _quadratic_plus_cubic(draw):
+    m = draw(st.integers(1, 5))
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+    terms = draw(st.dictionaries(st.sampled_from(monomials_up_to(m, 3, min_degree=2)), coeffs, max_size=8))
+    return Poly(m, terms)
+
+
+@given(_quadratic_plus_cubic())
+@example(_p("x1^2 + x2^2 - 4*x1^3 - 4*x2^3"))  # a positive Hessian, so the witness is a probe
+def test_batched_sphere_probes_match_the_direction_loop(vstar):
+    _assert_probes_match(vstar)
 
 
 def test_target_decrease_ex_ps():
