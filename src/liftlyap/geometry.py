@@ -325,6 +325,12 @@ def build_projections(c: Frame, d: Frame, conn: EhresmannConnection) -> Projecti
     is 1 and ``p_d`` is P_D itself.  [C | D] must be invertible at the
     origin, which is an exact check here; its rank on the rest of the grid
     is checked by :func:`complement_frame`.
+
+    A constant [C | D] gets det and adj from one exact Fraction
+    elimination.  One with a polynomial entry gets them by cofactor
+    expansion, whose term order fixes the float sums downstream; its cost
+    grows factorially with m (less when rows have zeros), which limits
+    polynomial frames to small m.
     """
     m = c.dim
     if d.dim != m or c.rank + d.rank != m:

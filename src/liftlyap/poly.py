@@ -510,29 +510,88 @@ class PolyMatrix:
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
 
-def origin_pivots(matrix: PolyMatrix) -> list[tuple[int, int]]:
-    """(row, pivot column) of the first independent rows of matrix(0) in index order.
+def _reduce(rows: list[list[Fraction]], width: int) -> list[tuple[int, int, list[Fraction]]]:
+    """(row, pivot column, reduced row) of each row kept by Gauss-Jordan elimination in index order.
 
-    Exact elimination: each row is reduced against the rows kept before it
-    and, if nonzero, kept with its first nonzero column as pivot.  The block
-    of matrix(0) on the kept rows and their pivots is invertible.
+    Each row is reduced against the rows kept before it and, if nonzero in
+    its first ``width`` entries, kept with its first nonzero column there as
+    pivot; that column is then cleared from the rows kept before it.  So
+    every kept row is zero at the other pivots, and the rows and pivots kept
+    are those of forward elimination.  Entries past ``width`` ride along: an
+    identity appended there collects the row operations.
     """
-    basis: list[tuple[int, int, list[Fraction]]] = []  # (row, pivot, reduced row), zero at earlier pivots
-    for i, entries in enumerate(matrix.entries):
-        row = [p.constant_term for p in entries]
+    basis: list[tuple[int, int, list[Fraction]]] = []
+    for i, row in enumerate(rows):
         for _, col, pivot in basis:
             if row[col]:
                 factor = row[col] / pivot[col]
                 row = [a - factor * b for a, b in zip(row, pivot)]
-        if any(row):
-            basis.append((i, next(j for j, a in enumerate(row) if a), row))
-    return [(i, col) for i, col, _ in basis]
+        col = next((j for j in range(width) if row[j]), None)
+        if col is None:
+            continue
+        for k, (kept, kept_col, earlier) in enumerate(basis):
+            if earlier[col]:
+                factor = earlier[col] / row[col]
+                basis[k] = (kept, kept_col, [a - factor * b for a, b in zip(earlier, row)])
+        basis.append((i, col, row))
+    return basis
+
+
+def origin_pivots(matrix: PolyMatrix) -> list[tuple[int, int]]:
+    """(row, pivot column) of the first independent rows of matrix(0) in index order.
+
+    Exact elimination (:func:`_reduce`): each row is reduced against the
+    rows kept before it and, if nonzero, kept with its first nonzero column
+    as pivot.  The block of matrix(0) on the kept rows and their pivots is
+    invertible.
+    """
+    rows = [[p.constant_term for p in entries] for entries in matrix.entries]
+    return [(i, col) for i, col, _ in _reduce(rows, matrix.cols)]
+
+
+def _constant_rows(matrix: PolyMatrix) -> list[list[Fraction]] | None:
+    """The entries as Fraction rows when every one is constant, else None."""
+    origin, zero = (0,) * matrix.nvars, Fraction(0)
+    if all(p.terms.keys() <= {origin} for row in matrix.entries for p in row):
+        return [[p.terms.get(origin, zero) for p in row] for row in matrix.entries]
+    return None
+
+
+def _pivot_det(basis: list[tuple[int, int, list[Fraction]]], n: int) -> Fraction:
+    """Determinant of the n-by-n matrix that :func:`_reduce` took to ``basis``.
+
+    The row operations keep the determinant, and they leave one pivot per
+    row on a permutation of the columns: the product of the pivots, negated
+    once per inversion of that permutation, or 0 when a row was dropped.
+    """
+    if len(basis) < n:
+        return Fraction(0)
+    det = Fraction(1)
+    cols = [col for _, col, _ in basis]
+    for k, (_, col, row) in enumerate(basis):
+        det *= row[col]
+        if sum(c > col for c in cols[:k]) % 2:
+            det = -det
+    return det
 
 
 def poly_det(matrix: PolyMatrix) -> Poly:
-    """Exact determinant by cofactor expansion (intended for small matrices)."""
+    """Exact determinant.
+
+    A matrix whose entries are all constant goes by one exact Fraction
+    elimination (:func:`_reduce`): the signed product of the pivots.  Any
+    other goes by cofactor expansion along the first row, whose cost grows
+    factorially with the size; a zero row cuts a minor short.  It stays
+    because the order in which it inserts terms into the result fixes the
+    order in which :func:`value_lines` and :func:`eval_points` sum them, and
+    so the float bits of every value computed from the result.  A constant
+    result has at most one term, so both paths give the same Poly there.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
+    rows = _constant_rows(matrix)
+    if rows is not None:
+        return Poly.const(matrix.nvars, _pivot_det(_reduce(rows, matrix.cols), matrix.cols))
     return _det_rows([list(r) for r in matrix.entries], matrix.nvars)
 
 
@@ -555,12 +614,31 @@ def _det_rows(rows: list[list[Poly]], nvars: int) -> Poly:
 
 
 def poly_adjugate(matrix: PolyMatrix) -> PolyMatrix:
-    """Exact adjugate: adj(M) @ M == det(M) * identity."""
+    """Exact adjugate: adj(M) @ M == det(M) * identity.
+
+    An invertible matrix whose entries are all constant goes by one exact
+    Fraction elimination of [M | I] (:func:`_reduce`), as det(M) * M^-1.
+    Any other, a singular constant one too, takes each entry from the
+    cofactor expansion of its minor (see :func:`poly_det` for why, and for
+    its cost); the entries of a constant adjugate have at most one term, so
+    both paths give the same matrix.
+    """
     if matrix.rows != matrix.cols:
         raise ValueError("adjugate of a non-square matrix")
     n = matrix.rows
     if n == 0:
         return matrix
+    constant = _constant_rows(matrix)
+    if constant is not None:
+        one, zero = Fraction(1), Fraction(0)
+        basis = _reduce([[*row, *(one if i == j else zero for j in range(n))] for i, row in enumerate(constant)], n)
+        if len(basis) == n:
+            det = _pivot_det(basis, n)
+            adj: list[list[Poly]] = [[] for _ in range(n)]
+            for _, col, row in basis:  # row col of M^-1: this row's record of the row operations, over its pivot
+                scale = det / row[col]
+                adj[col] = [Poly.const(matrix.nvars, scale * a) if a else Poly.zero(matrix.nvars) for a in row[n:]]
+            return PolyMatrix(adj, cols=n, nvars=matrix.nvars)
     rows = [list(r) for r in matrix.entries]
     out = [[Poly.zero(matrix.nvars) for _ in range(n)] for _ in range(n)]
     for i in range(n):

@@ -26,7 +26,7 @@ from obstruction_oracle import (
 )
 from symbol_oracle import permutation_search, sym_intersection_dim
 
-from liftlyap import cli
+from liftlyap import cli, geometry, integrability, poly
 from liftlyap.geometry import (
     ComplementError,
     EhresmannConnection,
@@ -331,6 +331,47 @@ def test_conditions_make_only_the_needed_products(monkeypatch):
     assert products == 0
     condition_b(form.rows, form.rhs, form.den)
     assert products <= 2 * m * (rows * (rows - 1) // 2) == 294
+
+
+def test_constant_determinants_and_adjugates_are_bounded(monkeypatch):
+    """On obstruct-wide seed 7 #0, [C | D] and the graph-form block are 7 x 7 and constant:
+    their determinants and adjugates make no Poly product and reach no cofactor expansion."""
+    seen = {}
+
+    def recording(module, name):
+        kernel = getattr(poly, name)
+
+        def record(mat):
+            seen[module.__name__, name] = mat
+            return kernel(mat)
+
+        monkeypatch.setattr(module, name, record)
+
+    for module in (geometry, integrability):
+        recording(module, "poly_det")
+        recording(module, "poly_adjugate")
+    state = cli.RunState(cli.build_problem(gen.instance("obstruct-wide", 7, 0).spec))
+    cli.stage_quotient(state)
+    graph_form(ResidualSystem(cli.stage_geometry(state), cli.stage_target(state).x_field))
+    assert len(seen) == 4
+    calls = {"_det_rows": 0, "__mul__": 0}
+
+    def counted(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(poly, "_det_rows")
+    counted(Poly, "__mul__")
+    for (_, name), mat in seen.items():
+        assert (mat.rows, mat.cols) == (7, 7)
+        assert all(e.is_constant() for row in mat.entries for e in row)
+        getattr(poly, name)(mat)
+    assert calls == {"_det_rows": 0, "__mul__": 0}
 
 
 @pytest.mark.parametrize(

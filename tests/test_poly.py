@@ -5,6 +5,7 @@ import random
 import struct
 from fractions import Fraction
 
+import matrix_oracle
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -22,6 +23,7 @@ from liftlyap.poly import (
     format_poly,
     grad,
     lie_derivative,
+    origin_pivots,
     poly_adjugate,
     poly_det,
 )
@@ -289,6 +291,49 @@ def test_matrix_adjugate_identity():
             for j in range(3):
                 expected = det if i == j else Poly.zero(2)
                 assert product.entry(i, j) == expected
+
+
+@st.composite
+def _constant_matrices(draw, square: bool = True):
+    """Constant Polys, about 40 % of them zero, in 1..7 columns and as many rows (1..9 rows if not square)."""
+    cols, nvars = draw(st.integers(1, 7)), draw(st.integers(0, 2))
+    rows = cols if square else draw(st.integers(1, 9))
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    values = [[Fraction(0) if draw(st.integers(0, 9)) < 4 else draw(nonzero) for _ in range(cols)] for _ in range(rows)]
+    return PolyMatrix([[Poly.const(nvars, v) for v in row] for row in values], cols=cols, nvars=nvars)
+
+
+def _const_matrix(rows, nvars=1):
+    return PolyMatrix([[Poly.const(nvars, Fraction(v)) for v in row] for row in rows], cols=len(rows), nvars=nvars)
+
+
+def _pinned(p: Poly) -> list:
+    return list(p.terms.items())
+
+
+@given(_constant_matrices())
+@example(_const_matrix([[0, 1], [1, 0]]))  # a row swap, det < 0
+@example(_const_matrix([[0, 0, 2], [0, 3, 0], [Fraction(1, 2), 0, 0]]))  # pivots in reverse column order
+@example(_const_matrix([[1, 2, 0], [2, 4, 0], [0, 0, 1]]))  # singular
+@example(_const_matrix([[0, 0], [0, 5]]))  # a zero row
+@example(_const_matrix([[(i - 3 or 2) * int(j == (i + 3) % 7) for j in range(7)] for i in range(7)], 7))  # det -72
+def test_constant_det_and_adjugate_match_the_cofactor_expansion(mat):
+    n = mat.rows
+    det, adj = poly_det(mat), poly_adjugate(mat)
+    want_det, want_adj = matrix_oracle.cofactor_det(mat), matrix_oracle.cofactor_adjugate(mat)
+    assert det == want_det
+    assert _pinned(det) == _pinned(want_det)
+    assert adj == want_adj
+    assert [[_pinned(p) for p in row] for row in adj.entries] == [[_pinned(p) for p in row] for row in want_adj.entries]
+    zero = Poly.zero(mat.nvars)
+    assert (adj @ mat).entries == tuple(tuple(det if i == j else zero for j in range(n)) for i in range(n))
+
+
+@given(_constant_matrices(square=False))
+def test_origin_pivots_match_forward_elimination(mat):
+    """The Gauss-Jordan elimination behind origin_pivots keeps the rows and pivots of forward elimination."""
+    rows = [[p.constant_term for p in row] for row in mat.entries]
+    assert origin_pivots(mat) == matrix_oracle.forward_pivots(rows)
 
 
 def test_exact_division():
