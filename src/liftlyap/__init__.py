@@ -4,9 +4,10 @@ the structural obstruction that prevents it.
 The pipeline: verify the claimed quotient exactly, build the projection
 data and the target vector field, test the integrability obstructions
 (connection flatness, two antisymmetric coefficient conditions, pointwise
-solvability, symbol involutivity), solve for the lift V by exact
-Taylor-coefficient elimination, synthesize the feedback, and validate the
-closed loop by simulation and an exact decrease check on the grid.
+solvability, symbol involutivity), solve for the Taylor coefficients of
+the lift V by forward substitution on the graph form, synthesize the
+feedback, and validate the closed loop by simulation and an exact decrease
+check on the grid.
 """
 
 from .geometry import EhresmannConnection, Frame, ProjectionPair, default_grid

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import geometry, integrability, lift, synth, sysmodel
 from .geometry import EhresmannConnection, Frame, Lattice, ProjectionPair
-from .integrability import ResidualSystem
+from .integrability import GraphForm, ResidualSystem
 from .parsing import PolyParseError, parse_poly
 from .poly import DEGREE_CAP, DegreeCapError, Poly, PolyMatrix, format_poly, grad
 from .sysmodel import (
@@ -296,6 +296,7 @@ class RunState:
     clf: QuotientCLF | None = None
     td: TargetData | None = None
     rs: ResidualSystem | None = None
+    form: GraphForm | None = None
     jet: lift.JetSolution | None = None
     vstar: Poly | None = None
     loop: synth.ClosedLoop | None = None
@@ -374,6 +375,7 @@ def stage_integrability(state: RunState) -> dict:
     state.td = stage_target(state)
     state.rs = ResidualSystem(pair, state.td.x_field)
     report = integrability.full_check(state.rs, state.problem.conn, state.grid.points)
+    state.form = report.form
     names = state.problem.state_names
     section = {
         "flat": report.flat,
@@ -414,12 +416,8 @@ def stage_integrability(state: RunState) -> dict:
 
 def stage_lift(state: RunState) -> dict:
     problem, rs = state.problem, state.rs
-    system = lift.assemble_lift_system(rs, problem.options.order)
-    try:
-        jet = lift.solve_jets(system, rs, fibre_start=problem.qsys.n)
-    except lift.JetInfeasibleError as exc:
-        section = {"infeasible": True, "witness": exc.witness}
-        raise StageFailure(section, ["lift_infeasible"], EXIT_NOT_LIFTABLE) from exc
+    system = lift.assemble_lift_system(state.form, problem.options.order)
+    jet = lift.solve_jets(system, rs, fibre_start=problem.qsys.n)
     vstar, diag = lift.assemble_vstar(state.td.pullback_vtilde, jet)
     state.jet, state.vstar = jet, vstar
     names = problem.state_names

@@ -311,6 +311,7 @@ class IntegrabilityReport:
     cond_b_offenders: dict[tuple[int, int], Poly]
     consistency: ConsistencyReport
     symbol: SymbolDims
+    form: GraphForm  # the lift solves these rows when the verdict is LIFTABLE
 
     @property
     def liftable(self) -> bool:
@@ -354,4 +355,5 @@ def full_check(rs: ResidualSystem, conn: EhresmannConnection, points: np.ndarray
         cond_b_offenders=b_offenders,
         consistency=consistency,
         symbol=symbol,
+        form=form,
     )

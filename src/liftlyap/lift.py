@@ -1,49 +1,47 @@
-"""Construction of the lift V by exact Taylor-coefficient solving.
+"""Construction of the lift V by forward substitution on the graph form.
 
-The residual blocks are linear in V, so requiring them to vanish through a
-chosen degree turns into an exact linear system over the rationals in the
-unknown Taylor coefficients of V at the origin.  That system is almost
-empty, so it is kept as sparse ``(column, value)`` rows.  Each assembly
-ranks the monomials once in grlex order, so differentiating x^alpha and
-multiplying by a factor term x^nu are lookups in tables built for that
-call; the work follows the nonzero factor terms, no polynomial is formed
-per unknown, and an entry is an int when its factor coefficients are.  One
-row-ordered elimination solves the system and names the infeasibility
-witness; a row of one entry on a new or an already solved column costs one
-division or one product.  The constant coefficient is pinned to 0 and the
-linear coefficients are pinned to 0 as well (the candidate Lyapunov
-function must have a critical point at the equilibrium); free coefficients
-left by the solve are filled by a seeding policy and the assembled
-candidate is re-verified and validated for positive definiteness
-afterwards, its sphere probes drawn and evaluated as one batch.  No
-convergence claim is made for the series: the truncated polynomial is the
-candidate, and it is checked, not trusted.
+Once the integrability checks pass, the lift PDE near the origin is the
+graph form of :mod:`integrability`: rows G_i . grad V = beta_i, each with
+d on its own pivot column p_i, 0 on the other pivot columns and d(0) = 1.
+The unknowns are the Taylor coefficients of V of total degree 2..order
+(the constant and linear ones are pinned to 0, so the candidate Lyapunov
+function has a critical point at the equilibrium).  A monomial x^alpha
+with a positive exponent on some pivot is principal: with p the lowest
+such pivot and i its graph row, the coefficient of x^(alpha - e_p) in
+G_i . grad V = beta_i holds c_alpha with the factor alpha_p * d(0) =
+alpha_p, and every other coefficient it holds has a lower total degree, or
+the same total degree and a lower degree in the pivot variables.  The
+monomials with no pivot exponent are parametric: V on {x_P = 0} is free
+data (Seiler, *Involution*, 2010, principal and parametric derivatives).
+So one row per principal monomial, taken by total degree and then by
+pivot degree, gives its coefficient by one division once the earlier ones
+are known; conditions A and B are what make the equations that were not
+used hold as well.  When the graph form has full rank there is no
+parametric monomial and the lift is unique.  Otherwise the parametric
+coefficients below the order are chosen to leave V no principal term of
+degree ``order`` where that is possible, so a polynomial lift of lower
+degree is found exactly, and the rest keep a seed.  The candidate is
+re-verified against the residual blocks and validated for positive
+definiteness afterwards, its sphere probes drawn and evaluated as one
+batch.  No convergence claim is made for the series: the truncated
+polynomial is the candidate, and it is checked, not trusted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .integrability import ResidualSystem, residual_psi
-from .poly import DEGREE_CAP, MultiIndex, Poly, eval_points
+from .integrability import GraphForm, ResidualSystem, residual_psi
+from .poly import DEGREE_CAP, MultiIndex, Poly, eval_points, reduce_rows
 from .sysmodel import HESSIAN_EIG_TOL, hessian_at_origin
 
 # Sphere probes of V* definiteness: radii, random unit directions per radius, generator seed
 SPHERE_RADII = (0.1, 0.5, 1.0)
 SPHERE_DIRECTIONS = 64
 SPHERE_SEED = 20240
-
-
-class JetInfeasibleError(ValueError):
-    """The coefficient constraints are mutually inconsistent."""
-
-    def __init__(self, message: str, witness: str):
-        super().__init__(message)
-        self.witness = witness
 
 
 def monomials_up_to(m: int, max_degree: int, min_degree: int = 0) -> list[MultiIndex]:
@@ -59,85 +57,67 @@ SparseRow = list[tuple[int, int | Fraction]]
 
 @dataclass
 class LinearSystem:
-    """Exact linear constraints A @ c = b on the unknown V coefficients.
+    """One substitution row per principal V coefficient, in solve order.
 
-    Each row of A is stored sparse: its nonzero entries as ``(column,
-    value)`` pairs in increasing column order, each value an int or a
-    Fraction.  Each right-hand side is a Fraction.
+    A row's first ``(column, value)`` entry is the unknown it solves, with
+    value alpha_p; its other entries lie on columns that earlier rows solve
+    or on parametric columns, a column may repeat, and each value is an int
+    or a Fraction.  Each right-hand side is a Fraction.
     """
 
     order: int
     unknowns: list[MultiIndex]
     rows: list[SparseRow]
     rhs: list[Fraction]
-    labels: list[str]
 
 
-def assemble_lift_system(rs: ResidualSystem, order: int) -> LinearSystem:
-    """Equations forcing both residual blocks to vanish through degree order-1.
+def assemble_lift_system(form: GraphForm, order: int) -> LinearSystem:
+    """The rows G_i . grad V = beta_i read at x^(alpha - e_p), one per principal x^alpha.
 
-    Unknowns are the V coefficients of total degree 2..order.  One equation
-    is emitted per residual component and per monomial of degree at most
-    order-1, which is exactly the part of the residual determined by the
-    retained coefficients.  The residual at V = 0 gives the right-hand side;
-    its linear part on x^alpha, sum_i alpha_i * F[i] * x^(alpha - e_i) with
-    F = row a of Q (D block) or column q of P_VM (VM block), fills the rows.
-    Both shifts are lookups in the grlex ranks of the equation monomials, and
-    an entry is the exact sum of alpha_i * c: an int when each c is one.
+    Unknowns are the V coefficients of total degree 2..order, in grlex
+    order.  A term g x^nu of G[i][j] meets c_gamma, gamma = alpha - e_p -
+    nu + e_j, with the factor gamma_j * g; terms that reach below degree 2
+    meet a coefficient pinned to 0 and are dropped.  An entry is an int
+    when g is one.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     if order > DEGREE_CAP:
         raise ValueError(f"order {order} exceeds the degree cap {DEGREE_CAP}")
-    m = rs.m
-    unknowns = monomials_up_to(m, order, min_degree=2)
-    eq_monomials = monomials_up_to(m, order - 1)
-    rank = {mu: k for k, mu in enumerate(eq_monomials)}
-    # per variable i: (column, alpha_i, rank of alpha - e_i) of each unknown x^alpha with alpha_i > 0
-    lowered = [
-        [(j, alpha[i], rank[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]]) for j, alpha in enumerate(unknowns) if alpha[i]]
-        for i in range(m)
+    pivots = form.pivots
+    unknowns = monomials_up_to(form.rows.cols, order, min_degree=2)
+    column = {mi: j for j, mi in enumerate(unknowns)}
+    row_of = {p: i for i, p in enumerate(pivots)}
+    terms = [  # per graph row: (column j, nu, |nu|, g) of every term but the 1 of d on its own pivot
+        [
+            (j, nu, sum(nu), c.numerator if c.denominator == 1 else c)
+            for j, entry in enumerate(row)
+            for nu, c in entry.terms.items()
+            if j != p or any(nu)
+        ]
+        for p, row in zip(pivots, form.rows.entries)
     ]
-    shifted: dict[MultiIndex, list[int | None]] = {}  # nu -> rank of beta + nu by rank of beta, None past order-1
-    base_d, base_vm = residual_psi(rs, Poly.zero(m))
-    factors_d = [rs.p_d.row(a) for a in range(rs.p_d.rows)]
-    factors_vm = [rs.p_vm.col(q) for q in range(rs.n)]
+    ranked = sorted((sum(mi), sum(mi[p] for p in pivots), j) for j, mi in enumerate(unknowns))
+    zero = Fraction(0)
     rows: list[SparseRow] = []
     rhs: list[Fraction] = []
-    labels: list[str] = []
-    zero = Fraction(0)
-    tags = [f" @ x^{mu}" for mu in eq_monomials]
-    for block_name, base_block, factors in (("d", base_d, factors_d), ("vm", base_vm, factors_vm)):
-        for comp, (base, factor) in enumerate(zip(base_block, factors)):
-            entries: list[SparseRow] = [[] for _ in eq_monomials]
-            terms = [(i, nu, c) for i, f in enumerate(factor) for nu, c in f.terms.items()]
-            for i, nu, c in terms:
-                if nu not in shifted:
-                    shifted[nu] = [rank.get(tuple(b + e for b, e in zip(beta, nu))) for beta in eq_monomials]
-                up = shifted[nu]
-                c = c.numerator if c.denominator == 1 else c
-                for j, a, low in lowered[i]:  # one term reaches each row at most once, in column order
-                    if (k := up[low]) is not None:
-                        entries[k].append((j, a * c))
-            if len(terms) > 1:
-                entries = [_merged(row) if len(row) > 1 else row for row in entries]
-            targets = {rank[mu]: -c for mu, c in base.terms.items() if mu in rank}
-            head = f"{block_name}[{comp + 1}]"
-            for k, row in enumerate(entries):
-                rv = targets.get(k, zero)
-                if row or rv:
-                    rows.append(row)
-                    rhs.append(rv)
-                    labels.append(head + tags[k])
-    return LinearSystem(order, unknowns, rows, rhs, labels)
-
-
-def _merged(row: SparseRow) -> SparseRow:
-    """The entries of a row summed by column, column-sorted, zeros dropped."""
-    sums: dict[int, int | Fraction] = {}
-    for j, v in row:
-        sums[j] = sums.get(j, 0) + v
-    return sorted((j, v) for j, v in sums.items() if v != 0)
+    for degree, pivot_degree, own in ranked:
+        if not pivot_degree:
+            continue  # parametric
+        alpha = unknowns[own]
+        p = next(p for p in pivots if alpha[p])
+        i = row_of[p]
+        mu = alpha[:p] + (alpha[p] - 1,) + alpha[p + 1 :]
+        row: SparseRow = [(own, alpha[p])]
+        for j, nu, size, c in terms[i]:
+            if size <= degree - 2:  # else gamma falls below degree 2, where V is pinned to 0
+                kappa = tuple(a - b for a, b in zip(mu, nu))
+                if min(kappa) >= 0:
+                    gamma = kappa[:j] + (kappa[j] + 1,) + kappa[j + 1 :]
+                    row.append((column[gamma], gamma[j] * c))
+        rows.append(row)
+        rhs.append(form.rhs[i].terms.get(mu, zero))
+    return LinearSystem(order, unknowns, rows, rhs)
 
 
 @dataclass
@@ -153,84 +133,61 @@ class JetSolution:
 
 
 def solve_jets(system: LinearSystem, rs: ResidualSystem, fibre_start: int) -> JetSolution:
-    """Exact rational solve with the vertical-quadratic seeding policy.
+    """Forward substitution on the rows, the parametric coefficients chosen for a polynomial lift.
 
-    Free coefficients of the form (x^p)^2 with p a fibre coordinate
-    (0-based index >= fibre_start) are set to 1/2; all other free
-    coefficients are set to 0.  The solved candidate is re-verified: both
-    residual blocks must vanish exactly through degree order-1.
+    The parametric coefficients, the columns no row solves, are the free
+    data of the lift.  Those of degree below the order are chosen, where
+    some choice does it, so that every principal coefficient of degree
+    ``order`` is 0: a lift that is a polynomial of lower degree is then
+    found exactly, where any other choice leaves a series whose truncation
+    the feedback check refuses.  The principal coefficients are affine in
+    that choice, so one substitution per chosen coefficient, against a zero
+    right-hand side, gives the conditions, and one exact elimination over
+    those coefficients alone (:func:`reduce_rows`) solves them; a full-rank
+    graph form leaves nothing to choose.  Every parametric coefficient not
+    chosen keeps its seed (``free_seeded``): (x^p)^2 with p a fibre
+    coordinate (0-based index >= fibre_start) takes 1/2 and every other one
+    0.  The solved candidate is re-verified: both residual blocks must
+    vanish exactly through degree order-1.
     """
-    values, free_cols = _solve_exact(system, _seed_policy(system.unknowns, rs.m, fibre_start))
-    coeffs = {mi: values[j] for j, mi in enumerate(system.unknowns) if values[j] != 0}
-    solution = JetSolution(system.order, coeffs, [system.unknowns[j] for j in free_cols])
-    v = solution.polynomial(rs.m)
-    d_blk, vm_blk = residual_psi(rs, v)
+    unknowns, order = system.unknowns, system.order
+    solved = {row[0][0] for row in system.rows}
+    free = [j for j in range(len(unknowns)) if j not in solved]
+    values = [Fraction(0)] * len(unknowns)
+    for j in free:
+        mi = unknowns[j]
+        if sum(mi) == 2 and any(mi[p] == 2 for p in range(fibre_start, rs.m)):
+            values[j] = Fraction(1, 2)
+    if lower := [j for j in free if sum(unknowns[j]) < order]:
+        top = [row[0][0] for row in system.rows if sum(unknowns[row[0][0]]) == order]
+        base = _substituted(system, values, system.rhs)
+        zero = [Fraction(0)] * len(system.rhs)
+        shifts = [_substituted(system, [int(c == j) for c in range(len(unknowns))], zero) for j in lower]
+        # the shift of each lower coefficient from its seed that clears the top: [A | -base] on the top columns
+        basis = reduce_rows([[shift[k] for shift in shifts] + [-base[k]] for k in top], len(lower) + 1)
+        if all(col < len(lower) for _, col, _ in basis):  # consistent; the shifts of non-pivot columns stay 0
+            for _, col, row in basis:
+                values[lower[col]] += row[-1] / row[col]
+                free.remove(lower[col])
+    values = _substituted(system, values, system.rhs)
+    coeffs = {mi: value for mi, value in zip(unknowns, values) if value != 0}
+    solution = JetSolution(order, coeffs, [unknowns[j] for j in free])
+    d_blk, vm_blk = residual_psi(rs, solution.polynomial(rs.m))
     for comp in d_blk + vm_blk:
-        if not comp.truncate(system.order - 1).is_zero():
+        if not comp.truncate(order - 1).is_zero():
             raise RuntimeError("internal error: solved coefficients fail re-verification")
     return solution
 
 
-def _seed_policy(unknowns: Sequence[MultiIndex], m: int, fibre_start: int) -> dict[int, Fraction]:
-    seeds: dict[int, Fraction] = {}
-    for j, mi in enumerate(unknowns):
-        if sum(mi) == 2 and any(mi[p] == 2 for p in range(fibre_start, m)):
-            seeds[j] = Fraction(1, 2)
-    return seeds
-
-
-def _solve_exact(
-    system: LinearSystem, seeds: dict[int, Fraction]
-) -> tuple[list[Fraction], list[int]]:
-    """Sparse elimination over the rationals; free columns get their seed value (or 0).
-
-    Rows are taken in order and reduced against the echelon rows found so
-    far, each stored under its lead column with lead 1.  A row that reduces
-    to 0 = b with b != 0 raises JetInfeasibleError naming that row: it is
-    the first row whose prefix of the system is inconsistent.  The lead
-    columns of any echelon form of A are its pivot columns, so the free
-    columns are the non-lead ones, and back-substitution in decreasing lead
-    order gives the unique solution with the free columns seeded.  A row of
-    one entry on a new column, or on a column already solved, is decided by
-    one division or one product.  Entries may be ints; every value is a
-    Fraction, because each right-hand side is one and each pivot becomes one.
-    """
-    echelon: dict[int, tuple[SparseRow, Fraction]] = {}
-    for row, b, label in zip(system.rows, system.rhs, system.labels):
-        if len(row) == 1:
-            ((lead, v),) = row
-            if lead not in echelon:
-                echelon[lead] = ([], b / v if b else b)
-                continue
-            tail, value = echelon[lead]
-            if not tail:  # lead is solved: the row holds when v * value = b, so when value = 0 if b = 0
-                if v * value != b if b else value != 0:
-                    raise JetInfeasibleError("coefficient constraints are inconsistent", witness=label)
-                continue
-        work = dict(row)
-        while work and (lead := min(work)) in echelon:
-            factor = work.pop(lead)
-            tail, lead_rhs = echelon[lead]
-            b -= factor * lead_rhs
-            for c, v in tail:
-                work[c] = work.get(c, 0) - factor * v
-                if work[c] == 0:
-                    del work[c]
-        if not work:
-            if b != 0:
-                raise JetInfeasibleError("coefficient constraints are inconsistent", witness=label)
-            continue
-        pivot = Fraction(work.pop(lead))
-        echelon[lead] = (sorted((c, v / pivot) for c, v in work.items()), b / pivot)
-    ncols = len(system.unknowns)
-    free_cols = [c for c in range(ncols) if c not in echelon]
-    values: list[Fraction] = [Fraction(0)] * ncols
-    for c in free_cols:
-        values[c] = seeds.get(c, Fraction(0))
-    for lead in sorted(echelon, reverse=True):
-        tail, b = echelon[lead]
-        values[lead] = b - sum(v * values[c] for c, v in tail) if tail else b
-    return values, free_cols
+def _substituted(system: LinearSystem, values: list, rhs: list) -> list[Fraction]:
+    """A copy of ``values`` with each row's unknown solved in turn against ``rhs``."""
+    values = list(values)
+    for ((j, a), *rest), b in zip(system.rows, rhs):
+        for c, v in rest:
+            if values[c]:
+                b -= v * values[c]
+        values[j] = b / a if b else b
+    return values
 
 
 @dataclass

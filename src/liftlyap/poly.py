@@ -168,6 +168,8 @@ class Poly:
             c = _as_fraction(other)
             if c == 0:
                 return Poly.zero(self.nvars)
+            if c == 1:  # a Poly is never mutated, so the operand itself is the product
+                return self
             return Poly(self.nvars, {mi: c * v for mi, v in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
@@ -495,6 +497,8 @@ class PolyMatrix:
         return PolyMatrix(out, cols=other.cols, nvars=self.nvars)
 
     def scale(self, factor) -> "PolyMatrix":
+        if factor == 1:  # neither the matrix nor its entries are ever mutated
+            return self
         return PolyMatrix(
             [[e * factor for e in row] for row in self.entries], cols=self.cols, nvars=self.nvars
         )
@@ -510,7 +514,7 @@ class PolyMatrix:
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
 
-def _reduce(rows: list[list[Fraction]], width: int) -> list[tuple[int, int, list[Fraction]]]:
+def reduce_rows(rows: list[list[Fraction]], width: int) -> list[tuple[int, int, list[Fraction]]]:
     """(row, pivot column, reduced row) of each row kept by Gauss-Jordan elimination in index order.
 
     Each row is reduced against the rows kept before it and, if nonzero in
@@ -540,13 +544,13 @@ def _reduce(rows: list[list[Fraction]], width: int) -> list[tuple[int, int, list
 def origin_pivots(matrix: PolyMatrix) -> list[tuple[int, int]]:
     """(row, pivot column) of the first independent rows of matrix(0) in index order.
 
-    Exact elimination (:func:`_reduce`): each row is reduced against the
+    Exact elimination (:func:`reduce_rows`): each row is reduced against the
     rows kept before it and, if nonzero, kept with its first nonzero column
     as pivot.  The block of matrix(0) on the kept rows and their pivots is
     invertible.
     """
     rows = [[p.constant_term for p in entries] for entries in matrix.entries]
-    return [(i, col) for i, col, _ in _reduce(rows, matrix.cols)]
+    return [(i, col) for i, col, _ in reduce_rows(rows, matrix.cols)]
 
 
 def _constant_rows(matrix: PolyMatrix) -> list[list[Fraction]] | None:
@@ -558,7 +562,7 @@ def _constant_rows(matrix: PolyMatrix) -> list[list[Fraction]] | None:
 
 
 def _pivot_det(basis: list[tuple[int, int, list[Fraction]]], n: int) -> Fraction:
-    """Determinant of the n-by-n matrix that :func:`_reduce` took to ``basis``.
+    """Determinant of the n-by-n matrix that :func:`reduce_rows` took to ``basis``.
 
     The row operations keep the determinant, and they leave one pivot per
     row on a permutation of the columns: the product of the pivots, negated
@@ -579,7 +583,7 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     """Exact determinant.
 
     A matrix whose entries are all constant goes by one exact Fraction
-    elimination (:func:`_reduce`): the signed product of the pivots.  Any
+    elimination (:func:`reduce_rows`): the signed product of the pivots.  Any
     other goes by cofactor expansion along the first row, whose cost grows
     factorially with the size; a zero row cuts a minor short.  It stays
     because the order in which it inserts terms into the result fixes the
@@ -591,7 +595,7 @@ def poly_det(matrix: PolyMatrix) -> Poly:
         raise ValueError("determinant of a non-square matrix")
     rows = _constant_rows(matrix)
     if rows is not None:
-        return Poly.const(matrix.nvars, _pivot_det(_reduce(rows, matrix.cols), matrix.cols))
+        return Poly.const(matrix.nvars, _pivot_det(reduce_rows(rows, matrix.cols), matrix.cols))
     return _det_rows([list(r) for r in matrix.entries], matrix.nvars)
 
 
@@ -617,7 +621,7 @@ def poly_adjugate(matrix: PolyMatrix) -> PolyMatrix:
     """Exact adjugate: adj(M) @ M == det(M) * identity.
 
     An invertible matrix whose entries are all constant goes by one exact
-    Fraction elimination of [M | I] (:func:`_reduce`), as det(M) * M^-1.
+    Fraction elimination of [M | I] (:func:`reduce_rows`), as det(M) * M^-1.
     Any other, a singular constant one too, takes each entry from the
     cofactor expansion of its minor (see :func:`poly_det` for why, and for
     its cost); the entries of a constant adjugate have at most one term, so
@@ -631,7 +635,7 @@ def poly_adjugate(matrix: PolyMatrix) -> PolyMatrix:
     constant = _constant_rows(matrix)
     if constant is not None:
         one, zero = Fraction(1), Fraction(0)
-        basis = _reduce([[*row, *(one if i == j else zero for j in range(n))] for i, row in enumerate(constant)], n)
+        basis = reduce_rows([[*row, *(one if i == j else zero for j in range(n))] for i, row in enumerate(constant)], n)
         if len(basis) == n:
             det = _pivot_det(basis, n)
             adj: list[list[Poly]] = [[] for _ in range(n)]

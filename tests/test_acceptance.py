@@ -15,7 +15,7 @@ from obstruction_oracle import consistency_gap_at, consistent_jet, curvature_map
 from symbol_oracle import sym_intersection_dim
 
 from liftlyap import cli
-from liftlyap.integrability import condition_a, condition_b, quasi_regular_search
+from liftlyap.integrability import condition_a, condition_b, graph_form, quasi_regular_search
 from liftlyap.lift import assemble_lift_system, assemble_vstar, solve_jets
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, PolyMatrix, lie_derivative
@@ -51,7 +51,7 @@ def test_criterion_1_end_to_end_positive_fixture():
 
         # exact recovery of V at order 6: single coefficient 1/2 on (0, 2)
         problem, _, _, td, rs = build_pipeline("ex_ps")
-        jet = solve_jets(assemble_lift_system(rs, 6), rs, fibre_start=1)
+        jet = solve_jets(assemble_lift_system(graph_form(rs), 6), rs, fibre_start=1)
         assert jet.coeffs == {(0, 2): Fraction(1, 2)}
 
         # u(x) = -2 x1 as a polynomial identity

@@ -13,7 +13,7 @@ import pytest
 from liftbench import gen
 
 import liftlyap
-from liftlyap import lift, numutil, synth
+from liftlyap import integrability, numutil, synth
 from liftlyap.cli import (
     EXIT_INPUT,
     EXIT_NOT_LIFTABLE,
@@ -317,15 +317,21 @@ def _assert_stopped_at(report, code, verdict, reason, exit_code, key):
     assert all(report[later] is None for later in order[order.index(key) + 1 :])
 
 
-def test_lift_infeasible_is_not_liftable(monkeypatch):
-    def infeasible(*args, **kwargs):
-        raise lift.JetInfeasibleError("forced", "d[2] @ x^(0, 2)")
+@pytest.mark.parametrize(
+    "spec", [_fixture_raw("ex_ps"), gen.instance("lift-exact", 7, 0).spec], ids=["ex_ps", "lift-exact-7-0"]
+)
+def test_report_builds_one_graph_form(spec, monkeypatch):
+    """The lift solves the graph form that the integrability check built, so a report builds it once."""
+    calls = []
+    build = integrability.graph_form
 
-    monkeypatch.setattr(lift, "solve_jets", infeasible)
-    report, code = run("report", _problem("ex_ps"))
-    verdict = "NOT_LIFTABLE(lift_infeasible)"
-    _assert_stopped_at(report, code, verdict, "lift_infeasible", EXIT_NOT_LIFTABLE, "lift")
-    assert report["lift"] == {"infeasible": True, "witness": "d[2] @ x^(0, 2)"}
+    def counted(rs):
+        calls.append(rs)
+        return build(rs)
+
+    monkeypatch.setattr(integrability, "graph_form", counted)
+    report, code = run("report", build_problem(spec))
+    assert (report["verdict"], code, len(calls)) == ("LIFTABLE_AND_VERIFIED", EXIT_OK, 1)
 
 
 def test_feedback_residual_is_validation_failure(monkeypatch):

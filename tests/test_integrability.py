@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import lift_oracle
 import numpy as np
 import pytest
 from conftest import build_pipeline, check_grid, check_points, flat_connection
@@ -645,8 +646,10 @@ def _small_lift_systems(draw):
 
 @given(_small_lift_systems())
 def test_liftable_systems_have_feasible_jets(case):
-    """LIFTABLE means the graph form is involutive and compatible, so the exact jet solve finds
-    Taylor coefficients of V at every order."""
+    """LIFTABLE means the graph form is involutive and compatible, so forward substitution on it
+    gives Taylor coefficients of V at every order: both residual blocks vanish through order-1 and
+    every parametric coefficient keeps its seed.  Where the elimination oracle's free columns are
+    the parametric monomials, it gives the same coefficients; elsewhere it seeds other monomials."""
     rs, conn = case
     try:
         report = full_check(rs, conn, check_points(rs.m))
@@ -654,7 +657,13 @@ def test_liftable_systems_have_feasible_jets(case):
         assume(False)
     if report.liftable:
         for order in range(2, 7):
-            solve_jets(assemble_lift_system(rs, order), rs, fibre_start=rs.n)
+            jet = solve_jets(assemble_lift_system(report.form, order), rs, fibre_start=rs.n)
+            v = jet.polynomial(rs.m)
+            assert all(comp.truncate(order - 1).is_zero() for block in residual_psi(rs, v) for comp in block)
+            assert all(jet.coeffs.get(mi, 0) == lift_oracle.seed(mi, rs.n) for mi in jet.free_seeded)
+            coeffs, free = lift_oracle.solve_by_elimination(rs, order, rs.n)
+            if free == jet.free_seeded:
+                assert coeffs == jet.coeffs
 
 
 def _rs_from_c_x(c_cols, x_texts, names, n):

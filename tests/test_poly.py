@@ -129,6 +129,18 @@ def test_print_parse_roundtrip(p, point):
 # -- differentiation -----------------------------------------------------------
 
 
+def test_product_by_one_is_the_operand():
+    """A Poly is never mutated, so multiplying by a scalar 1 returns the operand itself, and
+    scaling a matrix by 1 returns the matrix; other scalars still build new values."""
+    p = parse_poly("x1^2 - 1/3*x2", ["x1", "x2"])
+    assert p * 1 is p and p * Fraction(1) is p and 1 * p is p
+    assert p * Fraction(2, 1) == parse_poly("2*x1^2 - 2/3*x2", ["x1", "x2"])
+    assert (p * 0).is_zero()
+    matrix = PolyMatrix([[p, Poly.const(2, 1)], [Poly.zero(2), p]])
+    assert matrix.scale(Fraction(1)) is matrix and matrix.scale(1) is matrix
+    assert matrix.scale(-1) == PolyMatrix([[-p, Poly.const(2, -1)], [Poly.zero(2), -p]])
+
+
 def test_diff_power_rule():
     p = parse_poly("x1^2*x2", ["x1", "x2"])
     assert p.diff(0) == parse_poly("2*x1*x2", ["x1", "x2"])

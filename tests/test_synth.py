@@ -45,10 +45,11 @@ def _zero_feedback(m):
 
 
 def _solved(name):
+    from liftlyap.integrability import graph_form
     from liftlyap.lift import assemble_lift_system, assemble_vstar, solve_jets
 
     problem, _, _, td, rs = build_pipeline(name)
-    system = assemble_lift_system(rs, problem.options.order)
+    system = assemble_lift_system(graph_form(rs), problem.options.order)
     jet = solve_jets(system, rs, fibre_start=problem.qsys.n)
     vstar, _ = assemble_vstar(td.pullback_vtilde, jet)
     v = jet.polynomial(problem.sys.m)
