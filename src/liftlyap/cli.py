@@ -24,7 +24,7 @@ import numpy as np
 from . import geometry, integrability, lift, synth, sysmodel
 from .geometry import EhresmannConnection, Frame, Lattice, ProjectionPair
 from .integrability import GraphForm, ResidualSystem
-from .parsing import PolyParseError, parse_poly
+from .parsing import PolyParseError, is_identifier, parse_poly
 from .poly import DEGREE_CAP, DegreeCapError, Poly, PolyMatrix, format_poly, grad
 from .sysmodel import (
     CLFValidationError,
@@ -105,9 +105,21 @@ def _require(raw: dict, key: str, kind=list):
     return value
 
 
-def _parse_field(text, variables, where: str) -> Poly:
+Parsed = dict[tuple[str, tuple[str, ...]], Poly]  # one build_problem call's polynomials, by (text, variables)
+
+
+def _parse_field(text, variables, where: str, parsed: Parsed) -> Poly:
+    """The polynomial ``text`` over ``variables``, parsed once per distinct pair in ``parsed``.
+
+    A string that fails raises before it is stored, so the first field that
+    holds it is the one named.  Sharing is safe because a Poly is never
+    mutated.
+    """
     if not isinstance(text, str):
         raise SpecError(f"{where}: expected a polynomial string")
+    key = (text, tuple(variables))
+    if key in parsed:
+        return parsed[key]
     try:
         poly = parse_poly(text, variables)
         for coeff in poly.terms.values():
@@ -116,13 +128,14 @@ def _parse_field(text, variables, where: str) -> Poly:
         raise SpecError(f"{where}: {exc}") from exc
     except OverflowError as exc:
         raise SpecError(f"{where}: a coefficient is beyond the float range") from exc
+    parsed[key] = poly
     return poly
 
 
-def _parse_vector(items, variables, length: int, where: str) -> tuple[Poly, ...]:
+def _parse_vector(items, variables, length: int, where: str, parsed: Parsed) -> tuple[Poly, ...]:
     if not isinstance(items, list) or len(items) != length:
         raise SpecError(f"{where}: expected a list of {length} polynomial strings")
-    return tuple(_parse_field(t, variables, f"{where}[{i}]") for i, t in enumerate(items))
+    return tuple(_parse_field(t, variables, f"{where}[{i}]", parsed) for i, t in enumerate(items))
 
 
 def _is_number(value) -> bool:
@@ -153,39 +166,43 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
         raise SpecError("state/input names must be strings")
     if len(set(all_names)) != len(all_names):
         raise SpecError("state/input names must be pairwise distinct")
+    for v in all_names:  # reports print polynomials in these names, and they must parse back
+        if not is_identifier(v):
+            raise SpecError(f"state/input name {v!r} must be a letter or '_', then letters, digits or '_'")
     if m < 1 or r < 1 or n < 1:
         raise SpecError("need at least one state, one input, and one quotient state")
     if not n < m:
         raise SpecError(f"quotient must be strictly smaller than the system (n={n}, m={m})")
 
-    f0 = _parse_vector(_require(raw, "f0"), states, m, "f0")
+    parsed: Parsed = {}
+    f0 = _parse_vector(_require(raw, "f0"), states, m, "f0", parsed)
     f_raw = _require(raw, "f")
     if len(f_raw) != r:
         raise SpecError(f"'f' must list {r} control fields")
-    f_cols = tuple(_parse_vector(col, states, m, f"f[{j}]") for j, col in enumerate(f_raw))
-    g0 = _parse_vector(_require(raw, "g0"), qstates, n, "g0")
+    f_cols = tuple(_parse_vector(col, states, m, f"f[{j}]", parsed) for j, col in enumerate(f_raw))
+    g0 = _parse_vector(_require(raw, "g0"), qstates, n, "g0", parsed)
     g_raw = raw.get("g", [])
     if not isinstance(g_raw, list) or len(g_raw) != s:
         raise SpecError(f"'g' must list {s} quotient control fields")
-    g_cols = tuple(_parse_vector(col, qstates, n, f"g[{k}]") for k, col in enumerate(g_raw))
-    varphi = _parse_vector(raw.get("varphi", []), states, s, "varphi")
+    g_cols = tuple(_parse_vector(col, qstates, n, f"g[{k}]", parsed) for k, col in enumerate(g_raw))
+    varphi = _parse_vector(raw.get("varphi", []), states, s, "varphi", parsed)
     beta_raw = raw.get("beta", [])
     if not isinstance(beta_raw, list) or len(beta_raw) != s:
         raise SpecError(f"'beta' must have {s} rows")
-    beta = tuple(_parse_vector(row, states, r, f"beta[{k}]") for k, row in enumerate(beta_raw))
+    beta = tuple(_parse_vector(row, states, r, f"beta[{k}]", parsed) for k, row in enumerate(beta_raw))
     gamma_raw = _require(raw, "gamma")
     if len(gamma_raw) != m - n:
         raise SpecError(f"'gamma' must have {m - n} rows (one per fibre coordinate)")
-    gamma = tuple(_parse_vector(row, states, n, f"gamma[{p}]") for p, row in enumerate(gamma_raw))
-    vtilde = _parse_field(_require(raw, "vtilde", str), qstates, "vtilde")
-    alpha = _parse_vector(_require(raw, "alpha"), qstates, s, "alpha")
+    gamma = tuple(_parse_vector(row, states, n, f"gamma[{p}]", parsed) for p, row in enumerate(gamma_raw))
+    vtilde = _parse_field(_require(raw, "vtilde", str), qstates, "vtilde", parsed)
+    alpha = _parse_vector(_require(raw, "alpha"), qstates, s, "alpha", parsed)
 
     user_d = None
     if "d" in raw:
         d_raw = raw["d"]
         if not isinstance(d_raw, list) or len(d_raw) != m - r:
             raise SpecError(f"'d' must list {m - r} complement columns")
-        user_d = [list(_parse_vector(col, states, m, f"d[{j}]")) for j, col in enumerate(d_raw)]
+        user_d = [list(_parse_vector(col, states, m, f"d[{j}]", parsed)) for j, col in enumerate(d_raw)]
     user_p_d = None
     if "p_d" in raw:
         if user_d is None:
@@ -194,7 +211,7 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
         if not isinstance(pd_raw, list) or len(pd_raw) != m - r:
             raise SpecError(f"'p_d' must have {m - r} rows")
         user_p_d = PolyMatrix(
-            [list(_parse_vector(row, states, m, f"p_d[{a}]")) for a, row in enumerate(pd_raw)],
+            [list(_parse_vector(row, states, m, f"p_d[{a}]", parsed)) for a, row in enumerate(pd_raw)],
             cols=m,
             nvars=m,
         )

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numutil import numeric_rank
-from .poly import Poly, PolyMatrix, lie_bracket, poly_adjugate, poly_det
+from .poly import Poly, PolyMatrix, lie_brackets, poly_adjugate, poly_det
 
 MAX_GRID_POINTS = 100_000  # largest per_axis ** m; the point-by-point grid checks hold every point at once
 
@@ -290,8 +290,9 @@ def curvature_components(conn: EhresmannConnection) -> dict[tuple[int, int, int]
     """
     m, n = conn.m, conn.n
     p_vm = build_p_vm(conn)
-    brackets = {(q1, q2): lie_bracket(p_vm.col(q2), p_vm.col(q1)) for q1 in range(n) for q2 in range(q1 + 1, n)}
-    return {(l + 1, q1 + 1, q2 + 1): bracket[l] for l in range(n, m) for (q1, q2), bracket in brackets.items()}
+    pairs = [(q2, q1) for q1 in range(n) for q2 in range(q1 + 1, n)]
+    brackets = lie_brackets([p_vm.col(q) for q in range(n)], pairs)
+    return {(l + 1, q1 + 1, q2 + 1): bracket[l] for l in range(n, m) for (q2, q1), bracket in zip(pairs, brackets)}
 
 
 @dataclass

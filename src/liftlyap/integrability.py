@@ -55,7 +55,7 @@ from .poly import (
     Poly,
     PolyMatrix,
     eval_points,
-    lie_bracket,
+    lie_brackets,
     lie_derivative,
     origin_pivots,
     poly_adjugate,
@@ -177,13 +177,13 @@ def condition_a(rows: PolyMatrix, den: Poly) -> dict[tuple[int, int, int], Poly]
     """
     g = rows.entries
     along = None if den.is_constant() else [lie_derivative(row, den) for row in g]  # G_a(den)
+    pairs = [(a1, a2) for a1 in range(rows.rows) for a2 in range(a1 + 1, rows.rows)]
     out: dict[tuple[int, int, int], Poly] = {}
-    for a1 in range(rows.rows):
-        for a2 in range(a1 + 1, rows.rows):
-            for i1, entry in enumerate(lie_bracket(g[a1], g[a2])):
-                if along is not None:
-                    entry = den * entry - (g[a2][i1] * along[a1] - g[a1][i1] * along[a2])
-                out[(a1 + 1, a2 + 1, i1 + 1)] = entry
+    for (a1, a2), bracket in zip(pairs, lie_brackets(g, pairs)):
+        for i1, entry in enumerate(bracket):
+            if along is not None:
+                entry = den * entry - (g[a2][i1] * along[a1] - g[a1][i1] * along[a2])
+            out[(a1 + 1, a2 + 1, i1 + 1)] = entry
     return out
 
 

@@ -33,6 +33,7 @@ class PolyParseError(ValueError):
 
 
 _OPERATORS = set("+-*^()")
+_DIGITS = frozenset("0123456789")  # str.isdigit also accepts digits such as '²' that int() refuses
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -48,23 +49,23 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append(("op", ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                if i >= n or not text[i].isdigit():
+                if i >= n or text[i] not in _DIGITS:
                     raise PolyParseError("malformed decimal literal", start)
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
                 value = Fraction(text[start:i])  # exact decimal conversion
             elif i < n and text[i] == "/":
                 i += 1
-                if i >= n or not text[i].isdigit():
+                if i >= n or text[i] not in _DIGITS:
                     raise PolyParseError("malformed rational literal", start)
                 denom_start = i
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
                 denom = int(text[denom_start:i])
                 if denom == 0:
@@ -162,6 +163,15 @@ class _Parser:
             self.depth -= 1
             return inner
         raise PolyParseError("expected a number, variable, or parenthesized expression", position)
+
+
+def is_identifier(name: str) -> bool:
+    """Whether ``name`` reads as exactly one identifier token, so that a variable of that name parses back."""
+    try:
+        tokens = _tokenize(name)
+    except PolyParseError:
+        return False
+    return len(tokens) == 2 and tokens[0][:2] == ("ident", name)
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:

@@ -7,6 +7,23 @@ when their term maps are equal, and every identity test in the rest of
 the package is an exact comparison against the empty map rather than an
 epsilon check.
 
+``Poly(nvars, terms)`` validates what it is given: tuple length, exponent
+signs and coefficient types, and drops zero coefficients.  That is the
+constructor for terms from outside this module.  The results of the ring
+operations, derivatives and Lie brackets are built from term maps that are
+valid by construction, so they skip those checks.
+
+Term order is part of a polynomial's value here, although ``==`` ignores
+it: :func:`value_lines` and :func:`eval_points` sum the terms in dict
+order, so the float bits of every value depend on it.  Every kernel
+inserts its terms in one fixed order.  A sum keeps the left operand's
+terms in place and appends the right operand's new keys in its order,
+dropping keys that cancel.  A product inserts in row-major order over the
+two operands' terms; a key that cancels on the way keeps its first
+position if it is hit again, and it is dropped only at the end.  A product
+by a constant scales the other operand's terms in place, as that loop
+would.  ``tests/poly_oracle.py`` holds the plain loops that fix this order.
+
 Poly values are treated as immutable after construction and may be shared
 freely across threads.  Float evaluation reads a term table that each
 polynomial builds on first use and keeps, and :meth:`Poly.eval_float`
@@ -73,8 +90,20 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, nvars: int, terms: dict[MultiIndex, Fraction]) -> "Poly":
+        """A Poly that owns ``terms``, which must be valid: ``nvars``-tuples, no zero coefficient."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._float_table = None
+        p._float_fn = None
+        return p
+
+    @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
+        if nvars < 0:
+            raise ValueError("variable count must be non-negative")
+        return cls._of(nvars, {})
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
@@ -142,35 +171,38 @@ class Poly:
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        for mi, c in other.terms.items():
-            out[mi] = out.get(mi, Fraction(0)) + c
-        return Poly(self.nvars, out)
+        _accumulate(out, other.terms)
+        return Poly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {mi: -c for mi, c in self.terms.items()})
+        return Poly._of(self.nvars, {mi: -c for mi, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for mi, c in other.terms.items():  # each key once, so a cancelled one is dropped at once
+            if mi in out:
+                if total := out[mi] - c:
+                    out[mi] = total
+                else:
+                    del out[mi]
+            else:
+                out[mi] = -c
+        return Poly._of(self.nvars, out)
 
     def __rsub__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return Poly.zero(self.nvars)
-            if c == 1:  # a Poly is never mutated, so the operand itself is the product
-                return self
-            return Poly(self.nvars, {mi: c * v for mi, v in self.terms.items()})
+            return _scaled(self, _as_fraction(other))
         if not isinstance(other, Poly):
             return NotImplemented
         if other.nvars != self.nvars:
@@ -181,12 +213,19 @@ class Poly:
             raise DegreeCapError(
                 f"product degree {self.degree() + other.degree()} exceeds cap {DEGREE_CAP}"
             )
+        origin = (0,) * self.nvars
+        if len(self.terms) == 1 and origin in self.terms:
+            return _scaled(other, self.terms[origin])
+        if len(other.terms) == 1 and origin in other.terms:
+            return _scaled(self, other.terms[origin])
         out: dict[MultiIndex, Fraction] = {}
+        add = operator.add
         for mi_a, ca in self.terms.items():
             for mi_b, cb in other.terms.items():
-                mi = tuple(a + b for a, b in zip(mi_a, mi_b))
-                out[mi] = out.get(mi, Fraction(0)) + ca * cb
-        return Poly(self.nvars, out)
+                mi = tuple(map(add, mi_a, mi_b))
+                # a key that cancels stays, so that if it is hit again it keeps its first position
+                out[mi] = out[mi] + ca * cb if mi in out else ca * cb
+        return Poly._of(self.nvars, {mi: c for mi, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -242,7 +281,7 @@ class Poly:
             lowered = list(mi)
             lowered[index] = e - 1
             out[tuple(lowered)] = c * e
-        return Poly(self.nvars, out)
+        return Poly._of(self.nvars, out)
 
     def eval(self, point: Sequence) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -278,7 +317,7 @@ class Poly:
         """Drop all terms of total degree above ``max_degree`` (exact)."""
         if max_degree < 0:
             raise ValueError("max degree must be non-negative")
-        return Poly(self.nvars, {mi: c for mi, c in self.terms.items() if sum(mi) <= max_degree})
+        return Poly._of(self.nvars, {mi: c for mi, c in self.terms.items() if sum(mi) <= max_degree})
 
     def embed(self, nvars: int, offset: int = 0) -> "Poly":
         """Reinterpret in a larger variable set, shifting variables by ``offset``.
@@ -291,7 +330,7 @@ class Poly:
             raise ValueError("embedding does not fit the target variable count")
         pad_left = (0,) * offset
         pad_right = (0,) * (nvars - offset - self.nvars)
-        return Poly(nvars, {pad_left + mi + pad_right: c for mi, c in self.terms.items()})
+        return Poly._of(nvars, {pad_left + mi + pad_right: c for mi, c in self.terms.items()})
 
 
 # -- helpers on polynomials and vectors of polynomials ------------------------
@@ -302,33 +341,76 @@ def grad(p: Poly) -> list[Poly]:
     return [p.diff(i) for i in range(p.nvars)]
 
 
+def _accumulate(out: dict[MultiIndex, Fraction], terms: Mapping[MultiIndex, Fraction]) -> None:
+    """Add ``terms`` into ``out`` in place: a new key is appended, a key that cancels is dropped."""
+    for mi, c in terms.items():  # each key once, so a cancelled one is dropped at once
+        if mi in out:
+            if total := out[mi] + c:
+                out[mi] = total
+            else:
+                del out[mi]
+        else:
+            out[mi] = c
+
+
+def _scaled(p: Poly, c: Fraction) -> Poly:
+    """p times the rational c, with p's terms in p's order."""
+    if c == 0:
+        return Poly.zero(p.nvars)
+    if c == 1:  # a Poly is never mutated, so the operand itself is the product
+        return p
+    return Poly._of(p.nvars, {mi: c * v for mi, v in p.terms.items()})
+
+
+def poly_sum(items: Iterable[Poly], nvars: int) -> Poly:
+    """The sum of ``items``, each added in turn as ``total + item`` would, in one term map."""
+    out: dict[MultiIndex, Fraction] = {}
+    for item in items:
+        if item.nvars != nvars:
+            raise ValueError("variable counts differ")
+        _accumulate(out, item.terms)
+    return Poly._of(nvars, out)
+
+
 def lie_derivative(field: Sequence[Poly], p: Poly) -> Poly:
-    """Derivative of p along the vector field (sum of field_i * dp/dx_i).
+    """Derivative of p along the vector field (sum of field_i * dp/dx_i, i ascending).
 
     A zero component of the field, or a variable p does not read, is
     skipped, so it costs no product.
     """
     if len(field) != p.nvars:
         raise ValueError("field dimension does not match variable count")
-    total = Poly.zero(p.nvars)
-    for i, component in enumerate(field):
-        if component and (dp := p.diff(i)):
-            total = total + component * dp
-    return total
+    return poly_sum((component * dp for i, component in enumerate(field) if component and (dp := p.diff(i))), p.nvars)
 
 
-def lie_bracket(x: Sequence[Poly], y: Sequence[Poly]) -> list[Poly]:
-    """Components of the vector field [x, y]: L_x y^k - L_y x^k."""
-    if len(x) != len(y):
+def lie_brackets(fields: Sequence[Sequence[Poly]], pairs: Iterable[tuple[int, int]]) -> list[list[Poly]]:
+    """Components of the vector fields [fields[a], fields[b]] for each pair (a, b).
+
+    Component k is L_x y^k - L_y x^k for x = fields[a] and y = fields[b],
+    each Lie derivative summed over i ascending as :func:`lie_derivative`
+    sums it.  Each field's Jacobian, the nonzero d(component)/dx^i, is
+    taken once, however many pairs the field is in.
+    """
+    if len({len(f) for f in fields}) > 1:
         raise ValueError("vector fields have different dimensions")
-    return [lie_derivative(x, yk) - lie_derivative(y, xk) for xk, yk in zip(x, y)]
-
-
-def poly_sum(items: Iterable[Poly], nvars: int) -> Poly:
-    total = Poly.zero(nvars)
-    for item in items:
-        total = total + item
-    return total
+    # d/dx^i of each component, for each variable it reads, i ascending
+    jacobians = [
+        [[(i, p.diff(i)) for i in sorted({i for mi in p.terms for i, e in enumerate(mi) if e})] for p in field]
+        for field in fields
+    ]
+    out = []
+    for a, b in pairs:
+        x, y, jx, jy = fields[a], fields[b], jacobians[a], jacobians[b]
+        out.append(
+            [
+                poly_sum((x[i] * d for i, d in jy[k] if x[i]), yk.nvars)
+                - poly_sum((y[i] * d for i, d in jx[k] if y[i]), xk.nvars)
+                if jx[k] or jy[k]
+                else Poly.zero(xk.nvars)  # both components constant
+                for k, (xk, yk) in enumerate(zip(x, y))
+            ]
+        )
+    return out
 
 
 def value_lines(polys: Sequence[Poly], point: str, x: str = "x", t: str = "t") -> list[str]:

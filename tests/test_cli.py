@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from liftbench import gen
 
 import liftlyap
-from liftlyap import integrability, numutil, synth
+from liftlyap import cli, integrability, numutil, synth
 from liftlyap.cli import (
     EXIT_INPUT,
     EXIT_NOT_LIFTABLE,
@@ -334,6 +335,35 @@ def test_report_builds_one_graph_form(spec, monkeypatch):
     assert (report["verdict"], code, len(calls)) == ("LIFTABLE_AND_VERIFIED", EXIT_OK, 1)
 
 
+def test_build_problem_parses_each_distinct_string_once(monkeypatch):
+    """One parse per distinct (text, variables) pair in a build_problem call, and none kept after it."""
+    fields, parses = [], Counter()
+    parse_field, parse = cli._parse_field, cli.parse_poly
+
+    def counted_field(text, variables, *args):
+        fields.append(text)
+        return parse_field(text, variables, *args)
+
+    def counted_parse(text, variables):
+        parses[text, tuple(variables)] += 1
+        return parse(text, variables)
+
+    monkeypatch.setattr(cli, "_parse_field", counted_field)
+    monkeypatch.setattr(cli, "parse_poly", counted_parse)
+    spec = gen.instance("obstruct-wide", 7, 0).spec
+    build_problem(spec)
+    assert set(parses.values()) == {1} and len(fields) > len(parses)
+    build_problem(spec)
+    assert set(parses.values()) == {2}
+
+
+def test_repeated_malformed_string_names_the_first_field():
+    raw = _fixture_raw("ex_ps")
+    raw["f0"] = ["x1 +", "x1 +"]
+    with pytest.raises(SpecError, match=r"^f0\[0\]: "):
+        build_problem(raw)
+
+
 def test_feedback_residual_is_validation_failure(monkeypatch):
     def unsolvable(*args, **kwargs):
         raise synth.FeedbackResidualError("feedback residual forced")
@@ -508,6 +538,12 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         ),
         ("integrability", [], None, {"f": [["1", "1" + "0" * 308 + "*x1^2 + 1" + "0" * 308 + "*x1^4"]]}),
         ("integrability", [], None, {"d": [["0", "1 + 1" + "0" * 308 + "*x1^2 + 1" + "0" * 308 + "*x1^4"]]}),
+        ("validate", [], None, {"f0": ["x1^\u00b2", "0"]}),
+        ("validate", [], None, {"f0": ["1/\u00b2", "0"]}),
+        ("validate", [], None, {"f0": ["1.\u00b2", "0"]}),
+        ("report", [], None, {"states": ["x 1", "x2"]}),
+        ("report", [], None, {"inputs": [""]}),
+        ("report", [], None, {"quotient_inputs": ["2x"]}),
     ],
     ids=[
         "grid-0",
@@ -546,6 +582,12 @@ def test_main_quotient_mismatch_exit(tmp_path, capsys):
         "consistency-identity-beyond-float",
         "frame-value-beyond-float",
         "complement-value-beyond-float",
+        "f0-superscript-exponent",
+        "f0-superscript-denominator",
+        "f0-superscript-decimal",
+        "state-name-with-space",
+        "input-name-empty",
+        "quotient-input-name-digit-first",
     ],
 )
 def test_main_bad_input_is_input_error(request, tmp_path, capsys, command, args, options, keys):

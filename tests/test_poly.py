@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import matrix_oracle
 import numpy as np
+import poly_oracle
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -22,10 +23,12 @@ from liftlyap.poly import (
     eval_points,
     format_poly,
     grad,
+    lie_brackets,
     lie_derivative,
     origin_pivots,
     poly_adjugate,
     poly_det,
+    poly_sum,
 )
 
 
@@ -113,6 +116,13 @@ def test_parse_trailing_garbage():
         parse_poly("x1 x1", ["x1"])
 
 
+@pytest.mark.parametrize("text", ["x1^\u00b2", "1/\u00b2", "1.\u00b2"])
+def test_parse_refuses_non_ascii_digits(text):
+    # str.isdigit accepts a superscript two, which int() then refuses with a ValueError
+    with pytest.raises(PolyParseError):
+        parse_poly(text, ["x1"])
+
+
 _NAMES3 = ["x1", "x2", "x3"]
 _COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 _POLYS3 = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _COEFFS, max_size=6).map(lambda t: Poly(3, t))
@@ -124,6 +134,63 @@ def test_print_parse_roundtrip(p, point):
     again = parse_poly(text, _NAMES3)
     assert again == p
     assert again.eval(point) == p.eval(point)
+
+
+# -- term order -------------------------------------------------------------------
+
+# Exponents 0..1 and few coefficients, so products hit the same key often and cancel.
+_DENSE3 = st.dictionaries(
+    st.tuples(*[st.integers(0, 1)] * 3), st.sampled_from([Fraction(-1), Fraction(1), Fraction(1, 2)]), max_size=5
+).map(lambda t: Poly(3, t))
+_CONSTANTS3 = st.builds(Poly.const, st.just(3), _COEFFS)
+_OPERANDS3 = st.one_of(_POLYS3, _DENSE3, _CONSTANTS3, st.just(Poly.zero(3)))
+_SCALARS = st.one_of(st.integers(-3, 3), _COEFFS)
+# x1*x2 is hit by x1 * x2, cancelled by -x2 * x1, and hit again by x1*x2 * 1; it keeps its first position
+_CANCEL_A = Poly(3, {(1, 0, 0): 1, (0, 1, 0): -1, (1, 1, 0): 1})
+_CANCEL_B = Poly(3, {(0, 1, 0): 1, (1, 0, 0): 1, (0, 0, 0): 1})
+
+
+def _ordered(p: Poly) -> list:
+    return list(p.terms.items())
+
+
+@given(_OPERANDS3, _OPERANDS3, _SCALARS)
+@example(_CANCEL_A, _CANCEL_B, 2)
+@example(_CANCEL_A, _CANCEL_A * -1, Fraction(-1, 2))
+@example(Poly.const(3, 3), _CANCEL_A, 0)
+def test_ring_operations_keep_the_oracle_term_order(a, b, k):
+    """Each kernel returns the oracle's terms in the oracle's order, for Poly and scalar operands."""
+    for got, want in [
+        (a + b, poly_oracle.add(a, b)),
+        (a - b, poly_oracle.sub(a, b)),
+        (-a, poly_oracle.neg(a)),
+        (a * b, poly_oracle.mul(a, b)),
+        (b * a, poly_oracle.mul(b, a)),
+        (a + k, poly_oracle.add(a, k)),
+        (k + a, poly_oracle.add(a, k)),
+        (a - k, poly_oracle.sub(a, k)),
+        (k - a, poly_oracle.sub(Poly.const(3, k), a)),
+        (a * k, poly_oracle.mul(a, k)),
+        (k * a, poly_oracle.mul(a, k)),
+        (poly_sum([a, b, a * b, -a], 3), poly_oracle.poly_sum([a, b, poly_oracle.mul(a, b), poly_oracle.neg(a)], 3)),
+        *((a.diff(i), poly_oracle.diff(a, i)) for i in range(3)),
+    ]:
+        assert _ordered(got) == _ordered(want)
+
+
+_FIELDS3 = st.lists(st.lists(_OPERANDS3, min_size=3, max_size=3), min_size=1, max_size=4)
+
+
+@given(_FIELDS3, _OPERANDS3)
+@example([[_CANCEL_A, _CANCEL_B, Poly.zero(3)], [_CANCEL_B, Poly.const(3, 2), _CANCEL_A]], _CANCEL_A * _CANCEL_B)
+def test_lie_brackets_keep_the_oracle_term_order(fields, p):
+    """Every pair, each order and a field with itself, gives lie_bracket's terms in its order."""
+    pairs = [(a, b) for a in range(len(fields)) for b in range(len(fields))]
+    for (a, b), bracket in zip(pairs, lie_brackets(fields, pairs)):
+        want = poly_oracle.lie_bracket(fields[a], fields[b])
+        assert [_ordered(c) for c in bracket] == [_ordered(c) for c in want]
+    for field in fields:
+        assert _ordered(lie_derivative(field, p)) == _ordered(poly_oracle.lie_derivative(field, p))
 
 
 # -- differentiation -----------------------------------------------------------
