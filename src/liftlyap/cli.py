@@ -460,14 +460,13 @@ def stage_synthesize(state: RunState) -> dict:
     dv = grad(state.jet.polynomial(m))
     rhs = [state.td.x_field[i] - dv[i] for i in range(m)]
     try:
-        feedback = synth.solve_feedback(problem.sys, rhs, state.grid.points)
+        feedback = synth.solve_feedback(problem.sys, rhs)
     except synth.FeedbackResidualError as exc:
         raise StageFailure({"error": str(exc)}, ["feedback"], EXIT_VALIDATION) from exc
     loop = state.loop = synth.closed_loop_field(problem.sys, feedback)
     names = problem.state_names
     return {
         "symbolic": [format_poly(u, names) for u in feedback.symbolic] if feedback.symbolic else None,
-        "residual_norm": float(feedback.residual_norm),
         "closed_loop": [format_poly(p, names) for p in loop.numer] if feedback.symbolic is not None else None,
     }
 

@@ -5,8 +5,9 @@ as u = N / den from one square system M u = b: den = det M, N = adj(M) b.
 M is F_S, the pivot rows S of F(0) in index order, when +-det F_S is
 evidently positive (a positive constant, positive coefficients on even
 powers elsewhere), and otherwise F^T F with b = F^T rhs: by Cauchy-Binet
-det(F^T F) > 0 where F has rank r.  When den divides N and F u = rhs
-identically, u is an exact polynomial.
+det(F^T F) > 0 where F has rank r.  The feedback is accepted when
+F N = den rhs holds as polynomials, so F u = rhs wherever den is not 0;
+when den also divides N, u is an exact polynomial.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .poly import (
     Poly,
     PolyMatrix,
     compile_float,
-    eval_points,
+    grlex_key,
     lie_derivative,
     origin_pivots,
     poly_adjugate,
@@ -35,7 +36,6 @@ from .poly import (
 )
 from .sysmodel import ControlAffineSystem
 
-FEEDBACK_RESIDUAL_TOL = 1e-8
 DIVERGENCE_GUARD = 1e6
 MAX_STEPS = 10**6  # most RK4 steps horizon / h that a problem may ask for
 VSTAR_FLOOR = 1e-12  # V* values at or below this end the sampled decrease check
@@ -44,7 +44,7 @@ VectorMap = Callable[[Sequence[float]], Sequence[float]]  # a point of R^m to a 
 
 
 class FeedbackResidualError(RuntimeError):
-    """The algebraic feedback equations are not solvable on the grid."""
+    """The algebraic feedback equations F u = rhs have no solution u = N / den."""
 
 
 class DivergenceError(RuntimeError):
@@ -53,12 +53,11 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class FeedbackSolution:
-    """The feedback u = numer / den solving F(x) u = rhs(x), den > 0 on R^m; den is 1 when u is polynomial (symbolic)."""
+    """u = numer / den solving F(x) u = rhs(x), den > 0 where F has rank r; den is 1 when u is polynomial (symbolic)."""
 
     symbolic: tuple[Poly, ...] | None
     numer: tuple[Poly, ...]
     den: Poly
-    residual_norm: float
 
     @cached_property
     def pointwise(self) -> FloatVector:
@@ -71,13 +70,14 @@ def _evidently_positive(p: Poly) -> bool:
     return p.constant_term > 0 and all(c > 0 and not any(e % 2 for e in mi) for mi, c in p.terms.items())
 
 
-def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly], points: np.ndarray) -> FeedbackSolution:
+def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly]) -> FeedbackSolution:
     """Solve F(x) u(x) = rhs(x) as u = N / den, exactly.
 
     Raises ValueError if F(0) has rank below r, and FeedbackResidualError
-    if the residual exceeds FEEDBACK_RESIDUAL_TOL anywhere on the check
-    grid, a (P, m) float array; under a LIFTABLE verdict this is
-    unreachable and signals an internal inconsistency.
+    unless F N = den rhs as polynomials; its message names the first
+    component (1-based) of den (F u - rhs) = F N - den rhs that is not 0
+    and that component's leading grlex term.  Under a LIFTABLE verdict it
+    is reached when the lift is a series, which the order truncates.
     """
     if len(rhs) != sys.m:
         raise ValueError("right-hand side must have one component per state")
@@ -95,23 +95,20 @@ def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly], points: np.nda
         square, b = f_t @ f_mat, f_t.matvec(rhs)
         den = poly_det(square)
     numer = tuple(poly_adjugate(square).matvec(b))
-    symbolic = None
+    for k, (reached, want) in enumerate(zip(f_mat.matvec(numer), rhs), 1):
+        gap = reached - den * want
+        if gap:
+            top = min(gap.terms, key=grlex_key)
+            raise FeedbackResidualError(
+                "no u = N / den solves F u = rhs: in den * (F u - rhs), "
+                f"component {k} has term {gap.terms[top]} * x^{top}"
+            )
     try:
         quotient = tuple(p / den for p in numer)
     except ValueError:
-        pass
-    else:
-        if all(a == want for a, want in zip(f_mat.matvec(quotient), rhs)):
-            symbolic, numer, den = quotient, quotient, Poly.const(sys.m, 1)
-    u = eval_points(numer, points) / eval_points([den], points)
-    r = (f_mat.at(points) @ u[..., None])[..., 0] - eval_points(rhs, points)
-    # |r| per point through the BLAS dot np.linalg.norm uses, so it matches bit for bit
-    worst = float(np.sqrt((r[..., None, :] @ r[..., None]).max(initial=0.0)))
-    if not worst <= FEEDBACK_RESIDUAL_TOL:  # NaN fails too
-        raise FeedbackResidualError(
-            f"feedback residual {worst:.3e} exceeds {FEEDBACK_RESIDUAL_TOL:.1e}; target is outside the control range"
-        )
-    return FeedbackSolution(symbolic, numer, den, worst)
+        return FeedbackSolution(None, numer, den)
+    # F N = den rhs, so F quotient = rhs: no second check
+    return FeedbackSolution(quotient, quotient, Poly.const(sys.m, 1))
 
 
 @dataclass

@@ -380,7 +380,7 @@ def test_feedback_degree_cap_is_input_error(monkeypatch, capsys):
     solve = synth.solve_feedback
     column = (parse_poly("1 - x1^13", ["x1", "x2"]), parse_poly("x1^13", ["x1", "x2"]))
     capped = ControlAffineSystem(2, 1, (Poly.zero(2),) * 2, (column,))
-    monkeypatch.setattr(synth, "solve_feedback", lambda sys, rhs, points: solve(capped, rhs, points))
+    monkeypatch.setattr(synth, "solve_feedback", lambda sys, rhs: solve(capped, rhs))
     code = main(["report", "--spec", str(fixture_path("ex_ps"))])
     assert code == EXIT_INPUT
     err = capsys.readouterr().err

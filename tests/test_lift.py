@@ -153,6 +153,10 @@ def test_rank_deficient_lift_seeds_the_parametric_vertical_quadratic():
     assert solve_by_elimination(rs, 4, 1) == old
     report, code = cli.run("lift", problem)
     assert (report["verdict"], code, report["lift"]["definite"]) == ("LIFTED", cli.EXIT_OK, True)
+    # the series truncated at order 4 leaves den * (F u - rhs) a term of degree 4
+    report, code = cli.run("report", problem)
+    assert (report["verdict"], code) == ("LIFTED_BUT_VALIDATION_FAILED(feedback)", cli.EXIT_VALIDATION)
+    assert report["feedback"]["error"].endswith("component 3 has term -16 * x^(0, 2, 2)")
 
 
 def test_rank_deficient_lift_finds_the_polynomial_lift():

@@ -41,7 +41,7 @@ def _p(text, names=X2):
 
 def _zero_feedback(m):
     """The polynomial feedback u = 0 of one input."""
-    return FeedbackSolution((Poly.zero(m),), (Poly.zero(m),), Poly.const(m, 1), 0.0)
+    return FeedbackSolution((Poly.zero(m),), (Poly.zero(m),), Poly.const(m, 1))
 
 
 def _solved(name):
@@ -60,16 +60,15 @@ def _solved(name):
 
 def test_solve_feedback_ex_ps():
     problem, _, _, _, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs, check_points(2))
+    fb = solve_feedback(problem.sys, rhs)
     assert fb.symbolic == (_p("-2*x1"),)
-    assert fb.residual_norm <= 1e-12
     loop = closed_loop_field(problem.sys, fb)
     assert (loop.numer, fb.den) == ((_p("-2*x1"), _p("-x2")), _p("1"))
 
 
 def test_solve_feedback_ex_fa():
     problem, _, _, _, rhs = _solved("ex_fa")
-    fb = solve_feedback(problem.sys, rhs, check_points(2))
+    fb = solve_feedback(problem.sys, rhs)
     assert fb.symbolic == (_p("-2*x1"), _p("-x2"))
     loop = closed_loop_field(problem.sys, fb)
     assert (loop.numer, fb.den) == ((_p("-2*x1"), _p("-x2")), _p("1"))
@@ -79,14 +78,30 @@ def test_solve_feedback_out_of_range_rhs():
     sys = ControlAffineSystem(2, 1, (Poly.zero(2), Poly.zero(2)), ((_p("1"), _p("0")),))
     rhs = [Poly.zero(2), Poly.const(2, 1)]  # unreachable second component
     with pytest.raises(FeedbackResidualError):
-        solve_feedback(sys, rhs, check_points(2))
+        solve_feedback(sys, rhs)
+
+
+@pytest.mark.parametrize("second, term", [("x2^3 - x2", "-1 * x^(0, 3)"), ("x1*x2*(x2^2 - 1)", "-1 * x^(1, 3)")])
+def test_residual_the_grid_cannot_see_is_refused(second, term):
+    """rhs_2 is 0 at every point of the default grid {-1, 0, 1}^2, but not as a polynomial."""
+    sys = _system([("1", "0")])
+    with pytest.raises(FeedbackResidualError) as info:
+        solve_feedback(sys, [_p("x1"), _p(second)])
+    assert str(info.value).endswith(f"component 2 has term {term}")
+
+
+def test_exact_feedback_whose_den_vanishes_on_the_grid():
+    """F = (x2 + 1) I: det F is not evidently positive, so den = det F^T F = (x2 + 1)^4, which does not divide N."""
+    sys = _system([("x2 + 1", "0"), ("0", "x2 + 1")])
+    fb = solve_feedback(sys, [_p("0"), _p("2")])
+    assert (fb.den, fb.numer, fb.symbolic) == (_p("(x2 + 1)^4"), (_p("0"), _p("2*(x2 + 1)^3")), None)
 
 
 def test_closed_loop_matches_target_exactly():
     """Symbolic mode identity: closed loop minus target vanishes as polynomials."""
     for name in ("ex_ps", "ex_fa"):
         problem, td, v, _, rhs = _solved(name)
-        fb = solve_feedback(problem.sys, rhs, check_points(2))
+        fb = solve_feedback(problem.sys, rhs)
         loop = closed_loop_field(problem.sys, fb)
         sigma = target_field(problem.sys, td, v)
         assert fb.den == _p("1")
@@ -104,7 +119,7 @@ def test_solve_feedback_needs_rank_r_at_the_origin():
     zero = (Poly.zero(2), Poly.zero(2))
     sys = ControlAffineSystem(2, 2, zero, ((_p("1"), _p("0")), (_p("x1"), _p("x2"))))
     with pytest.raises(ValueError, match=r"F\(0\) has rank 1, not 2"):
-        solve_feedback(sys, list(zero), check_points(2))
+        solve_feedback(sys, list(zero))
 
 
 def _system(columns, f0=("0", "0")):
@@ -129,13 +144,13 @@ _NORMAL_TALL = _system([("1 - x1^2", "x1")])
 def test_feedback_square_system():
     """F_S when +-det F_S is evidently positive, the normal equations F^T F otherwise."""
     rhs = [_p("x1"), _p("x2")]
-    assert solve_feedback(_EVIDENT, rhs, check_points(2)).den == _p("(1 + x1^2)*(1 + x2^2)")
-    fb = solve_feedback(_NORMAL, rhs, check_points(2))
+    assert solve_feedback(_EVIDENT, rhs).den == _p("(1 + x1^2)*(1 + x2^2)")
+    fb = solve_feedback(_NORMAL, rhs)
     assert (fb.den, fb.symbolic) == (_p("(x1^2 - x1 + 1)^2"), None)
     neg = _system([("-1 - x1^2", "0"), ("0", "1")])
-    assert solve_feedback(neg, rhs, check_points(2)).den == _p("1 + x1^2")  # -det F_S is evidently positive
+    assert solve_feedback(neg, rhs).den == _p("1 + x1^2")  # -det F_S is evidently positive
     for sys in (_EVIDENT_TALL, _NORMAL_TALL):
-        fb = solve_feedback(sys, _image(sys, [_p("x2 - x1^2")]), check_points(2))
+        fb = solve_feedback(sys, _image(sys, [_p("x2 - x1^2")]))
         assert (fb.symbolic, fb.den) == ((_p("x2 - x1^2"),), _p("1"))  # den divides N: an exact feedback
 
 
@@ -146,7 +161,9 @@ def _feedback_cases(draw):
     F's entries have degree <= 2: the rows S get a nonzero constant on a
     diagonal and the other rows any constant, plus up to two terms of degree
     1 or 2 everywhere.  A square F gets any polynomial rhs, so u = F^-1 rhs
-    is rational; a tall one rhs = F w for a polynomial w, so u = w.
+    is rational; a tall one rhs = F w for a polynomial w, so u = w, and one
+    extra term for a row outside S: F_S is invertible over the rational
+    functions, so no u reaches rhs plus that term on that row.
     """
     m = draw(st.integers(2, 5))
     r = draw(st.integers(1, min(m, 3)))
@@ -163,25 +180,32 @@ def _feedback_cases(draw):
     f = tuple(tuple(entry(i, j) for i in range(m)) for j in range(r))
     sys = ControlAffineSystem(m, r, tuple(draw(poly) for _ in range(m)), f)
     if r == m:
-        rhs = [draw(poly) for _ in range(m)]
+        rhs, extra = [draw(poly) for _ in range(m)], None
     else:
         rhs = _image(sys, [draw(poly) for _ in range(r)])
+        row = draw(st.sampled_from([i for i in range(m) if i not in rows]))
+        extra = row, Poly.monomial(m, draw(st.sampled_from(exponents)), draw(small.filter(bool)))
     points = draw(st.lists(st.tuples(*[st.floats(-1, 1)] * m), min_size=1, max_size=4))
-    return sys, rhs, points
+    return sys, rhs, points, extra
 
 
 _POINTS = [(0.5, -0.25), (-0.9, 0.7), (0.3, 1.0)]
 
 
 @given(_feedback_cases())
-@example((_EVIDENT, [_p("x1"), _p("x2^2 - 1")], _POINTS))
-@example((_NORMAL, [_p("x1"), _p("x2^2 - 1")], _POINTS))
-@example((_EVIDENT_TALL, _image(_EVIDENT_TALL, [_p("x1*x2")]), _POINTS))
-@example((_NORMAL_TALL, _image(_NORMAL_TALL, [_p("x1*x2")]), _POINTS))
+@example((_EVIDENT, [_p("x1"), _p("x2^2 - 1")], _POINTS, None))
+@example((_NORMAL, [_p("x1"), _p("x2^2 - 1")], _POINTS, None))
+@example((_EVIDENT_TALL, _image(_EVIDENT_TALL, [_p("x1*x2")]), _POINTS, (1, _p("x2^2"))))
+@example((_NORMAL_TALL, _image(_NORMAL_TALL, [_p("x1*x2")]), _POINTS, (1, _p("x2^2"))))
 def test_rational_feedback_matches_the_least_squares_oracle(case):
-    sys, rhs, points = case
+    sys, rhs, points, extra = case
     points = [x for x in points if np.linalg.cond(feedback_oracle.control_at(sys, x)) < 1e3]
-    fb = solve_feedback(sys, rhs, np.array(points).reshape(-1, sys.m))
+    fb = solve_feedback(sys, rhs)
+    assert _image(sys, fb.numer) == [fb.den * p for p in rhs]  # F N = den rhs as polynomials
+    if extra is not None:
+        row, term = extra
+        with pytest.raises(FeedbackResidualError):
+            solve_feedback(sys, [p + term if i == row else p for i, p in enumerate(rhs)])
     loop = closed_loop_field(sys, fb)
     for x in points:
         want = feedback_oracle.feedback_at(sys, rhs, x)
@@ -203,7 +227,7 @@ def test_feedback_work_is_bounded(monkeypatch):
     w = [_p(f"x{j + 6} - x{j + 1}", names) for j in range(r)]
     dets = []
     monkeypatch.setattr(synth, "poly_det", lambda mat: dets.append(poly_det(mat)) or dets[-1])
-    fb = solve_feedback(sys, _image(sys, w), check_points(m)[::1000])
+    fb = solve_feedback(sys, _image(sys, w))
     assert len(dets) == 1
     assert fb.symbolic == tuple(w)
 
@@ -212,7 +236,7 @@ def test_normal_equations_degree_cap_is_raised():
     # F^T F = (1 - x1^13)^2 + x1^26 has degree 26, beyond DEGREE_CAP
     sys = _system([("1 - x1^13", "x1^13")])
     with pytest.raises(DegreeCapError):
-        solve_feedback(sys, [Poly.zero(2)] * 2, check_points(2))
+        solve_feedback(sys, [Poly.zero(2)] * 2)
 
 
 def _normal_equations_spec() -> dict:
@@ -241,7 +265,7 @@ def test_normal_equations_on_a_pipeline_problem(monkeypatch):
 
 def test_simulate_ex_ps_against_exact_solution():
     problem, td, v, vstar, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs, check_points(2))
+    fb = solve_feedback(problem.sys, rhs)
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar)
     assert np.linalg.norm(traj.states[-1]) <= 1e-3
@@ -255,7 +279,7 @@ def test_simulate_ex_ps_against_exact_solution():
 
 def test_simulate_equilibrium_stays_put():
     problem, _, _, vstar, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs, check_points(2))
+    fb = solve_feedback(problem.sys, rhs)
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [0.0, 0.0], 0.01, 1.0, vstar)
     assert all(np.linalg.norm(state) == 0.0 for state in traj.states)
@@ -389,7 +413,7 @@ def test_simulate_matches_the_numpy_oracle_on_random_loops(case, as_array):
 
 def test_simulate_zero_denominator_is_divergence():
     sys = ControlAffineSystem(1, 1, (Poly.zero(1),), ((Poly.zero(1),),))
-    loop = closed_loop_field(sys, FeedbackSolution(None, (Poly.zero(1),), Poly.variable(1, 0), 0.0))
+    loop = closed_loop_field(sys, FeedbackSolution(None, (Poly.zero(1),), Poly.variable(1, 0)))
     with pytest.raises(DivergenceError, match=r"the closed loop's denominator is 0.0 at t=0.000"):
         simulate_rk4(loop, [0.0], 0.01, 0.1)
 
@@ -453,7 +477,7 @@ def test_rk4_convergence_ratio():
 
 def test_verify_decrease_ex_ps():
     problem, td, v, vstar, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs, check_points(2))
+    fb = solve_feedback(problem.sys, rhs)
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar)
     report = verify_lyapunov_decrease(traj, vstar, loop, check_grid(2))
@@ -476,7 +500,7 @@ def test_verify_decrease_fails_for_frozen_state():
 
 def test_trajectory_csv_export(tmp_path):
     problem, _, _, vstar, rhs = _solved("ex_ps")
-    fb = solve_feedback(problem.sys, rhs, check_points(2))
+    fb = solve_feedback(problem.sys, rhs)
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [1.0, 1.0], 0.1, 1.0, vstar)
     path = tmp_path / "traj.csv"
