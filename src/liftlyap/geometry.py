@@ -107,24 +107,38 @@ def first_nonnegative(p: Poly, grid: Lattice) -> int | None:
         den * q^d * p(k/q) = sum_a (den * c_a) * q^(d - |a|) * k^a,
 
     an integer with the sign of p(k/q).
+
+    It is computed for every row of the lattice at once, as integer arrays:
+    each power k_i^e once per (variable, exponent), each term c' * k^a as a
+    product of those columns starting from its coefficient c' = den * c_a *
+    q^(d - |a|), and the terms summed in p's term order.  With K the largest
+    |numerator|, B = sum_a |c'_a| * K^|a| bounds every power, partial
+    product and partial sum, so the arrays are int64 when B < 2^63 and
+    Python ints (dtype object) otherwise; both are exact.
     """
     q = grid.denominator
     den = math.lcm(*(c.denominator for c in p.terms.values()))
     d = p.degree()
     terms = [
-        (c.numerator * (den // c.denominator) * q ** (d - sum(mi)), [(i, e) for i, e in enumerate(mi) if e])
+        (c.numerator * (den // c.denominator) * q ** (d - sum(mi)), sum(mi), [(i, e) for i, e in enumerate(mi) if e])
         for mi, c in p.terms.items()
     ]
-    for index, k in enumerate(grid.numerators.tolist()):
-        if not any(k):
-            continue
-        total = 0
-        for c, factors in terms:
-            for i, e in factors:
-                c *= k[i] ** e
-            total += c
-        if total >= 0:
-            return index
+    k = grid.numerators
+    big = max(1, int(k.max()), -int(k.min()))  # K, but at least 1: B then bounds each c' too
+    dtype = np.int64 if sum(abs(c) * big**degree for c, degree, _ in terms) < 2**63 else object
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    total = np.zeros(len(k), dtype=dtype)
+    term = np.empty_like(total)  # one buffer for every term: fresh arrays of this size each cost page faults
+    for c, _, factors in terms:
+        term[...] = c
+        for i, e in factors:
+            if (i, e) not in powers:
+                powers[i, e] = k[:, i].astype(dtype, copy=False) ** e
+            term *= powers[i, e]
+        total += term
+    for index in np.flatnonzero(total >= 0):
+        if k[index].any():
+            return int(index)
     return None
 
 

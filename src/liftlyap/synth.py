@@ -182,7 +182,7 @@ def _rk4_loop(m: int, vstar: Poly | None) -> Callable[..., None]:
         "t = k * h",
         "s = " + "".join(f"{x}, " for x in xs),
         "times_append(t)",
-        "states_append(s)",
+        "states_extend(s)",
         *(value_lines([vstar], "x{}", x="y", t="v") if vstar is not None else ["v0 = nan"]),
         "vstar_append(v0)",
         "if k == steps:",
@@ -198,7 +198,7 @@ def _rk4_loop(m: int, vstar: Poly | None) -> Callable[..., None]:
         field_at_s("d"),
         *(f"x{i} = x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i in range(m)),
     ]
-    params = ", ".join(["field", *xs, "steps", "h", "half", "sixth", "guard", "times_append", "states_append", "vstar_append"])
+    params = ", ".join(["field", *xs, "steps", "h", "half", "sixth", "guard", "times_append", "states_extend", "vstar_append"])
     lines = [
         f"def run({params}):",
         "    for k in range(steps + 1):",
@@ -222,12 +222,15 @@ def simulate_rk4(
     trajectory is that of the same formulas over float64 arrays, bit for
     bit.  Each state is recorded as it is reached, with V* evaluated
     inline on ``float`` of its coordinates (the code of
-    :func:`poly.value_lines`, so the values are :meth:`Poly.eval_float`'s),
-    and the states become one array at the end.  Before each step, and
-    at the horizon, the state must satisfy ``norm <= DIVERGENCE_GUARD``;
-    inside the cube of :func:`guard_box` it does without computing the
-    norm, and elsewhere ``np.linalg.norm`` decides.  Every field
-    evaluation is a call of ``field`` with a tuple of the m coordinates.
+    :func:`poly.value_lines`, so the values are :meth:`Poly.eval_float`'s).
+    The states are recorded flat: each one's m coordinates extend one list
+    of floats, which one ``reshape`` turns into the (steps + 1, m) array at
+    the end.  Before each step, and at the horizon, the state must satisfy
+    ``norm <= DIVERGENCE_GUARD``; inside the cube of :func:`guard_box` it
+    does without computing the norm, and elsewhere ``np.linalg.norm``
+    decides (at the horizon, on the last m entries of the flat list).
+    Every field evaluation is a call of ``field`` with a tuple of the m
+    coordinates.
     """
     if h <= 0 or horizon < h:
         raise ValueError("need h > 0 and horizon >= h")
@@ -235,23 +238,24 @@ def simulate_rk4(
     start = np.array(x0, dtype=float).tolist()
     if not start:
         raise ValueError("need at least one state coordinate")
-    if vstar is not None and vstar.nvars != len(start):
-        raise ValueError(f"V* has {vstar.nvars} variables, but the state has {len(start)} coordinates")
-    run = _rk4_loop(len(start), vstar)
+    m = len(start)
+    if vstar is not None and vstar.nvars != m:
+        raise ValueError(f"V* has {vstar.nvars} variables, but the state has {m} coordinates")
+    run = _rk4_loop(m, vstar)
     times: list[float] = []
-    states: list[tuple[float, ...]] = []
+    states: list[float] = []  # flat: the m coordinates of each state in turn
     values: list[float] = []
     try:
         # inf and NaN from an overflowing step fail the guard, `not norm <= DIVERGENCE_GUARD`,
         # and so does a finite state whose squared norm overflows, the last one too
         with np.errstate(over="ignore", invalid="ignore"):
-            run(field, *start, steps, h, 0.5 * h, h / 6.0, _guard, times.append, states.append, values.append)
-            _guard(states[-1], horizon)
+            run(field, *start, steps, h, 0.5 * h, h / 6.0, _guard, times.append, states.extend, values.append)
+            _guard(states[-m:], horizon)
     except OverflowError as exc:
         raise DivergenceError(f"float overflow evaluating the field or V* at t={times[-1]:.3f}") from exc
     except ZeroDivisionError as exc:
         raise DivergenceError(f"the closed loop's denominator is 0.0 at t={times[-1]:.3f}") from exc
-    return TrajectoryRecord(times, np.array(states, dtype=float), values)
+    return TrajectoryRecord(times, np.array(states, dtype=float).reshape(len(times), m), values)
 
 
 @dataclass

@@ -92,8 +92,11 @@ def test_default_grid_matches_the_fraction_reference(m, per_axis):
     assert [lattice.exact(i) for i in range(len(lattice))] == reference  # product order, origin last if appended
     assert lattice.points.tobytes() == np.array(reference, dtype=float).tobytes()
     assert sum(not any(point) for point in lattice.points.tolist()) == 1
-    p = Poly.variable(m, m - 1) - Fraction(1, 3)  # its denominator is not the lattice's
-    assert first_nonnegative(p, lattice) == _first_nonnegative_reference(p, reference)
+    squares = -poly_sum((Poly.variable(m, i) ** 2 for i in range(m)), m)  # 0 only at the origin, which is no witness
+    shifted = Poly.variable(m, m - 1) - Fraction(1, 3)  # its denominator is not the lattice's
+    for p in (shifted, squares, squares + Poly.variable(m, m - 1) ** 4, Poly.zero(m)):
+        assert first_nonnegative(p, lattice) == _first_nonnegative_reference(p, reference)
+    assert first_nonnegative(squares, lattice) is None
 
 
 def test_default_grid_contains_origin():
@@ -142,9 +145,8 @@ def _first_nonnegative_reference(p: Poly, grid):
 
 
 @st.composite
-def _poly_and_grid(draw):
+def _poly_and_grid(draw, coeffs=st.fractions(min_value=-5, max_value=5, max_denominator=6)):
     m = draw(st.integers(1, 3))
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
     terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * m), coeffs, max_size=6))
     if draw(st.booleans()):
         # a negative-definite part, so many sweeps run the whole grid
@@ -157,14 +159,80 @@ def _poly_and_grid(draw):
     return Poly(m, terms), grid
 
 
-@given(_poly_and_grid())
+_huge = st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 7))
+
+
+@given(st.one_of(_poly_and_grid(), _poly_and_grid(_huge)))  # small coefficients, and ones beyond int64
 @example((Poly.zero(2), _fraction_grid(2, 3)))
 @example((Poly.const(2, Fraction(1, 3)), _fraction_grid(2, 4)))
 @example((_p("-x1^2 - x2^2 + 1/2*x1^3 + 1/3", X2), _fraction_grid(2, 5)))
 @example((_p("-x1^2 - x2^2 + 1/2*x1^3", X2), _fraction_grid(2, 5)))
+@example((_p("-100000000000000000000*x1^2 - x2^2 + 99999999999999999999*x1^4", X2), _fraction_grid(2, 5)))
+@example((_p("-100000000000000000000*x1^2 - 100000000000000000000*x2^2", X2), _fraction_grid(2, 4)))
 def test_first_nonnegative_matches_exact_sweep(case):
     p, grid = case
     assert first_nonnegative(p, _lattice(grid)) == _first_nonnegative_reference(p, grid)
+
+
+class _NumpySpy:
+    """``geometry``'s numpy, recording the dtype of every ``zeros`` call."""
+
+    def __init__(self):
+        self.dtypes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, shape, dtype=float):
+        self.dtypes.append(dtype)
+        return np.zeros(shape, dtype=dtype)
+
+
+def _sweep_width(monkeypatch, p: Poly, grid) -> tuple[int | None, list]:
+    """first_nonnegative(p, grid) and the dtypes its sums were held in."""
+    spy = _NumpySpy()
+    monkeypatch.setattr(geometry, "np", spy)
+    index = first_nonnegative(p, _lattice(grid))
+    monkeypatch.undo()
+    return index, spy.dtypes
+
+
+@pytest.mark.parametrize(("bound", "width"), [(2**63 - 1, np.int64), (2**63, object)])
+def test_first_nonnegative_at_the_int64_boundary(monkeypatch, bound, width):
+    """B = sum |c'_a| K^|a| is the total itself at the first point off the origin where p >= 0."""
+    # K = 3, q = 1: B = 2 * 3^39 + c0, and p(3, 3) = B; at B = 2^63 an int64 sum would wrap to -2^63
+    c0 = bound - 2 * 3**39
+    p = Poly(2, {(20, 19): Fraction(2), (0, 0): Fraction(c0)})
+    grid = [(Fraction(3), Fraction(-3)), (Fraction(0), Fraction(0)), (Fraction(3), Fraction(3))]
+    assert [p.eval(point) for point in grid] == [c0 - 2 * 3**39, c0, bound]
+    assert _sweep_width(monkeypatch, p, grid) == (2, [width])
+    assert _first_nonnegative_reference(p, grid) == 2
+    # the same B where K = 3 is |-3| and no numerator is above 1
+    mirrored = Poly(1, {(39,): Fraction(-2), (0,): Fraction(c0)})
+    assert _sweep_width(monkeypatch, mirrored, [(Fraction(0),), (Fraction(-3),)]) == (1, [width])
+
+
+@pytest.mark.parametrize(
+    ("terms", "values", "width"),
+    [
+        # q = 999983 * 1000003, near 10^12: p(1/1000003) < 0 by about 2e-11, p(1/999983) = 0
+        ({(1,): 1, (0,): Fraction(-1, 999983)}, [-1, Fraction(1, 1000003), Fraction(1, 999983), 1], np.int64),
+        (
+            {(2,): -1, (3,): Fraction(1, 999983), (0,): Fraction(1, 999983**2)},
+            [-1, Fraction(-1, 999983), Fraction(1, 1000003), 1],
+            object,
+        ),
+        # q = 2^15: p(-2^-15) = 0
+        ({(4,): -1, (0,): Fraction(1, 2**60)}, [-1, Fraction(-1, 2**15), Fraction(1, 2**15), 1], object),
+        ({(2,): -1, (0,): Fraction(1, 2**30)}, [-1, Fraction(-1, 2**15), Fraction(1, 2**15), 1], np.int64),
+    ],
+)
+def test_first_nonnegative_on_a_large_denominator(monkeypatch, terms, values, width):
+    p = Poly(1, {mi: Fraction(c) for mi, c in terms.items()})
+    grid = [(Fraction(v),) for v in values]
+    index, dtypes = _sweep_width(monkeypatch, p, grid)
+    assert dtypes == [width]
+    assert index == _first_nonnegative_reference(p, grid) is not None
 
 
 def test_control_distribution_single_column():

@@ -465,6 +465,19 @@ def test_guard_box_decides_like_the_norm(m):
             assert passes, state
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_final_guard_reads_the_last_state(m):
+    """Only the state at the horizon leaves the guard ball: no other m consecutive recorded coordinates do."""
+    growth = 1.0 + 1.0 + 1.0 / 2 + 1.0 / 6 + 1.0 / 24  # one RK4 step of x' = x with h = 1
+    start = [DIVERGENCE_GUARD / (growth * math.sqrt(m - 0.5))] * m
+    recorded = start + [growth * v for v in start]  # the two states, coordinate after coordinate
+    windows = [recorded[j : j + m] for j in range(m + 1)]
+    assert [bool(np.linalg.norm(w) <= DIVERGENCE_GUARD) for w in windows] == [True] * m + [False]
+    for simulate in (simulate_rk4, rk4_oracle.simulate_rk4):
+        with pytest.raises(DivergenceError, match=r"^state norm exceeded 1e\+06 at t=1\.000$"):
+            simulate(lambda x: np.array(x, dtype=float), start, 1.0, 1.0)
+
+
 def test_rk4_convergence_ratio():
     field = lambda x: np.array([-x[0]])
     errors = []
