@@ -28,9 +28,11 @@ complement D, and the check grid only locates where an identity fails.
 
 The symbol is reported and decides nothing.  It has a closed form (the
 Cartan-test setting of Seiler, *Involution*, 2010).  With E and F the two
-covector spans, G1 = E & F, and G2 = S^2 E & S^2 F is the set of symmetric
-matrices whose column space lies in G1, so dim G2 = k(k+1)/2 for
-k = dim G1.  For a row basis B of G1 and a coordinate order perm,
+covector spans, G1 = E & F is the kernel of L(0), and so of G(0): m minus
+the pivot count, with one kernel row per non-pivot column read off the
+graph rows.  G2 = S^2 E & S^2 F is the set of symmetric matrices whose
+column space lies in G1, so dim G2 = k(k+1)/2 for k = dim G1.  For a row
+basis B of G1 and a coordinate order perm,
 dim(G1 & Sigma_j) = k - rank B[:, perm[:j]] >= max(k - j, 0), so the
 quasi-regularity identity holds exactly when B[:, perm[:k]] has rank k.
 The first such order in lexicographic order is G1's pivot columns, picked
@@ -49,8 +51,8 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry
-from .geometry import EhresmannConnection, Frame, FrameRankError, ProjectionPair
-from .numutil import intersection_basis, intersection_dim, null_rows, numeric_rank
+from .geometry import EhresmannConnection, FrameRankError, ProjectionPair
+from .numutil import intersection_dim, numeric_rank, orth_rows
 from .poly import (
     Poly,
     PolyMatrix,
@@ -259,20 +261,23 @@ def quasi_regular_identity(g1_basis: np.ndarray, dim_g2: int, basis_rows: np.nda
     return total == dim_g2
 
 
-def quasi_regular_search(e_span: np.ndarray, f_span: np.ndarray) -> SymbolDims:
-    """Symbol dimensions for a covector-subspace pair, in closed form.
+def symbol_dims(form: GraphForm) -> SymbolDims:
+    """Symbol dimensions of the lift system at the origin, from its graph form.
 
-    G1 is the intersection of the two spans and dim G2 = k(k+1)/2 with
-    k = dim G1.  The coordinate order leads with G1's pivot columns, picked
-    greedily in index order, then lists the other coordinates in ascending
-    order; it is the first order, lexicographically, that satisfies the
-    identity, and one identity call certifies it (reported 1-based when it
-    holds).
+    G1 = ker G(0): each non-pivot column f gives the kernel row with 1 at f
+    and -G(0)[i][f] at the pivot of graph row i.  The coordinate order leads
+    with the pivot columns of an orthonormal basis of G1, picked greedily in
+    index order, then lists the other coordinates in ascending order; it is
+    the first order, lexicographically, that satisfies the identity, and one
+    identity call certifies it (reported 1-based when it holds).
     """
-    e_span = np.atleast_2d(np.asarray(e_span, dtype=float))
-    m = e_span.shape[1]
-    dim_g1 = intersection_dim(e_span, f_span)
-    g1_basis = intersection_basis(e_span, f_span)
+    m = form.den.nvars
+    dim_g1 = m - len(form.pivots)
+    kernel = np.zeros((dim_g1, m))
+    for row, f in enumerate(f for f in range(m) if f not in form.pivots):
+        kernel[row, f] = 1.0
+        kernel[row, list(form.pivots)] = [-float(g[f].constant_term) for g in form.rows.entries]
+    g1_basis = orth_rows(kernel)
     lead: list[int] = []
     for i in range(m):
         if len(lead) == dim_g1:
@@ -284,18 +289,6 @@ def quasi_regular_search(e_span: np.ndarray, f_span: np.ndarray) -> SymbolDims:
     dim_g2 = dim_g1 * (dim_g1 + 1) // 2
     quasi_regular = quasi_regular_identity(g1_basis, dim_g2, np.eye(m)[perm])
     return SymbolDims(dim_g1, dim_g2, quasi_regular, tuple(p + 1 for p in perm) if quasi_regular else None)
-
-
-def symbol_dims(c_frame: Frame, p_vm: PolyMatrix, point: Sequence[float]) -> SymbolDims:
-    """Symbol dimensions of the lift system at a point.
-
-    E* is spanned by the control directions viewed as covectors and F* is
-    the annihilator of the horizontal subspace, i.e. the kernel of P_VM
-    transposed.
-    """
-    e_span = c_frame.as_matrix().at(point).T  # rows span E*
-    f_span = null_rows(p_vm.at(point).T)
-    return quasi_regular_search(e_span, f_span)
 
 
 # -- aggregate verdict ---------------------------------------------------------
@@ -345,7 +338,7 @@ def full_check(rs: ResidualSystem, conn: EhresmannConnection, points: np.ndarray
     b_entries = condition_b(form.rows, form.rhs, form.den)
     b_offenders = {(label[a1 - 1], label[a2 - 1]): val for (a1, a2), val in b_entries.items() if val}
     consistency = pointwise_consistency(form, points)
-    symbol = symbol_dims(rs.pair.c_frame, rs.pair.p_vm, [0.0] * rs.m)
+    symbol = symbol_dims(form)
     return IntegrabilityReport(
         flat=flat,
         flat_offenders=flat_offenders,

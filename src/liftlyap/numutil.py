@@ -1,10 +1,13 @@
-"""Floating-point linear algebra for the frame premises and the symbol.
+"""Floating-point linear algebra for the frame premises and the symbol's coordinate order.
 
 No integrability verdict reads a float rank: floats decide only that the
-frames keep their rank on the check grid, and the symbol dimensions.  Ranks
-count the singular values above RANK_RTOL times a scale, by default the
-largest singular value (:func:`_kept`); :func:`numeric_rank` ranks a stack
-of matrices in one SVD.  Subspaces of R^m are row-stacked spanning matrices.
+frames keep their rank on the check grid.  The symbol takes its dimensions
+and its G1 basis from the exact graph form, and uses floats only to
+orthonormalize that basis, pick its coordinate order and check the
+quasi-regularity identity.  Ranks count the singular values above
+RANK_RTOL times a scale, by default the largest singular value
+(:func:`_kept`); :func:`numeric_rank` ranks a stack of matrices in one SVD.
+Subspaces of R^m are row-stacked spanning matrices.
 """
 
 from __future__ import annotations
@@ -43,18 +46,6 @@ def orth_rows(a: np.ndarray) -> np.ndarray:
     return vh[: int(np.sum(_kept(s, s[0])))]
 
 
-def null_rows(a: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis (as rows) of the null space {x : a @ x = 0}.
-
-    ``scale`` has the same meaning as in :func:`numeric_rank`.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    u, s, vh = np.linalg.svd(a)
-    if s.size == 0 or s[0] == 0.0:
-        return np.eye(a.shape[1])
-    return vh[int(np.sum(_kept(s, s[0] if scale is None else scale))) :]
-
-
 def intersection_dim(a: np.ndarray, b: np.ndarray) -> int:
     """dim(span(a) & span(b)) via rank(a) + rank(b) - rank([a; b])."""
     ra = numeric_rank(a)
@@ -62,22 +53,3 @@ def intersection_dim(a: np.ndarray, b: np.ndarray) -> int:
     if ra == 0 or rb == 0:
         return 0
     return ra + rb - numeric_rank(np.vstack([a, b]))
-
-
-def intersection_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal row basis of span(a) & span(b).
-
-    x lies in both spans exactly when the projections onto both orthogonal
-    complements kill it, so the intersection is the kernel of the stacked
-    complement projectors.
-    """
-    pa = _complement_projector(a)
-    pb = _complement_projector(b)
-    # projectors are O(1), so rank against a unit scale: a stack that is all
-    # roundoff must count as the zero map (full-space intersection)
-    return null_rows(np.vstack([pa, pb]), scale=1.0)
-
-
-def _complement_projector(a: np.ndarray) -> np.ndarray:
-    basis = orth_rows(a)
-    return np.eye(basis.shape[1]) - basis.T @ basis

@@ -319,18 +319,17 @@ class Poly:
             raise ValueError("max degree must be non-negative")
         return Poly._of(self.nvars, {mi: c for mi, c in self.terms.items() if sum(mi) <= max_degree})
 
-    def embed(self, nvars: int, offset: int = 0) -> "Poly":
-        """Reinterpret in a larger variable set, shifting variables by ``offset``.
+    def embed(self, nvars: int) -> "Poly":
+        """Reinterpret in a larger variable set, as its leading variables.
 
         Used to pull functions of the quotient coordinates (y1..yn) back to
         functions of the full coordinates, and to inject state-space
         polynomials into the joint state-control space.
         """
-        if offset < 0 or offset + self.nvars > nvars:
+        if self.nvars > nvars:
             raise ValueError("embedding does not fit the target variable count")
-        pad_left = (0,) * offset
-        pad_right = (0,) * (nvars - offset - self.nvars)
-        return Poly._of(nvars, {pad_left + mi + pad_right: c for mi, c in self.terms.items()})
+        pad = (0,) * (nvars - self.nvars)
+        return Poly._of(nvars, {mi + pad: c for mi, c in self.terms.items()})
 
 
 # -- helpers on polynomials and vectors of polynomials ------------------------

@@ -6,12 +6,19 @@ instead of the cofactor expansion of every minor; :func:`cofactor_det` and
 :func:`cofactor_adjugate` give the expansion's result, term order included,
 on any square matrix.  :func:`forward_pivots` is the forward elimination
 :func:`liftlyap.poly.origin_pivots` ran before it shared that elimination.
+
+:func:`null_rows` and :func:`intersection_basis` are the float subspace
+kernels the symbol ran on before it read G1 off the graph form; the symbol
+and obstruction oracles still use them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
+from liftlyap.numutil import RANK_RTOL, orth_rows
 from liftlyap.poly import Poly, PolyMatrix
 
 
@@ -59,3 +66,34 @@ def cofactor_adjugate(matrix: PolyMatrix) -> PolyMatrix:
             cof = _det([[rows[a][b] for b in range(n) if b != i] for a in range(n) if a != j], matrix.nvars)
             out[i].append(cof if (i + j) % 2 == 0 else -cof)
     return PolyMatrix(out, cols=n, nvars=matrix.nvars)
+
+
+def null_rows(a: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Orthonormal basis (as rows) of the null space {x : a @ x = 0}.
+
+    ``scale`` has the same meaning as in :func:`liftlyap.numutil.numeric_rank`.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    u, s, vh = np.linalg.svd(a)
+    if s.size == 0 or s[0] == 0.0:
+        return np.eye(a.shape[1])
+    return vh[int(np.sum(s > RANK_RTOL * (s[0] if scale is None else scale))) :]
+
+
+def intersection_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Orthonormal row basis of span(a) & span(b).
+
+    x lies in both spans exactly when the projections onto both orthogonal
+    complements kill it, so the intersection is the kernel of the stacked
+    complement projectors.
+    """
+    pa = _complement_projector(a)
+    pb = _complement_projector(b)
+    # projectors are O(1), so rank against a unit scale: a stack that is all
+    # roundoff must count as the zero map (full-space intersection)
+    return null_rows(np.vstack([pa, pb]), scale=1.0)
+
+
+def _complement_projector(a: np.ndarray) -> np.ndarray:
+    basis = orth_rows(a)
+    return np.eye(basis.shape[1]) - basis.T @ basis

@@ -25,10 +25,11 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from matrix_oracle import null_rows
 
 from liftlyap.geometry import EhresmannConnection
 from liftlyap.integrability import ResidualSystem, condition_a, condition_b
-from liftlyap.numutil import RANK_RTOL, null_rows, numeric_rank
+from liftlyap.numutil import RANK_RTOL, numeric_rank
 from liftlyap.poly import Poly, PolyMatrix, eval_points, poly_sum
 
 JET_SYMMETRY_TOL = 1e-12  # largest asymmetry a second-order jet may carry

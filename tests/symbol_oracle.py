@@ -3,17 +3,24 @@
 ``sym_intersection_dim`` counts dim G2 from a basis of the symmetric
 matrices, and ``permutation_search`` is the coordinate-order search (every
 permutation, then random bases) that ``quasi_regular_search`` used before
-its closed form.  Both are kept as test oracles only.
+its closed form.  ``symbol_dims`` is the symbol as the package computed it
+before it read G1 off the graph form: float spans of C(0) and ker P_VM(0)^T,
+intersected, then ``quasi_regular_search``.  All are kept as test oracles
+only.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
 import numpy as np
+from matrix_oracle import _complement_projector, intersection_basis, null_rows
 
+from liftlyap.geometry import Frame
 from liftlyap.integrability import SymbolDims, quasi_regular_identity
-from liftlyap.numutil import intersection_basis, intersection_dim, numeric_rank, orth_rows
+from liftlyap.numutil import intersection_dim, numeric_rank
+from liftlyap.poly import PolyMatrix
 
 SYMBOL_RANDOM_BASES = 20
 SYMBOL_SEED = 0
@@ -33,11 +40,6 @@ def sym_basis(m: int) -> list[np.ndarray]:
             e[j, i] = 1.0
             out.append(e)
     return out
-
-
-def _complement_projector(a: np.ndarray) -> np.ndarray:
-    basis = orth_rows(a)
-    return np.eye(a.shape[1]) - basis.T @ basis
 
 
 def sym_intersection_dim(e_span: np.ndarray, f_span: np.ndarray) -> int:
@@ -83,3 +85,42 @@ def permutation_search(e_span: np.ndarray, f_span: np.ndarray) -> SymbolDims:
         if quasi_regular_identity(g1_basis, dim_g2, basis):
             return SymbolDims(dim_g1, dim_g2, True, None)
     return SymbolDims(dim_g1, dim_g2, False, None)
+
+
+def quasi_regular_search(e_span: np.ndarray, f_span: np.ndarray) -> SymbolDims:
+    """Symbol dimensions for a covector-subspace pair, in closed form.
+
+    G1 is the intersection of the two spans and dim G2 = k(k+1)/2 with
+    k = dim G1.  The coordinate order leads with G1's pivot columns, picked
+    greedily in index order, then lists the other coordinates in ascending
+    order; it is the first order, lexicographically, that satisfies the
+    identity, and one identity call certifies it (reported 1-based when it
+    holds).
+    """
+    e_span = np.atleast_2d(np.asarray(e_span, dtype=float))
+    m = e_span.shape[1]
+    dim_g1 = intersection_dim(e_span, f_span)
+    g1_basis = intersection_basis(e_span, f_span)
+    lead: list[int] = []
+    for i in range(m):
+        if len(lead) == dim_g1:
+            break
+        # g1_basis rows are orthonormal, so a column of pure roundoff must rank 0
+        if numeric_rank(g1_basis[:, lead + [i]], scale=1.0) > len(lead):
+            lead.append(i)
+    perm = lead + [i for i in range(m) if i not in lead]
+    dim_g2 = dim_g1 * (dim_g1 + 1) // 2
+    quasi_regular = quasi_regular_identity(g1_basis, dim_g2, np.eye(m)[perm])
+    return SymbolDims(dim_g1, dim_g2, quasi_regular, tuple(p + 1 for p in perm) if quasi_regular else None)
+
+
+def symbol_dims(c_frame: Frame, p_vm: PolyMatrix, point: Sequence[float]) -> SymbolDims:
+    """Symbol dimensions of the lift system at a point.
+
+    E* is spanned by the control directions viewed as covectors and F* is
+    the annihilator of the horizontal subspace, i.e. the kernel of P_VM
+    transposed.
+    """
+    e_span = c_frame.as_matrix().at(point).T  # rows span E*
+    f_span = null_rows(p_vm.at(point).T)
+    return quasi_regular_search(e_span, f_span)

@@ -12,10 +12,10 @@ from fractions import Fraction
 import numpy as np
 from conftest import build_pipeline
 from obstruction_oracle import consistency_gap_at, consistent_jet, curvature_map_eval
-from symbol_oracle import sym_intersection_dim
+from symbol_oracle import quasi_regular_search, sym_intersection_dim
 
 from liftlyap import cli
-from liftlyap.integrability import condition_a, condition_b, graph_form, quasi_regular_search
+from liftlyap.integrability import condition_a, condition_b, graph_form
 from liftlyap.lift import assemble_lift_system, assemble_vstar, solve_jets
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, PolyMatrix, lie_derivative

@@ -7,7 +7,8 @@ from fractions import Fraction
 import lift_oracle
 import numpy as np
 import pytest
-from conftest import build_pipeline, check_grid, check_points, flat_connection
+import symbol_oracle
+from conftest import build_pipeline, check_grid, check_points, flat_connection, pipeline_of
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from liftbench import gen
@@ -25,7 +26,7 @@ from obstruction_oracle import (
     stacked_system,
     vm_curvature_coeffs,
 )
-from symbol_oracle import permutation_search, sym_intersection_dim
+from symbol_oracle import permutation_search, quasi_regular_search, sym_intersection_dim
 
 from liftlyap import cli, geometry, integrability, poly
 from liftlyap.geometry import (
@@ -48,7 +49,6 @@ from liftlyap.integrability import (
     full_check,
     pointwise_consistency,
     graph_form,
-    quasi_regular_search,
     residual_psi,
     symbol_dims,
 )
@@ -715,15 +715,15 @@ def test_large_right_hand_side_is_consistent_in_the_per_point_reference(coeff):
 
 
 def test_symbol_dims_ex_ps():
-    _, _, pair, _, _ = build_pipeline("ex_ps")
-    dims = symbol_dims(pair.c_frame, pair.p_vm, [0.0, 0.0])
+    _, _, _, _, rs = build_pipeline("ex_ps")
+    dims = symbol_dims(graph_form(rs))
     assert (dims.dim_g1, dims.dim_g2) == (0, 0)
     assert dims.quasi_regular
 
 
 def test_symbol_dims_ex_fa():
-    _, _, pair, _, _ = build_pipeline("ex_fa")
-    dims = symbol_dims(pair.c_frame, pair.p_vm, [0.0, 0.0])
+    _, _, _, _, rs = build_pipeline("ex_fa")
+    dims = symbol_dims(graph_form(rs))
     assert (dims.dim_g1, dims.dim_g2) == (1, 1)
     assert dims.quasi_regular
     assert dims.permutation == (2, 1)  # the second coordinate must lead
@@ -731,9 +731,52 @@ def test_symbol_dims_ex_fa():
 
 def test_symbol_dims_zero_control():
     frame = Frame(2, ())
-    dims = symbol_dims(frame, build_p_vm(flat_connection(2, 1)), [0.0, 0.0])
+    pair = build_projections(frame, complement_frame(frame, None, check_grid(2)), flat_connection(2, 1))
+    dims = symbol_dims(graph_form(ResidualSystem(pair, (Poly.zero(2),) * 2)))
     assert (dims.dim_g1, dims.dim_g2) == (0, 0)
     assert dims.quasi_regular
+
+
+def _symbol_matches_the_float_reference(rs):
+    """The graph-form symbol against the float intersection of C(0) and ker P_VM(0)^T."""
+    assert symbol_dims(graph_form(rs)) == symbol_oracle.symbol_dims(rs.pair.c_frame, rs.p_vm, [0.0] * rs.m)
+
+
+@pytest.mark.parametrize("name", ["ex_ps", "ex_fa", "ex_di", "ex_curv"])
+def test_symbol_matches_the_float_reference_on_the_fixtures(name):
+    _symbol_matches_the_float_reference(build_pipeline(name)[-1])
+
+
+@pytest.mark.parametrize("workload", ["lift-exact", "obstruct-wide"])
+def test_symbol_matches_the_float_reference_on_the_benchmark(workload):
+    for index in range(gen.FIXED_COUNT[workload]):
+        _symbol_matches_the_float_reference(pipeline_of(gen.instance(workload, 7, index).spec)[-1])
+
+
+@given(_small_lift_systems())
+def test_symbol_matches_the_float_reference_on_small_systems(case):
+    rs, _ = case
+    try:
+        graph_form(rs)
+    except (FrameRankError, DegreeCapError):  # refused inputs: exit 1
+        assume(False)
+    _symbol_matches_the_float_reference(rs)
+
+
+def test_symbol_with_a_tiny_connection_coefficient():
+    """EX-FA with a third state and gamma = (10^-10, 0): the horizontal direction is
+    (1, 10^-10, 0) and G1 is spanned by (-10^-10, 1, 0).  Its x1 entry is below the rank
+    tolerance, so x2 leads the coordinate order, and the float identity certifies that order;
+    x1 first, as an exact greedy would pick, fails it."""
+    spec = {
+        **cli.load_spec(cli.fixture_path("ex_fa")),
+        "states": ["x1", "x2", "x3"],
+        "f0": ["0", "0", "0"],
+        "f": [["1", "0", "0"], ["0", "1", "0"]],
+        "gamma": [["1/10000000000"], ["0"]],
+    }
+    dims = symbol_dims(graph_form(pipeline_of(spec)[-1]))
+    assert (dims.dim_g1, dims.quasi_regular, dims.permutation) == (1, True, (2, 1, 3))
 
 
 def test_symbol_lemma_nested_subspaces():

@@ -8,10 +8,12 @@ not count as uses.  Code that only tests call belongs under ``tests/``.
 The command-line entry points, the names the package ``__init__`` exports
 and dunders such as ``__version__`` are the allowed exceptions.
 
-Every defaulted parameter of a top-level function must also be passed by
-some call in the package, by position or by keyword; a default that no
-caller overrides is a constant.  ``cli.main`` takes ``argv`` only from
-tests and embedders, so it is exempt.
+Every defaulted parameter of a top-level function, or of a method of a
+top-level class, must also be passed by some call in the package, by
+position or by keyword; a default that no caller overrides is a constant.
+A method is matched by its name (``__init__`` by its class name), and its
+``self`` or ``cls`` is not a position a call fills.  ``cli.main`` takes
+``argv`` only from tests and embedders, so it is exempt.
 
 Every name a module imports must be read in that module.  ``from
 __future__`` imports and the names the package ``__init__`` re-exports are
@@ -86,33 +88,43 @@ def _passes(call: ast.Call, name: str, position: int | None) -> bool:
     return (position is not None and len(call.args) > position) or any(kw.arg == name for kw in call.keywords)
 
 
+def _defaulted(function: ast.FunctionDef | ast.AsyncFunctionDef, bound: int) -> list[tuple[str, int | None]]:
+    """(parameter, call position or None when keyword-only) of each defaulted parameter.
+
+    ``bound`` leading parameters (a method's ``self`` or ``cls``) are not filled by a call.
+    """
+    args = function.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(arg.arg, i - bound) for i, arg in enumerate(positional) if i >= first]
+    return out + [(arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+
+
 def unpassed_defaults(package: Path = PACKAGE) -> list[str]:
-    """Defaulted parameters of top-level functions that no call in the package passes."""
-    defaulted = []  # (module, function, parameter, position or None when keyword-only)
+    """Defaulted parameters of top-level functions and class methods that no call in the package passes."""
+    defaulted = []  # (qualified name, called name, parameter, position or None when keyword-only)
     calls: dict[str, list[ast.Call]] = {}  # by the called name or attribute
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                defaulted += [(path.stem, node.name, arg.arg, i) for i, arg in enumerate(positional) if i >= first]
-                defaulted += [
-                    (path.stem, node.name, arg.arg, None)
-                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                    if default is not None
-                ]
+            if isinstance(node, functions):
+                defaulted += [(f"{path.stem}.{node.name}", node.name, *arg) for arg in _defaulted(node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                for method in (item for item in node.body if isinstance(item, functions)):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in method.decorator_list)
+                    called = node.name if method.name == "__init__" else method.name
+                    qualified = f"{path.stem}.{node.name}.{method.name}"
+                    defaulted += [(qualified, called, *arg) for arg in _defaulted(method, 0 if static else 1)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(called, []).append(node)
     return [
-        f"{module}.{function}({name})"
-        for module, function, name, position in defaulted
-        if f"{module}.{function}" not in DEFAULTS_EXEMPT
-        and not any(_passes(call, name, position) for call in calls.get(function, []))
+        f"{qualified}({name})"
+        for qualified, called, name, position in defaulted
+        if qualified not in DEFAULTS_EXEMPT and not any(_passes(call, name, position) for call in calls.get(called, []))
     ]
 
 
@@ -153,8 +165,12 @@ def test_defaults_no_call_passes_are_flagged(tmp_path):
     module = ["def f(x, y=1, *, z=2, w=3):", "    return x + y + z + w"]
     module += ["def g(a, b=0):", "    return a + b", "", "f(1, 2, w=4)", "g(1)", "g(*[1, 2])"]
     module += ["def h(c=0):", "    return c", "", "h()"]
+    module += ["class K:", "    def __init__(self, a, b=0):", "        self.s = a + b"]
+    module += ["    def m(self, x, y=1, z=2):", "        return x + y + z"]
+    module += ["    @staticmethod", "    def n(x, y=1):", "        return x + y", ""]
+    module += ["K(1).m(1, 2)", "K.n(1, 2)"]
     (tmp_path / "mod.py").write_text("\n".join(module) + "\n", encoding="utf-8")
-    assert unpassed_defaults(tmp_path) == ["mod.f(z)", "mod.h(c)"]
+    assert unpassed_defaults(tmp_path) == ["mod.f(z)", "mod.h(c)", "mod.K.__init__(b)", "mod.K.m(z)"]
 
 
 def test_every_import_is_read():

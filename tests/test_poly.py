@@ -343,10 +343,10 @@ def test_power_exponent_is_capped_for_any_base():
 
 def test_embed():
     p = parse_poly("y1*y2", ["y1", "y2"])
-    wide = p.embed(4, offset=1)
-    assert wide.terms == {(0, 1, 1, 0): Fraction(1)}
+    wide = p.embed(4)
+    assert wide.terms == {(1, 1, 0, 0): Fraction(1)}
     point = [Fraction(5), Fraction(2), Fraction(3), Fraction(7)]
-    assert wide.eval(point) == p.eval(point[1:3])
+    assert wide.eval(point) == p.eval(point[:2])
 
 
 def test_grad_and_lie_derivative():

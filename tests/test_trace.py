@@ -1,4 +1,4 @@
-"""The benchmark tracer still records the consistency check and the closed-loop evaluations."""
+"""The benchmark tracer still records the consistency check, the symbol and the closed-loop evaluations."""
 
 from liftbench import trace
 
@@ -27,3 +27,11 @@ def test_traced_field_evals_are_four_per_rk4_step():
     counts = _traced_ex_ps_report().counts
     assert counts["synth.rk4_steps"] > 0
     assert counts["synth.field_evals"] == 4 * counts["synth.rk4_steps"]
+
+
+def test_traced_symbol_is_one_span_and_one_identity_call():
+    # the tracer spans symbol_dims and counts quasi_regular_identity through integrability attributes
+    tracer = _traced_ex_ps_report()
+    assert [span.name for span in tracer.spans].count("integrability.symbol_dims") == 1
+    counts = tracer.counts
+    assert (counts["integrability.symbol_identity_calls"], counts["integrability.symbol_identity_hits"]) == (1, 1)
