@@ -412,22 +412,23 @@ def lie_brackets(fields: Sequence[Sequence[Poly]], pairs: Iterable[tuple[int, in
     return out
 
 
-def value_lines(polys: Sequence[Poly], point: str, x: str = "x", t: str = "t") -> list[str]:
+def value_lines(polys: Sequence[Poly], point: str | None, x: str = "x", t: str = "t") -> list[str]:
     """Statements that set ``t0``, ``t1``, ... to the float values of ``polys``.
 
-    ``point`` is a format with one ``{}`` for a variable index, the
-    expression that holds that coordinate; each coordinate used is read
-    once as ``float(...)`` into ``x<i>``, because an ``np.float64`` power
-    rounds differently.  Each power (variable, exponent > 1) is then
-    computed once into ``x<i>_<e>`` and shared by every term and every
-    polynomial, and each value is summed from 0.0 term by term, left to
-    right, each term the coefficient times its factors in variable order:
-    ``t0 += -0.5 * x2_2 * x4``.  The statements hold only ``repr`` of
-    finite floats and integer indices and exponents.
+    ``point`` is a format with one ``{0}`` for a variable index, a Python
+    float expression of that coordinate; each coordinate used is assigned
+    from it once, into ``x<i>``.  With ``point`` None, ``x<i>`` already
+    hold the coordinates as Python floats.  Each power (variable,
+    exponent > 1) is then computed once into ``x<i>_<e>`` and shared by
+    every term and every polynomial, and each value is summed from 0.0 term
+    by term, left to right, each term the coefficient times its factors in
+    variable order: ``t0 += -0.5 * x2_2 * x4``.  Apart from ``point``, the
+    statements hold only ``repr`` of finite floats and integer indices and
+    exponents; a coefficient beyond the float range raises OverflowError.
     """
     tables = [p._float_terms() for p in polys]
     powers = sorted({(i, operator.index(e)) for table in tables for _, term in table for i, e in term})
-    lines = [f"{x}{i} = float({point.format(i)})" for i in sorted({i for i, _ in powers})]
+    lines = [] if point is None else [f"{x}{i} = {point.format(i)}" for i in sorted({i for i, _ in powers})]
     lines += [f"{x}{i}_{e} = {x}{i} ** {e}" for i, e in powers if e > 1]
     for k, table in enumerate(tables):
         lines.append(f"{t}{k} = 0.0")
@@ -454,7 +455,8 @@ def compile_float(polys: Sequence[Poly], den: Poly | None = None) -> FloatVector
     tail = [] if den is None or den == Poly.const(den.nvars, 1) else [den]
     over = f" / t{len(polys)}" if tail else ""
     lines = ["def values(p):"]
-    lines += [f"    {line}" for line in value_lines([*polys, *tail], "p[{}]")]
+    # float() of each coordinate, because an np.float64 power rounds differently
+    lines += [f"    {line}" for line in value_lines([*polys, *tail], "float(p[{0}])")]
     lines.append("    return (" + "".join(f"t{k}{over}, " for k in range(len(polys))) + ")")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<compile_float>", "exec"), namespace)

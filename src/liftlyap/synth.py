@@ -8,6 +8,11 @@ powers elsewhere), and otherwise F^T F with b = F^T rhs: by Cauchy-Binet
 det(F^T F) > 0 where F has rank r.  The feedback is accepted when
 F N = den rhs holds as polynomials, so F u = rhs wherever den is not 0;
 when den also divides N, u is an exact polynomial.
+
+The closed loop is numer / den with numer = f0 den + F N.  RK4 runs it in
+one generated loop per simulation, which evaluates numer and den inline in
+each of its four stages and V* on each recorded state; nothing in the loop
+calls the closed loop or any other compiled function.
 """
 
 from __future__ import annotations
@@ -120,7 +125,7 @@ class ClosedLoop:
 
     @cached_property
     def _values(self) -> FloatVector:
-        # compiled on the first call, inside simulate_rk4, which makes an OverflowError a DivergenceError
+        # compiled on the first call; simulate_rk4 evaluates numer / den inline and never calls the loop
         return compile_float(self.numer, self.feedback.den)
 
     def __call__(self, x: Sequence[float]) -> Sequence[float]:
@@ -167,15 +172,17 @@ def _guard(state: Sequence[float], t: float) -> None:
         raise DivergenceError(f"state norm exceeded {DIVERGENCE_GUARD:.0e} at t={t:.3f}")
 
 
-def _rk4_loop(m: int, vstar: Poly | None) -> Callable[..., None]:
-    """The generated body of :func:`simulate_rk4` for dimension m and this V*."""
+def _rk4_loop(loop: ClosedLoop, vstar: Poly | None) -> Callable[..., None]:
+    """The generated body of :func:`simulate_rk4` for this closed loop and V*."""
+    m = len(loop.numer)
+    den = loop.feedback.den
+    polys = [*loop.numer] if den == Poly.const(m, 1) else [*loop.numer, den]
     xs = [f"x{i}" for i in range(m)]
 
-    def stage(k: str, scale: str) -> str:
-        return "s = " + "".join(f"x{i} + {scale} * {k}{i}, " for i in range(m))
-
-    def field_at_s(k: str) -> str:
-        return "".join(f"{k}{i}, " for i in range(m)) + "= field(s)"
+    def field_at(point: str | None, x: str, k: str) -> list[str]:
+        # k0 .. k{m-1} = numer / den at the stage input, as compile_float divides
+        lines = value_lines(polys, point, x=x, t=k)
+        return lines + [f"{k}{i} = {k}{i} / {k}{m}" for i in range(m)] if len(polys) > m else lines
 
     box = guard_box(m)
     body = [
@@ -183,22 +190,19 @@ def _rk4_loop(m: int, vstar: Poly | None) -> Callable[..., None]:
         "s = " + "".join(f"{x}, " for x in xs),
         "times_append(t)",
         "states_extend(s)",
-        *(value_lines([vstar], "x{}", x="y", t="v") if vstar is not None else ["v0 = nan"]),
+        *(value_lines([vstar], None, t="v") if vstar is not None else ["v0 = nan"]),
         "vstar_append(v0)",
         "if k == steps:",
         "    return",
         "if not (" + " and ".join(f"{-box!r} <= {x} <= {box!r}" for x in xs) + "):",
         "    guard(s, t)",
-        field_at_s("a"),
-        stage("a", "half"),
-        field_at_s("b"),
-        stage("b", "half"),
-        field_at_s("c"),
-        stage("c", "h"),
-        field_at_s("d"),
+        *field_at(None, "x", "a"),
+        *field_at("x{0} + half * a{0}", "y", "b"),
+        *field_at("x{0} + half * b{0}", "y", "c"),
+        *field_at("x{0} + h * c{0}", "y", "d"),
         *(f"x{i} = x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i in range(m)),
     ]
-    params = ", ".join(["field", *xs, "steps", "h", "half", "sixth", "guard", "times_append", "states_extend", "vstar_append"])
+    params = ", ".join([*xs, "steps", "h", "half", "sixth", "guard", "times_append", "states_extend", "vstar_append"])
     lines = [
         f"def run({params}):",
         "    for k in range(steps + 1):",
@@ -210,27 +214,30 @@ def _rk4_loop(m: int, vstar: Poly | None) -> Callable[..., None]:
 
 
 def simulate_rk4(
-    field: VectorMap, x0: Sequence[float], h: float, horizon: float, vstar: Poly | None = None
+    loop: ClosedLoop, x0: Sequence[float], h: float, horizon: float, vstar: Poly | None = None
 ) -> TrajectoryRecord:
-    """Classical fixed-step fourth-order integration with state recording.
+    """Classical fixed-step fourth-order integration of the closed loop, with state recording.
 
-    One straight-line loop is generated per call for the dimension m and
+    One straight-line loop is generated per call for the closed loop and
     V*.  It keeps the state in locals x0 .. x{m-1} and forms each stage
     input and the update coordinate by coordinate, in the order of the
     vector expressions ``x + (0.5*h)*k1``, ``x + (0.5*h)*k2``,
     ``x + h*k3`` and ``x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the
     trajectory is that of the same formulas over float64 arrays, bit for
-    bit.  Each state is recorded as it is reached, with V* evaluated
-    inline on ``float`` of its coordinates (the code of
-    :func:`poly.value_lines`, so the values are :meth:`Poly.eval_float`'s).
-    The states are recorded flat: each one's m coordinates extend one list
-    of floats, which one ``reshape`` turns into the (steps + 1, m) array at
-    the end.  Before each step, and at the horizon, the state must satisfy
+    bit.  Each stage evaluates ``loop.numer`` and, unless it is 1,
+    ``loop.feedback.den`` inline, by the code of :func:`poly.value_lines`
+    on the stage input's coordinates, and divides as
+    :func:`poly.compile_float` does, so each stage value is ``loop``'s.
+    Each state is recorded as it is reached, with V* evaluated inline the
+    same way, so the values are :meth:`Poly.eval_float`'s.  The states are
+    recorded flat: each one's m coordinates extend one list of floats,
+    which one ``reshape`` turns into the (steps + 1, m) array at the end.
+    Before each step, and at the horizon, the state must satisfy
     ``norm <= DIVERGENCE_GUARD``; inside the cube of :func:`guard_box` it
     does without computing the norm, and elsewhere ``np.linalg.norm``
-    decides (at the horizon, on the last m entries of the flat list).
-    Every field evaluation is a call of ``field`` with a tuple of the m
-    coordinates.
+    decides (at the horizon, on the last m entries of the flat list).  A
+    coefficient of the loop or of V* beyond the float range is a
+    DivergenceError at t = 0, whatever x0 is.
     """
     if h <= 0 or horizon < h:
         raise ValueError("need h > 0 and horizon >= h")
@@ -239,20 +246,23 @@ def simulate_rk4(
     if not start:
         raise ValueError("need at least one state coordinate")
     m = len(start)
+    if len(loop.numer) != m:
+        raise ValueError(f"the closed loop has {len(loop.numer)} components, but the state has {m} coordinates")
     if vstar is not None and vstar.nvars != m:
         raise ValueError(f"V* has {vstar.nvars} variables, but the state has {m} coordinates")
-    run = _rk4_loop(m, vstar)
     times: list[float] = []
     states: list[float] = []  # flat: the m coordinates of each state in turn
     values: list[float] = []
     try:
+        run = _rk4_loop(loop, vstar)  # a coefficient beyond the float range raises OverflowError here
         # inf and NaN from an overflowing step fail the guard, `not norm <= DIVERGENCE_GUARD`,
         # and so does a finite state whose squared norm overflows, the last one too
         with np.errstate(over="ignore", invalid="ignore"):
-            run(field, *start, steps, h, 0.5 * h, h / 6.0, _guard, times.append, states.extend, values.append)
+            run(*start, steps, h, 0.5 * h, h / 6.0, _guard, times.append, states.extend, values.append)
             _guard(states[-m:], horizon)
     except OverflowError as exc:
-        raise DivergenceError(f"float overflow evaluating the field or V* at t={times[-1]:.3f}") from exc
+        t = times[-1] if times else 0.0
+        raise DivergenceError(f"float overflow evaluating the field or V* at t={t:.3f}") from exc
     except ZeroDivisionError as exc:
         raise DivergenceError(f"the closed loop's denominator is 0.0 at t={times[-1]:.3f}") from exc
     return TrajectoryRecord(times, np.array(states, dtype=float).reshape(len(times), m), values)

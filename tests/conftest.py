@@ -10,6 +10,7 @@ from liftlyap import cli, geometry
 from liftlyap.geometry import EhresmannConnection
 from liftlyap.integrability import ResidualSystem
 from liftlyap.poly import Poly, grad
+from liftlyap.synth import ClosedLoop, FeedbackSolution
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # liftbench sits beside src/
 
@@ -62,3 +63,11 @@ def pipeline_of(raw: dict):
     td = cli.stage_target(state)
     rs = ResidualSystem(pair, td.x_field)
     return state.problem, state.clf, pair, td, rs
+
+
+def polynomial_loop(polys, den=None) -> ClosedLoop:
+    """The closed loop x' = polys(x) / den, of a zero feedback with den 1 when den is None."""
+    m = len(polys)
+    zero = (Poly.zero(m),)
+    feedback = FeedbackSolution(zero, zero, Poly.const(m, 1)) if den is None else FeedbackSolution(None, zero, den)
+    return ClosedLoop(feedback, tuple(polys))

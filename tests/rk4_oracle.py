@@ -1,11 +1,11 @@
 """The numpy RK4 that ``synth.simulate_rk4`` replaced, kept as a test oracle.
 
 ``simulate_rk4`` below is the body that stepped a float64 array with vector
-expressions; ``synth.simulate_rk4`` now runs a generated loop over Python
-floats in the same order of operations and must give the same trajectory bit
-for bit.  The
-field must return an array, so a closed loop is passed wrapped in
-``np.asarray``.
+expressions and called the field once per stage; ``synth.simulate_rk4`` now
+runs a generated loop over Python floats, with the closed loop's polynomials
+inline, in the same order of operations and must give the same trajectory bit
+for bit.  The field must return an array, so a closed loop is passed wrapped
+in ``np.asarray``: ``lambda x: np.asarray(loop(x))``.
 """
 
 from __future__ import annotations

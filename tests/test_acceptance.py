@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
-from conftest import build_pipeline
+from conftest import build_pipeline, polynomial_loop
 from obstruction_oracle import consistency_gap_at, consistent_jet, curvature_map_eval
 from symbol_oracle import quasi_regular_search, sym_intersection_dim
 
@@ -217,10 +217,10 @@ def test_criterion_8_numerics_hygiene():
                 exact = p.diff(i).eval_float(point)
                 assert abs(fd - exact) <= 1e-7 * (1 + abs(exact))
 
-        field = lambda x: np.array([-x[0]])
+        loop = polynomial_loop([-Poly.variable(1, 0)])
         errors = []
         for step in (0.05, 0.025):
-            traj = simulate_rk4(field, [1.0], step, 1.0)
+            traj = simulate_rk4(loop, [1.0], step, 1.0)
             errors.append(abs(traj.states[-1][0] - math.exp(-1.0)))
         ratio = errors[0] / errors[1]
         assert 12.0 <= ratio <= 20.0

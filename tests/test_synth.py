@@ -12,12 +12,12 @@ import pytest
 import rk4_oracle
 from hypothesis import example, given
 from hypothesis import strategies as st
-from conftest import build_pipeline, check_grid, check_points, target_field
+from conftest import build_pipeline, check_grid, check_points, polynomial_loop, target_field
 from liftbench import gen
 
 from liftlyap import cli, synth
 from liftlyap.parsing import parse_poly
-from liftlyap.poly import DegreeCapError, Poly, compile_float, grad, poly_det, poly_sum
+from liftlyap.poly import DegreeCapError, Poly, grad, poly_det, poly_sum
 from liftlyap.synth import (
     DIVERGENCE_GUARD,
     DivergenceError,
@@ -286,22 +286,41 @@ def test_simulate_equilibrium_stays_put():
 
 
 def test_simulate_unstable_growth_and_guard():
-    field = lambda x: np.array([x[0]])
-    traj = simulate_rk4(field, [1.0], 0.01, 10.0)
+    loop = polynomial_loop([Poly.variable(1, 0)])
+    traj = simulate_rk4(loop, [1.0], 0.01, 10.0)
     assert abs(traj.states[-1][0] - math.exp(10.0)) / math.exp(10.0) < 1e-6
     with pytest.raises(DivergenceError):
-        simulate_rk4(field, [1.0], 0.01, 20.0)
+        simulate_rk4(loop, [1.0], 0.01, 20.0)
 
 
 def test_simulate_overflow_and_nan_are_divergence():
-    quintic = parse_poly("x1^5", ["x1"])
-    with pytest.raises(DivergenceError):
-        simulate_rk4(lambda x: np.array([quintic.eval_float(x)]), [1e5], 0.01, 1.0)
-    with pytest.raises(DivergenceError):
-        simulate_rk4(lambda x: np.array([math.nan]), [1.0], 0.01, 1.0)
+    with pytest.raises(DivergenceError, match=r"^float overflow evaluating the field or V\* at t=0.000$"):
+        simulate_rk4(polynomial_loop([parse_poly("x1^5", ["x1"])]), [1e5], 0.01, 1.0)
+    # 1e300 x^3 and -1e300 x^2 overflow to inf and -inf, so the first stage is NaN and so is the next state
+    nan = polynomial_loop([Poly(1, {(3,): Fraction(10**300), (2,): Fraction(-(10**300))})])
+    with pytest.raises(DivergenceError, match=r"^state norm exceeded 1e\+06 at t=0.010$"):
+        simulate_rk4(nan, [1e5], 0.01, 1.0)
     # the first stage overflows to -inf and a later sum to NaN, with no numpy warning
-    with pytest.raises(DivergenceError):
-        simulate_rk4(lambda x: np.array([-1e300 * float(x[0]) ** 3]), [1e3], 0.01, 1.0)
+    with pytest.raises(DivergenceError, match=r"^state norm exceeded 1e\+06 at t=0.010$"):
+        simulate_rk4(polynomial_loop([Poly.monomial(1, (3,), -(10**300))]), [1e3], 0.01, 1.0)
+
+
+def test_simulate_coefficient_beyond_the_float_range_is_divergence():
+    huge = Poly.monomial(1, (2,), 10**400)
+    message = r"^float overflow evaluating the field or V\* at t=0.000$"
+    for x0 in ([1.0], [1e7]):  # the second outside the guard ball: the coefficient is found first
+        with pytest.raises(DivergenceError, match=message):
+            simulate_rk4(polynomial_loop([Poly.variable(1, 0)]), x0, 0.01, 0.1, huge)
+        with pytest.raises(DivergenceError, match=message):
+            simulate_rk4(polynomial_loop([huge]), x0, 0.01, 0.1)
+
+
+def test_simulate_refuses_a_loop_or_vstar_of_another_dimension():
+    loop = polynomial_loop([Poly.variable(1, 0)])
+    with pytest.raises(ValueError, match="the closed loop has 1 components, but the state has 2 coordinates"):
+        simulate_rk4(loop, [1.0, 1.0], 0.01, 0.1)
+    with pytest.raises(ValueError, match="V\\* has 2 variables, but the state has 1 coordinates"):
+        simulate_rk4(loop, [1.0], 0.01, 0.1, _p("x1^2 + x2^2"))
 
 
 def _report_simulation(monkeypatch, case: str) -> tuple:
@@ -358,13 +377,6 @@ def test_simulate_divergence_matches_the_numpy_oracle(drift, x0, message):
     assert str(got.value) == str(want.value)
 
 
-def _polynomial_loop(polys):
-    """The closed loop x' = polys(x), through ClosedLoop with a zero feedback."""
-    m = len(polys)
-    sys = ControlAffineSystem(m, 1, tuple(polys), ((Poly.zero(m),) * m,))
-    return closed_loop_field(sys, _zero_feedback(m))
-
-
 def _simulation_outcome(simulate, field, x0, h, steps, vstar):
     try:
         return _trajectory_bits(simulate(field, x0, h, steps * h, vstar))
@@ -389,26 +401,35 @@ def _const(value):
     return Poly.const(1, value)
 
 
-@given(_rk4_cases(), st.booleans())
+# den = 1 + c * x_i^2 (i taken modulo m), c > 0, or den = 1 (None)
+_DEN_TERMS = st.none() | st.tuples(
+    st.integers(0, 3), st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=7)
+)
+# a den that rounds to 1.0 until far from the origin, so the loop diverges where it does without one
+_FAINT_DEN = (0, Fraction(1, 10**30))
+
+
+@given(_rk4_cases(), _DEN_TERMS)
 # the guard trips at t = 1.01
-@example(([Poly.monomial(1, (2,))], [1.0], 0.01, 200, None), False)
+@example(([Poly.monomial(1, (2,))], [1.0], 0.01, 200, None), None)
 # x^5 overflows in the field's third stage
-@example(([Poly.monomial(1, (5,))], [1e5], 0.01, 3, None), True)
+@example(([Poly.monomial(1, (5,))], [1e5], 0.01, 3, None), _FAINT_DEN)
 # the last state is finite but its squared norm overflows in the final guard
-@example(([_const(10**200)], [1.0], 0.01, 1, None), False)
+@example(([_const(10**200)], [1.0], 0.01, 1, None), None)
 # the state after one step is recorded, then V* = x^24 overflows at it
-@example(([_const(10**15)], [1.0], 0.01, 3, Poly.monomial(1, (24,))), False)
-@example(([_const(10**15)], [1.0], 0.01, 3, Poly.monomial(1, (24,))), True)
-def test_simulate_matches_the_numpy_oracle_on_random_loops(case, as_array):
+@example(([_const(10**15)], [1.0], 0.01, 3, Poly.monomial(1, (24,))), None)
+@example(([_const(10**15)], [1.0], 0.01, 3, Poly.monomial(1, (24,))), _FAINT_DEN)
+def test_simulate_matches_the_numpy_oracle_on_random_loops(case, den_term):
     polys, x0, h, steps, vstar = case
-    if as_array:  # a plain callable that returns np.float64 values
-        values = compile_float(polys)
-        field = lambda x: np.array(values(x))
-    else:
-        field = _polynomial_loop(polys)
+    den = None
+    if den_term is not None:  # the inlined division by den, against compile_float's
+        m = len(polys)
+        i, c = den_term
+        den = Poly.const(m, 1) + Poly.monomial(m, [2 if j == i % m else 0 for j in range(m)], c)
+    loop = polynomial_loop(polys, den)
     with np.errstate(over="ignore"):  # the oracle's last guard warns when the squared norm overflows
-        want = _simulation_outcome(rk4_oracle.simulate_rk4, lambda x: np.asarray(field(x)), x0, h, steps, vstar)
-    assert _simulation_outcome(simulate_rk4, field, x0, h, steps, vstar) == want
+        want = _simulation_outcome(rk4_oracle.simulate_rk4, lambda x: np.asarray(loop(x)), x0, h, steps, vstar)
+    assert _simulation_outcome(simulate_rk4, loop, x0, h, steps, vstar) == want
 
 
 def test_simulate_zero_denominator_is_divergence():
@@ -421,11 +442,11 @@ def test_simulate_zero_denominator_is_divergence():
 def test_simulate_oracle_examples_diverge_where_intended():
     overflow = Poly.monomial(1, (24,))
     with pytest.raises(DivergenceError, match=r"float overflow evaluating the field or V\* at t=0.010"):
-        simulate_rk4(_polynomial_loop([_const(10**15)]), [1.0], 0.01, 0.03, overflow)
+        simulate_rk4(polynomial_loop([_const(10**15)]), [1.0], 0.01, 0.03, overflow)
     with pytest.raises(DivergenceError, match=r"float overflow evaluating the field or V\* at t=0.000"):
-        simulate_rk4(_polynomial_loop([Poly.monomial(1, (5,))]), [1e5], 0.01, 0.03)
+        simulate_rk4(polynomial_loop([Poly.monomial(1, (5,))]), [1e5], 0.01, 0.03)
     with pytest.raises(DivergenceError, match=r"state norm exceeded 1e\+06 at t=1.010"):
-        simulate_rk4(_polynomial_loop([Poly.monomial(1, (2,))]), [1.0], 0.01, 2.0)
+        simulate_rk4(polynomial_loop([Poly.monomial(1, (2,))]), [1.0], 0.01, 2.0)
 
 
 def _guard_cases(m: int) -> list[list[float]]:
@@ -451,7 +472,7 @@ def _guard_cases(m: int) -> list[list[float]]:
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
 def test_guard_box_decides_like_the_norm(m):
     box = guard_box(m)
-    zero = lambda x: (0.0,) * m
+    zero = polynomial_loop([Poly.zero(m)] * m)
     for state in _guard_cases(m):
         passes = bool(np.linalg.norm(np.array(state)) <= DIVERGENCE_GUARD)
         if all(-box <= v <= box for v in state):
@@ -473,16 +494,17 @@ def test_final_guard_reads_the_last_state(m):
     recorded = start + [growth * v for v in start]  # the two states, coordinate after coordinate
     windows = [recorded[j : j + m] for j in range(m + 1)]
     assert [bool(np.linalg.norm(w) <= DIVERGENCE_GUARD) for w in windows] == [True] * m + [False]
-    for simulate in (simulate_rk4, rk4_oracle.simulate_rk4):
+    loop = polynomial_loop([Poly.variable(m, i) for i in range(m)])
+    for simulate, field in ((simulate_rk4, loop), (rk4_oracle.simulate_rk4, lambda x: np.asarray(loop(x)))):
         with pytest.raises(DivergenceError, match=r"^state norm exceeded 1e\+06 at t=1\.000$"):
-            simulate(lambda x: np.array(x, dtype=float), start, 1.0, 1.0)
+            simulate(field, start, 1.0, 1.0)
 
 
 def test_rk4_convergence_ratio():
-    field = lambda x: np.array([-x[0]])
+    loop = polynomial_loop([-Poly.variable(1, 0)])
     errors = []
     for h in (0.05, 0.025):
-        traj = simulate_rk4(field, [1.0], h, 1.0)
+        traj = simulate_rk4(loop, [1.0], h, 1.0)
         errors.append(abs(traj.states[-1][0] - math.exp(-1.0)))
     ratio = errors[0] / errors[1]
     assert 12.0 <= ratio <= 20.0
@@ -502,7 +524,7 @@ def test_verify_decrease_ex_ps():
 
 def test_verify_decrease_fails_for_frozen_state():
     vstar = _p("x1^2 + x2^2")
-    field = _polynomial_loop([Poly.zero(2)] * 2)
+    field = polynomial_loop([Poly.zero(2)] * 2)
     traj = simulate_rk4(field, [1.0, 0.0], 0.1, 1.0, vstar)
     report = verify_lyapunov_decrease(traj, vstar, field, check_grid(2))
     assert not report.monotone
