@@ -5,7 +5,7 @@ The pipeline: verify the claimed quotient exactly, build the projection
 data and the target vector field, test the integrability obstructions
 (connection flatness, two antisymmetric coefficient conditions, pointwise
 solvability, symbol involutivity), solve for the Taylor coefficients of
-the lift V by forward substitution on the graph form, synthesize the
+the lift V by the graded Euler operator on the graph form, synthesize the
 feedback, and validate the closed loop by simulation and an exact decrease
 check on the grid.
 """

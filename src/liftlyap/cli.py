@@ -25,7 +25,7 @@ from . import geometry, integrability, lift, synth, sysmodel
 from .geometry import EhresmannConnection, Frame, Lattice, ProjectionPair
 from .integrability import GraphForm, ResidualSystem
 from .parsing import PolyParseError, is_identifier, parse_poly
-from .poly import DEGREE_CAP, DegreeCapError, Poly, PolyMatrix, format_poly, grad
+from .poly import DEGREE_CAP, DegreeCapError, ExpansionLimitError, Poly, PolyMatrix, format_poly, grad
 from .sysmodel import (
     CLFValidationError,
     ControlAffineSystem,
@@ -616,7 +616,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             Path(args.out).write_text(text + "\n", encoding="utf-8")
         else:
             print(text)
-    except (UsageError, SpecError, OSError, DegreeCapError, geometry.FrameRankError, geometry.ComplementError) as exc:
+    except (
+        UsageError,
+        SpecError,
+        OSError,
+        DegreeCapError,
+        ExpansionLimitError,
+        geometry.FrameRankError,
+        geometry.ComplementError,
+    ) as exc:
         print(f"[liftlyap] error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OverflowError as exc:  # a derived value, e.g. a product of large coefficients

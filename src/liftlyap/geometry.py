@@ -344,8 +344,9 @@ def build_projections(c: Frame, d: Frame, conn: EhresmannConnection) -> Projecti
     A constant [C | D] gets det and adj from one exact Fraction
     elimination.  One with a polynomial entry gets them by cofactor
     expansion, whose term order fixes the float sums downstream; its cost
-    grows factorially with m (less when rows have zeros), which limits
-    polynomial frames to small m.
+    grows factorially with m (less when rows have zeros), and more than
+    ``poly.MAX_MINORS`` minors (a dense 8x8 adjugate, not its determinant)
+    raise ExpansionLimitError, an input error.
     """
     m = c.dim
     if d.dim != m or c.rank + d.rank != m:

@@ -1,23 +1,38 @@
-"""Construction of the lift V by forward substitution on the graph form.
+"""Construction of the lift V by the graded Euler operator on the graph form.
 
 Once the integrability checks pass, the lift PDE near the origin is the
 graph form of :mod:`integrability`: rows G_i . grad V = beta_i, each with
 d on its own pivot column p_i, 0 on the other pivot columns and d(0) = 1.
-The unknowns are the Taylor coefficients of V of total degree 2..order
-(the constant and linear ones are pinned to 0, so the candidate Lyapunov
-function has a critical point at the equilibrium).  A monomial x^alpha
-with a positive exponent on some pivot is principal: with p the lowest
-such pivot and i its graph row, the coefficient of x^(alpha - e_p) in
-G_i . grad V = beta_i holds c_alpha with the factor alpha_p * d(0) =
-alpha_p, and every other coefficient it holds has a lower total degree, or
-the same total degree and a lower degree in the pivot variables.  The
-monomials with no pivot exponent are parametric: V on {x_P = 0} is free
-data (Seiler, *Involution*, 2010, principal and parametric derivatives).
-So one row per principal monomial, taken by total degree and then by
-pivot degree, gives its coefficient by one division once the earlier ones
-are known; conditions A and B are what make the equations that were not
-used hold as well.  When the graph form has full rank there is no
-parametric monomial and the lift is unique.  Otherwise the parametric
+V has total degree 2..order (the constant and linear terms are pinned to
+0, so the candidate Lyapunov function has a critical point at the
+equilibrium).  Row i solved for its pivot derivative reads
+
+    d/dx^(p_i) V = omega_i = beta_i - (d - 1) d/dx^(p_i) V - sum_f G_if d/dx^f V,
+
+f over the non-pivot coordinates.  Split V by total degree k and pivot
+degree s (the degree in the pivot variables) into slices V^(k,s).  The
+Euler identity for the pivot variables, sum_i x^(p_i) d/dx^(p_i) = s on
+V^(k,s), gives
+
+    s V^(k,s) = sum_i x^(p_i) [omega_i]^(k-1,s-1).
+
+At bidegree (k-1, s-1), the non-constant terms of d - 1 and G_if read V
+below total degree k, and the constant G_if(0) reads V^(k,s-1); so one
+pass over k, and over s = 1..k within it, solves V from V^(k,0), with each
+product formed only at the slice it feeds.  V^(k,0), V on {x_P = 0}, is
+the free data: its monomials, those with no pivot exponent, are the
+parametric ones, and the others are principal (Seiler, *Involution*, 2010).
+Conditions A and B make the rows a closed system (Frobenius), so the pass
+gives the unique V with that data, whichever row each coefficient is read
+from.  With full rank there is no parametric monomial, only s = k occurs,
+and the pass is the radial homotopy of the Poincare lemma on the closed
+form grad V = beta / d: V_k = (1/k) sum_p x^p [beta_p / d]_(k-1) (Lee,
+*Introduction to Smooth Manifolds*, 2nd ed., ch. 11).
+
+V is affine in the parametric data, so :func:`assemble_lift_system` runs
+one pass with every parametric coefficient 0 and one homogeneous pass
+(beta = 0) per parametric coefficient of degree below the order or of
+degree 2, and :func:`solve_jets` combines them.  The parametric
 coefficients below the order are chosen to leave V no principal term of
 degree ``order`` where that is possible, so a polynomial lift of lower
 degree is found exactly, and the rest keep a seed.  The candidate is
@@ -29,6 +44,7 @@ polynomial is the candidate, and it is checked, not trusted.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +59,10 @@ SPHERE_RADII = (0.1, 0.5, 1.0)
 SPHERE_DIRECTIONS = 64
 SPHERE_SEED = 20240
 
+Terms = dict[MultiIndex, Fraction]
+# A factor's terms as (exponents, total degree, pivot degree, coefficient)
+Factor = list[tuple[MultiIndex, int, int, Fraction]]
+
 
 def monomials_up_to(m: int, max_degree: int, min_degree: int = 0) -> list[MultiIndex]:
     """The exponent tuples in m variables of total degree min_degree..max_degree, each degree in grlex order."""
@@ -52,72 +72,117 @@ def monomials_up_to(m: int, max_degree: int, min_degree: int = 0) -> list[MultiI
     return [mi for d in range(min_degree, max_degree + 1) for mi in by_degree[d]]
 
 
-SparseRow = list[tuple[int, int | Fraction]]
+def _grlex_ascending(mi: MultiIndex) -> tuple:
+    """The order of :func:`monomials_up_to`: total degree ascending, then lexicographic descending."""
+    return (sum(mi), tuple(-e for e in mi))
+
+
+class _EulerOperator:
+    """The recurrence of the module docstring on one graph form, with every factor split by bidegree."""
+
+    def __init__(self, form: GraphForm):
+        pivots = self.pivots = form.pivots
+
+        def bidegree(nu: MultiIndex) -> tuple[int, int]:
+            return sum(nu), sum(nu[p] for p in pivots)
+
+        def negated(p: Poly) -> Factor:  # the terms of -p, for omega's subtracted sums
+            return [(nu, *bidegree(nu), -c) for nu, c in p.terms.items()]
+
+        self.den = [term for term in negated(form.den) if term[1]]  # -(d - 1), as d(0) = 1
+        # per graph row: (f, the terms of -G_if) for each non-pivot f
+        self.entries = [
+            [(f, terms) for f, g in enumerate(row) if f not in pivots and (terms := negated(g))]
+            for row in form.rows.entries
+        ]
+        self.rhs: list[dict[tuple[int, int], Terms]] = []  # beta_i by bidegree
+        for beta in form.rhs:
+            slices: dict[tuple[int, int], Terms] = {}
+            for nu, c in beta.terms.items():
+                slices.setdefault(bidegree(nu), {})[nu] = c
+            self.rhs.append(slices)
+
+    def run(self, order: int, data: Terms, with_rhs: bool) -> Terms:
+        """V of total degree 2..order with V^(k,0) = ``data``, against beta or (``with_rhs`` False) against 0."""
+        slices: dict[tuple[int, int], Terms] = {}
+        for mi, c in data.items():
+            slices.setdefault((sum(mi), 0), {})[mi] = c
+        for k in range(2, order + 1):
+            for s in range(1, k + 1):
+                total: Terms = {}
+                for i, p in enumerate(self.pivots):
+                    omega = dict(self.rhs[i].get((k - 1, s - 1), {})) if with_rhs else {}
+                    for nu, size, t, c in self.den:
+                        _add_derivative(omega, slices.get((k - size, s - t)), p, nu, c)
+                    for f, terms in self.entries[i]:  # a constant term reads V^(k,s-1)
+                        for nu, size, t, c in terms:
+                            _add_derivative(omega, slices.get((k - size, s - 1 - t)), f, nu, c)
+                    for mu, c in omega.items():
+                        if c:
+                            alpha = mu[:p] + (mu[p] + 1,) + mu[p + 1 :]
+                            total[alpha] = total.get(alpha, 0) + c
+                if solved := {alpha: c / s for alpha, c in total.items() if c}:
+                    slices[k, s] = solved
+        return {mi: c for part in slices.values() for mi, c in part.items()}
+
+
+def _add_derivative(out: Terms, part: Terms | None, j: int, nu: MultiIndex, c: Fraction) -> None:
+    """Add c x^nu d/dx^j ``part`` into ``out``."""
+    if not part:
+        return
+    add = operator.add
+    for gamma, v in part.items():
+        if e := gamma[j]:
+            mu = tuple(map(add, gamma[:j] + (e - 1,) + gamma[j + 1 :], nu))
+            out[mu] = out.get(mu, 0) + c * e * v
 
 
 @dataclass
-class LinearSystem:
-    """One substitution row per principal V coefficient, in solve order.
+class LiftPasses:
+    """The lift as passes of the graded recurrence, affine in the parametric coefficients.
 
-    A row's first ``(column, value)`` entry is the unknown it solves, with
-    value alpha_p; its other entries lie on columns that earlier rows solve
-    or on parametric columns, a column may repeat, and each value is an int
-    or a Fraction.  Each right-hand side is a Fraction.
+    ``unknowns`` are the parametric monomials of degree 2..order, in the
+    order of :func:`monomials_up_to`.  ``base`` is V with every parametric
+    coefficient 0; ``passes[mi]`` is the change of V per unit of the
+    coefficient of x^mi, one for each unknown of degree below the order or
+    of degree 2.  ``rows`` are the conditions that clear degree ``order``:
+    one per principal monomial of that degree that ``base`` or a lower
+    pass reaches, sorted, each that monomial's coefficient in every pass of
+    an unknown below the order, then minus its coefficient in ``base``
+    (:func:`reduce_rows` keeps the same pivot columns in any row order).
+    Both lists are empty at full rank.
     """
 
     order: int
     unknowns: list[MultiIndex]
-    rows: list[SparseRow]
-    rhs: list[Fraction]
+    base: Terms
+    passes: dict[MultiIndex, Terms]
+    rows: list[list[Fraction]]
 
 
-def assemble_lift_system(form: GraphForm, order: int) -> LinearSystem:
-    """The rows G_i . grad V = beta_i read at x^(alpha - e_p), one per principal x^alpha.
-
-    Unknowns are the V coefficients of total degree 2..order, in grlex
-    order.  A term g x^nu of G[i][j] meets c_gamma, gamma = alpha - e_p -
-    nu + e_j, with the factor gamma_j * g; terms that reach below degree 2
-    meet a coefficient pinned to 0 and are dropped.  An entry is an int
-    when g is one.
-    """
+def assemble_lift_system(form: GraphForm, order: int) -> LiftPasses:
+    """Run the passes of the graded Euler operator on the graph form (see the module docstring)."""
     if order < 1:
         raise ValueError("order must be at least 1")
     if order > DEGREE_CAP:
         raise ValueError(f"order {order} exceeds the degree cap {DEGREE_CAP}")
-    pivots = form.pivots
-    unknowns = monomials_up_to(form.rows.cols, order, min_degree=2)
-    column = {mi: j for j, mi in enumerate(unknowns)}
-    row_of = {p: i for i, p in enumerate(pivots)}
-    terms = [  # per graph row: (column j, nu, |nu|, g) of every term but the 1 of d on its own pivot
-        [
-            (j, nu, sum(nu), c.numerator if c.denominator == 1 else c)
-            for j, entry in enumerate(row)
-            for nu, c in entry.terms.items()
-            if j != p or any(nu)
-        ]
-        for p, row in zip(pivots, form.rows.entries)
+    m = form.rows.cols
+    nonpivot = [j for j in range(m) if j not in form.pivots]
+    unknowns = [
+        tuple(dict(zip(nonpivot, exponents)).get(j, 0) for j in range(m))
+        for exponents in monomials_up_to(len(nonpivot), order, min_degree=2)
     ]
-    ranked = sorted((sum(mi), sum(mi[p] for p in pivots), j) for j, mi in enumerate(unknowns))
-    zero = Fraction(0)
-    rows: list[SparseRow] = []
-    rhs: list[Fraction] = []
-    for degree, pivot_degree, own in ranked:
-        if not pivot_degree:
-            continue  # parametric
-        alpha = unknowns[own]
-        p = next(p for p in pivots if alpha[p])
-        i = row_of[p]
-        mu = alpha[:p] + (alpha[p] - 1,) + alpha[p + 1 :]
-        row: SparseRow = [(own, alpha[p])]
-        for j, nu, size, c in terms[i]:
-            if size <= degree - 2:  # else gamma falls below degree 2, where V is pinned to 0
-                kappa = tuple(a - b for a, b in zip(mu, nu))
-                if min(kappa) >= 0:
-                    gamma = kappa[:j] + (kappa[j] + 1,) + kappa[j + 1 :]
-                    row.append((column[gamma], gamma[j] * c))
-        rows.append(row)
-        rhs.append(form.rhs[i].terms.get(mu, zero))
-    return LinearSystem(order, unknowns, rows, rhs)
+    euler = _EulerOperator(form)
+    one = Fraction(1)
+    base = euler.run(order, {}, True)
+    passes = {mi: euler.run(order, {mi: one}, False) for mi in unknowns if sum(mi) < order or sum(mi) == 2}
+    rows: list[list[Fraction]] = []
+    if lower := [mi for mi in unknowns if sum(mi) < order]:
+        # every term of degree order that these passes reach is principal: their data lie below it
+        top = sorted({mi for terms in (base, *(passes[j] for j in lower)) for mi in terms if sum(mi) == order})
+        zero = Fraction(0)
+        rows = [[passes[j].get(mi, zero) for j in lower] + [-base.get(mi, zero)] for mi in top]
+    return LiftPasses(order, unknowns, base, passes, rows)
 
 
 @dataclass
@@ -132,62 +197,52 @@ class JetSolution:
         return Poly(m, dict(self.coeffs))
 
 
-def solve_jets(system: LinearSystem, rs: ResidualSystem, fibre_start: int) -> JetSolution:
-    """Forward substitution on the rows, the parametric coefficients chosen for a polynomial lift.
-
-    The parametric coefficients, the columns no row solves, are the free
-    data of the lift.  Those of degree below the order are chosen, where
-    some choice does it, so that every principal coefficient of degree
-    ``order`` is 0: a lift that is a polynomial of lower degree is then
-    found exactly, where any other choice leaves a series whose truncation
-    the feedback check refuses.  The principal coefficients are affine in
-    that choice, so one substitution per chosen coefficient, against a zero
-    right-hand side, gives the conditions, and one exact elimination over
-    those coefficients alone (:func:`reduce_rows`) solves them; a full-rank
-    graph form leaves nothing to choose.  Every parametric coefficient not
-    chosen keeps its seed (``free_seeded``): (x^p)^2 with p a fibre
-    coordinate (0-based index >= fibre_start) takes 1/2 and every other one
-    0.  The solved candidate is re-verified: both residual blocks must
-    vanish exactly through degree order-1.
-    """
-    unknowns, order = system.unknowns, system.order
-    solved = {row[0][0] for row in system.rows}
-    free = [j for j in range(len(unknowns)) if j not in solved]
-    values = [Fraction(0)] * len(unknowns)
-    for j in free:
-        mi = unknowns[j]
-        if sum(mi) == 2 and any(mi[p] == 2 for p in range(fibre_start, rs.m)):
-            values[j] = Fraction(1, 2)
-    if lower := [j for j in free if sum(unknowns[j]) < order]:
-        top = [row[0][0] for row in system.rows if sum(unknowns[row[0][0]]) == order]
-        base = _substituted(system, values, system.rhs)
-        zero = [Fraction(0)] * len(system.rhs)
-        shifts = [_substituted(system, [int(c == j) for c in range(len(unknowns))], zero) for j in lower]
-        # the shift of each lower coefficient from its seed that clears the top: [A | -base] on the top columns
-        basis = reduce_rows([[shift[k] for shift in shifts] + [-base[k]] for k in top], len(lower) + 1)
+def lift_coefficients(system: LiftPasses, fibre_start: int) -> JetSolution:
+    """The passes combined at the chosen parametric coefficients, unverified (see :func:`solve_jets`)."""
+    order, unknowns = system.order, system.unknowns
+    values = {mi: Fraction(1, 2) for mi in unknowns if sum(mi) == 2 and max(mi[fibre_start:], default=0) == 2}
+    free = list(unknowns)
+    if system.rows:
+        lower = [mi for mi in unknowns if sum(mi) < order]
+        # the shift of each lower coefficient from its seed that clears the top: [A | -base at the seeds]
+        rows = [[*row[:-1], row[-1] - sum(a * values.get(mi, 0) for a, mi in zip(row, lower))] for row in system.rows]
+        basis = reduce_rows(rows, len(lower) + 1)
         if all(col < len(lower) for _, col, _ in basis):  # consistent; the shifts of non-pivot columns stay 0
             for _, col, row in basis:
-                values[lower[col]] += row[-1] / row[col]
+                values[lower[col]] = values.get(lower[col], 0) + row[-1] / row[col]
                 free.remove(lower[col])
-    values = _substituted(system, values, system.rhs)
-    coeffs = {mi: value for mi, value in zip(unknowns, values) if value != 0}
-    solution = JetSolution(order, coeffs, [unknowns[j] for j in free])
+    coeffs = dict(system.base)
+    for mi, value in values.items():
+        if value:
+            for gamma, c in system.passes[mi].items():
+                coeffs[gamma] = coeffs.get(gamma, 0) + value * c
+    ordered = {mi: coeffs[mi] for mi in sorted(coeffs, key=_grlex_ascending) if coeffs[mi]}
+    return JetSolution(order, ordered, free)
+
+
+def solve_jets(system: LiftPasses, rs: ResidualSystem, fibre_start: int) -> JetSolution:
+    """The lift at the parametric coefficients chosen for a polynomial lift, re-verified.
+
+    The parametric coefficients are the free data of the lift.  Those of
+    degree below the order are chosen, where some choice does it, so that
+    every principal coefficient of degree ``order`` is 0: a lift that is a
+    polynomial of lower degree is then found exactly, where any other
+    choice leaves a series whose truncation the feedback check refuses.
+    The principal coefficients are affine in that choice, so one exact
+    elimination (:func:`reduce_rows`) of ``system.rows`` over those
+    coefficients alone solves it; a full-rank graph form leaves nothing to
+    choose.  Every parametric coefficient not chosen keeps its seed
+    (``free_seeded``): (x^p)^2 with p a fibre coordinate (0-based index >=
+    fibre_start) takes 1/2 and every other one 0.  The solved candidate is
+    re-verified: both residual blocks must vanish exactly through degree
+    order-1.
+    """
+    solution = lift_coefficients(system, fibre_start)
     d_blk, vm_blk = residual_psi(rs, solution.polynomial(rs.m))
     for comp in d_blk + vm_blk:
-        if not comp.truncate(order - 1).is_zero():
+        if not comp.truncate(system.order - 1).is_zero():
             raise RuntimeError("internal error: solved coefficients fail re-verification")
     return solution
-
-
-def _substituted(system: LinearSystem, values: list, rhs: list) -> list[Fraction]:
-    """A copy of ``values`` with each row's unknown solved in turn against ``rhs``."""
-    values = list(values)
-    for ((j, a), *rest), b in zip(system.rows, rhs):
-        for c, v in rest:
-            if values[c]:
-                b -= v * values[c]
-        values[j] = b / a if b else b
-    return values
 
 
 @dataclass

@@ -55,6 +55,16 @@ class DegreeCapError(ArithmeticError):
     """A product or power would exceed the configured degree cap."""
 
 
+# Most minors that one poly_det or poly_adjugate call may expand by cofactors.  A minor costs
+# 110-120 us with entries of three terms in three variables (2-vCPU host), so the limit is
+# about 12 s.  A dense 8x8 determinant expands 69281 minors (7.8 s); its adjugate, 554240.
+MAX_MINORS = 100_000
+
+
+class ExpansionLimitError(ArithmeticError):
+    """A cofactor expansion would expand more than MAX_MINORS minors."""
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -412,7 +422,19 @@ def lie_brackets(fields: Sequence[Sequence[Poly]], pairs: Iterable[tuple[int, in
     return out
 
 
-def value_lines(polys: Sequence[Poly], point: str | None, x: str = "x", t: str = "t") -> list[str]:
+def powers(polys: Sequence[Poly]) -> list[tuple[int, int]]:
+    """The (variable, exponent > 1) pairs that :func:`value_lines` computes for ``polys``, sorted."""
+    return sorted({(i, operator.index(e)) for p in polys for _, term in p._float_terms() for i, e in term if e > 1})
+
+
+# Terms per statement of value_lines: compile() nests a chained sum, and it
+# raises RecursionError near 3000 terms in one expression
+TERMS_PER_LINE = 200
+
+
+def value_lines(
+    polys: Sequence[Poly], point: str | None, x: str = "x", t: str = "t", held: Iterable[tuple[int, int]] = ()
+) -> list[str]:
     """Statements that set ``t0``, ``t1``, ... to the float values of ``polys``.
 
     ``point`` is a format with one ``{0}`` for a variable index, a Python
@@ -420,22 +442,31 @@ def value_lines(polys: Sequence[Poly], point: str | None, x: str = "x", t: str =
     from it once, into ``x<i>``.  With ``point`` None, ``x<i>`` already
     hold the coordinates as Python floats.  Each power (variable,
     exponent > 1) is then computed once into ``x<i>_<e>`` and shared by
-    every term and every polynomial, and each value is summed from 0.0 term
-    by term, left to right, each term the coefficient times its factors in
-    variable order: ``t0 += -0.5 * x2_2 * x4``.  Apart from ``point``, the
-    statements hold only ``repr`` of finite floats and integer indices and
-    exponents; a coefficient beyond the float range raises OverflowError.
+    every term and every polynomial, except the powers in ``held``, which
+    earlier statements already computed from the same ``x<i>``.  Each
+    value is summed from 0.0 term by term, left to right, each term the
+    coefficient times its factors in variable order, in one statement per
+    TERMS_PER_LINE terms: ``t0 = 0.0 + -0.5 * x2_2 * x4 + 3.0 * x1``, then
+    ``t0 = t0 + ...``.  Apart from ``point``, the statements hold only
+    ``repr`` of finite floats and integer indices and exponents; a
+    coefficient beyond the float range raises OverflowError.
     """
     tables = [p._float_terms() for p in polys]
-    powers = sorted({(i, operator.index(e)) for table in tables for _, term in table for i, e in term})
-    lines = [] if point is None else [f"{x}{i} = {point.format(i)}" for i in sorted({i for i, _ in powers})]
-    lines += [f"{x}{i}_{e} = {x}{i} ** {e}" for i, e in powers if e > 1]
+    used = sorted({i for table in tables for _, term in table for i, _ in term})
+    lines = [] if point is None else [f"{x}{i} = {point.format(i)}" for i in used]
+    held = set(held)
+    lines += [f"{x}{i}_{e} = {x}{i} ** {e}" for i, e in powers(polys) if (i, e) not in held]
     for k, table in enumerate(tables):
-        lines.append(f"{t}{k} = 0.0")
+        terms = []
         for c, term in table:
             assert math.isfinite(c), c  # float(Fraction) raises rather than give inf
-            product = "".join(f" * {x}{i}_{e}" if e > 1 else f" * {x}{i}" for i, e in term)
-            lines.append(f"{t}{k} += {c!r}{product}")
+            terms.append(repr(c) + "".join(f" * {x}{i}_{e}" if e > 1 else f" * {x}{i}" for i, e in term))
+        start = "0.0"
+        for first in range(0, len(terms), TERMS_PER_LINE):
+            lines.append(f"{t}{k} = {start} + " + " + ".join(terms[first : first + TERMS_PER_LINE]))
+            start = f"{t}{k}"
+        if not terms:
+            lines.append(f"{t}{k} = 0.0")
     return lines
 
 
@@ -443,12 +474,13 @@ def compile_float(polys: Sequence[Poly], den: Poly | None = None) -> FloatVector
     """One function from a point to the values of ``polys``, as a tuple of floats.
 
     The function is the straight-line Python of :func:`value_lines`, one
-    flat statement per term, so a long polynomial never nests.  The
-    arithmetic is the per-term product ``c * x ** e * ...`` summed from
-    0.0: a power computed once and shared, and ``x ** 1`` written as
-    ``x``, give the same floats.  An overflowing power raises
-    OverflowError; a product or sum that overflows gives inf or NaN.  The
-    point is not length-checked; a missing coordinate raises IndexError.
+    statement per TERMS_PER_LINE terms, so a long polynomial never nests
+    deeper than that.  The arithmetic is the per-term product
+    ``c * x ** e * ...`` summed from 0.0: a power computed once and shared,
+    and ``x ** 1`` written as ``x``, give the same floats.  An overflowing
+    power raises OverflowError; a product or sum that overflows gives inf or
+    NaN.  The point is not length-checked; a missing coordinate raises
+    IndexError.
     With ``den``, each value is divided by den's value, computed with them
     (no division for a den of 1; ZeroDivisionError where den is 0.0).
     """
@@ -668,18 +700,37 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     A matrix whose entries are all constant goes by one exact Fraction
     elimination (:func:`reduce_rows`): the signed product of the pivots.  Any
     other goes by cofactor expansion along the first row, whose cost grows
-    factorially with the size; a zero row cuts a minor short.  It stays
-    because the order in which it inserts terms into the result fixes the
-    order in which :func:`value_lines` and :func:`eval_points` sum them, and
-    so the float bits of every value computed from the result.  A constant
-    result has at most one term, so both paths give the same Poly there.
+    factorially with the size; a zero entry on top skips its minor, and a
+    zero row cuts a minor short.  The minors are counted on the zero pattern
+    first, and more than MAX_MINORS raise ExpansionLimitError naming the
+    size.  The expansion stays because the order in which it inserts terms
+    into the result fixes the order in which :func:`value_lines` and
+    :func:`eval_points` sum them, and so the float bits of every value
+    computed from the result.  A constant result has at most one term, so
+    both paths give the same Poly there.
     """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
     rows = _constant_rows(matrix)
     if rows is not None:
         return Poly.const(matrix.nvars, _pivot_det(reduce_rows(rows, matrix.cols), matrix.cols))
-    return _det_rows([list(r) for r in matrix.entries], matrix.nvars)
+    rows = [list(r) for r in matrix.entries]
+    _count_minors([[bool(e) for e in row] for row in rows], [MAX_MINORS], matrix.rows)
+    return _det_rows(rows, matrix.nvars)
+
+
+def _count_minors(pattern: list[list[bool]], budget: list[int], size: int) -> None:
+    """Take the minors :func:`_det_rows` expands on this zero pattern from ``budget[0]``; raise past 0."""
+    budget[0] -= 1
+    if budget[0] < 0:
+        raise ExpansionLimitError(
+            f"the cofactor expansion of a polynomial matrix of size {size}x{size} takes more than {MAX_MINORS} minors"
+        )
+    n = len(pattern)
+    if n > 1 and all(any(row) for row in pattern):
+        for j, top in enumerate(pattern[0]):
+            if top:
+                _count_minors([[row[k] for k in range(n) if k != j] for row in pattern[1:]], budget, size)
 
 
 def _det_rows(rows: list[list[Poly]], nvars: int) -> Poly:
@@ -707,7 +758,8 @@ def poly_adjugate(matrix: PolyMatrix) -> PolyMatrix:
     Fraction elimination of [M | I] (:func:`reduce_rows`), as det(M) * M^-1.
     Any other, a singular constant one too, takes each entry from the
     cofactor expansion of its minor (see :func:`poly_det` for why, and for
-    its cost); the entries of a constant adjugate have at most one term, so
+    its cost, and the limit MAX_MINORS, which bounds the n^2 expansions
+    together); the entries of a constant adjugate have at most one term, so
     both paths give the same matrix.
     """
     if matrix.rows != matrix.cols:
@@ -727,6 +779,10 @@ def poly_adjugate(matrix: PolyMatrix) -> PolyMatrix:
                 adj[col] = [Poly.const(matrix.nvars, scale * a) if a else Poly.zero(matrix.nvars) for a in row[n:]]
             return PolyMatrix(adj, cols=n, nvars=matrix.nvars)
     rows = [list(r) for r in matrix.entries]
+    pattern, budget = [[bool(e) for e in row] for row in rows], [MAX_MINORS]
+    for i in range(n):
+        for j in range(n):
+            _count_minors([[pattern[a][b] for b in range(n) if b != i] for a in range(n) if a != j], budget, n)
     out = [[Poly.zero(matrix.nvars) for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):

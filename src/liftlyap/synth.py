@@ -37,6 +37,7 @@ from .poly import (
     poly_adjugate,
     poly_det,
     poly_sum,
+    powers,
     value_lines,
 )
 from .sysmodel import ControlAffineSystem
@@ -179,9 +180,9 @@ def _rk4_loop(loop: ClosedLoop, vstar: Poly | None) -> Callable[..., None]:
     polys = [*loop.numer] if den == Poly.const(m, 1) else [*loop.numer, den]
     xs = [f"x{i}" for i in range(m)]
 
-    def field_at(point: str | None, x: str, k: str) -> list[str]:
+    def field_at(point: str | None, x: str, k: str, held: Sequence[tuple[int, int]] = ()) -> list[str]:
         # k0 .. k{m-1} = numer / den at the stage input, as compile_float divides
-        lines = value_lines(polys, point, x=x, t=k)
+        lines = value_lines(polys, point, x=x, t=k, held=held)
         return lines + [f"{k}{i} = {k}{i} / {k}{m}" for i in range(m)] if len(polys) > m else lines
 
     box = guard_box(m)
@@ -196,7 +197,7 @@ def _rk4_loop(loop: ClosedLoop, vstar: Poly | None) -> Callable[..., None]:
         "    return",
         "if not (" + " and ".join(f"{-box!r} <= {x} <= {box!r}" for x in xs) + "):",
         "    guard(s, t)",
-        *field_at(None, "x", "a"),
+        *field_at(None, "x", "a", powers([vstar]) if vstar is not None else ()),  # V*'s powers of this state
         *field_at("x{0} + half * a{0}", "y", "b"),
         *field_at("x{0} + half * b{0}", "y", "c"),
         *field_at("x{0} + h * c{0}", "y", "d"),
@@ -229,7 +230,8 @@ def simulate_rk4(
     on the stage input's coordinates, and divides as
     :func:`poly.compile_float` does, so each stage value is ``loop``'s.
     Each state is recorded as it is reached, with V* evaluated inline the
-    same way, so the values are :meth:`Poly.eval_float`'s.  The states are
+    same way, so the values are :meth:`Poly.eval_float`'s; the first stage
+    reads the powers of the state that V* computed.  The states are
     recorded flat: each one's m coordinates extend one list of floats,
     which one ``reshape`` turns into the (steps + 1, m) array at the end.
     Before each step, and at the horizon, the state must satisfy

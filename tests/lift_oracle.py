@@ -1,14 +1,22 @@
-"""The lift as it was solved before forward substitution on the graph form, kept as a test oracle.
+"""The lift as it was solved before the graded Euler operator, kept as test oracles.
+
+:func:`substitution_rows` is the forward substitution on the graph form:
+one unknown per Taylor coefficient of V of degree 2..order and one row per
+principal coefficient, each solved by one division once the earlier ones
+are known (:func:`substituted`).  :func:`solve_by_substitution` chooses the
+parametric coefficients as :func:`liftlyap.lift.solve_jets` does, from one
+substitution at the seeds and one per parametric coefficient below the
+order.  :func:`dense_substitution_rows` builds the same rows from
+polynomial products.
 
 :func:`dense_reference_system` builds the full linear system in the Taylor
 coefficients of V: both residual blocks of
 :func:`liftlyap.integrability.residual_psi` through degree order-1, one row
 per block component and monomial, read densely from one ``residual_psi``
 call per unknown.  :func:`solve_exact` is the sparse row-ordered elimination
-that solved it; its free columns are its non-lead columns, so they need not
-be the parametric monomials that :func:`liftlyap.lift.solve_jets` seeds.
-:func:`dense_substitution_rows` builds the rows of
-:func:`liftlyap.lift.assemble_lift_system` from polynomial products.
+that solved it before the substitution; its free columns are its non-lead
+columns, so they need not be the parametric monomials that
+:func:`liftlyap.lift.solve_jets` seeds.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from fractions import Fraction
 
 from liftlyap.integrability import residual_psi
 from liftlyap.lift import monomials_up_to
-from liftlyap.poly import MultiIndex, Poly, lie_derivative
+from liftlyap.poly import MultiIndex, Poly, lie_derivative, reduce_rows
 
 SparseRow = list[tuple[int, int | Fraction]]
 
@@ -138,3 +146,108 @@ def dense_substitution_rows(form, order: int) -> tuple[list[SparseRow], list[Fra
         rows.append([(own, dense[own])] + [(j, v) for j, v in enumerate(dense) if v != 0 and j != own])
         rhs.append(form.rhs[i].coeff(mu))
     return rows, rhs
+
+
+@dataclass
+class SubstitutionSystem:
+    """One substitution row per principal V coefficient, in solve order.
+
+    A row's first ``(column, value)`` entry is the unknown it solves, with
+    value alpha_p; its other entries lie on columns that earlier rows solve
+    or on parametric columns, a column may repeat, and each value is an int
+    or a Fraction.  Each right-hand side is a Fraction.
+    """
+
+    order: int
+    unknowns: list[MultiIndex]
+    rows: list[SparseRow]
+    rhs: list[Fraction]
+
+
+def substitution_rows(form, order: int) -> SubstitutionSystem:
+    """The rows G_i . grad V = beta_i read at x^(alpha - e_p), one per principal x^alpha.
+
+    A monomial x^alpha with a positive exponent on some pivot is principal:
+    with p the lowest such pivot and i its graph row, the coefficient of
+    x^(alpha - e_p) in G_i . grad V = beta_i holds c_alpha with the factor
+    alpha_p * d(0) = alpha_p, and every other coefficient it holds has a
+    lower total degree, or the same total degree and a lower pivot degree.
+    Unknowns are the V coefficients of total degree 2..order, in grlex
+    order.  A term g x^nu of G[i][j] meets c_gamma, gamma = alpha - e_p -
+    nu + e_j, with the factor gamma_j * g; terms that reach below degree 2
+    meet a coefficient pinned to 0 and are dropped.  An entry is an int
+    when g is one.
+    """
+    pivots = form.pivots
+    unknowns = monomials_up_to(form.rows.cols, order, min_degree=2)
+    column = {mi: j for j, mi in enumerate(unknowns)}
+    row_of = {p: i for i, p in enumerate(pivots)}
+    terms = [  # per graph row: (column j, nu, |nu|, g) of every term but the 1 of d on its own pivot
+        [
+            (j, nu, sum(nu), c.numerator if c.denominator == 1 else c)
+            for j, entry in enumerate(row)
+            for nu, c in entry.terms.items()
+            if j != p or any(nu)
+        ]
+        for p, row in zip(pivots, form.rows.entries)
+    ]
+    ranked = sorted((sum(mi), sum(mi[p] for p in pivots), j) for j, mi in enumerate(unknowns))
+    zero = Fraction(0)
+    rows: list[SparseRow] = []
+    rhs: list[Fraction] = []
+    for degree, pivot_degree, own in ranked:
+        if not pivot_degree:
+            continue  # parametric
+        alpha = unknowns[own]
+        p = next(p for p in pivots if alpha[p])
+        i = row_of[p]
+        mu = alpha[:p] + (alpha[p] - 1,) + alpha[p + 1 :]
+        row: SparseRow = [(own, alpha[p])]
+        for j, nu, size, c in terms[i]:
+            if size <= degree - 2:  # else gamma falls below degree 2, where V is pinned to 0
+                kappa = tuple(a - b for a, b in zip(mu, nu))
+                if min(kappa) >= 0:
+                    gamma = kappa[:j] + (kappa[j] + 1,) + kappa[j + 1 :]
+                    row.append((column[gamma], gamma[j] * c))
+        rows.append(row)
+        rhs.append(form.rhs[i].terms.get(mu, zero))
+    return SubstitutionSystem(order, unknowns, rows, rhs)
+
+
+def substituted(system: SubstitutionSystem, values: list, rhs: list) -> list[Fraction]:
+    """A copy of ``values`` with each row's unknown solved in turn against ``rhs``."""
+    values = list(values)
+    for ((j, a), *rest), b in zip(system.rows, rhs):
+        for c, v in rest:
+            if values[c]:
+                b -= v * values[c]
+        values[j] = b / a if b else b
+    return values
+
+
+def solve_by_substitution(form, order: int, fibre_start: int) -> tuple[dict[MultiIndex, Fraction], list[MultiIndex]]:
+    """The coefficients, in grlex insertion order, and the seeded parametric monomials of the substitution.
+
+    The parametric coefficients below the order are shifted from their
+    seeds (:func:`seed`) to clear every principal coefficient of degree
+    ``order``, by one exact elimination over the top rows of one
+    substitution per shifted coefficient against a zero right-hand side;
+    the others keep their seeds.
+    """
+    system = substitution_rows(form, order)
+    unknowns = system.unknowns
+    solved = {row[0][0] for row in system.rows}
+    free = [j for j in range(len(unknowns)) if j not in solved]
+    values = [seed(unknowns[j], fibre_start) if j in free else Fraction(0) for j in range(len(unknowns))]
+    if lower := [j for j in free if sum(unknowns[j]) < order]:
+        top = [row[0][0] for row in system.rows if sum(unknowns[row[0][0]]) == order]
+        base = substituted(system, values, system.rhs)
+        zero = [Fraction(0)] * len(system.rhs)
+        shifts = [substituted(system, [int(c == j) for c in range(len(unknowns))], zero) for j in lower]
+        basis = reduce_rows([[shift[k] for shift in shifts] + [-base[k]] for k in top], len(lower) + 1)
+        if all(col < len(lower) for _, col, _ in basis):
+            for _, col, row in basis:
+                values[lower[col]] += row[-1] / row[col]
+                free.remove(lower[col])
+    values = substituted(system, values, system.rhs)
+    return {mi: v for mi, v in zip(unknowns, values) if v != 0}, [unknowns[j] for j in free]

@@ -28,7 +28,7 @@ from liftlyap.cli import (
     run,
 )
 from liftlyap.parsing import parse_poly
-from liftlyap.poly import Poly
+from liftlyap.poly import MAX_MINORS, Poly, PolyMatrix, poly_det
 from liftlyap.sysmodel import ControlAffineSystem
 
 
@@ -385,6 +385,19 @@ def test_feedback_degree_cap_is_input_error(monkeypatch, capsys):
     assert code == EXIT_INPUT
     err = capsys.readouterr().err
     assert "[liftlyap] error: product degree 26 exceeds cap 24" in err and "Traceback" not in err
+
+
+def test_cofactor_expansion_limit_is_input_error(monkeypatch, capsys):
+    # a dense non-constant 11x11 determinant takes about e 11! minors: exit 1 naming the size, no traceback
+    dense = PolyMatrix(
+        [[parse_poly(f"{int(i == j)} + {i + 1}*x1 + {j + 1}*x2", ["x1", "x2"]) for j in range(11)] for i in range(11)]
+    )
+    monkeypatch.setattr(synth, "solve_feedback", lambda sys, rhs: poly_det(dense))
+    code = main(["report", "--spec", str(fixture_path("ex_ps"))])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    message = f"the cofactor expansion of a polynomial matrix of size 11x11 takes more than {MAX_MINORS} minors"
+    assert f"[liftlyap] error: {message}" in err and "Traceback" not in err
 
 
 def test_divergent_simulation_is_validation_failure():

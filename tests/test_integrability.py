@@ -646,10 +646,11 @@ def _small_lift_systems(draw):
 
 @given(_small_lift_systems())
 def test_liftable_systems_have_feasible_jets(case):
-    """LIFTABLE means the graph form is involutive and compatible, so forward substitution on it
+    """LIFTABLE means the graph form is involutive and compatible, so the graded Euler operator on it
     gives Taylor coefficients of V at every order: both residual blocks vanish through order-1 and
-    every parametric coefficient keeps its seed.  Where the elimination oracle's free columns are
-    the parametric monomials, it gives the same coefficients; elsewhere it seeds other monomials."""
+    every parametric coefficient keeps its seed.  The forward substitution gives the same
+    coefficients, in the same insertion order.  Where the elimination oracle's free columns are the
+    parametric monomials, it gives the same coefficients; elsewhere it seeds other monomials."""
     rs, conn = case
     try:
         report = full_check(rs, conn, check_points(rs.m))
@@ -661,6 +662,8 @@ def test_liftable_systems_have_feasible_jets(case):
             v = jet.polynomial(rs.m)
             assert all(comp.truncate(order - 1).is_zero() for block in residual_psi(rs, v) for comp in block)
             assert all(jet.coeffs.get(mi, 0) == lift_oracle.seed(mi, rs.n) for mi in jet.free_seeded)
+            coeffs, free = lift_oracle.solve_by_substitution(report.form, order, rs.n)
+            assert (list(jet.coeffs.items()), jet.free_seeded) == (list(coeffs.items()), free)
             coeffs, free = lift_oracle.solve_by_elimination(rs, order, rs.n)
             if free == jet.free_seeded:
                 assert coeffs == jet.coeffs

@@ -1,4 +1,4 @@
-"""Substitution rows on the graph form, their solve, and candidate validation."""
+"""The lift by the graded Euler operator, the substitution rows it replaced as an oracle, and candidate validation."""
 
 import random
 from fractions import Fraction
@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from lift_oracle import (
     EliminationSystem,
     InfeasibleError,
+    SubstitutionSystem,
     dense_reference_system,
     dense_substitution_rows,
     solve_by_elimination,
+    solve_by_substitution,
     solve_exact,
+    substitution_rows,
 )
 
 from liftbench import gen
@@ -26,9 +29,9 @@ from liftlyap.lift import (
     SPHERE_RADII,
     SPHERE_SEED,
     JetSolution,
-    LinearSystem,
     assemble_lift_system,
     assemble_vstar,
+    lift_coefficients,
     monomials_up_to,
     solve_jets,
 )
@@ -44,7 +47,7 @@ def _p(text, names=X2):
     return parse_poly(text, names)
 
 
-def system_residual(system: LinearSystem | EliminationSystem, solution: JetSolution) -> list[Fraction]:
+def system_residual(system: SubstitutionSystem | EliminationSystem, solution: JetSolution) -> list[Fraction]:
     """Exact residual A @ c - b of the linear system at a solution."""
     values = [solution.coeffs.get(mi, Fraction(0)) for mi in system.unknowns]
     return [sum(v * values[c] for c, v in row) - rv for row, rv in zip(system.rows, system.rhs)]
@@ -65,8 +68,10 @@ def _lifted(name, order):
 
 def test_assemble_ex_ps_order_two():
     _, _, _, _, rs = build_pipeline("ex_ps")
-    system = assemble_lift_system(graph_form(rs), 2)
-    assert set(system.unknowns) == {(2, 0), (1, 1), (0, 2)}
+    form = graph_form(rs)
+    assert set(substitution_rows(form, 2).unknowns) == {(2, 0), (1, 1), (0, 2)}
+    system = assemble_lift_system(form, 2)
+    assert (system.unknowns, system.rows) == ([], [])  # full rank: nothing parametric, nothing to clear
     jet = solve_jets(system, rs, fibre_start=1)
     assert jet.coeffs == {(0, 2): Fraction(1, 2)}
     assert jet.free_seeded == []  # fully forced at this order
@@ -108,7 +113,7 @@ def _merged(row):
 
 
 def _assert_matches_dense_reference(form, order):
-    system = assemble_lift_system(form, order)
+    system = substitution_rows(form, order)
     assert ([_merged(row) for row in system.rows], system.rhs) == dense_substitution_rows(form, order)
 
 
@@ -208,6 +213,110 @@ def test_assembly_matches_dense_reference(spec):
         _assert_matches_dense_reference(form, order)
 
 
+def _assert_matches_the_substitution(form, order, fibre_start, jet):
+    coeffs, free = solve_by_substitution(form, order, fibre_start)
+    assert list(jet.coeffs.items()) == list(coeffs.items())  # the insertion order too: it fixes V*'s float bits
+    assert jet.free_seeded == free
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _fixture_spec("ex_ps"),
+        _fixture_spec("ex_fa"),
+        _fixture_spec("ex_ps", d=[["0", "1 + 1/2*x1^2"]]),
+        _automatic_complement_spec(),
+        _rank_deficient_spec("-x3 - 2*x2^2 - x2*x3^2"),
+        _rank_deficient_spec("-x3 - x2^2"),
+        gen.liftable_flat(random.Random("flat"), "flat", 4, 2, 4).spec,
+        gen.instance("lift-exact", 7, 0).spec,
+    ],
+    ids=[
+        "ex_ps",
+        "ex_fa",
+        "ex_ps-non-constant-d",
+        "state-actuated-automatic-d",
+        "rank-deficient-series",
+        "rank-deficient-polynomial",
+        "liftable-flat-4-2-4",
+        "lift-exact-7-0",
+    ],
+)
+def test_lift_matches_the_substitution(spec):
+    """The graded Euler operator gives the substitution's coefficients, in its insertion order, and
+    its seeded parametric monomials."""
+    problem, _, _, _, rs = pipeline_of(spec)
+    form = graph_form(rs)
+    for order in (2, 3, 4, 6):
+        jet = solve_jets(assemble_lift_system(form, order), rs, fibre_start=problem.qsys.n)
+        _assert_matches_the_substitution(form, order, problem.qsys.n, jet)
+
+
+def _closed_form(pivots, den, rows, v0):
+    """The graph form with rows ``rows`` and beta = G . grad V0, as a namespace."""
+    rows = PolyMatrix(rows)
+    rhs = tuple(lie_derivative(list(row), v0) for row in rows.entries)
+    return SimpleNamespace(pivots=pivots, rows=rows, rhs=rhs, den=den)
+
+
+@st.composite
+def _closed_graph_forms(draw):
+    """Graph forms in m <= 4 variables that satisfy conditions A and B by construction.
+
+    One graph row is involutive whatever its entries.  With more, row i is
+    d (e_(p_i) + c_i Y) for rational c_i and one field Y on the non-pivot
+    coordinates that reads only those: the fields e_(p_i) + c_i Y commute,
+    so the rows span an involutive distribution (A).  beta = G . grad V0 for
+    a drawn V0 of degree 2..3, so the rows are compatible with it (B).  d(0)
+    = 1; d and the other entries have degree <= 2 before the product.
+    """
+    m = draw(st.integers(1, 4))
+    pivots = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    fibre = [j for j in range(m) if j not in pivots]
+
+    def poly(variables):
+        monomials = [mi for mi in monomials_up_to(m, 2) if all(mi[j] == 0 for j in range(m) if j not in variables)]
+        return Poly(m, draw(st.dictionaries(st.sampled_from(monomials), _RATIONALS, max_size=3)))
+
+    den = Poly.const(m, 1) + Poly(m, {mi: c for mi, c in poly(range(m)).terms.items() if any(mi)})
+    if len(pivots) == 1:
+        entries = {f: poly(range(m)) for f in fibre}
+        rows = [[den if j == pivots[0] else entries[j] for j in range(m)]]
+    else:
+        field = {f: poly(fibre) for f in fibre}
+        scales = [draw(_RATIONALS) for _ in pivots]
+        rows = [
+            [den if j == p else Poly.zero(m) if j in pivots else den * field[j] * c for j in range(m)]
+            for p, c in zip(pivots, scales)
+        ]
+    v0 = draw(st.dictionaries(st.sampled_from(monomials_up_to(m, 3, min_degree=2)), _RATIONALS, max_size=4))
+    return _closed_form(tuple(pivots), den, rows, Poly(m, v0))
+
+
+_RANK_DEFICIENT_CURVED = _closed_form(  # pivots x1, x3; d = 1 + x2 - x1 x3; Y = x2^2 d/dx2, c = (2, -1)
+    (0, 2),
+    _p("1 + x2 - x1*x3", X3),
+    [
+        [_p("1 + x2 - x1*x3", X3), _p("2*x2^2*(1 + x2 - x1*x3)", X3), Poly.zero(3)],
+        [Poly.zero(3), _p("-x2^2*(1 + x2 - x1*x3)", X3), _p("1 + x2 - x1*x3", X3)],
+    ],
+    _p("x1^2 + x2*x3 + x2^3", X3),
+)
+
+
+@given(_closed_graph_forms(), st.integers(1, 5), st.integers(0, 4))
+@example(_RANK_DEFICIENT_CURVED, 5, 1)
+def test_lift_matches_the_substitution_on_drawn_closed_forms(form, order, fibre_start):
+    """Coefficient for coefficient, insertion order included, and the lift solves the rows through order - 1."""
+    m = form.rows.cols
+    fibre_start = min(fibre_start, m)
+    jet = lift_coefficients(assemble_lift_system(form, order), fibre_start)
+    _assert_matches_the_substitution(form, order, fibre_start, jet)
+    v = jet.polynomial(m)
+    for row, beta in zip(form.rows.entries, form.rhs):
+        assert (lie_derivative(list(row), v) - beta).truncate(order - 1).is_zero()
+
+
 def test_order_one_is_trivially_solvable():
     _, _, _, _, rs = build_pipeline("ex_ps")
     system = assemble_lift_system(graph_form(rs), 1)
@@ -217,9 +326,9 @@ def test_order_one_is_trivially_solvable():
 
 
 def test_solution_gives_zero_system_residual():
-    """Plugging the solution back into the linear system leaves no update."""
+    """Plugging the solution back into the substitution rows leaves no update."""
     _, _, rs, jet = _lifted("ex_ps", 6)
-    system = assemble_lift_system(graph_form(rs), 6)
+    system = substitution_rows(graph_form(rs), 6)
     assert all(v == 0 for v in system_residual(system, jet))
     # and it solves the full residual system that the elimination used to solve
     assert all(v == 0 for v in system_residual(dense_reference_system(rs, 6), jet))
@@ -235,7 +344,7 @@ def test_duplicate_columns_add_up_under_substitution():
         rhs=(_p("x1*x2"),),
         den=_p("1 - x2"),
     )
-    system = assemble_lift_system(form, 3)
+    system = substitution_rows(form, 3)
     row = system.rows[3]
     assert system.unknowns[row[0][0]] == (1, 2)
     assert (row, system.rhs[3]) == ([(5, 2), (1, 1), (1, -1)], 1)
@@ -270,7 +379,7 @@ def test_assembly_matches_dense_reference_on_drawn_factors(form, order):
 @given(_graph_forms(), st.integers(2, 5))
 def test_rows_read_only_earlier_or_parametric_columns(form, order):
     """Each row solves a new principal column, with the entry alpha_p, from columns solved before or parametric."""
-    system = assemble_lift_system(form, order)
+    system = substitution_rows(form, order)
     principal = [j for j, mi in enumerate(system.unknowns) if any(mi[p] for p in form.pivots)]
     solved = set()
     for row in system.rows:
@@ -288,7 +397,8 @@ def test_rows_read_only_earlier_or_parametric_columns(form, order):
     ids=["ex_ps", "liftable-flat-5-2"],
 )
 def test_assembly_forms_no_polynomial_per_unknown(spec, monkeypatch):
-    """The assembly reads the terms of the graph form and forms no Poly product at all."""
+    """The substitution rows and the passes of the graded Euler operator read the terms of the graph
+    form and form no Poly product at all."""
     _, _, _, _, rs = pipeline_of(spec)
     form = graph_form(rs)
     calls = []
@@ -306,6 +416,7 @@ def test_assembly_forms_no_polynomial_per_unknown(spec, monkeypatch):
         return len(calls)
 
     assert products(residual_psi, rs, Poly.zero(rs.m)) > 0  # the counter sees products
+    assert products(substitution_rows, form, 3) == products(substitution_rows, form, 6) == 0
     assert products(assemble_lift_system, form, 3) == products(assemble_lift_system, form, 6) == 0
 
 

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, parsing, printing, and matrices."""
 
+import itertools
 import math
 import random
 import struct
@@ -14,9 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from liftlyap.parsing import MAX_NESTING, PolyParseError, parse_poly
+from liftlyap import poly
 from liftlyap.poly import (
     DEGREE_CAP,
+    MAX_MINORS,
     DegreeCapError,
+    ExpansionLimitError,
     Poly,
     PolyMatrix,
     compile_float,
@@ -408,6 +412,47 @@ def test_constant_det_and_adjugate_match_the_cofactor_expansion(mat):
     assert (adj @ mat).entries == tuple(tuple(det if i == j else zero for j in range(n)) for i in range(n))
 
 
+def dense_polynomial_matrix(n: int) -> PolyMatrix:
+    """Every entry non-constant and nonzero: (i == j) + (i + 1) x1 + (j + 1) x2."""
+    entries = [[Poly(2, {(0, 0): int(i == j), (1, 0): i + 1, (0, 1): j + 1}) for j in range(n)] for i in range(n)]
+    return PolyMatrix(entries)
+
+
+def test_a_dense_11x11_cofactor_expansion_is_refused():
+    """e 11! minors: past MAX_MINORS the count on the zero pattern refuses before any product."""
+    big = dense_polynomial_matrix(11)
+    for f in (poly_det, poly_adjugate):
+        with pytest.raises(ExpansionLimitError, match=f"of size 11x11 takes more than {MAX_MINORS} minors"):
+            f(big)
+    poly_det(dense_polynomial_matrix(6))  # 1237 minors, and a dense 6x6 adjugate 7416
+
+
+@st.composite
+def _sparse_polynomial_matrices(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from([Poly.zero(2), Poly.const(2, 3), Poly.variable(2, 0), Poly(2, {(0, 0): 1, (0, 1): -2})])
+    return PolyMatrix([[draw(entry) for _ in range(n)] for _ in range(n)], cols=n, nvars=2)
+
+
+@given(_sparse_polynomial_matrices())
+@example(dense_polynomial_matrix(5))
+def test_the_limit_counts_the_minors_the_expansion_takes(mat):
+    """With MAX_MINORS at the number of minors the expansion takes, it runs; one fewer refuses it."""
+    expand = poly._det_rows
+    for f in (poly_det, poly_adjugate):
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(poly, "_det_rows", lambda rows, nvars: calls.append(len(rows)) or expand(rows, nvars))
+            want = f(mat)
+        if calls:  # not a constant matrix's elimination
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(poly, "MAX_MINORS", len(calls))
+                assert f(mat) == want
+                patch.setattr(poly, "MAX_MINORS", len(calls) - 1)
+                with pytest.raises(ExpansionLimitError):
+                    f(mat)
+
+
 @given(_constant_matrices(square=False))
 def test_origin_pivots_match_forward_elimination(mat):
     """The Gauss-Jordan elimination behind origin_pivots keeps the rows and pivots of forward elimination."""
@@ -578,3 +623,20 @@ def test_compile_float_is_eval_points_bitwise(case):
     values = compile_float(polys)
     for x, row in zip(flat, want):
         assert np.array(values(x), dtype=float).tobytes() == row.tobytes()
+
+
+
+def test_a_sum_of_more_than_3000_terms_compiles_and_matches_eval_points():
+    """value_lines splits a long sum over statements of TERMS_PER_LINE terms; one chained sum of 3000
+    terms makes compile() raise RecursionError on CPython 3.11."""
+    rng = random.Random(3000)
+    exponents = [mi for mi in itertools.product(range(15), repeat=4) if sum(mi) <= 14]
+    p = Poly(4, {mi: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7)) for mi in exponents})
+    assert len(p.terms) > 3000
+    polys = [p, Poly.zero(4), p * Fraction(-1, 3)]
+    points = np.array([[0.3, -0.7, 0.9, -0.2], [-1.1, 0.5, 0.25, 1.3], [0.0, -0.0, 1.0, -1.0]])
+    want = eval_points(polys, points)
+    values = compile_float(polys)
+    for x, row in zip(points, want):
+        assert np.array(values(x), dtype=float).tobytes() == row.tobytes()
+        assert p.eval_float(x) == row[0]

@@ -190,6 +190,17 @@ def _feedback_cases(draw):
 
 
 _POINTS = [(0.5, -0.25), (-0.9, 0.7), (0.3, 1.0)]
+# F = (x2 + 1) I: den = (x2 + 1)^4 and N = (0, 2 (x2 + 1)^3) expanded, near den's root
+_NEAR_ROOT = (_system([("x2 + 1", "0"), ("0", "x2 + 1")]), [_p("0"), _p("2")], [(0.0, -0.990608475626868)], None)
+
+
+def _evaluation_condition(p: Poly, x) -> float:
+    """sum |terms| / |value| of p at x, the factor by which the rounding of its expanded sum grows (1 for p = 0)."""
+    if not p:
+        return 1.0
+    value = abs(p.eval_float(x))
+    magnitude = sum(abs(float(c) * math.prod(v**e for v, e in zip(x, mi))) for mi, c in p.terms.items())
+    return magnitude / value if value else math.inf
 
 
 @given(_feedback_cases())
@@ -197,16 +208,24 @@ _POINTS = [(0.5, -0.25), (-0.9, 0.7), (0.3, 1.0)]
 @example((_NORMAL, [_p("x1"), _p("x2^2 - 1")], _POINTS, None))
 @example((_EVIDENT_TALL, _image(_EVIDENT_TALL, [_p("x1*x2")]), _POINTS, (1, _p("x2^2"))))
 @example((_NORMAL_TALL, _image(_NORMAL_TALL, [_p("x1*x2")]), _POINTS, (1, _p("x2^2"))))
+@example(_NEAR_ROOT)  # den's evaluation condition is 2e9 there, and u was off by 9.9e-9 relative
 def test_rational_feedback_matches_the_least_squares_oracle(case):
+    """The exact identity, and the values against the oracle at points where both are well conditioned:
+    F(x), and the expanded den, N and closed-loop numerator, whose float sums lose digits near a root."""
     sys, rhs, points, extra = case
-    points = [x for x in points if np.linalg.cond(feedback_oracle.control_at(sys, x)) < 1e3]
     fb = solve_feedback(sys, rhs)
+    loop = closed_loop_field(sys, fb)
+    points = [
+        x
+        for x in points
+        if np.linalg.cond(feedback_oracle.control_at(sys, x)) < 1e3
+        and max(_evaluation_condition(p, x) for p in (fb.den, *fb.numer, *loop.numer)) < 1e4
+    ]
     assert _image(sys, fb.numer) == [fb.den * p for p in rhs]  # F N = den rhs as polynomials
     if extra is not None:
         row, term = extra
         with pytest.raises(FeedbackResidualError):
             solve_feedback(sys, [p + term if i == row else p for i, p in enumerate(rhs)])
-    loop = closed_loop_field(sys, fb)
     for x in points:
         want = feedback_oracle.feedback_at(sys, rhs, x)
         np.testing.assert_allclose(fb.pointwise(x), want, rtol=1e-9, atol=1e-9)
@@ -498,6 +517,28 @@ def test_final_guard_reads_the_last_state(m):
     for simulate, field in ((simulate_rk4, loop), (rk4_oracle.simulate_rk4, lambda x: np.asarray(loop(x)))):
         with pytest.raises(DivergenceError, match=r"^state norm exceeded 1e\+06 at t=1\.000$"):
             simulate(field, start, 1.0, 1.0)
+
+
+def test_rk4_loop_computes_each_power_of_a_state_once(monkeypatch):
+    """The first stage reads the powers of the state that V* computed; the other stages, at other
+    points, compute their own."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(synth, "compile", spy, raising=False)
+    loop = polynomial_loop([_p("-x1 + x2^2"), _p("-x2^3 - x1^2")])
+    record = simulate_rk4(loop, [0.5, -0.25], 0.01, 0.05, _p("x1^2 + x2^2"))
+    lines = [line.strip() for line in sources[-1].splitlines()]
+    for power in ("x0_2 = x0 ** 2", "x1_2 = x1 ** 2", "x1_3 = x1 ** 3"):  # V*'s two, then the first stage's own
+        assert lines.count(power) == 1
+    for power in ("y0_2 = y0 ** 2", "y1_3 = y1 ** 3"):  # once in each of the three later stages
+        assert lines.count(power) == 3
+    want = rk4_oracle.simulate_rk4(lambda x: np.asarray(loop(x)), [0.5, -0.25], 0.01, 0.05, _p("x1^2 + x2^2"))
+    assert record.states.tobytes() == np.array(want.states).tobytes()
+    assert record.vstar_values == want.vstar_values
 
 
 def test_rk4_convergence_ratio():
