@@ -52,7 +52,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import EhresmannConnection, FrameRankError, ProjectionPair
-from .numutil import intersection_dim, numeric_rank, orth_rows
+from .numutil import numeric_rank, orth_rows
 from .poly import (
     Poly,
     PolyMatrix,
@@ -252,12 +252,28 @@ def quasi_regular_identity(g1_basis: np.ndarray, dim_g2: int, basis_rows: np.nda
     With Sigma_j the span of the basis covectors after position j, checks
 
         dim_g2 == dim(G1) + sum_{j=1..m-1} dim(G1 & Sigma_j)
+
+    each intersection counted as rank(G1) + rank(Sigma_j) - rank([G1; Sigma_j]).
+    rank(G1) is one SVD, read for every j.  When it is 0, every
+    intersection is 0 and no other SVD runs.  When every basis row is a
+    unit vector, as the coordinate orders of :func:`symbol_dims` are, the
+    singular values of a suffix are the square roots of how often each
+    coordinate occurs in it, all at least 1, so no cutoff drops one:
+    rank(Sigma_j) is the number of distinct coordinates after position j,
+    m - j for a permutation, read without an SVD.  Any other basis is
+    ranked by SVD.  The m - 1 stacked ranks are SVDs either way.
     """
     m = basis_rows.shape[0]
     dim_g1 = numeric_rank(g1_basis)
+    if dim_g1 == 0:
+        return dim_g2 == 0
+    coordinate = np.argmax(basis_rows, axis=1)
+    unit = np.array_equal(basis_rows, np.eye(basis_rows.shape[1])[coordinate])
     total = dim_g1
     for j in range(1, m):
-        total += intersection_dim(g1_basis, basis_rows[j:])
+        suffix = basis_rows[j:]
+        rank_suffix = len(set(coordinate[j:].tolist())) if unit else numeric_rank(suffix)
+        total += dim_g1 + rank_suffix - numeric_rank(np.vstack([g1_basis, suffix]))
     return total == dim_g2
 
 

@@ -7,7 +7,10 @@ orthonormalize that basis, pick its coordinate order and check the
 quasi-regularity identity.  Ranks count the singular values above
 RANK_RTOL times a scale, by default the largest singular value
 (:func:`_kept`); :func:`numeric_rank` ranks a stack of matrices in one SVD.
-Subspaces of R^m are row-stacked spanning matrices.
+Subspaces of R^m are row-stacked spanning matrices.  There is no
+intersection kernel here: integrability.quasi_regular_identity counts its
+intersections itself, so that it can read the ranks it already knows
+instead of taking an SVD for each.
 """
 
 from __future__ import annotations
@@ -45,11 +48,3 @@ def orth_rows(a: np.ndarray) -> np.ndarray:
         return np.zeros((0, a.shape[1]))
     return vh[: int(np.sum(_kept(s, s[0])))]
 
-
-def intersection_dim(a: np.ndarray, b: np.ndarray) -> int:
-    """dim(span(a) & span(b)) via rank(a) + rank(b) - rank([a; b])."""
-    ra = numeric_rank(a)
-    rb = numeric_rank(b)
-    if ra == 0 or rb == 0:
-        return 0
-    return ra + rb - numeric_rank(np.vstack([a, b]))

@@ -9,9 +9,13 @@ epsilon check.
 
 ``Poly(nvars, terms)`` validates what it is given: tuple length, exponent
 signs and coefficient types, and drops zero coefficients.  That is the
-constructor for terms from outside this module.  The results of the ring
-operations, derivatives and Lie brackets are built from term maps that are
-valid by construction, so they skip those checks.
+constructor for terms from outside this module, and :meth:`Poly.monomial`,
+whose exponents come from outside, goes through it.  The results of the
+ring operations, derivatives and Lie brackets are built from term maps that
+are valid by construction, so they skip those checks; so do
+:meth:`Poly.const` and :meth:`Poly.variable`, which check their own
+arguments (the variable count, the coefficient's type, the index) and build
+their one term directly.
 
 Term order is part of a polynomial's value here, although ``==`` ignores
 it: :func:`value_lines` and :func:`eval_points` sum the terms in dict
@@ -25,10 +29,12 @@ by a constant scales the other operand's terms in place, as that loop
 would.  ``tests/poly_oracle.py`` holds the plain loops that fix this order.
 
 Poly values are treated as immutable after construction and may be shared
-freely across threads.  Float evaluation reads a term table that each
-polynomial builds on first use and keeps, and :meth:`Poly.eval_float`
-keeps the function :func:`compile_float` generates from it; two threads
-racing to build either build the same one.  Printing uses graded
+freely across threads.  Nothing writes to a Poly's term map, so
+:meth:`Poly.zero` hands out one instance per variable count.  Float
+evaluation reads a term table that each polynomial builds on first use and
+keeps, and :meth:`Poly.eval_float` keeps the function :func:`compile_float`
+generates from it; two threads racing to build either, or the same shared
+zero, build the same one.  Printing uses graded
 lexicographic term order so that output is deterministic.
 """
 
@@ -73,6 +79,9 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational coefficient, got {type(value).__name__}")
 
 
+_ZEROS: dict[int, "Poly"] = {}  # Poly.zero's instance for each variable count
+
+
 class Poly:
     """Sparse multivariate polynomial with exact rational coefficients."""
 
@@ -111,13 +120,19 @@ class Poly:
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        if nvars < 0:
-            raise ValueError("variable count must be non-negative")
-        return cls._of(nvars, {})
+        """The zero polynomial in ``nvars`` variables: one shared instance per variable count."""
+        zero = _ZEROS.get(nvars)
+        if zero is None:
+            if nvars < 0:
+                raise ValueError("variable count must be non-negative")
+            zero = _ZEROS.setdefault(nvars, cls._of(nvars, {}))
+        return zero
 
     @classmethod
     def const(cls, nvars: int, value) -> "Poly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(value)})
+        value = _as_fraction(value)
+        zero = cls.zero(nvars)  # raises for a negative variable count
+        return cls._of(nvars, {(0,) * nvars: value}) if value else zero
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -126,7 +141,7 @@ class Poly:
             raise IndexError(f"variable index {index} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls._of(nvars, {tuple(exps): Fraction(1)})
 
     @classmethod
     def monomial(cls, nvars: int, exponents: Sequence[int], coeff=1) -> "Poly":

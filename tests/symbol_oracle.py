@@ -1,7 +1,9 @@
 """Reference symbol computations the closed form in integrability replaced.
 
 ``sym_intersection_dim`` counts dim G2 from a basis of the symmetric
-matrices, and ``permutation_search`` is the coordinate-order search (every
+matrices, ``intersection_dim`` counts a subspace intersection from three
+SVD ranks, ``reference_identity`` is the quasi-regularity identity as the
+package computed it before it read the ranks it already knows, and ``permutation_search`` is the coordinate-order search (every
 permutation, then random bases) that ``quasi_regular_search`` used before
 its closed form.  ``symbol_dims`` is the symbol as the package computed it
 before it read G1 off the graph form: float spans of C(0) and ker P_VM(0)^T,
@@ -19,11 +21,29 @@ from matrix_oracle import _complement_projector, intersection_basis, null_rows
 
 from liftlyap.geometry import Frame
 from liftlyap.integrability import SymbolDims, quasi_regular_identity
-from liftlyap.numutil import intersection_dim, numeric_rank
+from liftlyap.numutil import numeric_rank
 from liftlyap.poly import PolyMatrix
 
 SYMBOL_RANDOM_BASES = 20
 SYMBOL_SEED = 0
+
+
+def intersection_dim(a: np.ndarray, b: np.ndarray) -> int:
+    """dim(span(a) & span(b)) via rank(a) + rank(b) - rank([a; b])."""
+    ra = numeric_rank(a)
+    rb = numeric_rank(b)
+    if ra == 0 or rb == 0:
+        return 0
+    return ra + rb - numeric_rank(np.vstack([a, b]))
+
+
+def reference_identity(g1_basis: np.ndarray, dim_g2: int, basis_rows: np.ndarray) -> bool:
+    """dim_g2 == dim(G1) + sum_{j=1..m-1} dim(G1 & Sigma_j), each term by three SVD ranks."""
+    m = basis_rows.shape[0]
+    total = numeric_rank(g1_basis)
+    for j in range(1, m):
+        total += intersection_dim(g1_basis, basis_rows[j:])
+    return total == dim_g2
 
 
 def sym_basis(m: int) -> list[np.ndarray]:

@@ -26,7 +26,7 @@ from obstruction_oracle import (
     stacked_system,
     vm_curvature_coeffs,
 )
-from symbol_oracle import permutation_search, quasi_regular_search, sym_intersection_dim
+from symbol_oracle import permutation_search, quasi_regular_search, reference_identity, sym_intersection_dim
 
 from liftlyap import cli, geometry, integrability, poly
 from liftlyap.geometry import (
@@ -780,6 +780,89 @@ def test_symbol_with_a_tiny_connection_coefficient():
     }
     dims = symbol_dims(graph_form(pipeline_of(spec)[-1]))
     assert (dims.dim_g1, dims.quasi_regular, dims.permutation) == (1, True, (2, 1, 3))
+
+
+def _g1_bases(rng, m):
+    """Orthonormal G1 bases of every dimension k = 0..m, as (k, basis): a random rotation of
+    k coordinates, k coordinate rows, and, for k = 1, a row whose other entries are below the
+    rank tolerance."""
+    for k in range(m + 1):
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        yield k, q[:, :k].T
+        yield k, np.eye(m)[sorted(rng.choice(m, size=k, replace=False))]
+    if m > 1:
+        yield 1, np.array([[-1e-10] + [0.0] * (m - 2) + [1.0]])
+
+
+@pytest.fixture
+def counted_ranks(monkeypatch):
+    """The numeric_rank calls made through integrability, one list entry per call."""
+    calls = []
+    rank = integrability.numeric_rank
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(integrability, "numeric_rank", counting)
+    return calls
+
+
+def test_quasi_regular_identity_matches_the_reference_on_coordinate_orders(counted_ranks):
+    """Every coordinate order for m <= 4, against the three-ranks-per-intersection identity and
+    every dim_g2 near the true one; G1 is ranked once and the suffixes not at all, so the
+    identity takes 1 SVD when G1 = 0 and m (G1 and the m - 1 stacks) otherwise."""
+    rng = np.random.default_rng(28)
+    for m in range(1, 5):
+        for k, g1 in _g1_bases(rng, m):
+            for perm in itertools.permutations(range(m)):
+                basis = np.eye(m)[list(perm)]
+                for dim_g2 in range(k * (k + 1) // 2 + 2):
+                    counted_ranks.clear()
+                    got = integrability.quasi_regular_identity(g1, dim_g2, basis)
+                    assert len(counted_ranks) == (1 if k == 0 else m)
+                    assert got == reference_identity(g1, dim_g2, basis), (m, k, perm, dim_g2)
+
+
+def test_quasi_regular_identity_matches_the_reference_on_other_bases():
+    """Random bases, rank-deficient ones (the last suffix a zero row, so it ranks 0), and unit
+    rows with a coordinate repeated, where the suffix rank is the number of distinct
+    coordinates and not m - j."""
+    rng = np.random.default_rng(29)
+    for m in range(1, 7):
+        bases = [rng.standard_normal((m, m)) for _ in range(3)]
+        if m > 1:
+            low = rng.standard_normal((m, m - 1)) @ rng.standard_normal((m - 1, m))
+            bases += [low, np.vstack([rng.standard_normal((m - 1, m)), np.zeros((1, m))])]
+            bases += [np.eye(m)[rng.integers(0, m, size=m)] for _ in range(3)]
+            bases += [np.eye(m)[[0] * m], 2.0 * np.eye(m)]
+        for k, g1 in _g1_bases(rng, m):
+            for basis in bases:
+                for dim_g2 in range(k * (k + 1) // 2 + 2):
+                    got = integrability.quasi_regular_identity(g1, dim_g2, basis)
+                    assert got == reference_identity(g1, dim_g2, basis), (m, k, basis, dim_g2)
+
+
+def test_quasi_regular_identity_matches_the_reference_on_a_tiny_connection_coefficient(monkeypatch):
+    """The G1 basis that symbol_dims builds for the gamma = (10^-10, 0) problem above, under
+    every coordinate order."""
+    spec = {
+        **cli.load_spec(cli.fixture_path("ex_fa")),
+        "states": ["x1", "x2", "x3"],
+        "f0": ["0", "0", "0"],
+        "f": [["1", "0", "0"], ["0", "1", "0"]],
+        "gamma": [["1/10000000000"], ["0"]],
+    }
+    seen = []
+    identity = integrability.quasi_regular_identity
+    monkeypatch.setattr(integrability, "quasi_regular_identity", lambda *args: seen.append(args) or identity(*args))
+    symbol_dims(graph_form(pipeline_of(spec)[-1]))
+    [(g1, dim_g2, _)] = seen
+    assert g1.shape == (1, 3) and 0.0 < abs(g1[0, 0]) < 1e-9
+    for perm in itertools.permutations(range(3)):
+        basis = np.eye(3)[list(perm)]
+        for value in (dim_g2, dim_g2 + 1):
+            assert identity(g1, value, basis) == reference_identity(g1, value, basis), perm
 
 
 def test_symbol_lemma_nested_subspaces():

@@ -212,6 +212,49 @@ def test_product_by_one_is_the_operand():
     assert matrix.scale(-1) == PolyMatrix([[-p, Poly.const(2, -1)], [Poly.zero(2), -p]])
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_the_shared_zero_is_never_written(m):
+    """One zero per variable count: the operations that take it as an operand, or return it,
+    give the right values and leave its term map empty."""
+    zero = Poly.zero(m)
+    assert Poly.zero(m) is zero and Poly.const(m, 0) is zero and Poly.const(m, Fraction(0)) is zero
+    p = random_poly(random.Random(m), m) + 2
+    one = Poly.const(m, 1)
+    assert zero + p == p == p + zero and p - zero == p and zero - p == -p == poly_sum([zero, -p, zero], m)
+    assert all(r.is_zero() for r in (zero * p, p * zero, -zero, zero * 3, p * 0, p - p, poly_sum([p, zero, -p], m)))
+    if m:
+        x1 = Poly.variable(m, 0)
+        assert lie_derivative([zero] * m, p).is_zero() and lie_derivative([p] * m, zero).is_zero()
+        brackets = lie_brackets([[zero] * m, [p] * m, [one] * m], [(0, 1), (1, 0), (0, 2)])
+        assert all(c.is_zero() for bracket in brackets for c in bracket)
+        assert poly_adjugate(PolyMatrix([[zero, x1], [p, zero]])) == PolyMatrix([[zero, -x1], [-p, zero]])
+        assert poly_adjugate(PolyMatrix([[one, zero], [zero, one * 2]])) == PolyMatrix([[one * 2, zero], [zero, one]])
+        assert poly_det(PolyMatrix([[zero, x1], [zero, p]])).is_zero() and (x1 * zero).diff(0).is_zero()
+    assert zero.terms == {} and Poly.zero(m) is zero and not zero
+    assert zero.eval_float([0.5] * m) == 0.0 and zero.terms == {}
+
+
+def test_constant_and_variable_constructors_keep_their_checks():
+    """The one-term constructors skip Poly's per-term validation but keep their own checks,
+    with the messages they had, and build the term map the validating constructor builds."""
+    with pytest.raises(ValueError, match="^variable count must be non-negative$"):
+        Poly.zero(-1)
+    with pytest.raises(ValueError, match="^variable count must be non-negative$"):
+        Poly.const(-1, 1)
+    with pytest.raises(TypeError, match="^expected a rational coefficient, got float$"):
+        Poly.const(3, 0.5)
+    with pytest.raises(IndexError, match=r"^variable index 3 out of range for 3 variables$"):
+        Poly.variable(3, 3)
+    with pytest.raises(IndexError, match=r"^variable index -1 out of range for 3 variables$"):
+        Poly.variable(3, -1)
+    built = [(Poly.const(3, value), Poly(3, {(0, 0, 0): value})) for value in (2, Fraction(-3, 4), True)]
+    built += [(Poly.const(0, 5), Poly(0, {(): 5})), (Poly.variable(3, 1), Poly(3, {(0, 1, 0): 1}))]
+    for fast, validated in built:
+        assert fast.terms == validated.terms
+        assert [type(c) for c in fast.terms.values()] == [Fraction]
+    assert Poly.const(3, 0).is_zero() and Poly.zero(0).nvars == 0
+
+
 def test_diff_power_rule():
     p = parse_poly("x1^2*x2", ["x1", "x2"])
     assert p.diff(0) == parse_poly("2*x1*x2", ["x1", "x2"])
