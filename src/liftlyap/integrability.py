@@ -246,34 +246,28 @@ class SymbolDims:
     permutation: tuple[int, ...] | None  # 1-based coordinate order, when one works
 
 
-def quasi_regular_identity(g1_basis: np.ndarray, dim_g2: int, basis_rows: np.ndarray) -> bool:
-    """Dimension identity certifying a quasi-regular basis.
+def quasi_regular_identity(g1_basis: np.ndarray, dim_g2: int, perm: Sequence[int]) -> bool:
+    """Dimension identity certifying a quasi-regular coordinate order.
 
-    With Sigma_j the span of the basis covectors after position j, checks
+    With Sigma_j the span of the coordinate covectors after position j of
+    ``perm``, a permutation of range(m), checks
 
         dim_g2 == dim(G1) + sum_{j=1..m-1} dim(G1 & Sigma_j)
 
     each intersection counted as rank(G1) + rank(Sigma_j) - rank([G1; Sigma_j]).
     rank(G1) is one SVD, read for every j.  When it is 0, every
-    intersection is 0 and no other SVD runs.  When every basis row is a
-    unit vector, as the coordinate orders of :func:`symbol_dims` are, the
-    singular values of a suffix are the square roots of how often each
-    coordinate occurs in it, all at least 1, so no cutoff drops one:
-    rank(Sigma_j) is the number of distinct coordinates after position j,
-    m - j for a permutation, read without an SVD.  Any other basis is
-    ranked by SVD.  The m - 1 stacked ranks are SVDs either way.
+    intersection is 0 and no other SVD runs.  Sigma_j is spanned by m - j
+    distinct unit covectors, whose singular values are all 1, so its rank
+    is m - j without an SVD.  The m - 1 stacked ranks are SVDs.
     """
-    m = basis_rows.shape[0]
+    m = len(perm)
     dim_g1 = numeric_rank(g1_basis)
     if dim_g1 == 0:
         return dim_g2 == 0
-    coordinate = np.argmax(basis_rows, axis=1)
-    unit = np.array_equal(basis_rows, np.eye(basis_rows.shape[1])[coordinate])
+    basis_rows = np.eye(m)[list(perm)]
     total = dim_g1
     for j in range(1, m):
-        suffix = basis_rows[j:]
-        rank_suffix = len(set(coordinate[j:].tolist())) if unit else numeric_rank(suffix)
-        total += dim_g1 + rank_suffix - numeric_rank(np.vstack([g1_basis, suffix]))
+        total += dim_g1 + (m - j) - numeric_rank(np.vstack([g1_basis, basis_rows[j:]]))
     return total == dim_g2
 
 
@@ -303,7 +297,7 @@ def symbol_dims(form: GraphForm) -> SymbolDims:
             lead.append(i)
     perm = lead + [i for i in range(m) if i not in lead]
     dim_g2 = dim_g1 * (dim_g1 + 1) // 2
-    quasi_regular = quasi_regular_identity(g1_basis, dim_g2, np.eye(m)[perm])
+    quasi_regular = quasi_regular_identity(g1_basis, dim_g2, perm)
     return SymbolDims(dim_g1, dim_g2, quasi_regular, tuple(p + 1 for p in perm) if quasi_regular else None)
 
 

@@ -7,10 +7,7 @@ orthonormalize that basis, pick its coordinate order and check the
 quasi-regularity identity.  Ranks count the singular values above
 RANK_RTOL times a scale, by default the largest singular value
 (:func:`_kept`); :func:`numeric_rank` ranks a stack of matrices in one SVD.
-Subspaces of R^m are row-stacked spanning matrices.  There is no
-intersection kernel here: integrability.quasi_regular_identity counts its
-intersections itself, so that it can read the ranks it already knows
-instead of taking an SVD for each.
+Subspaces of R^m are row-stacked spanning matrices.
 """
 
 from __future__ import annotations

@@ -2,13 +2,15 @@
 
 ``sym_intersection_dim`` counts dim G2 from a basis of the symmetric
 matrices, ``intersection_dim`` counts a subspace intersection from three
-SVD ranks, ``reference_identity`` is the quasi-regularity identity as the
-package computed it before it read the ranks it already knows, and ``permutation_search`` is the coordinate-order search (every
-permutation, then random bases) that ``quasi_regular_search`` used before
-its closed form.  ``symbol_dims`` is the symbol as the package computed it
-before it read G1 off the graph form: float spans of C(0) and ker P_VM(0)^T,
-intersected, then ``quasi_regular_search``.  All are kept as test oracles
-only.
+SVD ranks, ``reference_identity`` is the quasi-regularity identity on any
+basis, each intersection by those three ranks, as the package computed it
+before it read the ranks it already knows, and ``permutation_search`` is
+the coordinate-order search (every permutation, then random bases, which
+only the reference identity takes) that ``quasi_regular_search`` used
+before its closed form.  ``symbol_dims`` is the symbol as the package
+computed it before it read G1 off the graph form: float spans of C(0) and
+ker P_VM(0)^T, intersected, then ``quasi_regular_search``.  All are kept as
+test oracles only.
 """
 
 from __future__ import annotations
@@ -94,15 +96,14 @@ def permutation_search(e_span: np.ndarray, f_span: np.ndarray) -> SymbolDims:
     g1_basis = intersection_basis(e_span, f_span)
 
     for perm in itertools.permutations(range(m)):
-        basis = np.eye(m)[list(perm)]
-        if quasi_regular_identity(g1_basis, dim_g2, basis):
+        if quasi_regular_identity(g1_basis, dim_g2, perm):
             return SymbolDims(dim_g1, dim_g2, True, tuple(p + 1 for p in perm))
     rng = np.random.default_rng(SYMBOL_SEED)
     for _ in range(SYMBOL_RANDOM_BASES):
         basis = rng.standard_normal((m, m))
         if numeric_rank(basis) != m:
             continue
-        if quasi_regular_identity(g1_basis, dim_g2, basis):
+        if reference_identity(g1_basis, dim_g2, basis):
             return SymbolDims(dim_g1, dim_g2, True, None)
     return SymbolDims(dim_g1, dim_g2, False, None)
 
@@ -130,7 +131,7 @@ def quasi_regular_search(e_span: np.ndarray, f_span: np.ndarray) -> SymbolDims:
             lead.append(i)
     perm = lead + [i for i in range(m) if i not in lead]
     dim_g2 = dim_g1 * (dim_g1 + 1) // 2
-    quasi_regular = quasi_regular_identity(g1_basis, dim_g2, np.eye(m)[perm])
+    quasi_regular = quasi_regular_identity(g1_basis, dim_g2, perm)
     return SymbolDims(dim_g1, dim_g2, quasi_regular, tuple(p + 1 for p in perm) if quasi_regular else None)
 
 
