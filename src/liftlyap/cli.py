@@ -108,7 +108,7 @@ def _require(raw: dict, key: str, kind=list):
 Parsed = dict[tuple[str, tuple[str, ...]], Poly]  # one build_problem call's polynomials, by (text, variables)
 
 
-def _parse_field(text, variables, where: str, parsed: Parsed) -> Poly:
+def _parse_field(text, variables: tuple[str, ...], where: str, parsed: Parsed) -> Poly:
     """The polynomial ``text`` over ``variables``, parsed once per distinct pair in ``parsed``.
 
     A string that fails raises before it is stored, so the first field that
@@ -117,7 +117,7 @@ def _parse_field(text, variables, where: str, parsed: Parsed) -> Poly:
     """
     if not isinstance(text, str):
         raise SpecError(f"{where}: expected a polynomial string")
-    key = (text, tuple(variables))
+    key = (text, variables)
     if key in parsed:
         return parsed[key]
     try:
@@ -135,6 +135,7 @@ def _parse_field(text, variables, where: str, parsed: Parsed) -> Poly:
 def _parse_vector(items, variables, length: int, where: str, parsed: Parsed) -> tuple[Poly, ...]:
     if not isinstance(items, list) or len(items) != length:
         raise SpecError(f"{where}: expected a list of {length} polynomial strings")
+    variables = tuple(variables)
     return tuple(_parse_field(t, variables, f"{where}[{i}]", parsed) for i, t in enumerate(items))
 
 
@@ -194,7 +195,7 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     if len(gamma_raw) != m - n:
         raise SpecError(f"'gamma' must have {m - n} rows (one per fibre coordinate)")
     gamma = tuple(_parse_vector(row, states, n, f"gamma[{p}]", parsed) for p, row in enumerate(gamma_raw))
-    vtilde = _parse_field(_require(raw, "vtilde", str), qstates, "vtilde", parsed)
+    vtilde = _parse_field(_require(raw, "vtilde", str), tuple(qstates), "vtilde", parsed)
     alpha = _parse_vector(_require(raw, "alpha"), qstates, s, "alpha", parsed)
 
     user_d = None

@@ -15,6 +15,7 @@ frame checks evaluate and rank a frame once per distinct value on the grid
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -82,10 +83,12 @@ def validate_grid(m: int, per_axis: int) -> None:
         raise ValueError(f"grid ** m must not exceed {MAX_GRID_POINTS} points")
 
 
+@functools.lru_cache(maxsize=4)  # a run reads an m- and an n-dimensional grid; 0.23 MiB at m = 7, per_axis = 3
 def default_grid(m: int, per_axis: int) -> Lattice:
     """The check grid: per_axis values per axis over [-1, 1]^m, in ``itertools.product`` order.
 
-    An even per_axis misses the origin, so it is appended last.
+    An even per_axis misses the origin, so it is appended last.  The grid is
+    built once per (m, per_axis) and shared, so its arrays are read-only.
     """
     validate_grid(m, per_axis)
     q = per_axis - 1
@@ -95,7 +98,10 @@ def default_grid(m: int, per_axis: int) -> Lattice:
     for i in range(m):
         # column i of the product, written through a strided view: no full-size temporary
         numerators[:size, i].reshape(per_axis**i, per_axis, -1)[...] = values[:, None]
-    return Lattice(numerators, q, numerators / q)
+    points = numerators / q
+    numerators.setflags(write=False)
+    points.setflags(write=False)
+    return Lattice(numerators, q, points)
 
 
 def first_nonnegative(p: Poly, grid: Lattice) -> int | None:

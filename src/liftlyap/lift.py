@@ -44,6 +44,7 @@ polynomial is the candidate, and it is checked, not trusted.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -253,6 +254,23 @@ class DefinitenessDiagnostics:
     ok: bool
 
 
+@functools.lru_cache(maxsize=4)
+def sphere_probes(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit directions and the probe points of :func:`assemble_vstar` in R^m, built once per m, read-only.
+
+    SPHERE_DIRECTIONS random directions from SPHERE_SEED for each radius in
+    SPHERE_RADII; the probe points are the directions times their radius.
+    """
+    rng = np.random.default_rng(SPHERE_SEED)
+    directions = rng.standard_normal((len(SPHERE_RADII) * SPHERE_DIRECTIONS, m))
+    # each row over its norm through the BLAS dot np.linalg.norm uses, so it matches bit for bit
+    directions /= np.sqrt(directions[:, None, :] @ directions[:, :, None])[:, 0]
+    probes = np.repeat(SPHERE_RADII, SPHERE_DIRECTIONS)[:, None] * directions
+    directions.setflags(write=False)
+    probes.setflags(write=False)
+    return directions, probes
+
+
 def assemble_vstar(pullback_vtilde: Poly, jet: JetSolution) -> tuple[Poly, DefinitenessDiagnostics]:
     """Assemble the candidate Lyapunov function and probe its definiteness.
 
@@ -271,12 +289,8 @@ def assemble_vstar(pullback_vtilde: Poly, jet: JetSolution) -> tuple[Poly, Defin
     if eigs.min() <= HESSIAN_EIG_TOL:
         ok = False
         witness = [float(v) for v in np.linalg.eigh(hess)[1][:, 0]]
-    rng = np.random.default_rng(SPHERE_SEED)
-    directions = rng.standard_normal((len(SPHERE_RADII) * SPHERE_DIRECTIONS, m))
-    # each row over its norm through the BLAS dot np.linalg.norm uses, so it matches bit for bit
-    directions /= np.sqrt(directions[:, None, :] @ directions[:, :, None])[:, 0]
-    radii = np.repeat(SPHERE_RADII, SPHERE_DIRECTIONS)[:, None]
-    values = eval_points([vstar], radii * directions)[:, 0]
+    directions, probes = sphere_probes(m)
+    values = eval_points([vstar], probes)[:, 0]
     # the minimum is global over the probe set, first occurrence on ties; the witness is the first probe at or below 0
     sphere_min = float(values[np.argmin(values)])
     if sphere_min <= 0.0:

@@ -13,6 +13,16 @@ decimal literals convert exactly ("0.5" becomes 1/2).  Identifiers must be
 declared variable names; exponents must be non-negative integers.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside Python's recursion limit.
+
+A term is built as the ``Poly`` products from left to right would build it,
+without most of them: its sign, number, variable and ``var^n`` factors fold
+into one coefficient and one exponent list, and only a parenthesised factor
+is multiplied in as a ``Poly``.  The degree cap is checked factor by factor
+with ``Poly.__mul__``'s rule (no check once the running product is zero)
+and message, so a term raises the same DegreeCapError at the same factor.
+Shifting and scaling by a monomial keep a polynomial's term order, so the
+term maps, their order included, are those of the products.  A term's
+terms are then summed into the expression by ``Poly`` addition.
 """
 
 from __future__ import annotations
@@ -20,9 +30,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Poly
+from .poly import Poly, check_cap
 
-MAX_NESTING = 100  # deepest parenthesis nesting; each level takes four stack frames
+MAX_NESTING = 100  # deepest parenthesis nesting; each level takes three stack frames
+_ONE = Fraction(1)
 
 class PolyParseError(ValueError):
     """Syntax or name error in a polynomial expression, with position."""
@@ -109,60 +120,85 @@ class _Parser:
         self.advance()
 
     def parse_expr(self) -> Poly:
-        sign = 1
+        sign = _ONE
         kind, value, _ = self.peek()
         if kind == "op" and value in "+-":
             self.advance()
-            sign = -1 if value == "-" else 1
-        result = self.parse_term() * sign
+            sign = -_ONE if value == "-" else _ONE
+        result = self.parse_term(sign)
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                term = self.parse_term()
+                term = self.parse_term(_ONE)
                 result = result + term if value == "+" else result - term
             else:
                 return result
 
-    def parse_term(self) -> Poly:
-        result = self.parse_factor()
+    def parse_term(self, coeff: Fraction) -> Poly:
+        """``coeff`` times the product of the factors (see the module docstring)."""
+        exps = [0] * self.nvars
+        product: Poly | None = None  # the parenthesised factors multiplied so far
+        degree, zero = 0, False  # of the running product; past a zero factor no degree is checked
         while True:
+            factor = self.parse_factor()
+            if isinstance(factor, Poly):
+                if not factor.terms:
+                    zero = True
+                elif not zero:
+                    degree += factor.degree()
+                    check_cap("product degree", degree)
+                    product = factor if product is None else product * factor
+            elif not factor[0]:
+                zero = True
+            elif not zero:
+                c, index, e = factor
+                if index is not None:
+                    degree += e
+                    check_cap("product degree", degree)
+                    exps[index] += e
+                coeff *= c
             kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                result = result * self.parse_factor()
-            else:
-                return result
-
-    def parse_factor(self) -> Poly:
-        base = self.parse_base()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
+            if kind != "op" or value != "*":
+                break
             self.advance()
-            kind, value, position = self.advance()
-            if kind != "num" or not isinstance(value, Fraction) or value.denominator != 1 or value < 0:
-                raise PolyParseError("exponent must be a non-negative integer", position)
-            return base ** int(value)
-        return base
+        if zero:
+            return Poly.zero(self.nvars)
+        term = Poly._of(self.nvars, {tuple(exps): coeff})  # the exponents are counted here, coeff is not 0
+        return term if product is None else term * product
 
-    def parse_base(self) -> Poly:
+    def parse_factor(self) -> Poly | tuple[Fraction, int | None, int]:
+        """A parenthesised factor as a Poly; any other as (coefficient, variable index or None, exponent)."""
         kind, value, position = self.advance()
         if kind == "num":
-            return Poly.const(self.nvars, value)
-        if kind == "ident":
+            base = (value, None, 0)
+        elif kind == "ident":
             index = self.var_index.get(value)
             if index is None:
                 raise PolyParseError(f"unknown identifier {value!r}", position)
-            return Poly.variable(self.nvars, index)
-        if kind == "op" and value == "(":
+            base = (_ONE, index, 1)
+        elif kind == "op" and value == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise PolyParseError(f"parentheses nested deeper than {MAX_NESTING}", position)
-            inner = self.parse_expr()
+            base = self.parse_expr()
             self.expect_op(")")
             self.depth -= 1
-            return inner
-        raise PolyParseError("expected a number, variable, or parenthesized expression", position)
+        else:
+            raise PolyParseError("expected a number, variable, or parenthesized expression", position)
+        kind, value, _ = self.peek()
+        if kind != "op" or value != "^":
+            return base
+        self.advance()
+        kind, value, position = self.advance()
+        if kind != "num" or not isinstance(value, Fraction) or value.denominator != 1 or value < 0:
+            raise PolyParseError("exponent must be a non-negative integer", position)
+        n = int(value)
+        if isinstance(base, Poly):
+            return base**n
+        check_cap("exponent", n)  # Poly.__pow__'s first check; a monomial's power degree is then within the cap
+        c, index, e = base
+        return (c**n, index if n else None, e * n)
 
 
 def is_identifier(name: str) -> bool:

@@ -15,27 +15,34 @@ ring operations, derivatives and Lie brackets are built from term maps that
 are valid by construction, so they skip those checks; so do
 :meth:`Poly.const` and :meth:`Poly.variable`, which check their own
 arguments (the variable count, the coefficient's type, the index) and build
-their one term directly.
+their one term directly, and the parser's terms, whose exponents
+:mod:`liftlyap.parsing` counts itself.
 
 Term order is part of a polynomial's value here, although ``==`` ignores
 it: :func:`value_lines` and :func:`eval_points` sum the terms in dict
 order, so the float bits of every value depend on it.  Every kernel
 inserts its terms in one fixed order.  A sum keeps the left operand's
 terms in place and appends the right operand's new keys in its order,
-dropping keys that cancel.  A product inserts in row-major order over the
-two operands' terms; a key that cancels on the way keeps its first
-position if it is hit again, and it is dropped only at the end.  A product
-by a constant scales the other operand's terms in place, as that loop
-would.  ``tests/poly_oracle.py`` holds the plain loops that fix this order.
+dropping keys that cancel; a zero operand leaves the other one, so the
+sum, or a difference whose right operand is zero, is that operand itself.
+A product inserts in row-major order over the two operands' terms; a key
+that cancels on the way keeps its first position if it is hit again, and
+it is dropped only at the end.  A product by a constant (a scalar, or a
+Poly whose one term is constant) scales the other operand's terms in
+place, as that loop would, and it scans only the other operand's degree
+for the cap.  ``tests/poly_oracle.py`` holds the plain loops that fix this
+order.
 
 Poly values are treated as immutable after construction and may be shared
 freely across threads.  Nothing writes to a Poly's term map, so
 :meth:`Poly.zero` hands out one instance per variable count.  Float
 evaluation reads a term table that each polynomial builds on first use and
 keeps, and :meth:`Poly.eval_float` keeps the function :func:`compile_float`
-generates from it; two threads racing to build either, or the same shared
-zero, build the same one.  Printing uses graded
-lexicographic term order so that output is deterministic.
+generates from it.  A :class:`PolyMatrix` whose entries are all constant
+keeps the elimination that :func:`poly_det` and :func:`poly_adjugate` share
+in the same way.  Two threads racing to build any of these, or the same
+shared zero, build the same one.  Printing uses graded lexicographic term
+order so that output is deterministic.
 """
 
 from __future__ import annotations
@@ -80,6 +87,7 @@ def _as_fraction(value) -> Fraction:
 
 
 _ZEROS: dict[int, "Poly"] = {}  # Poly.zero's instance for each variable count
+_ZERO = Fraction(0)  # the coefficient of a missing term; a Fraction is immutable, so one serves every call
 
 
 class Poly:
@@ -157,10 +165,10 @@ class Poly:
 
     @property
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return self.terms.get((0,) * self.nvars, _ZERO)
 
     def coeff(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        return self.terms.get(tuple(exponents), _ZERO)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -195,6 +203,10 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:  # a Poly is never mutated, so the other operand itself is the sum
+            return self
+        if not self.terms:
+            return other
         out = dict(self.terms)
         _accumulate(out, other.terms)
         return Poly._of(self.nvars, out)
@@ -208,6 +220,10 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
         out = dict(self.terms)
         for mi, c in other.terms.items():  # each key once, so a cancelled one is dropped at once
             if mi in out:
@@ -232,21 +248,22 @@ class Poly:
             return NotImplemented
         if other.nvars != self.nvars:
             raise ValueError("variable counts differ")
-        if self.is_zero() or other.is_zero():
+        a, b = self.terms, other.terms
+        if not a or not b:
             return Poly.zero(self.nvars)
-        if self.degree() + other.degree() > DEGREE_CAP:
-            raise DegreeCapError(
-                f"product degree {self.degree() + other.degree()} exceeds cap {DEGREE_CAP}"
-            )
         origin = (0,) * self.nvars
-        if len(self.terms) == 1 and origin in self.terms:
-            return _scaled(other, self.terms[origin])
-        if len(other.terms) == 1 and origin in other.terms:
-            return _scaled(self, other.terms[origin])
+        # a one-term constant has degree 0, so the product's degree is the other operand's
+        if len(a) == 1 and origin in a:
+            check_cap("product degree", other.degree())
+            return _scaled(other, a[origin])
+        if len(b) == 1 and origin in b:
+            check_cap("product degree", self.degree())
+            return _scaled(self, b[origin])
+        check_cap("product degree", self.degree() + other.degree())
         out: dict[MultiIndex, Fraction] = {}
         add = operator.add
-        for mi_a, ca in self.terms.items():
-            for mi_b, cb in other.terms.items():
+        for mi_a, ca in a.items():
+            for mi_b, cb in b.items():
                 mi = tuple(map(add, mi_a, mi_b))
                 # a key that cancels stays, so that if it is hit again it keeps its first position
                 out[mi] = out[mi] + ca * cb if mi in out else ca * cb
@@ -257,12 +274,10 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        if n > DEGREE_CAP:
-            raise DegreeCapError(f"exponent {n} exceeds cap {DEGREE_CAP}")
+        check_cap("exponent", n)
         if n == 0:
             return Poly.const(self.nvars, 1)
-        if self.degree() * n > DEGREE_CAP:
-            raise DegreeCapError(f"power degree {self.degree() * n} exceeds cap {DEGREE_CAP}")
+        check_cap("power degree", self.degree() * n)
         result = self
         for _ in range(n - 1):
             result = result * self
@@ -375,6 +390,12 @@ def _accumulate(out: dict[MultiIndex, Fraction], terms: Mapping[MultiIndex, Frac
                 del out[mi]
         else:
             out[mi] = c
+
+
+def check_cap(what: str, value: int) -> None:
+    """Raise DegreeCapError, naming ``what``, for a product or power whose ``value`` is above DEGREE_CAP."""
+    if value > DEGREE_CAP:
+        raise DegreeCapError(f"{what} {value} exceeds cap {DEGREE_CAP}")
 
 
 def _scaled(p: Poly, c: Fraction) -> Poly:
@@ -578,7 +599,7 @@ def format_poly(p: Poly, names: Sequence[str]) -> str:
 class PolyMatrix:
     """Dense rows-by-cols grid of Poly values sharing one variable count."""
 
-    __slots__ = ("rows", "cols", "nvars", "entries")
+    __slots__ = ("rows", "cols", "nvars", "entries", "_elimination")
 
     def __init__(self, entries: Sequence[Sequence[Poly]], cols: int | None = None, nvars: int | None = None):
         entries = tuple(tuple(row) for row in entries)
@@ -597,6 +618,8 @@ class PolyMatrix:
         self.cols = cols
         self.nvars = nvars if nvars is not None else 0
         self.entries = entries
+        # reduce_rows of [M | I] for a square M whose entries are all constant, built on first use
+        self._elimination: list[tuple[int, int, list[Fraction]]] | None = None
 
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
@@ -685,10 +708,38 @@ def origin_pivots(matrix: PolyMatrix) -> list[tuple[int, int]]:
 
 def _constant_rows(matrix: PolyMatrix) -> list[list[Fraction]] | None:
     """The entries as Fraction rows when every one is constant, else None."""
-    origin, zero = (0,) * matrix.nvars, Fraction(0)
-    if all(p.terms.keys() <= {origin} for row in matrix.entries for p in row):
-        return [[p.terms.get(origin, zero) for p in row] for row in matrix.entries]
-    return None
+    origin = (0,) * matrix.nvars
+    rows = []
+    for entries in matrix.entries:
+        row = []
+        for p in entries:
+            terms = p.terms
+            if not terms:
+                row.append(_ZERO)
+            elif len(terms) == 1 and origin in terms:
+                row.append(terms[origin])
+            else:
+                return None
+        rows.append(row)
+    return rows
+
+
+def _constant_elimination(matrix: PolyMatrix) -> list[tuple[int, int, list[Fraction]]] | None:
+    """:func:`reduce_rows` of [M | I] for a square M whose entries are all constant, else None.
+
+    The elimination is kept in the matrix on first use, so :func:`poly_det`
+    and :func:`poly_adjugate` of one constant block share it; a matrix with
+    a polynomial entry keeps nothing.
+    """
+    if matrix._elimination is None:
+        rows = _constant_rows(matrix)
+        if rows is None:
+            return None
+        n = matrix.cols
+        one = Fraction(1)
+        identity = [[one if i == j else _ZERO for j in range(n)] for i in range(n)]
+        matrix._elimination = reduce_rows([row + unit for row, unit in zip(rows, identity)], n)
+    return matrix._elimination
 
 
 def _pivot_det(basis: list[tuple[int, int, list[Fraction]]], n: int) -> Fraction:
@@ -713,10 +764,11 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     """Exact determinant.
 
     A matrix whose entries are all constant goes by one exact Fraction
-    elimination (:func:`reduce_rows`): the signed product of the pivots.  Any
-    other goes by cofactor expansion along the first row, whose cost grows
-    factorially with the size; a zero entry on top skips its minor, and a
-    zero row cuts a minor short.  The minors are counted on the zero pattern
+    elimination of [M | I] (:func:`reduce_rows`), which the matrix keeps for
+    :func:`poly_adjugate`: the signed product of the pivots.  Any other goes
+    by cofactor expansion along the first row, whose cost grows factorially
+    with the size; a zero entry on top skips its minor, and a zero row cuts a
+    minor short.  The minors are counted on the zero pattern
     first, and more than MAX_MINORS raise ExpansionLimitError naming the
     size.  The expansion stays because the order in which it inserts terms
     into the result fixes the order in which :func:`value_lines` and
@@ -726,9 +778,9 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = _constant_rows(matrix)
-    if rows is not None:
-        return Poly.const(matrix.nvars, _pivot_det(reduce_rows(rows, matrix.cols), matrix.cols))
+    basis = _constant_elimination(matrix)
+    if basis is not None:
+        return Poly.const(matrix.nvars, _pivot_det(basis, matrix.cols))
     rows = [list(r) for r in matrix.entries]
     _count_minors([[bool(e) for e in row] for row in rows], [MAX_MINORS], matrix.rows)
     return _det_rows(rows, matrix.nvars)
@@ -769,8 +821,9 @@ def _det_rows(rows: list[list[Poly]], nvars: int) -> Poly:
 def poly_adjugate(matrix: PolyMatrix) -> PolyMatrix:
     """Exact adjugate: adj(M) @ M == det(M) * identity.
 
-    An invertible matrix whose entries are all constant goes by one exact
-    Fraction elimination of [M | I] (:func:`reduce_rows`), as det(M) * M^-1.
+    An invertible matrix whose entries are all constant goes by the exact
+    Fraction elimination of [M | I] (:func:`reduce_rows`) that it shares with
+    :func:`poly_det`, as det(M) * M^-1.
     Any other, a singular constant one too, takes each entry from the
     cofactor expansion of its minor (see :func:`poly_det` for why, and for
     its cost, and the limit MAX_MINORS, which bounds the n^2 expansions
@@ -782,17 +835,15 @@ def poly_adjugate(matrix: PolyMatrix) -> PolyMatrix:
     n = matrix.rows
     if n == 0:
         return matrix
-    constant = _constant_rows(matrix)
-    if constant is not None:
-        one, zero = Fraction(1), Fraction(0)
-        basis = reduce_rows([[*row, *(one if i == j else zero for j in range(n))] for i, row in enumerate(constant)], n)
-        if len(basis) == n:
-            det = _pivot_det(basis, n)
-            adj: list[list[Poly]] = [[] for _ in range(n)]
-            for _, col, row in basis:  # row col of M^-1: this row's record of the row operations, over its pivot
-                scale = det / row[col]
-                adj[col] = [Poly.const(matrix.nvars, scale * a) if a else Poly.zero(matrix.nvars) for a in row[n:]]
-            return PolyMatrix(adj, cols=n, nvars=matrix.nvars)
+    basis = _constant_elimination(matrix)
+    if basis is not None and len(basis) == n:
+        det, nvars = _pivot_det(basis, n), matrix.nvars
+        origin, zero = (0,) * nvars, Poly.zero(nvars)
+        adj: list[list[Poly]] = [[] for _ in range(n)]
+        for _, col, row in basis:  # row col of M^-1: this row's record of the row operations, over its pivot
+            scale = det / row[col]  # det and the pivot are nonzero, so scale * a is 0 only where a is
+            adj[col] = [Poly._of(nvars, {origin: scale * a}) if a else zero for a in row[n:]]
+        return PolyMatrix(adj, cols=n, nvars=nvars)
     rows = [list(r) for r in matrix.entries]
     pattern, budget = [[bool(e) for e in row] for row in rows], [MAX_MINORS]
     for i in range(n):

@@ -285,20 +285,24 @@ class DecreaseReport:
 def verify_lyapunov_decrease(traj: TrajectoryRecord, vstar: Poly, loop: ClosedLoop, grid: Lattice) -> DecreaseReport:
     """Check sampled strict decrease of V* and sign of its derivative.
 
-    The sampled check requires V*(x_{k+1}) < V*(x_k) whenever V*(x_k) is
-    above VSTAR_FLOOR.  The derivative check evaluates dV* . numer exactly
-    on the grid away from the origin; since the closed loop is numer / den
-    with den > 0, that is the sign of dV* along it.
+    The sampled check scans the recorded V*(x_k) in order, up to the first
+    at or below VSTAR_FLOOR, and requires V*(x_{k+1}) < V*(x_k) at each; a
+    NaN fails it.  It is one array comparison over the samples, and the
+    first failure is reported from the recorded lists.  The derivative check
+    evaluates dV* . numer exactly on the grid away from the origin; since
+    the closed loop is numer / den with den > 0, that is the sign of dV*
+    along it.
     """
     monotone = True
     first_violation = None
-    for k in range(len(traj.times) - 1):
-        if traj.vstar_values[k] <= VSTAR_FLOOR:
-            break
-        if not traj.vstar_values[k + 1] < traj.vstar_values[k]:
-            monotone = False
-            first_violation = (traj.times[k], traj.vstar_values[k], traj.vstar_values[k + 1])
-            break
+    values = np.array(traj.vstar_values[: len(traj.times)])
+    floor = values[:-1] <= VSTAR_FLOOR  # the scan stops at the first of these
+    violated = ~(values[1:] < values[:-1])  # a NaN on either side is a violation
+    stops = np.flatnonzero(floor | violated)
+    if stops.size and not floor[stops[0]]:
+        k = int(stops[0])
+        monotone = False
+        first_violation = (traj.times[k], traj.vstar_values[k], traj.vstar_values[k + 1])
     index = geometry.first_nonnegative(lie_derivative(list(loop.numer), vstar), grid)
     analytic_witness = None if index is None else tuple(grid.points[index].tolist())
     return DecreaseReport(monotone, first_violation, analytic_witness is None, analytic_witness)

@@ -110,6 +110,16 @@ def test_default_grid_contains_origin():
         default_grid(17, per_axis=2)  # 131072 points: above the cap, small enough to build if unchecked
 
 
+def test_default_grid_is_built_once_and_read_only():
+    """The grid is shared by every caller with the same shape, so a write into it raises."""
+    grid = default_grid(3, 4)
+    assert default_grid(3, 4) is grid and default_grid(3, 5) is not grid
+    for array in (grid.numerators, grid.points):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+    assert grid.points[0].tolist() == [-1.0, -1.0, -1.0]
+
+
 @st.composite
 def _lattice_and_variables(draw):
     m = draw(st.integers(1, 5))

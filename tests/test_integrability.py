@@ -336,7 +336,8 @@ def test_conditions_make_only_the_needed_products(monkeypatch):
 
 def test_constant_determinants_and_adjugates_are_bounded(monkeypatch):
     """On obstruct-wide seed 7 #0, [C | D] and the graph-form block are 7 x 7 and constant:
-    their determinants and adjugates make no Poly product and reach no cofactor expansion."""
+    their determinants and adjugates make no Poly product and reach no cofactor expansion,
+    and each block is eliminated once for both.  A polynomial matrix keeps no elimination."""
     seen = {}
 
     def recording(module, name):
@@ -373,6 +374,19 @@ def test_constant_determinants_and_adjugates_are_bounded(monkeypatch):
         assert all(e.is_constant() for row in mat.entries for e in row)
         getattr(poly, name)(mat)
     assert calls == {"_det_rows": 0, "__mul__": 0}
+    # each module hands its det and its adjugate one block, whose elimination serves both
+    blocks = [seen[module.__name__, "poly_det"] for module in (geometry, integrability)]
+    assert all(seen[module.__name__, "poly_adjugate"] is block for module, block in zip((geometry, integrability), blocks))
+    calls["reduce_rows"] = 0
+    counted(poly, "reduce_rows")
+    for block in blocks:
+        fresh = PolyMatrix(block.entries)
+        assert (poly.poly_det(fresh), poly.poly_adjugate(fresh)) == (poly.poly_det(block), poly.poly_adjugate(block))
+    assert calls == {"_det_rows": 0, "__mul__": 0, "reduce_rows": len(blocks)}
+    x1 = Poly.variable(2, 0)
+    polynomial = PolyMatrix([[x1 + 1, x1], [Poly.const(2, 2), Poly.const(2, 3)]])
+    assert poly.poly_det(polynomial) == x1 + 3 and poly.poly_adjugate(polynomial).entry(0, 1) == -x1
+    assert polynomial._elimination is None and calls["reduce_rows"] == len(blocks)
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,7 @@ from liftlyap.lift import (
     lift_coefficients,
     monomials_up_to,
     solve_jets,
+    sphere_probes,
 )
 from liftlyap.parsing import parse_poly
 from liftlyap.poly import Poly, PolyMatrix, lie_derivative
@@ -537,6 +538,24 @@ def test_batched_sphere_probes_match_the_direction_loop_on_fixtures(name):
     else:  # not liftable: the pulled-back quotient function alone, flat along the fibre
         jet = JetSolution(4, {}, [])
     _assert_probes_match(td.pullback_vtilde + jet.polynomial(rs.m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 7])
+def test_sphere_probes_are_built_once_read_only_and_unchanged(m):
+    """The probes depend on m alone: built once per m, read-only, and bit for bit one
+    direction at a time, each over np.linalg.norm, times its radius."""
+    directions, probes = sphere_probes(m)
+    assert sphere_probes(m) == (directions, probes) and sphere_probes(m)[1] is probes
+    rng = np.random.default_rng(SPHERE_SEED)
+    for k, radius in enumerate(np.repeat(SPHERE_RADII, SPHERE_DIRECTIONS)):
+        direction = rng.standard_normal(m)
+        direction /= np.linalg.norm(direction)
+        assert directions[k].tobytes() == direction.tobytes()
+        assert probes[k].tobytes() == (radius * direction).tobytes()
+    assert len(probes) == k + 1
+    for array in (directions, probes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
 
 
 @st.composite

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import matrix_oracle
 import numpy as np
+import parse_oracle
 import poly_oracle
 import pytest
 from hypothesis import example, given
@@ -132,6 +133,55 @@ _COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 _POLYS3 = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _COEFFS, max_size=6).map(lambda t: Poly(3, t))
 
 
+# Atoms include zero, leading zeros, decimals, malformed literals, an undeclared name and a
+# character no token starts with; exponents include 0, the cap and past it, and malformed ones.
+# The well-formed ones are listed several times, so that most draws parse or reach the cap.
+_PARSE_ATOMS = st.sampled_from(
+    (["0", "00", "1", "2", "3/2", "7/04", "0.5", "2.25"] + ["x1", "x2", "x3"] * 4) * 4
+    + ["1.", "1/", "1/0", "2/00", "1.5.2", "x4", "$"]
+)
+_PARSE_POWERS = st.sampled_from([""] * 24 + ["^0", "^1", "^2"] * 2 + ["^12", "^13", "^24"] * 4 + ["^25", "^2.0", "^1/2", "^x1", "^"])
+
+
+def _parse_sums(inner):
+    factor = st.builds(str.__add__, st.one_of(_PARSE_ATOMS, inner.map("({})".format)), _PARSE_POWERS)
+    term = st.lists(factor, min_size=1, max_size=4).map("*".join)
+    signed = st.tuples(st.sampled_from([" + ", " - ", "-", "+"] * 3 + [" "]), term).map("".join)
+    return st.builds(str.__add__, st.sampled_from(["", "-", "+"]), st.builds(str.__add__, term, st.lists(signed, max_size=3).map("".join)))
+
+
+_EXPRESSIONS = st.one_of(
+    *[st.recursive(_PARSE_ATOMS, _parse_sums, max_leaves=16)] * 4,
+    st.text(alphabet="x1230.^/*+-() ", max_size=14),
+)
+
+
+def _parsed(parse, text: str):
+    """The term map in insertion order, or the error's type, message and position."""
+    try:
+        return list(parse(text, _NAMES3).terms.items())
+    except (PolyParseError, DegreeCapError) as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+@given(_EXPRESSIONS)
+@example("x1^13*x2^12")  # a product past the cap
+@example("(x1 + x2)^12*x3^12*x1")
+@example("0*x1^13*x2^12")  # no degree is checked once the product is zero
+@example("x1^13*0*x2^12*(x1 + x3)^12")
+@example("x1^25*0")  # the exponent is checked before the zero
+@example("0^0*x1 - x1^0*(x2 - x2)^0 + (0)^0")
+@example("-(x1 - x2)*2*(x1 + x2)*x3^2 + x3^2*(x2 + x1)*(x1 - x2)")
+@example("(x1*x2 - x2*x1 + x1*x2)*(1 + x1)")  # a key that cancels and comes back
+@example("x1^2.0 + 0.50*x2 + 007/014")
+@example("x1^12^2")
+@example("((x1)")
+def test_parser_matches_the_recursive_descent_oracle(text):
+    """Folding a term's factors keeps the products' term maps, their order included, and each
+    error's type, message and position."""
+    assert _parsed(parse_poly, text) == _parsed(parse_oracle.parse_poly, text)
+
+
 @given(_POLYS3, st.tuples(*[st.fractions(min_value=-4, max_value=4, max_denominator=3)] * 3))
 def test_print_parse_roundtrip(p, point):
     text = format_poly(p, _NAMES3)
@@ -162,21 +212,37 @@ def _ordered(p: Poly) -> list:
 @example(_CANCEL_A, _CANCEL_B, 2)
 @example(_CANCEL_A, _CANCEL_A * -1, Fraction(-1, 2))
 @example(Poly.const(3, 3), _CANCEL_A, 0)
+@example(Poly.zero(3), Poly.zero(3), 1)
+@example(Poly.zero(3), _CANCEL_A, -1)
+@example(Poly.const(3, Fraction(-2, 3)), Poly.monomial(3, (20, 5, 0)), 2)  # past the cap
 def test_ring_operations_keep_the_oracle_term_order(a, b, k):
-    """Each kernel returns the oracle's terms in the oracle's order, for Poly and scalar operands."""
+    """Each kernel returns the oracle's terms in the oracle's order, for Poly and scalar operands.
+    A zero operand leaves the other operand itself, and a product past the cap raises."""
+    if not b:
+        assert a + b is a and a - b is a and b + a is (a if a else b)
+    if a and b and a.degree() + b.degree() > DEGREE_CAP:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(DegreeCapError) as err:
+                x * y
+            assert str(err.value) == f"product degree {a.degree() + b.degree()} exceeds cap {DEGREE_CAP}"
+        products = []
+    else:
+        products = [
+            (a * b, poly_oracle.mul(a, b)),
+            (b * a, poly_oracle.mul(b, a)),
+            (poly_sum([a, b, a * b, -a], 3), poly_oracle.poly_sum([a, b, poly_oracle.mul(a, b), poly_oracle.neg(a)], 3)),
+        ]
     for got, want in [
+        *products,
         (a + b, poly_oracle.add(a, b)),
         (a - b, poly_oracle.sub(a, b)),
         (-a, poly_oracle.neg(a)),
-        (a * b, poly_oracle.mul(a, b)),
-        (b * a, poly_oracle.mul(b, a)),
         (a + k, poly_oracle.add(a, k)),
         (k + a, poly_oracle.add(a, k)),
         (a - k, poly_oracle.sub(a, k)),
         (k - a, poly_oracle.sub(Poly.const(3, k), a)),
         (a * k, poly_oracle.mul(a, k)),
         (k * a, poly_oracle.mul(a, k)),
-        (poly_sum([a, b, a * b, -a], 3), poly_oracle.poly_sum([a, b, poly_oracle.mul(a, b), poly_oracle.neg(a)], 3)),
         *((a.diff(i), poly_oracle.diff(a, i)) for i in range(3)),
     ]:
         assert _ordered(got) == _ordered(want)

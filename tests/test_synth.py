@@ -20,9 +20,11 @@ from liftlyap.parsing import parse_poly
 from liftlyap.poly import DegreeCapError, Poly, grad, poly_det, poly_sum
 from liftlyap.synth import (
     DIVERGENCE_GUARD,
+    VSTAR_FLOOR,
     DivergenceError,
     FeedbackResidualError,
     FeedbackSolution,
+    TrajectoryRecord,
     closed_loop_field,
     guard_box,
     simulate_rk4,
@@ -561,6 +563,46 @@ def test_verify_decrease_ex_ps():
     from liftlyap.poly import lie_derivative
 
     assert lie_derivative(list(loop.numer), vstar) == _p("-2*x1^2 - x2^2")
+
+
+def _sampled_decrease_by_loop(traj):
+    """verify_lyapunov_decrease's sampled scan as the loop it replaced: (monotone, first violation)."""
+    for k in range(len(traj.times) - 1):
+        if traj.vstar_values[k] <= VSTAR_FLOOR:
+            break
+        if not traj.vstar_values[k + 1] < traj.vstar_values[k]:
+            return False, (traj.times[k], traj.vstar_values[k], traj.vstar_values[k + 1])
+    return True, None
+
+
+_VSTAR_SAMPLES = st.lists(
+    st.one_of(
+        st.sampled_from([math.nan, math.inf, 0.0, VSTAR_FLOOR, VSTAR_FLOOR / 2, 2 * VSTAR_FLOOR, 0.5, 1.0]),
+        st.floats(min_value=-1.0, max_value=2.0),
+    ),
+    max_size=12,
+)
+
+
+@given(st.one_of(_VSTAR_SAMPLES, _VSTAR_SAMPLES.map(lambda values: sorted(values, reverse=True))))
+@example([])
+@example([1.0])
+@example([1.0, 0.5, 0.5, 0.1])  # a tie
+@example([1.0, math.nan, 0.5])
+@example([math.nan, 1.0])
+@example([1.0, 0.5, VSTAR_FLOOR, 1.0])  # the scan stops at the floor
+@example([1.0, VSTAR_FLOOR / 2, 0.0, 1.0])
+@example([1.0, 0.5, 2 * VSTAR_FLOOR, VSTAR_FLOOR, 1.0])
+def test_sampled_decrease_matches_the_loop(values):
+    """The array scan stops where the loop stopped and reports its first violation, with the
+    recorded values themselves; a NaN is a violation."""
+    traj = TrajectoryRecord([0.25 * k for k in range(len(values))], np.zeros((len(values), 1)), values)
+    x = Poly.variable(1, 0)
+    report = verify_lyapunov_decrease(traj, x * x, polynomial_loop([-x]), check_grid(1))
+    monotone, violation = _sampled_decrease_by_loop(traj)
+    assert report.monotone == monotone
+    assert repr(report.first_violation) == repr(violation)  # repr: a NaN is equal to no float
+    assert report.analytic_negative
 
 
 def test_verify_decrease_fails_for_frozen_state():
