@@ -58,6 +58,7 @@ MultiIndex = tuple[int, ...]
 # Per term: the coefficient as a float and the (variable, exponent) pairs with exponent > 0
 FloatTerms = tuple[tuple[float, tuple[tuple[int, int], ...]], ...]
 FloatVector = Callable[[Sequence[float]], tuple[float, ...]]  # what compile_float returns
+Shape = tuple[MultiIndex, ...]  # a polynomial's exponent tuples in term order, without its coefficients
 
 # Products whose total degree would exceed this bound raise DegreeCapError
 # instead of silently producing huge term maps.
@@ -458,9 +459,27 @@ def lie_brackets(fields: Sequence[Sequence[Poly]], pairs: Iterable[tuple[int, in
     return out
 
 
-def powers(polys: Sequence[Poly]) -> list[tuple[int, int]]:
-    """The (variable, exponent > 1) pairs that :func:`value_lines` computes for ``polys``, sorted."""
-    return sorted({(i, operator.index(e)) for p in polys for _, term in p._float_terms() for i, e in term if e > 1})
+def term_shapes(polys: Sequence[Poly]) -> tuple[Shape, ...]:
+    """The exponent tuples of each of ``polys`` in term order: all that :func:`value_lines` writes code from."""
+    return tuple(tuple(p.terms) for p in polys)
+
+
+def float_coefficients(polys: Sequence[Poly]) -> tuple[float, ...]:
+    """The coefficients of ``polys`` as floats, in the order of :func:`coefficient_names`.
+
+    A coefficient beyond the float range raises OverflowError, on every call.
+    """
+    return tuple(c for p in polys for c, _ in p._float_terms())
+
+
+def coefficient_names(shapes: Sequence[Shape], q: str = "q") -> list[str]:
+    """The names ``q<k>_<j>`` that :func:`value_lines` reads coefficient j of polynomial k from."""
+    return [f"{q}{k}_{j}" for k, shape in enumerate(shapes) for j in range(len(shape))]
+
+
+def powers(shapes: Sequence[Shape]) -> list[tuple[int, int]]:
+    """The (variable, exponent > 1) pairs that :func:`value_lines` computes for ``shapes``, sorted."""
+    return sorted({(i, operator.index(e)) for shape in shapes for mi in shape for i, e in enumerate(mi) if e > 1})
 
 
 # Terms per statement of value_lines: compile() nests a chained sum, and it
@@ -469,34 +488,42 @@ TERMS_PER_LINE = 200
 
 
 def value_lines(
-    polys: Sequence[Poly], point: str | None, x: str = "x", t: str = "t", held: Iterable[tuple[int, int]] = ()
+    shapes: Sequence[Shape],
+    point: str | None,
+    x: str = "x",
+    t: str = "t",
+    q: str = "q",
+    held: Iterable[tuple[int, int]] = (),
 ) -> list[str]:
-    """Statements that set ``t0``, ``t1``, ... to the float values of ``polys``.
+    """Statements that set ``t0``, ``t1``, ... to the float values of the polynomials of ``shapes``.
 
-    ``point`` is a format with one ``{0}`` for a variable index, a Python
-    float expression of that coordinate; each coordinate used is assigned
-    from it once, into ``x<i>``.  With ``point`` None, ``x<i>`` already
-    hold the coordinates as Python floats.  Each power (variable,
-    exponent > 1) is then computed once into ``x<i>_<e>`` and shared by
-    every term and every polynomial, except the powers in ``held``, which
-    earlier statements already computed from the same ``x<i>``.  Each
-    value is summed from 0.0 term by term, left to right, each term the
-    coefficient times its factors in variable order, in one statement per
-    TERMS_PER_LINE terms: ``t0 = 0.0 + -0.5 * x2_2 * x4 + 3.0 * x1``, then
-    ``t0 = t0 + ...``.  Apart from ``point``, the statements hold only
-    ``repr`` of finite floats and integer indices and exponents; a
-    coefficient beyond the float range raises OverflowError.
+    Each shape is a polynomial's exponent tuples in term order
+    (:func:`term_shapes`), and coefficient j of polynomial k is read from
+    the name ``q<k>_<j>``, which the caller binds to the float coefficient
+    (:func:`coefficient_names`, :func:`float_coefficients`).  ``point`` is
+    a format with one ``{0}`` for a variable index, a Python float
+    expression of that coordinate; each coordinate used is assigned from it
+    once, into ``x<i>``.  With ``point`` None, ``x<i>`` already hold the
+    coordinates as Python floats.  Each power (variable, exponent > 1) is
+    then computed once into ``x<i>_<e>`` and shared by every term and every
+    polynomial, except the powers in ``held``, which earlier statements
+    already computed from the same ``x<i>``.  Each value is summed from 0.0
+    term by term, left to right, each term the coefficient times its
+    factors in variable order, in one statement per TERMS_PER_LINE terms:
+    ``t0 = 0.0 + q0_0 * x2_2 * x4 + q0_1 * x1``, then ``t0 = t0 + ...``.
+    Apart from ``point``, the statements hold only generated names and
+    integer indices and exponents, so polynomials of one shape share them
+    whatever their coefficients.
     """
-    tables = [p._float_terms() for p in polys]
-    used = sorted({i for table in tables for _, term in table for i, _ in term})
+    used = sorted({i for shape in shapes for mi in shape for i, e in enumerate(mi) if e})
     lines = [] if point is None else [f"{x}{i} = {point.format(i)}" for i in used]
     held = set(held)
-    lines += [f"{x}{i}_{e} = {x}{i} ** {e}" for i, e in powers(polys) if (i, e) not in held]
-    for k, table in enumerate(tables):
-        terms = []
-        for c, term in table:
-            assert math.isfinite(c), c  # float(Fraction) raises rather than give inf
-            terms.append(repr(c) + "".join(f" * {x}{i}_{e}" if e > 1 else f" * {x}{i}" for i, e in term))
+    lines += [f"{x}{i}_{e} = {x}{i} ** {e}" for i, e in powers(shapes) if (i, e) not in held]
+    for k, shape in enumerate(shapes):
+        terms = [
+            f"{q}{k}_{j}" + "".join(f" * {x}{i}_{e}" if e > 1 else f" * {x}{i}" for i, e in enumerate(mi) if e)
+            for j, mi in enumerate(shape)
+        ]
         start = "0.0"
         for first in range(0, len(terms), TERMS_PER_LINE):
             lines.append(f"{t}{k} = {start} + " + " + ".join(terms[first : first + TERMS_PER_LINE]))
@@ -511,24 +538,34 @@ def compile_float(polys: Sequence[Poly], den: Poly | None = None) -> FloatVector
 
     The function is the straight-line Python of :func:`value_lines`, one
     statement per TERMS_PER_LINE terms, so a long polynomial never nests
-    deeper than that.  The arithmetic is the per-term product
+    deeper than that.  It reads the coefficients, converted once by
+    :func:`float_coefficients`, from the names of :func:`coefficient_names`
+    in the scope that encloses it.  The arithmetic is the per-term product
     ``c * x ** e * ...`` summed from 0.0: a power computed once and shared,
-    and ``x ** 1`` written as ``x``, give the same floats.  An overflowing
-    power raises OverflowError; a product or sum that overflows gives inf or
-    NaN.  The point is not length-checked; a missing coordinate raises
-    IndexError.
+    and ``x ** 1`` written as ``x``, give the same floats.  A coefficient
+    beyond the float range raises OverflowError here, and so does an
+    overflowing power in the function; a product or sum that overflows
+    gives inf or NaN.  The point is not length-checked; a missing
+    coordinate raises IndexError.
     With ``den``, each value is divided by den's value, computed with them
     (no division for a den of 1; ZeroDivisionError where den is 0.0).
     """
     tail = [] if den is None or den == Poly.const(den.nvars, 1) else [den]
     over = f" / t{len(polys)}" if tail else ""
-    lines = ["def values(p):"]
-    # float() of each coordinate, because an np.float64 power rounds differently
-    lines += [f"    {line}" for line in value_lines([*polys, *tail], "float(p[{0}])")]
-    lines.append("    return (" + "".join(f"t{k}{over}, " for k in range(len(polys))) + ")")
+    coefficients = float_coefficients([*polys, *tail])
+    shapes = term_shapes([*polys, *tail])
+    lines = [
+        "def bind(coefficients):",
+        "    (" + "".join(f"{name}, " for name in coefficient_names(shapes)) + ") = coefficients",
+        "    def values(p):",
+        # float() of each coordinate, because an np.float64 power rounds differently
+        *(f"        {line}" for line in value_lines(shapes, "float(p[{0}])")),
+        "        return (" + "".join(f"t{k}{over}, " for k in range(len(polys))) + ")",
+        "    return values",
+    ]
     namespace: dict = {}
     exec(compile("\n".join(lines), "<compile_float>", "exec"), namespace)
-    return namespace["values"]
+    return namespace["bind"](coefficients)
 
 
 def eval_points(polys: Sequence[Poly], points) -> np.ndarray:

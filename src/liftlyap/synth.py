@@ -10,16 +10,21 @@ F N = den rhs holds as polynomials, so F u = rhs wherever den is not 0;
 when den also divides N, u is an exact polynomial.
 
 The closed loop is numer / den with numer = f0 den + F N.  RK4 runs it in
-one generated loop per simulation, which evaluates numer and den inline in
-each of its four stages and V* on each recorded state; nothing in the loop
-calls the closed loop or any other compiled function.
+one generated loop, which evaluates numer and den inline in each of its
+four stages and V* on each recorded state; nothing in the loop calls the
+closed loop or any other compiled function.  The loop's statements hold
+generated names, integer indices and exponents, and no coefficient: it is
+compiled once per closed-loop shape (m, whether den is 1, whether V* is
+given, and the exponent tuples of numer, den and V* in term order), kept
+for at most 128 shapes, and each simulation passes it its own
+coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +35,10 @@ from .poly import (
     FloatVector,
     Poly,
     PolyMatrix,
+    Shape,
+    coefficient_names,
     compile_float,
+    float_coefficients,
     grlex_key,
     lie_derivative,
     origin_pivots,
@@ -38,6 +46,7 @@ from .poly import (
     poly_det,
     poly_sum,
     powers,
+    term_shapes,
     value_lines,
 )
 from .sysmodel import ControlAffineSystem
@@ -84,6 +93,16 @@ def solve_feedback(sys: ControlAffineSystem, rhs: Sequence[Poly]) -> FeedbackSol
     component (1-based) of den (F u - rhs) = F N - den rhs that is not 0
     and that component's leading grlex term.  Under a LIFTABLE verdict it
     is reached when the lift is a series, which the order truncates.
+
+    Degree budget: with d_j the degree of column j of F and e that of rhs,
+    the F_S branch forms no product above sum_j d_j + e.  The F^T F
+    branch doubles the columns' share: its entries have degree
+    d_j + d_k, det(F^T F) at most 2 sum_j d_j, and the largest products,
+    adj(F^T F) F^T rhs times F and den times rhs, at most
+    2 sum_j d_j + e.  Within DEGREE_CAP the branch never raises; past it,
+    the first product above the cap raises DegreeCapError (``product
+    degree N exceeds cap 24``), which the command line reports as an
+    input error, exit 1.
     """
     if len(rhs) != sys.m:
         raise ValueError("right-hand side must have one component per state")
@@ -173,39 +192,47 @@ def _guard(state: Sequence[float], t: float) -> None:
         raise DivergenceError(f"state norm exceeded {DIVERGENCE_GUARD:.0e} at t={t:.3f}")
 
 
-def _rk4_loop(loop: ClosedLoop, vstar: Poly | None) -> Callable[..., None]:
-    """The generated body of :func:`simulate_rk4` for this closed loop and V*."""
-    m = len(loop.numer)
-    den = loop.feedback.den
-    polys = [*loop.numer] if den == Poly.const(m, 1) else [*loop.numer, den]
+@lru_cache(maxsize=128)  # about 7 KiB an entry
+def _rk4_loop(m: int, field: tuple[Shape, ...], vstar: Shape | None) -> Callable[..., None]:
+    """The generated body of :func:`simulate_rk4` for one closed-loop shape, compiled once per shape.
+
+    The shape is all that the code depends on: m, the exponent tuples in
+    term order (:func:`poly.term_shapes`) of numer and, after it unless den
+    is 1, of den, and those of V*, or None when V* is not given.  The loop
+    takes the float coefficients of numer, den and V*, in that order, as
+    one tuple, and unpacks them into the locals that
+    :func:`poly.value_lines` reads (``q<k>_<j>`` for the field, ``w0_<j>``
+    for V*) once, before the first step.
+    """
+    den = len(field) > m
     xs = [f"x{i}" for i in range(m)]
+    names = coefficient_names(field) + (coefficient_names([vstar], "w") if vstar is not None else [])
 
     def field_at(point: str | None, x: str, k: str, held: Sequence[tuple[int, int]] = ()) -> list[str]:
         # k0 .. k{m-1} = numer / den at the stage input, as compile_float divides
-        lines = value_lines(polys, point, x=x, t=k, held=held)
-        return lines + [f"{k}{i} = {k}{i} / {k}{m}" for i in range(m)] if len(polys) > m else lines
+        lines = value_lines(field, point, x=x, t=k, held=held)
+        return lines + [f"{k}{i} = {k}{i} / {k}{m}" for i in range(m)] if den else lines
 
     box = guard_box(m)
     body = [
-        "t = k * h",
         "s = " + "".join(f"{x}, " for x in xs),
-        "times_append(t)",
         "states_extend(s)",
-        *(value_lines([vstar], None, t="v") if vstar is not None else ["v0 = nan"]),
+        *(value_lines([vstar], None, t="v", q="w") if vstar is not None else ["v0 = nan"]),
         "vstar_append(v0)",
         "if k == steps:",
         "    return",
         "if not (" + " and ".join(f"{-box!r} <= {x} <= {box!r}" for x in xs) + "):",
-        "    guard(s, t)",
+        "    guard(s, k * h)",
         *field_at(None, "x", "a", powers([vstar]) if vstar is not None else ()),  # V*'s powers of this state
         *field_at("x{0} + half * a{0}", "y", "b"),
         *field_at("x{0} + half * b{0}", "y", "c"),
         *field_at("x{0} + h * c{0}", "y", "d"),
         *(f"x{i} = x{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})" for i in range(m)),
     ]
-    params = ", ".join([*xs, "steps", "h", "half", "sixth", "guard", "times_append", "states_extend", "vstar_append"])
+    params = ", ".join(["coefficients", *xs, "steps", "h", "half", "sixth", "guard", "states_extend", "vstar_append"])
     lines = [
         f"def run({params}):",
+        "    (" + "".join(f"{name}, " for name in names) + ") = coefficients",
         "    for k in range(steps + 1):",
         *(f"        {line}" for line in body),
     ]
@@ -219,21 +246,26 @@ def simulate_rk4(
 ) -> TrajectoryRecord:
     """Classical fixed-step fourth-order integration of the closed loop, with state recording.
 
-    One straight-line loop is generated per call for the closed loop and
-    V*.  It keeps the state in locals x0 .. x{m-1} and forms each stage
-    input and the update coordinate by coordinate, in the order of the
-    vector expressions ``x + (0.5*h)*k1``, ``x + (0.5*h)*k2``,
-    ``x + h*k3`` and ``x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the
-    trajectory is that of the same formulas over float64 arrays, bit for
-    bit.  Each stage evaluates ``loop.numer`` and, unless it is 1,
-    ``loop.feedback.den`` inline, by the code of :func:`poly.value_lines`
-    on the stage input's coordinates, and divides as
-    :func:`poly.compile_float` does, so each stage value is ``loop``'s.
-    Each state is recorded as it is reached, with V* evaluated inline the
-    same way, so the values are :meth:`Poly.eval_float`'s; the first stage
-    reads the powers of the state that V* computed.  The states are
-    recorded flat: each one's m coordinates extend one list of floats,
-    which one ``reshape`` turns into the (steps + 1, m) array at the end.
+    The straight-line loop of :func:`_rk4_loop` runs it, generated and
+    compiled once per closed-loop shape and kept for the next loop of that
+    shape; each call passes its own coefficients, converted by
+    :func:`poly.float_coefficients`.  The loop keeps the state in locals
+    x0 .. x{m-1} and forms each stage input and the update coordinate by
+    coordinate, in the order of the vector expressions
+    ``x + (0.5*h)*k1``, ``x + (0.5*h)*k2``, ``x + h*k3`` and
+    ``x + (h/6)*(((k1 + 2*k2) + 2*k3) + k4)``, so the trajectory is that
+    of the same formulas over float64 arrays, bit for bit.  Each stage
+    evaluates ``loop.numer`` and, unless it is 1, ``loop.feedback.den``
+    inline, by the code of :func:`poly.value_lines` on the stage input's
+    coordinates, and divides as :func:`poly.compile_float` does, so each
+    stage value is ``loop``'s.  Each state is recorded as it is reached,
+    with V* evaluated inline the same way, so the values are
+    :meth:`Poly.eval_float`'s; the first stage reads the powers of the
+    state that V* computed.  The states are recorded flat: each one's m
+    coordinates extend one list of floats, which one ``reshape`` turns into
+    the (steps + 1, m) array at the end.  The times are ``k * h`` for each
+    recorded state k, built after the loop; an overflow or a zero
+    denominator is reported at the time of the last state recorded.
     Before each step, and at the horizon, the state must satisfy
     ``norm <= DIVERGENCE_GUARD``; inside the cube of :func:`guard_box` it
     does without computing the norm, and elsewhere ``np.linalg.norm``
@@ -252,21 +284,25 @@ def simulate_rk4(
         raise ValueError(f"the closed loop has {len(loop.numer)} components, but the state has {m} coordinates")
     if vstar is not None and vstar.nvars != m:
         raise ValueError(f"V* has {vstar.nvars} variables, but the state has {m} coordinates")
-    times: list[float] = []
+    den = loop.feedback.den
+    field = [*loop.numer] if den == Poly.const(m, 1) else [*loop.numer, den]
     states: list[float] = []  # flat: the m coordinates of each state in turn
     values: list[float] = []
     try:
-        run = _rk4_loop(loop, vstar)  # a coefficient beyond the float range raises OverflowError here
+        # a coefficient beyond the float range raises OverflowError here, for a cached shape too
+        coefficients = float_coefficients(field if vstar is None else [*field, vstar])
+        run = _rk4_loop(m, term_shapes(field), None if vstar is None else tuple(vstar.terms))
         # inf and NaN from an overflowing step fail the guard, `not norm <= DIVERGENCE_GUARD`,
         # and so does a finite state whose squared norm overflows, the last one too
         with np.errstate(over="ignore", invalid="ignore"):
-            run(*start, steps, h, 0.5 * h, h / 6.0, _guard, times.append, states.extend, values.append)
+            run(coefficients, *start, steps, h, 0.5 * h, h / 6.0, _guard, states.extend, values.append)
             _guard(states[-m:], horizon)
-    except OverflowError as exc:
-        t = times[-1] if times else 0.0
-        raise DivergenceError(f"float overflow evaluating the field or V* at t={t:.3f}") from exc
-    except ZeroDivisionError as exc:
-        raise DivergenceError(f"the closed loop's denominator is 0.0 at t={times[-1]:.3f}") from exc
+    except (OverflowError, ZeroDivisionError) as exc:
+        t = max(len(states) // m - 1, 0) * h  # the time of the last state recorded, or 0
+        if isinstance(exc, OverflowError):
+            raise DivergenceError(f"float overflow evaluating the field or V* at t={t:.3f}") from exc
+        raise DivergenceError(f"the closed loop's denominator is 0.0 at t={t:.3f}") from exc
+    times = [k * h for k in range(len(values))]
     return TrajectoryRecord(times, np.array(states, dtype=float).reshape(len(times), m), values)
 
 

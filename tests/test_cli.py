@@ -387,6 +387,30 @@ def test_feedback_degree_cap_is_input_error(monkeypatch, capsys):
     assert "[liftlyap] error: product degree 26 exceeds cap 24" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("power, code", [(11, EXIT_OK), (12, EXIT_INPUT)])
+def test_normal_equations_past_the_degree_budget_is_input_error(monkeypatch, tmp_path, capsys, power, code):
+    """The second input column (0, 1 - x2^k, x2) makes det F_S = 1 - x2^k, not evidently positive, so the
+    feedback takes F^T F, whose det has degree 2k.  At k = 12 the budget 2k + deg rhs passes DEGREE_CAP:
+    the product adj(F^T F) F^T rhs has degree 25, and the problem file exits 1 with no traceback."""
+    spec = gen.liftable_flat(random.Random("fb"), "fb", 3, 1, 4).spec
+    spec["f"] = [*spec["f"], ["0", f"1 - x2^{power}", "x2"]]
+    spec["inputs"] = ["u1", "u2"]
+    spec["beta"] = [["1", "0"]]
+    spec["d"] = [["0", "-x2", f"1 - x2^{power}"]]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    dets = []
+    monkeypatch.setattr(synth, "poly_det", lambda mat: dets.append(poly_det(mat)) or dets[-1])
+    assert main(["report", "--spec", str(path)]) == code
+    assert [det.degree() for det in dets] == [power, 2 * power]  # det F_S, then det(F^T F)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_INPUT:
+        assert "[liftlyap] error: product degree 25 exceeds cap 24" in err
+    else:
+        assert "LIFTABLE_AND_VERIFIED" in err
+
+
 def test_cofactor_expansion_limit_is_input_error(monkeypatch, capsys):
     # a dense non-constant 11x11 determinant takes about e 11! minors: exit 1 naming the size, no traceback
     dense = PolyMatrix(

@@ -521,9 +521,8 @@ def test_final_guard_reads_the_last_state(m):
             simulate(field, start, 1.0, 1.0)
 
 
-def test_rk4_loop_computes_each_power_of_a_state_once(monkeypatch):
-    """The first stage reads the powers of the state that V* computed; the other stages, at other
-    points, compute their own."""
+def _compile_spy(monkeypatch) -> list[str]:
+    """The sources that synth compiles from now on, in order."""
     sources = []
 
     def spy(source, *args):
@@ -531,6 +530,14 @@ def test_rk4_loop_computes_each_power_of_a_state_once(monkeypatch):
         return compile(source, *args)
 
     monkeypatch.setattr(synth, "compile", spy, raising=False)
+    return sources
+
+
+def test_rk4_loop_computes_each_power_of_a_state_once(monkeypatch):
+    """The first stage reads the powers of the state that V* computed; the other stages, at other
+    points, compute their own."""
+    synth._rk4_loop.cache_clear()  # a loop of this shape compiled by an earlier test is not compiled again
+    sources = _compile_spy(monkeypatch)
     loop = polynomial_loop([_p("-x1 + x2^2"), _p("-x2^3 - x1^2")])
     record = simulate_rk4(loop, [0.5, -0.25], 0.01, 0.05, _p("x1^2 + x2^2"))
     lines = [line.strip() for line in sources[-1].splitlines()]
@@ -541,6 +548,166 @@ def test_rk4_loop_computes_each_power_of_a_state_once(monkeypatch):
     want = rk4_oracle.simulate_rk4(lambda x: np.asarray(loop(x)), [0.5, -0.25], 0.01, 0.05, _p("x1^2 + x2^2"))
     assert record.states.tobytes() == np.array(want.states).tobytes()
     assert record.vstar_values == want.vstar_values
+
+
+def _shaped(coeffs) -> tuple:
+    """x1' = c0 x1 + c1 x2^2, x2' = c2 x2 + c3 x1^3 with V* = c4 x1^2 + c5 x2^2: one shape for any nonzero c."""
+    field = [Poly(2, {(1, 0): coeffs[0], (0, 2): coeffs[1]}), Poly(2, {(0, 1): coeffs[2], (3, 0): coeffs[3]})]
+    return field, Poly(2, {(2, 0): coeffs[4], (0, 2): coeffs[5]})
+
+
+_COEFFS = [Fraction(-1), Fraction(1, 2), Fraction(-2), Fraction(-1, 3), Fraction(1), Fraction(2)]
+
+
+def test_loops_of_one_shape_share_one_compile(monkeypatch):
+    """Loops that differ only in their coefficients run one compiled loop, and each gives the oracle's
+    trajectory and that of a loop compiled for it alone, bit for bit."""
+    rng = random.Random("shape")
+    drawn = [[Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7)) for _ in range(6)] for _ in range(8)]
+    cases = [_shaped(coeffs) for coeffs in drawn]
+    x0, h, steps = [0.3, -0.2], 0.05, 20
+    fresh = []
+    for field, vstar in cases:
+        synth._rk4_loop.cache_clear()
+        fresh.append(_simulation_outcome(simulate_rk4, polynomial_loop(field), x0, h, steps, vstar))
+    synth._rk4_loop.cache_clear()
+    sources = _compile_spy(monkeypatch)
+    for (field, vstar), alone in zip(cases, fresh):
+        loop = polynomial_loop(field)
+        want = _simulation_outcome(rk4_oracle.simulate_rk4, lambda x: np.asarray(loop(x)), x0, h, steps, vstar)
+        assert _simulation_outcome(simulate_rk4, loop, x0, h, steps, vstar) == alone == want
+    assert len(sources) == 1
+    assert synth._rk4_loop.cache_info().currsize == 1
+
+
+def test_one_loop_from_many_starts_compiles_once(monkeypatch):
+    synth._rk4_loop.cache_clear()
+    sources = _compile_spy(monkeypatch)
+    field, vstar = _shaped(_COEFFS)
+    loop = polynomial_loop(field)
+    for x0 in ([0.5, -0.25], [0.0, 0.0], [-0.1, 0.4], [1e-3, 2e-3]):
+        got = simulate_rk4(loop, x0, 0.01, 0.5, vstar)
+        want = rk4_oracle.simulate_rk4(lambda x: np.asarray(loop(x)), x0, 0.01, 0.5, vstar)
+        assert _trajectory_bits(got) == _trajectory_bits(want)
+    assert len(sources) == 1
+
+
+def test_each_closed_loop_shape_has_its_own_loop(monkeypatch):
+    """A different term order, a den other than 1, no V* and a different m each compile a loop of their
+    own, which gives the oracle's trajectory; the first shape is then still cached."""
+    synth._rk4_loop.cache_clear()
+    sources = _compile_spy(monkeypatch)
+    field, vstar = _shaped(_COEFFS)
+    reordered = [Poly(2, dict(reversed(p.terms.items()))) for p in field]
+    assert reordered == field  # equal polynomials, whose terms are summed in another order
+    x1 = Poly.variable(3, 0)
+    shapes = [
+        (polynomial_loop(field), vstar),
+        (polynomial_loop(reordered), vstar),
+        (polynomial_loop(field, _p("1 + x1^2")), vstar),
+        (polynomial_loop(field), None),
+        (polynomial_loop([-x1, -Poly.variable(3, 1), -Poly.variable(3, 2) + x1 * x1]), x1 * x1),
+    ]
+    x0s = {2: [0.5, -0.25], 3: [0.5, -0.25, 0.125]}
+    for count, (loop, v) in enumerate(shapes, 1):
+        x0 = x0s[len(loop.numer)]
+        want = rk4_oracle.simulate_rk4(lambda x: np.asarray(loop(x)), x0, 0.01, 0.2, v)
+        assert _trajectory_bits(simulate_rk4(loop, x0, 0.01, 0.2, v)) == _trajectory_bits(want)
+        assert (len(sources), synth._rk4_loop.cache_info().currsize) == (count, count)
+    simulate_rk4(shapes[0][0], x0s[2], 0.01, 0.2, vstar)
+    assert len(sources) == len(shapes)
+
+
+def test_rk4_loop_cache_is_bounded():
+    synth._rk4_loop.cache_clear()
+    bound = synth._rk4_loop.cache_info().maxsize
+    assert bound == 128
+    for degree in range(1, bound + 10):  # x' = -x^degree: a shape per degree
+        simulate_rk4(polynomial_loop([Poly.monomial(1, (degree,), -1)]), [0.5], 0.1, 0.1)
+        assert synth._rk4_loop.cache_info().currsize == min(degree, bound)
+
+
+def test_coefficient_beyond_the_float_range_on_a_cached_shape(monkeypatch):
+    """A cached loop of the shape is no way round the conversion of each call's own coefficients."""
+    synth._rk4_loop.cache_clear()
+    sources = _compile_spy(monkeypatch)
+    field, vstar = _shaped(_COEFFS)
+    simulate_rk4(polynomial_loop(field), [0.5, -0.25], 0.01, 0.1, vstar)
+    message = r"^float overflow evaluating the field or V\* at t=0.000$"
+    for k in (1, 5):  # in the field, then in V*
+        huge_field, huge_vstar = _shaped([Fraction(10**400) if j == k else c for j, c in enumerate(_COEFFS)])
+        with pytest.raises(DivergenceError, match=message):
+            simulate_rk4(polynomial_loop(huge_field), [0.5, -0.25], 0.01, 0.1, huge_vstar)
+    assert len(sources) == 1
+
+
+@pytest.mark.parametrize("h, horizon", [(0.01, 10.0), (0.1, 0.3), (0.37, 5.0), (1.0, 1.0), (0.05, 0.124)])
+def test_times_are_the_step_count_times_h(h, horizon):
+    """The times, built after the loop, are k * h for each recorded state, bit for bit, and one more
+    than the steps (which liftbench's step counter reads)."""
+    x = Poly.variable(1, 0)
+    loop = polynomial_loop([-x])
+    record = simulate_rk4(loop, [1.0], h, horizon, x * x)
+    steps = int(round(horizon / h))
+    assert [float.hex(t) for t in record.times] == [float.hex(k * h) for k in range(steps + 1)]
+    assert len(record.times) - 1 == steps == len(record.states) - 1 == len(record.vstar_values) - 1
+    want = rk4_oracle.simulate_rk4(lambda p: np.asarray(loop(p)), [1.0], h, horizon, x * x)
+    assert _trajectory_bits(record) == _trajectory_bits(want)
+
+
+_HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "loop, x0, h, horizon, vstar, message",
+    [
+        (polynomial_loop([Poly.monomial(1, (2,))]), [1.0], 0.01, 2.0, None, "state norm exceeded 1e+06 at t=1.010"),
+        (
+            polynomial_loop([Poly.monomial(1, (9,))]),
+            [1.0],
+            0.01,
+            1.0,
+            None,
+            "float overflow evaluating the field or V* at t=0.130",
+        ),
+        (
+            polynomial_loop([_const(10**15)]),
+            [1.0],
+            0.01,
+            0.03,
+            Poly.monomial(1, (24,)),
+            "float overflow evaluating the field or V* at t=0.010",
+        ),
+        (
+            polynomial_loop([_const(_HALF) - Poly.variable(1, 0)], Poly.variable(1, 0) - _HALF),
+            [1.0],
+            0.25,
+            5.0,
+            None,
+            "the closed loop's denominator is 0.0 at t=0.250",
+        ),
+        (
+            polynomial_loop([Poly.monomial(1, (2,), 10**400)]),
+            [1.0],
+            0.01,
+            0.1,
+            None,
+            "float overflow evaluating the field or V* at t=0.000",
+        ),
+    ],
+    ids=["guard", "field-overflow", "vstar-overflow", "zero-den", "huge-coefficient"],
+)
+def test_divergence_reads_t_from_the_recorded_states(loop, x0, h, horizon, vstar, message):
+    """Each message names the time of the last state recorded, as the loop did when it kept the times
+    itself; the oracle agrees wherever it raises DivergenceError.  The second run is a cache hit."""
+    for _ in range(2):
+        with pytest.raises(DivergenceError) as got:
+            simulate_rk4(loop, x0, h, horizon, vstar)
+        assert str(got.value) == message
+    if "denominator" not in message:  # the oracle lets the ZeroDivisionError through
+        with pytest.raises(DivergenceError) as want:
+            rk4_oracle.simulate_rk4(lambda x: np.asarray(loop(x)), x0, h, horizon, vstar)
+        assert str(want.value) == message
 
 
 def test_rk4_convergence_ratio():
