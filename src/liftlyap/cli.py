@@ -22,19 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry, integrability, lift, synth, sysmodel
-from .geometry import EhresmannConnection, Frame, Lattice, ProjectionPair
+from .geometry import EhresmannConnection, Frame, Lattice
 from .integrability import GraphForm, ResidualSystem
 from .parsing import PolyParseError, is_identifier, parse_poly
 from .poly import DEGREE_CAP, DegreeCapError, ExpansionLimitError, Poly, PolyMatrix, format_poly, grad
-from .sysmodel import (
-    CLFValidationError,
-    ControlAffineSystem,
-    EquilibriumError,
-    QuotientCLF,
-    QuotientMorphism,
-    QuotientSystem,
-    TargetData,
-)
+from .sysmodel import CLFValidationError, ControlAffineSystem, EquilibriumError, QuotientMorphism, QuotientSystem
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,6 +43,8 @@ class SpecError(ValueError):
 
 @dataclass
 class Options:
+    """Run options; the defaults are those of a problem file without the key."""
+
     order: int = 6
     grid_per_axis: int = 3
     h: float = 0.01
@@ -233,11 +227,11 @@ def build_problem(raw: dict, overrides: dict | None = None) -> Problem:
     if not (isinstance(x0, list) and all(map(_is_number, x0))):
         raise SpecError("'options': x0 must be a list of numbers")
     options = Options(
-        order=int(opt_raw.get("order", 6)),
-        grid_per_axis=int(opt_raw.get("grid", 3)),
-        h=_option_float(opt_raw.get("h", 0.01), "h"),
-        horizon=_option_float(opt_raw.get("horizon", 10.0), "horizon"),
-        x0=[_option_float(v, f"x0[{k}]") for k, v in enumerate(opt_raw["x0"])] if "x0" in opt_raw else None,
+        order=int(opt_raw.get("order", Options.order)),
+        grid_per_axis=int(opt_raw.get("grid", Options.grid_per_axis)),
+        h=_option_float(opt_raw.get("h", Options.h), "h"),
+        horizon=_option_float(opt_raw.get("horizon", Options.horizon), "horizon"),
+        x0=[_option_float(v, f"x0[{k}]") for k, v in enumerate(opt_raw["x0"])] if "x0" in opt_raw else Options.x0,
     )
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -306,13 +300,12 @@ class RunState:
     """One pass of the pipeline: the problem, its check grids and what the stages made.
 
     The grids are decided here and nowhere else; every grid check takes its
-    grid from the run state.
+    grid from the run state.  Each datum is held once: vtilde and alpha in
+    the problem, P_D, P_VM and the target field X in ``rs``.
     """
 
     problem: Problem
     traj_dir: str | None = None
-    clf: QuotientCLF | None = None
-    td: TargetData | None = None
     rs: ResidualSystem | None = None
     form: GraphForm | None = None
     jet: lift.JetSolution | None = None
@@ -341,17 +334,14 @@ def stage_quotient(state: RunState) -> dict:
             f"{coeff} * (x,u)^{monomial}"
         )
     try:
-        state.clf = sysmodel.make_quotient_clf(problem.qsys, problem.vtilde, problem.alpha, state.quotient_grid)
+        w = sysmodel.make_quotient_clf(problem.qsys, problem.vtilde, problem.alpha, state.quotient_grid)
     except CLFValidationError as exc:
         raise SpecError(f"quotient Lyapunov data rejected: {exc}") from exc
-    return {
-        "residuals_zero": True,
-        "witness": None,
-        "w": format_poly(state.clf.w, problem.quotient_state_names),
-    }
+    return {"residuals_zero": True, "witness": None, "w": format_poly(w, problem.quotient_state_names)}
 
 
-def stage_geometry(state: RunState) -> ProjectionPair:
+def stage_geometry(state: RunState) -> tuple[PolyMatrix, PolyMatrix]:
+    """``(p_d, p_vm)`` of :func:`geometry.build_projections`, or of a supplied P_D."""
     problem = state.problem
     c = geometry.control_distribution(problem.sys, state.grid)
     d = geometry.complement_frame(c, problem.user_d, state.grid)
@@ -362,8 +352,8 @@ def stage_geometry(state: RunState) -> ProjectionPair:
 
 def projections_from_matrix(
     c: Frame, d: Frame, p_d: PolyMatrix, conn: EhresmannConnection
-) -> ProjectionPair:
-    """Wrap a user-supplied P_D after checking its defining identities exactly."""
+) -> tuple[PolyMatrix, PolyMatrix]:
+    """``(p_d, p_vm)`` for a user-supplied P_D, after checking its defining identities exactly."""
     m = c.dim
     if p_d.rows != m - c.rank or p_d.cols != m:
         raise SpecError(f"p_d must be {m - c.rank}x{m}")
@@ -377,36 +367,34 @@ def projections_from_matrix(
         for a in range(on_d.rows):
             if on_d.entry(a, j) != Poly.const(m, 1 if a == j else 0):
                 raise SpecError(f"p_d is not the identity on complement column {j + 1}")
-    return ProjectionPair(c, d, p_d, geometry.build_p_vm(conn), Poly.const(m, 1))
+    return p_d, geometry.build_p_vm(conn)
 
 
-def stage_target(state: RunState) -> TargetData:
+def stage_target(state: RunState) -> tuple[Poly, ...]:
     problem = state.problem
     try:
-        return sysmodel.build_target_x(problem.sys, problem.qsys, problem.conn, state.clf)
+        return sysmodel.build_target_x(problem.sys, problem.qsys, problem.conn, problem.vtilde, problem.alpha)
     except EquilibriumError as exc:
         raise SpecError(str(exc)) from exc
 
 
 def stage_integrability(state: RunState) -> dict:
-    pair = stage_geometry(state)
-    state.td = stage_target(state)
-    state.rs = ResidualSystem(pair, state.td.x_field)
+    state.rs = ResidualSystem(*stage_geometry(state), stage_target(state))
     report = integrability.full_check(state.rs, state.problem.conn, state.grid.points)
     state.form = report.form
     names = state.problem.state_names
     section = {
-        "flat": report.flat,
+        "flat": not report.flat_offenders,
         "flat_offenders": {
             f"F[{l}]({q1},{q2})": format_poly(poly, names)
             for (l, q1, q2), poly in sorted(report.flat_offenders.items())
         },
-        "condition_a": report.cond_a,
+        "condition_a": not report.cond_a_offenders,
         "condition_a_offenders": {
             f"A[{i1}]({a1},{a2})": format_poly(poly, names)
             for (a1, a2, i1), poly in sorted(report.cond_a_offenders.items())
         },
-        "condition_b": report.cond_b,
+        "condition_b": not report.cond_b_offenders,
         "condition_b_offenders": {
             f"B({a1},{a2})": format_poly(poly, names)
             for (a1, a2), poly in sorted(report.cond_b_offenders.items())
@@ -436,7 +424,7 @@ def stage_lift(state: RunState) -> dict:
     problem, rs = state.problem, state.rs
     system = lift.assemble_lift_system(state.form, problem.options.order)
     jet = lift.solve_jets(system, rs, fibre_start=problem.qsys.n)
-    vstar, diag = lift.assemble_vstar(state.td.pullback_vtilde, jet)
+    vstar, diag = lift.assemble_vstar(problem.vtilde.embed(problem.sys.m), jet)
     state.jet, state.vstar = jet, vstar
     names = problem.state_names
     section = {
@@ -459,7 +447,7 @@ def stage_synthesize(state: RunState) -> dict:
     problem = state.problem
     m = problem.sys.m
     dv = grad(state.jet.polynomial(m))
-    rhs = [state.td.x_field[i] - dv[i] for i in range(m)]
+    rhs = [state.rs.x_field[i] - dv[i] for i in range(m)]
     try:
         feedback = synth.solve_feedback(problem.sys, rhs)
     except synth.FeedbackResidualError as exc:

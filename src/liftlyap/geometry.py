@@ -269,7 +269,10 @@ class EhresmannConnection:
 
 
 def build_p_vm(conn: EhresmannConnection) -> PolyMatrix:
-    """m-by-n projection matrix: identity on the base block, gamma below."""
+    """P_VM: the m-by-n matrix with the identity on the base block and gamma below.
+
+    Its columns span ann(VM), and its transpose has ann(HM) as kernel.
+    """
     m, n = conn.m, conn.n
     rows = []
     for i in range(n):
@@ -315,37 +318,18 @@ def curvature_components(conn: EhresmannConnection) -> dict[tuple[int, int, int]
     return {(l + 1, q1 + 1, q2 + 1): bracket[l] for l in range(n, m) for (q2, q1), bracket in zip(pairs, brackets)}
 
 
-@dataclass
-class ProjectionPair:
-    """Projection data for the splitting TM = C (+) D and the connection.
-
-    The projection onto the D coordinates is P_D = p_d / delta: ``p_d`` is
-    an (m-r)-by-m polynomial matrix and ``delta`` a polynomial with
-    delta(0) = 1.  ``p_vm`` is the m-by-n matrix whose columns span ann(VM)
-    and whose transpose has ann(HM) as kernel.
-    """
-
-    c_frame: Frame
-    d_frame: Frame
-    p_d: PolyMatrix
-    p_vm: PolyMatrix
-    delta: Poly
-
-    @property
-    def m(self) -> int:
-        return self.c_frame.dim
-
-
-def build_projections(c: Frame, d: Frame, conn: EhresmannConnection) -> ProjectionPair:
-    """Assemble P_D and P_VM for a chosen complement and connection.
+def build_projections(c: Frame, d: Frame, conn: EhresmannConnection) -> tuple[PolyMatrix, PolyMatrix]:
+    """``(p_d, p_vm)``: the numerator of P_D for a chosen complement, and :func:`build_p_vm`.
 
     With T = [C | D], P_D is the bottom rows of T^-1 = adj(T) / det(T).
     Both are scaled by 1/det(T)(0), so ``p_d`` holds the bottom rows of
-    adj(T) / det(T)(0) and ``delta`` = det(T) / det(T)(0); p_d @ C = 0 and
-    p_d @ D = delta * I hold identically.  When det(T) is constant, delta
-    is 1 and ``p_d`` is P_D itself.  [C | D] must be invertible at the
-    origin, which is an exact check here; its rank on the rest of the grid
-    is checked by :func:`complement_frame`.
+    adj(T) / det(T)(0), and with delta = det(T) / det(T)(0), which has
+    delta(0) = 1, P_D = p_d / delta; p_d @ C = 0 and p_d @ D = delta * I
+    hold identically.  Nothing downstream divides by delta: the lift PDE
+    and its obstructions are exact identities on ``p_d``.  When det(T) is
+    constant, delta is 1 and ``p_d`` is P_D itself.  [C | D] must be
+    invertible at the origin, which is an exact check here; its rank on
+    the rest of the grid is checked by :func:`complement_frame`.
 
     A constant [C | D] gets det and adj from one exact Fraction
     elimination.  One with a polynomial entry gets them by cofactor
@@ -365,5 +349,4 @@ def build_projections(c: Frame, d: Frame, conn: EhresmannConnection) -> Projecti
     if d0 == 0:
         raise FrameRankError("[C | D] is singular at the origin")
     adj = poly_adjugate(t).scale(Fraction(1) / d0)
-    p_d = PolyMatrix([adj.row(i) for i in range(c.rank, m)], cols=m, nvars=m)
-    return ProjectionPair(c, d, p_d, build_p_vm(conn), det * (Fraction(1) / d0))
+    return PolyMatrix([adj.row(i) for i in range(c.rank, m)], cols=m, nvars=m), build_p_vm(conn)

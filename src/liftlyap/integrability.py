@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from . import geometry
-from .geometry import EhresmannConnection, FrameRankError, ProjectionPair
+from .geometry import EhresmannConnection, FrameRankError
 from .numutil import numeric_rank, orth_rows
 from .poly import (
     Poly,
@@ -68,30 +68,20 @@ from .poly import (
 
 @dataclass(frozen=True)
 class ResidualSystem:
-    """Projection data plus the target field X, fixing the PDE for V."""
+    """The data that fixes the PDE for V: the D-block rows ``p_d``, P_VM, and the target field X.
 
-    pair: ProjectionPair
+    ``p_d`` is the numerator of P_D from :func:`geometry.build_projections`
+    (or a supplied P_D), ``p_vm`` the m-by-n P_VM of
+    :func:`geometry.build_p_vm`; m and n are read off ``p_vm``.
+    """
+
+    p_d: PolyMatrix
+    p_vm: PolyMatrix
     x_field: tuple[Poly, ...]
 
     def __post_init__(self):
-        if len(self.x_field) != self.pair.m:
+        if len(self.x_field) != self.p_vm.rows:
             raise ValueError("X must have one component per state variable")
-
-    @property
-    def m(self) -> int:
-        return self.pair.m
-
-    @property
-    def n(self) -> int:
-        return self.pair.p_vm.cols
-
-    @property
-    def p_d(self) -> PolyMatrix:
-        return self.pair.p_d
-
-    @property
-    def p_vm(self) -> PolyMatrix:
-        return self.pair.p_vm
 
 
 def residual_psi(rs: ResidualSystem, v: Poly) -> tuple[list[Poly], list[Poly]]:
@@ -99,8 +89,8 @@ def residual_psi(rs: ResidualSystem, v: Poly) -> tuple[list[Poly], list[Poly]]:
 
     The D-block is the P_D residual times delta.
     """
-    p_d = rs.p_d
-    m = rs.m
+    p_d, p_vm = rs.p_d, rs.p_vm
+    m = p_vm.rows
     if v.nvars != m:
         raise ValueError("V must be a polynomial in the m state variables")
     dv = [v.diff(i) for i in range(m)]
@@ -109,8 +99,8 @@ def residual_psi(rs: ResidualSystem, v: Poly) -> tuple[list[Poly], list[Poly]]:
         for a in range(p_d.rows)
     ]
     vm_block = [
-        poly_sum((rs.p_vm.entry(i, q) * dv[i] for i in range(m)), m)
-        for q in range(rs.n)
+        poly_sum((p_vm.entry(i, q) * dv[i] for i in range(m)), m)
+        for q in range(p_vm.cols)
     ]
     return d_block, vm_block
 
@@ -142,9 +132,9 @@ def graph_form(rs: ResidualSystem) -> GraphForm:
     Raises FrameRankError naming a row that reduces to zero at the origin but
     not identically: the rank is lower there than nearby, so no graph form holds.
     """
-    m, d_rows = rs.m, rs.p_d.rows
+    m, d_rows = rs.p_vm.rows, rs.p_d.rows
     aug = [[*q, poly_sum((e * x for e, x in zip(q, rs.x_field) if e), m)] for q in rs.p_d.entries]
-    aug += [[*rs.p_vm.col(j), Poly.zero(m)] for j in range(rs.n)]  # [L | b]
+    aug += [[*rs.p_vm.col(j), Poly.zero(m)] for j in range(rs.p_vm.cols)]  # [L | b]
     pivots = sorted(origin_pivots(PolyMatrix([row[:m] for row in aug])), key=lambda pivot: pivot[1])
     kept, cols = [i for i, _ in pivots], [j for _, j in pivots]
     block = PolyMatrix([[aug[i][j] for j in cols] for i in kept])
@@ -306,11 +296,10 @@ def symbol_dims(form: GraphForm) -> SymbolDims:
 
 @dataclass
 class IntegrabilityReport:
-    flat: bool
+    """Each condition holds when it has no offenders."""
+
     flat_offenders: dict[tuple[int, int, int], Poly]
-    cond_a: bool
     cond_a_offenders: dict[tuple[int, int, int], Poly]
-    cond_b: bool
     cond_b_offenders: dict[tuple[int, int], Poly]
     consistency: ConsistencyReport
     symbol: SymbolDims
@@ -318,7 +307,7 @@ class IntegrabilityReport:
 
     @property
     def liftable(self) -> bool:
-        return self.flat and self.cond_a and self.cond_b and self.consistency.consistent
+        return not self.reasons
 
     @property
     def verdict(self) -> str:
@@ -327,11 +316,11 @@ class IntegrabilityReport:
     @property
     def reasons(self) -> list[str]:
         out = []
-        if not self.flat:
+        if self.flat_offenders:
             out.append("flatness")
-        if not self.cond_a:
+        if self.cond_a_offenders:
             out.append("condition_a")
-        if not self.cond_b:
+        if self.cond_b_offenders:
             out.append("condition_b")
         if not self.consistency.consistent:
             out.append("consistency")
@@ -340,7 +329,7 @@ class IntegrabilityReport:
 
 def full_check(rs: ResidualSystem, conn: EhresmannConnection, points: np.ndarray) -> IntegrabilityReport:
     """Run every obstruction test and aggregate the verdict; A and B offenders are keyed by graph row pivots."""
-    flat, flat_offenders = check_flatness(conn)
+    _, flat_offenders = check_flatness(conn)
     form = graph_form(rs)
     label = [p + 1 for p in form.pivots]
     a_entries = condition_a(form.rows, form.den)
@@ -349,14 +338,4 @@ def full_check(rs: ResidualSystem, conn: EhresmannConnection, points: np.ndarray
     b_offenders = {(label[a1 - 1], label[a2 - 1]): val for (a1, a2), val in b_entries.items() if val}
     consistency = pointwise_consistency(form, points)
     symbol = symbol_dims(form)
-    return IntegrabilityReport(
-        flat=flat,
-        flat_offenders=flat_offenders,
-        cond_a=not a_offenders,
-        cond_a_offenders=a_offenders,
-        cond_b=not b_offenders,
-        cond_b_offenders=b_offenders,
-        consistency=consistency,
-        symbol=symbol,
-        form=form,
-    )
+    return IntegrabilityReport(flat_offenders, a_offenders, b_offenders, consistency, symbol, form)

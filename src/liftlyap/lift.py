@@ -239,7 +239,7 @@ def solve_jets(system: LiftPasses, rs: ResidualSystem, fibre_start: int) -> JetS
     order-1.
     """
     solution = lift_coefficients(system, fibre_start)
-    d_blk, vm_blk = residual_psi(rs, solution.polynomial(rs.m))
+    d_blk, vm_blk = residual_psi(rs, solution.polynomial(rs.p_vm.rows))
     for comp in d_blk + vm_blk:
         if not comp.truncate(system.order - 1).is_zero():
             raise RuntimeError("internal error: solved coefficients fail re-verification")

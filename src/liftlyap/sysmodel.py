@@ -147,13 +147,6 @@ def quotient_witness(residuals: Sequence[Poly]) -> tuple[int, tuple[int, ...], F
     return None
 
 
-def pullback_clf(vtilde: Poly, m: int) -> Poly:
-    """Pull a function of y1..yn back through the coordinate projection."""
-    if vtilde.nvars > m:
-        raise ValueError("quotient function has more variables than the state space")
-    return vtilde.embed(m)
-
-
 def quotient_closed_loop(qsys: QuotientSystem, alpha: Sequence[Poly]) -> list[Poly]:
     """The quotient vector field g0 + sum_k alpha_k g_k closed by the feedback alpha."""
     if len(alpha) != qsys.s:
@@ -169,21 +162,13 @@ def closed_loop_decrease(qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Pol
     return lie_derivative(quotient_closed_loop(qsys, alpha), vtilde)
 
 
-@dataclass(frozen=True)
-class QuotientCLF:
-    """Validated quotient Lyapunov data: vtilde, feedback alpha, decrease W."""
-
-    vtilde: Poly
-    alpha: tuple[Poly, ...]
-    w: Poly
-
-
-def make_quotient_clf(qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Poly], grid: Lattice) -> QuotientCLF:
-    """Build and validate the quotient Lyapunov package.
+def make_quotient_clf(qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Poly], grid: Lattice) -> Poly:
+    """Validate the quotient Lyapunov data and return its decrease W (:func:`closed_loop_decrease`).
 
     Checks vtilde(0) = 0 with a positive definite Hessian at the origin,
     and W(0) = 0 with W < 0 on the check grid away from the origin (exact
-    rational evaluation).
+    rational evaluation).  W is the one datum this adds to the problem's
+    vtilde and alpha.
     """
     n = qsys.n
     if vtilde.nvars != n or any(a.nvars != n for a in alpha):
@@ -200,7 +185,7 @@ def make_quotient_clf(qsys: QuotientSystem, vtilde: Poly, alpha: Sequence[Poly],
     index = geometry.first_nonnegative(w, grid)
     if index is not None:
         raise CLFValidationError(f"W is not negative at grid point {tuple(map(str, grid.exact(index)))}")
-    return QuotientCLF(vtilde, tuple(alpha), w)
+    return w
 
 
 def hessian_at_origin(p: Poly) -> np.ndarray:
@@ -216,33 +201,25 @@ def hessian_at_origin(p: Poly) -> np.ndarray:
     return hess
 
 
-@dataclass(frozen=True)
-class TargetData:
-    """The feedback-independent part X of the target dynamics, plus the
-    pulled-back quotient Lyapunov function."""
-
-    x_field: tuple[Poly, ...]
-    pullback_vtilde: Poly
-
-
 def build_target_x(
     sys: ControlAffineSystem,
     qsys: QuotientSystem,
     conn: EhresmannConnection,
-    clf: QuotientCLF,
-) -> TargetData:
-    """X = lift of the closed quotient loop - gradient of the pulled-back
-    vtilde - drift, all exact.
+    vtilde: Poly,
+    alpha: Sequence[Poly],
+) -> tuple[Poly, ...]:
+    """The feedback-independent part X of the target dynamics, exact.
 
+    X = P_VM (g0 + sum_k alpha_k g_k) - grad(vtilde pulled back to x) - f0,
+    the first term the horizontal lift of the alpha-closed quotient loop.
     X must vanish at the origin; otherwise the problem data is incompatible
     with an equilibrium at 0 and the construction is rejected.
     """
     m, n = sys.m, qsys.n
     if conn.m != m or conn.n != n:
         raise ValueError("connection shape does not match the system and quotient")
-    lifted = geometry.horizontal_lift(conn, quotient_closed_loop(qsys, clf.alpha))
-    pulled = pullback_clf(clf.vtilde, m)
-    gradient = grad(pulled)
+    lifted = geometry.horizontal_lift(conn, quotient_closed_loop(qsys, alpha))
+    gradient = grad(vtilde.embed(m))
     x_field = tuple(lifted[i] - gradient[i] - sys.f0[i] for i in range(m))
     bad = [i + 1 for i, comp in enumerate(x_field) if comp.constant_term != 0]
     if bad:
@@ -250,4 +227,4 @@ def build_target_x(
             f"target field X does not vanish at the origin (components {bad}); "
             "place both equilibria at 0"
         )
-    return TargetData(x_field, pulled)
+    return x_field

@@ -2,14 +2,15 @@
 the hypothesis profile."""
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import settings
 
 from liftlyap import cli, geometry
-from liftlyap.geometry import EhresmannConnection
+from liftlyap.geometry import EhresmannConnection, Frame
 from liftlyap.integrability import ResidualSystem
-from liftlyap.poly import Poly, grad
+from liftlyap.poly import Poly, grad, poly_det
 from liftlyap.synth import ClosedLoop, FeedbackSolution
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # liftbench sits beside src/
@@ -37,10 +38,23 @@ def flat_connection(m: int, n: int) -> EhresmannConnection:
     return EhresmannConnection(m, n, [[zero] * n for _ in range(m - n)])
 
 
-def target_field(sys, td, v: Poly) -> list[Poly]:
+def projection_delta(c: Frame, d: Frame) -> Poly:
+    """delta = det[C | D] / det[C | D](0): P_D = p_d / delta for the p_d of build_projections(c, d, conn)."""
+    det = poly_det(Frame(c.dim, c.fields + d.fields).as_matrix())
+    return det * (Fraction(1) / det.constant_term)
+
+
+def run_frames(problem) -> tuple[Frame, Frame]:
+    """C and D as the geometry stage builds them for ``problem``, on its check grid."""
+    grid = geometry.default_grid(problem.sys.m, problem.options.grid_per_axis)
+    c = geometry.control_distribution(problem.sys, grid)
+    return c, geometry.complement_frame(c, problem.user_d, grid)
+
+
+def target_field(sys, rs, v: Poly) -> list[Poly]:
     """Closed-loop target dynamics: X + f0 - gradient of the solved V."""
     dv = grad(v)
-    return [td.x_field[i] + sys.f0[i] - dv[i] for i in range(sys.m)]
+    return [rs.x_field[i] + sys.f0[i] - dv[i] for i in range(sys.m)]
 
 
 def build_pipeline(name: str, **spec_overrides):
@@ -55,14 +69,12 @@ def build_pipeline(name: str, **spec_overrides):
 def pipeline_of(raw: dict):
     """Run a problem spec up to the residual system.
 
-    Returns (problem, clf, pair, target_data, residual_system).
+    Returns (problem, residual_system).
     """
     state = cli.RunState(cli.build_problem(raw))
     cli.stage_quotient(state)
-    pair = cli.stage_geometry(state)
-    td = cli.stage_target(state)
-    rs = ResidualSystem(pair, td.x_field)
-    return state.problem, state.clf, pair, td, rs
+    rs = ResidualSystem(*cli.stage_geometry(state), cli.stage_target(state))
+    return state.problem, rs
 
 
 def polynomial_loop(polys, den=None) -> ClosedLoop:

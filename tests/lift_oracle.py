@@ -51,7 +51,7 @@ class EliminationSystem:
 
 def dense_reference_system(rs, order: int) -> EliminationSystem:
     """Rows, rhs and labels built densely: one residual_psi call per unknown, read back by coeff."""
-    m = rs.m
+    m = rs.p_vm.rows
     unknowns = monomials_up_to(m, order, min_degree=2)
     base_d, base_vm = residual_psi(rs, Poly.zero(m))
     columns = []

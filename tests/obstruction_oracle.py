@@ -62,7 +62,7 @@ def prolonged_residual(
         sum_i1 [ d(P_VM[i1][q])/dx^i V_i1 + P_VM[i1][q] V_[i,i1] ].
     """
     p_d = rs.p_d
-    m = rs.m
+    m = rs.p_vm.rows
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
     if v1.shape != (m,) or v2.shape != (m, m):
@@ -79,7 +79,7 @@ def prolonged_residual(
     x_val = eval_points(rs.x_field, point)
     dx_val = jacobians([rs.x_field])[0]
     dpd_val = jacobians(p_d.entries)
-    dpvm_val = jacobians([rs.p_vm.col(q) for q in range(rs.n)])
+    dpvm_val = jacobians([rs.p_vm.col(q) for q in range(rs.p_vm.cols)])
 
     d_block = pd_val @ (v1 - x_val)
     vm_block = pvm_val.T @ v1
@@ -96,7 +96,8 @@ def stacked_system(rs: ResidualSystem, points) -> tuple[np.ndarray, np.ndarray]:
     delta(point), which leaves the solution set unchanged wherever
     delta(point) is nonzero.
     """
-    rows = PolyMatrix([*rs.p_d.entries, *(rs.p_vm.col(q) for q in range(rs.n))], cols=rs.m, nvars=rs.m)
+    m, n = rs.p_vm.rows, rs.p_vm.cols
+    rows = PolyMatrix([*rs.p_d.entries, *(rs.p_vm.col(q) for q in range(n))], cols=m, nvars=m)
     m_mat = rows.at(points)
     x_val = eval_points(rs.x_field, points)
     b = np.zeros(m_mat.shape[:-1])
@@ -182,15 +183,16 @@ def vm_curvature_coeffs(p_vm: PolyMatrix) -> dict[tuple[int, int, int], Poly]:
 
 def curvature_map_eval(
     rs: ResidualSystem,
-    conn: EhresmannConnection,
+    delta: Poly,
     point: Sequence[float],
     v1: Sequence[float],
 ) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
     """Obstruction values (G, H) at a consistent first-order jet.
 
     G is [P_a1, P_a2] . V_1 - (P_a1(P_a2 . X) - P_a2(P_a1 . X)) for the rows
-    P_a = Q_a / delta of P_D: the condition-A polynomials contracted with the
-    jet minus the condition-B polynomials of the D rows with right-hand
+    P_a = Q_a / delta of P_D, with Q = ``rs.p_d`` and delta = det[C | D] /
+    det[C | D](0) (``conftest.projection_delta``): the condition-A
+    polynomials contracted with the jet minus the condition-B polynomials of the D rows with right-hand
     sides Q X, both delta^3 times their P_D values, divided by
     delta(point)^3.  H contracts the VM curvature coefficients with the
     jet.  When flatness and conditions A and B hold
@@ -198,25 +200,25 @@ def curvature_map_eval(
     the returned values, for any consistent jet at any point.
     """
     p_d = rs.p_d
-    m = rs.m
+    m, n = rs.p_vm.rows, rs.p_vm.cols
     v1 = np.asarray(v1, dtype=float)
     m_mat, b = stacked_system(rs, point)
     if m_mat.size and np.max(np.abs(m_mat @ v1 - b)) > JET_TOL * (1.0 + float(np.max(np.abs(b), initial=0.0))):
         raise InconsistentJetError("jet does not satisfy the first-order constraints at the point")
-    a_entries = condition_a(p_d, rs.pair.delta)
-    b_entries = condition_b(p_d, p_d.matvec(rs.x_field), rs.pair.delta)
-    delta = rs.pair.delta.eval_float(point)
+    a_entries = condition_a(p_d, delta)
+    b_entries = condition_b(p_d, p_d.matvec(rs.x_field), delta)
+    delta_at = delta.eval_float(point)
     g_map: dict[tuple[int, int], float] = {}
     for a1 in range(p_d.rows):
         for a2 in range(a1 + 1, p_d.rows):
             total = -b_entries[(a1 + 1, a2 + 1)].eval_float(point)
             for i1 in range(m):
                 total += a_entries[(a1 + 1, a2 + 1, i1 + 1)].eval_float(point) * v1[i1]
-            g_map[(a1 + 1, a2 + 1)] = total / delta**3
+            g_map[(a1 + 1, a2 + 1)] = total / delta_at**3
     h_coeffs = vm_curvature_coeffs(rs.p_vm)
     h_map: dict[tuple[int, int], float] = {}
-    for q1 in range(rs.n):
-        for q2 in range(q1 + 1, rs.n):
+    for q1 in range(n):
+        for q2 in range(q1 + 1, n):
             total = 0.0
             for i1 in range(m):
                 total += h_coeffs[(q1 + 1, q2 + 1, i1 + 1)].eval_float(point) * v1[i1]

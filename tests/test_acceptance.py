@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
-from conftest import build_pipeline, polynomial_loop
+from conftest import build_pipeline, polynomial_loop, projection_delta, run_frames
 from obstruction_oracle import consistency_gap_at, consistent_jet, curvature_map_eval
 from symbol_oracle import quasi_regular_search, sym_intersection_dim
 
@@ -50,17 +50,17 @@ def test_criterion_1_end_to_end_positive_fixture():
         assert report["verdict"] == "LIFTABLE_AND_VERIFIED"
 
         # exact recovery of V at order 6: single coefficient 1/2 on (0, 2)
-        problem, _, _, td, rs = build_pipeline("ex_ps")
+        problem, rs = build_pipeline("ex_ps")
         jet = solve_jets(assemble_lift_system(graph_form(rs), 6), rs, fibre_start=1)
         assert jet.coeffs == {(0, 2): Fraction(1, 2)}
 
         # u(x) = -2 x1 as a polynomial identity
-        vstar, diag = assemble_vstar(td.pullback_vtilde, jet)
+        vstar, diag = assemble_vstar(problem.vtilde.embed(2), jet)
         assert diag.ok
         v = jet.polynomial(2)
         from liftlyap.poly import grad
 
-        rhs = [td.x_field[i] - grad(v)[i] for i in range(2)]
+        rhs = [rs.x_field[i] - grad(v)[i] for i in range(2)]
         fb = solve_feedback(problem.sys, rhs)
         assert fb.symbolic == (parse_poly("-2*x1", ["x1", "x2"]),)
 
@@ -81,7 +81,7 @@ def test_criterion_1_end_to_end_positive_fixture():
 
 def test_criterion_2_inconsistent_fixture():
     with _criterion(2, "EX-DI fails pointwise consistency at (1,0) with gap 2"):
-        _, _, _, _, rs = build_pipeline("ex_di")
+        _, rs = build_pipeline("ex_di")
         ok, gap = consistency_gap_at(rs, [1.0, 0.0])
         assert not ok
         assert abs(gap - 2.0) <= 1e-9
@@ -93,7 +93,7 @@ def test_criterion_2_inconsistent_fixture():
 
 def test_criterion_3_curved_fixture():
     with _criterion(3, "EX-CURV flatness check returns F[3](1,2) = -1 exactly"):
-        problem, _, _, _, _ = build_pipeline("ex_curv")
+        problem, _ = build_pipeline("ex_curv")
         from liftlyap.geometry import curvature_components
 
         comps = curvature_components(problem.conn)
@@ -134,12 +134,13 @@ def test_criterion_5_obstruction_map_property():
     with _criterion(5, "obstruction map exactly zero on liftable fixtures (100x20)"):
         rng = np.random.default_rng(2024)
         for name in ("ex_ps", "ex_fa"):
-            problem, _, _, _, rs = build_pipeline(name)
+            problem, rs = build_pipeline(name)
+            delta = projection_delta(*run_frames(problem))
             for _ in range(20):
                 point = rng.uniform(-1.0, 1.0, size=problem.sys.m)
                 for _ in range(100):
                     jet = consistent_jet(rs, point, rng)
-                    g_map, h_map = curvature_map_eval(rs, problem.conn, point, jet)
+                    g_map, h_map = curvature_map_eval(rs, delta, point, jet)
                     assert all(value == 0.0 for value in g_map.values())
                     assert all(value == 0.0 for value in h_map.values())
 
@@ -161,7 +162,7 @@ def test_criterion_6_symbol_dimension_count():
 
 def test_criterion_7_quotient_trajectory_property():
     with _criterion(7, "projected trajectories satisfy the quotient dynamics"):
-        problem, _, _, _, _ = build_pipeline("ex_ps")
+        problem, _ = build_pipeline("ex_ps")
         sys, qsys, morph = problem.sys, problem.qsys, problem.morph
         rng = random.Random(101)
         h = 1e-3

@@ -8,7 +8,7 @@ from fractions import Fraction
 import frame_oracle
 import numpy as np
 import pytest
-from conftest import build_pipeline, check_grid, flat_connection
+from conftest import build_pipeline, check_grid, flat_connection, projection_delta, run_frames
 from hypothesis import example, given
 from hypothesis import strategies as st
 from liftbench import gen
@@ -269,37 +269,37 @@ def test_complement_coordinate_search():
     d = complement_frame(c, None, check_grid(2))
     assert d.rank == 1
     assert d.fields[0][1] == Poly.const(2, 1)  # picks d/dx2
-    pair = build_projections(c, d, flat_connection(2, 1))
-    assert pair.delta == Poly.const(2, 1)
-    assert pair.p_d.row(0) == [Poly.zero(2), Poly.const(2, 1)]  # P_D = [0 1]
+    p_d, _ = build_projections(c, d, flat_connection(2, 1))
+    assert projection_delta(c, d) == Poly.const(2, 1)
+    assert p_d.row(0) == [Poly.zero(2), Poly.const(2, 1)]  # P_D = [0 1]
 
 
 def test_complement_empty_when_controls_span():
     c = Frame.build(2, [[_p("1", X2), _p("0", X2)], [_p("0", X2), _p("1", X2)]], check_grid(2))
     d = complement_frame(c, None, check_grid(2))
     assert d.rank == 0
-    pair = build_projections(c, d, flat_connection(2, 1))
-    assert pair.p_d.rows == 0
+    p_d, _ = build_projections(c, d, flat_connection(2, 1))
+    assert p_d.rows == 0
 
 
 def test_projection_from_user_complement():
     # C = {(1, x1)}, D = {(0, 1)}: det [C|D] = 1, projection row (-x1, 1)
     c = Frame.build(2, [[_p("1", X2), _p("x1", X2)]], check_grid(2))
     d = complement_frame(c, user_d=[[_p("0", X2), _p("1", X2)]], grid=check_grid(2))
-    pair = build_projections(c, d, flat_connection(2, 1))
-    assert pair.delta == Poly.const(2, 1)
-    assert pair.p_d.row(0) == [_p("-x1", X2), _p("1", X2)]
+    p_d, _ = build_projections(c, d, flat_connection(2, 1))
+    assert projection_delta(c, d) == Poly.const(2, 1)
+    assert p_d.row(0) == [_p("-x1", X2), _p("1", X2)]
 
 
 def test_projection_invariants_exact():
     rng = random.Random(2)
     c = Frame.build(3, [[_p("1", X3), _p("x1", X3), _p("0", X3)]], check_grid(3))
     d = complement_frame(c, None, check_grid(3))
-    pair = build_projections(c, d, flat_connection(3, 1))
+    p_d, _ = build_projections(c, d, flat_connection(3, 1))
     c_cols = c.as_matrix()
     d_cols = d.as_matrix()
-    zero_block = pair.p_d @ c_cols
-    ident_block = pair.p_d @ d_cols
+    zero_block = p_d @ c_cols
+    ident_block = p_d @ d_cols
     for i in range(zero_block.rows):
         for j in range(zero_block.cols):
             assert zero_block.entry(i, j).is_zero()
@@ -390,6 +390,7 @@ def test_frame_checks_rank_one_matrix_per_distinct_value(monkeypatch, workload, 
     """The work of the frame checks, not their time: every rank stack in the geometry stage holds
     at most per_axis ** |support| + 1 matrices, the support being the variables C and D read."""
     state = cli.RunState(cli.build_problem(gen.instance(workload, 7, index).spec))
+    c, d = run_frames(state.problem)
     stacks = []
     rank = geometry.numeric_rank
 
@@ -398,8 +399,8 @@ def test_frame_checks_rank_one_matrix_per_distinct_value(monkeypatch, workload, 
         return rank(a, *args, **kwargs)
 
     monkeypatch.setattr(geometry, "numeric_rank", recording)
-    pair = cli.stage_geometry(state)
-    fields = pair.c_frame.fields + pair.d_frame.fields
+    cli.stage_geometry(state)
+    fields = c.fields + d.fields
     support = {i for col in fields for p in col for mi in p.terms for i, e in enumerate(mi) if e}
     bound = state.problem.options.grid_per_axis ** len(support) + 1
     assert bound < len(state.grid)

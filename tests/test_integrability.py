@@ -8,7 +8,15 @@ import lift_oracle
 import numpy as np
 import pytest
 import symbol_oracle
-from conftest import build_pipeline, check_grid, check_points, flat_connection, pipeline_of
+from conftest import (
+    build_pipeline,
+    check_grid,
+    check_points,
+    flat_connection,
+    pipeline_of,
+    projection_delta,
+    run_frames,
+)
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from liftbench import gen
@@ -66,24 +74,23 @@ def _p(text, names):
 
 
 def _rs_from_pd_x(pd_rows, x_texts, names, c_cols, n=1):
-    """Residual system with an explicitly chosen projection (for unit values); pd_rows None
-    skips the check of the projection, which the consistency check does not read."""
+    """Residual system with an explicitly chosen projection (for unit values), and its delta;
+    pd_rows None skips the check of the projection, which the consistency check does not read."""
     m = len(names)
     c = Frame.build(m, c_cols, check_grid(m))
     d = complement_frame(c, None, check_grid(m))
-    conn = flat_connection(m, n)
-    pair = build_projections(c, d, conn)
+    p_d, p_vm = build_projections(c, d, flat_connection(m, n))
     if pd_rows is not None:
         expected = PolyMatrix([[_p(t, names) for t in row] for row in pd_rows], cols=m, nvars=m)
-        assert pair.p_d == expected, "constructed projection differs from the intended rows"
-    return ResidualSystem(pair, tuple(_p(t, names) for t in x_texts)), conn
+        assert p_d == expected, "constructed projection differs from the intended rows"
+    return ResidualSystem(p_d, p_vm, tuple(_p(t, names) for t in x_texts)), projection_delta(c, d)
 
 
 # -- residual evaluation -------------------------------------------------------
 
 
 def test_residual_psi_solution_ex_ps():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     v = _p("1/2*x2^2", X2)
     d_blk, vm_blk = residual_psi(rs, v)
     assert all(c.is_zero() for c in d_blk)
@@ -91,21 +98,21 @@ def test_residual_psi_solution_ex_ps():
 
 
 def test_residual_psi_zero_candidate_ex_ps():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     d_blk, vm_blk = residual_psi(rs, Poly.zero(2))
     assert d_blk == [_p("-x2", X2)]
     assert vm_blk == [Poly.zero(2)]
 
 
 def test_residual_psi_empty_d_block_ex_fa():
-    _, _, _, _, rs = build_pipeline("ex_fa")
+    _, rs = build_pipeline("ex_fa")
     d_blk, vm_blk = residual_psi(rs, _p("x1^2 + x2^2", X2))
     assert d_blk == []
     assert len(vm_blk) == 1
 
 
 def test_prolonged_residual_consistent_jet():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     point = [1.0, 1.0]
     v1 = [0.0, 1.0]  # gradient of x2^2/2 at the point
     v2 = np.array([[0.0, 0.0], [0.0, 1.0]])
@@ -115,7 +122,7 @@ def test_prolonged_residual_consistent_jet():
 
 
 def test_prolonged_residual_zero_jet():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     zero1 = [0.0, 0.0]
     zero2 = np.zeros((2, 2))
     at_10 = prolonged_residual(rs, [1.0, 0.0], zero1, zero2)
@@ -125,14 +132,14 @@ def test_prolonged_residual_zero_jet():
 
 
 def test_prolonged_residual_rejects_asymmetric():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     with pytest.raises(ValueError):
         prolonged_residual(rs, [0.0, 0.0], [0.0, 0.0], np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_prolongation_differentiation_consistency():
     """An exact solution's 2-jet annihilates the prolonged system everywhere."""
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     v = _p("1/2*x2^2", X2)
     hess = [[v.diff(i).diff(j) for j in range(2)] for i in range(2)]
     rng = random.Random(19)
@@ -315,7 +322,7 @@ def test_conditions_make_only_the_needed_products(monkeypatch):
     product and condition B at most 2 * m per pair; the index sums over Q made 588 and 882."""
     state = cli.RunState(cli.build_problem(gen.instance("obstruct-wide", 7, 0).spec))
     cli.stage_quotient(state)
-    form = graph_form(ResidualSystem(cli.stage_geometry(state), cli.stage_target(state).x_field))
+    form = graph_form(ResidualSystem(*cli.stage_geometry(state), cli.stage_target(state)))
     m, rows = form.rows.cols, form.rows.rows
     assert (m, rows, form.den) == (7, 7, Poly.const(7, 1))
     assert all(e.is_constant() for row in form.rows.entries for e in row)
@@ -354,7 +361,7 @@ def test_constant_determinants_and_adjugates_are_bounded(monkeypatch):
         recording(module, "poly_adjugate")
     state = cli.RunState(cli.build_problem(gen.instance("obstruct-wide", 7, 0).spec))
     cli.stage_quotient(state)
-    graph_form(ResidualSystem(cli.stage_geometry(state), cli.stage_target(state).x_field))
+    graph_form(ResidualSystem(*cli.stage_geometry(state), cli.stage_target(state)))
     assert len(seen) == 4
     calls = {"_det_rows": 0, "__mul__": 0}
 
@@ -403,11 +410,12 @@ def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols
     rows of [C | D]^-1 differentiated by central differences, on a 5-per-axis grid."""
     c = Frame.build(3, [[_p("1", X3), _p("0", X3), _p("0", X3)]], check_grid(3))
     d = Frame.build(3, [[_p(t, X3) for t in col] for col in d_cols], check_grid(3))
-    pair = build_projections(c, d, flat_connection(3, 1))
-    assert pair.delta.constant_term == 1 and not pair.delta.is_constant()
+    p_d, _ = build_projections(c, d, flat_connection(3, 1))
+    delta = projection_delta(c, d)
+    assert delta.constant_term == 1 and not delta.is_constant()
     x_field = (_p("-x1", X3), _p("-x2 + x1*x3", X3), _p("-x3", X3))
-    a_entries = condition_a(pair.p_d, pair.delta)
-    b_entries = condition_b(pair.p_d, pair.p_d.matvec(x_field), pair.delta)
+    a_entries = condition_a(p_d, delta)
+    b_entries = condition_b(p_d, p_d.matvec(x_field), delta)
 
     def true_pd(x):
         return np.linalg.inv(np.hstack([c.as_matrix().at(x), d.as_matrix().at(x)]))[1:, :]
@@ -415,14 +423,14 @@ def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols
     h = 1e-5
     worst_a = worst_b = 0.0
     for x in default_grid(3, per_axis=5).points:
-        delta = pair.delta.eval_float(x)
+        delta_x = delta.eval_float(x)
         pd_val = true_pd(x)
         dpd = [(true_pd(x + h * e) - true_pd(x - h * e)) / (2 * h) for e in np.eye(3)]
         jac = [[x_field[i1].diff(i).eval_float(x) for i1 in range(3)] for i in range(3)]
         bracket = []
         for i1 in range(3):
             want = sum(pd_val[0, i] * dpd[i][1, i1] - pd_val[1, i] * dpd[i][0, i1] for i in range(3))
-            got = a_entries[(1, 2, i1 + 1)].eval_float(x) / delta**3
+            got = a_entries[(1, 2, i1 + 1)].eval_float(x) / delta_x**3
             assert abs(got - want) < 1e-8
             worst_a = max(worst_a, abs(want))
             bracket.append(want)
@@ -433,7 +441,7 @@ def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols
             for i in range(3)
             for i1 in range(3)
         )
-        got = b_entries[(1, 2)].eval_float(x) / delta**3
+        got = b_entries[(1, 2)].eval_float(x) / delta_x**3
         assert abs(got - want) < 1e-8
         worst_b = max(worst_b, abs(want))
     assert worst_b > 1e-3
@@ -444,14 +452,14 @@ def test_conditions_match_inverse_projection_for_non_constant_determinant(d_cols
 
 
 def test_pointwise_consistency_ex_ps():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     report = pointwise_consistency(graph_form(rs), check_points(2))
     assert report.consistent
     assert report.worst_gap == 0.0 and report.worst_point is None
 
 
 def test_pointwise_consistency_ex_di():
-    _, _, _, _, rs = build_pipeline("ex_di")
+    _, rs = build_pipeline("ex_di")
     report = pointwise_consistency(graph_form(rs), check_points(2))
     assert not report.consistent
     ok, gap = consistency_gap_at(rs, [1.0, 0.0])
@@ -464,7 +472,7 @@ def test_pointwise_consistency_ex_di():
 
 
 def test_pointwise_consistency_ex_fa():
-    _, _, _, _, rs = build_pipeline("ex_fa")
+    _, rs = build_pipeline("ex_fa")
     report = pointwise_consistency(graph_form(rs), check_points(2))
     assert report.consistent
 
@@ -474,7 +482,7 @@ def _system_on_grid(case):
     spec = gen.instance(case, 7, 0).spec if case in gen.WORKLOADS else cli.load_spec(cli.fixture_path(case))
     state = cli.RunState(cli.build_problem(spec))
     cli.stage_quotient(state)
-    return ResidualSystem(cli.stage_geometry(state), cli.stage_target(state).x_field), state.grid
+    return ResidualSystem(*cli.stage_geometry(state), cli.stage_target(state)), state.grid
 
 
 def _identities_vanish(form, grid):
@@ -553,7 +561,7 @@ def _consistency_systems(draw):
         d = complement_frame(c, [column(k, rest[j + 1 :]) for j, k in enumerate(rest)], grid)
     flat = draw(st.booleans())
     conn = EhresmannConnection(m, n, [[Poly.zero(m) if flat else poly() for _ in range(n)] for _ in range(m - n)])
-    return ResidualSystem(build_projections(c, d, conn), tuple(poly() for _ in range(m))), grid
+    return ResidualSystem(*build_projections(c, d, conn), tuple(poly() for _ in range(m))), grid
 
 
 @given(_consistency_systems())
@@ -601,10 +609,10 @@ def _complement_changes(draw):
     conn = EhresmannConnection(m, n, gamma)
     x_field = tuple(poly() for _ in range(m))
     systems = [
-        ResidualSystem(build_projections(c, complement_frame(c, cols, grid), conn), x_field)
+        ResidualSystem(*build_projections(c, complement_frame(c, cols, grid), conn), x_field)
         for cols in (d_cols, sheared)
     ]
-    return systems, conn, grid
+    return systems, conn, grid, c
 
 
 def _integrability_section(rs, conn, grid):
@@ -628,7 +636,7 @@ def _integrability_section(rs, conn, grid):
 def test_integrability_is_unchanged_under_a_unipotent_change_of_complement(case):
     """D -> D U keeps the span of D and det [C | D], so it keeps the graph form: the verdict, the
     reasons, every offender and the failing points are the same, and the gaps up to roundoff."""
-    (automatic, sheared), conn, grid = case
+    (automatic, sheared), conn, grid, _ = case
     first, second = _integrability_section(automatic, conn, grid), _integrability_section(sheared, conn, grid)
     if isinstance(first, str):
         assert first == second
@@ -639,23 +647,24 @@ def test_integrability_is_unchanged_under_a_unipotent_change_of_complement(case)
 
 @st.composite
 def _small_lift_systems(draw):
-    """m <= 4 and X(0) = 0.  Half of the systems are solvable by construction: a flat connection
-    with gamma = 0 and X = grad W + C a, W of degree 2 to 3 in the fibre coordinates."""
-    (rs, _), conn, _ = draw(_complement_changes())
+    """(system, connection, C) with m <= 4 and X(0) = 0.  Half of the systems are solvable by
+    construction: a flat connection with gamma = 0 and X = grad W + C a, W of degree 2 to 3 in
+    the fibre coordinates."""
+    (rs, _), conn, _, c = draw(_complement_changes())
     if draw(st.booleans()):
-        return rs, conn
-    m, n, pair = rs.m, rs.n, rs.pair
+        return rs, conn, c
+    m, n = rs.p_vm.rows, rs.p_vm.cols
     conn = flat_connection(m, n)
     fibre = [mi for mi in itertools.product(range(4), repeat=m) if 2 <= sum(mi) <= 3 and not any(mi[:n])]
     term = st.tuples(st.sampled_from(fibre), st.integers(-2, 2))
     w = poly_sum((Poly.monomial(m, mi, c) for mi, c in draw(st.lists(term, min_size=1, max_size=3))), m)
     a = [
         poly_sum((Poly.monomial(m, mi, c) for mi, c in draw(st.lists(term, max_size=2))), m)
-        for _ in pair.c_frame.fields
+        for _ in c.fields
     ]
-    c_a = [poly_sum((ak * col[i] for ak, col in zip(a, pair.c_frame.fields)), m) for i in range(m)]
+    c_a = [poly_sum((ak * col[i] for ak, col in zip(a, c.fields)), m) for i in range(m)]
     x_field = tuple(w.diff(i) + c_a[i] for i in range(m))
-    return ResidualSystem(build_projections(pair.c_frame, pair.d_frame, conn), x_field), conn
+    return ResidualSystem(rs.p_d, build_p_vm(conn), x_field), conn, c
 
 
 @given(_small_lift_systems())
@@ -665,20 +674,20 @@ def test_liftable_systems_have_feasible_jets(case):
     every parametric coefficient keeps its seed.  The forward substitution gives the same
     coefficients, in the same insertion order.  Where the elimination oracle's free columns are the
     parametric monomials, it gives the same coefficients; elsewhere it seeds other monomials."""
-    rs, conn = case
+    rs, conn, _ = case
     try:
-        report = full_check(rs, conn, check_points(rs.m))
+        report = full_check(rs, conn, check_points(rs.p_vm.rows))
     except (FrameRankError, DegreeCapError):  # refused inputs: exit 1
         assume(False)
     if report.liftable:
         for order in range(2, 7):
-            jet = solve_jets(assemble_lift_system(report.form, order), rs, fibre_start=rs.n)
-            v = jet.polynomial(rs.m)
+            jet = solve_jets(assemble_lift_system(report.form, order), rs, fibre_start=rs.p_vm.cols)
+            v = jet.polynomial(rs.p_vm.rows)
             assert all(comp.truncate(order - 1).is_zero() for block in residual_psi(rs, v) for comp in block)
-            assert all(jet.coeffs.get(mi, 0) == lift_oracle.seed(mi, rs.n) for mi in jet.free_seeded)
-            coeffs, free = lift_oracle.solve_by_substitution(report.form, order, rs.n)
+            assert all(jet.coeffs.get(mi, 0) == lift_oracle.seed(mi, rs.p_vm.cols) for mi in jet.free_seeded)
+            coeffs, free = lift_oracle.solve_by_substitution(report.form, order, rs.p_vm.cols)
             assert (list(jet.coeffs.items()), jet.free_seeded) == (list(coeffs.items()), free)
-            coeffs, free = lift_oracle.solve_by_elimination(rs, order, rs.n)
+            coeffs, free = lift_oracle.solve_by_elimination(rs, order, rs.p_vm.cols)
             if free == jet.free_seeded:
                 assert coeffs == jet.coeffs
 
@@ -722,7 +731,7 @@ def test_rank_drop_at_the_origin_is_refused():
 def test_large_right_hand_side_is_consistent_in_the_per_point_reference(coeff):
     """[M | b] has its long rows shrunk to unit length, so a huge right-hand side does not
     drown the system in the reference, and the exact test has no identity to fail."""
-    _, _, _, _, rs = build_pipeline("ex_ps", f0=["0", f"-x2 + {coeff}*x2^3"])
+    _, rs = build_pipeline("ex_ps", f0=["0", f"-x2 + {coeff}*x2^3"])
     points = check_points(2)
     assert all(consistency_gap(m_mat, b)[0] for m_mat, b in zip(*stacked_system(rs, points)))
     assert pointwise_consistency(graph_form(rs), points).consistent
@@ -732,14 +741,14 @@ def test_large_right_hand_side_is_consistent_in_the_per_point_reference(coeff):
 
 
 def test_symbol_dims_ex_ps():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     dims = symbol_dims(graph_form(rs))
     assert (dims.dim_g1, dims.dim_g2) == (0, 0)
     assert dims.quasi_regular
 
 
 def test_symbol_dims_ex_fa():
-    _, _, _, _, rs = build_pipeline("ex_fa")
+    _, rs = build_pipeline("ex_fa")
     dims = symbol_dims(graph_form(rs))
     assert (dims.dim_g1, dims.dim_g2) == (1, 1)
     assert dims.quasi_regular
@@ -748,36 +757,38 @@ def test_symbol_dims_ex_fa():
 
 def test_symbol_dims_zero_control():
     frame = Frame(2, ())
-    pair = build_projections(frame, complement_frame(frame, None, check_grid(2)), flat_connection(2, 1))
-    dims = symbol_dims(graph_form(ResidualSystem(pair, (Poly.zero(2),) * 2)))
+    p_d, p_vm = build_projections(frame, complement_frame(frame, None, check_grid(2)), flat_connection(2, 1))
+    dims = symbol_dims(graph_form(ResidualSystem(p_d, p_vm, (Poly.zero(2),) * 2)))
     assert (dims.dim_g1, dims.dim_g2) == (0, 0)
     assert dims.quasi_regular
 
 
-def _symbol_matches_the_float_reference(rs):
+def _symbol_matches_the_float_reference(c, rs):
     """The graph-form symbol against the float intersection of C(0) and ker P_VM(0)^T."""
-    assert symbol_dims(graph_form(rs)) == symbol_oracle.symbol_dims(rs.pair.c_frame, rs.p_vm, [0.0] * rs.m)
+    assert symbol_dims(graph_form(rs)) == symbol_oracle.symbol_dims(c, rs.p_vm, [0.0] * rs.p_vm.rows)
 
 
 @pytest.mark.parametrize("name", ["ex_ps", "ex_fa", "ex_di", "ex_curv"])
 def test_symbol_matches_the_float_reference_on_the_fixtures(name):
-    _symbol_matches_the_float_reference(build_pipeline(name)[-1])
+    problem, rs = build_pipeline(name)
+    _symbol_matches_the_float_reference(run_frames(problem)[0], rs)
 
 
 @pytest.mark.parametrize("workload", ["lift-exact", "obstruct-wide"])
 def test_symbol_matches_the_float_reference_on_the_benchmark(workload):
     for index in range(gen.FIXED_COUNT[workload]):
-        _symbol_matches_the_float_reference(pipeline_of(gen.instance(workload, 7, index).spec)[-1])
+        problem, rs = pipeline_of(gen.instance(workload, 7, index).spec)
+        _symbol_matches_the_float_reference(run_frames(problem)[0], rs)
 
 
 @given(_small_lift_systems())
 def test_symbol_matches_the_float_reference_on_small_systems(case):
-    rs, _ = case
+    rs, _, c = case
     try:
         graph_form(rs)
     except (FrameRankError, DegreeCapError):  # refused inputs: exit 1
         assume(False)
-    _symbol_matches_the_float_reference(rs)
+    _symbol_matches_the_float_reference(c, rs)
 
 
 def test_symbol_with_a_tiny_connection_coefficient():
@@ -934,20 +945,21 @@ def test_vm_curvature_coeffs_match_connection_curvature():
 
 
 def test_curvature_map_zero_on_liftable_fixture():
-    problem, _, _, _, rs = build_pipeline("ex_ps")
+    problem, rs = build_pipeline("ex_ps")
+    delta = projection_delta(*run_frames(problem))
     rng = np.random.default_rng(5)
     for _ in range(5):
         point = rng.uniform(-1, 1, size=2)
         for _ in range(20):
             jet = consistent_jet(rs, point, rng)
-            g_map, h_map = curvature_map_eval(rs, problem.conn, point, jet)
+            g_map, h_map = curvature_map_eval(rs, delta, point, jet)
             assert all(value == 0.0 for value in g_map.values())
             assert all(value == 0.0 for value in h_map.values())
 
 
 def test_curvature_map_b_term_reference():
     names = X3
-    rs, conn = _rs_from_pd_x(
+    rs, delta = _rs_from_pd_x(
         [["1", "0", "0"], ["0", "1", "0"]],
         ["x2", "0", "0"],
         names,
@@ -956,7 +968,7 @@ def test_curvature_map_b_term_reference():
     )
     point = [0.3, 0.0, 0.7]
     jet = [p.eval_float(point) for p in rs.x_field]
-    g_map, h_map = curvature_map_eval(rs, conn, point, jet)
+    g_map, h_map = curvature_map_eval(rs, delta, point, jet)
     assert abs(g_map[(1, 2)] - 1.0) < 1e-12
     assert h_map == {}
 
@@ -964,7 +976,7 @@ def test_curvature_map_b_term_reference():
 def test_curvature_map_flat_connection_h_zero():
     """With a flat connection the H coefficients are identically zero polys."""
 
-    _, _, _, _, rs = build_pipeline("ex_curv")
+    _, rs = build_pipeline("ex_curv")
     coeffs = vm_curvature_coeffs(rs.p_vm)
     # the non-flat fixture has a nonzero coefficient...
     assert any(not v.is_zero() for v in coeffs.values())
@@ -979,51 +991,51 @@ def test_obstruction_map_zero_nontrivial_cokernel():
     names = X3
     # constant projection rows (A vanishes) and X with matching cross
     # derivatives (B vanishes): d(X^2)/dx3 == d(X^3)/dx2
-    rs, conn = _rs_from_pd_x(
+    rs, delta = _rs_from_pd_x(
         [["0", "1", "0"], ["0", "0", "1"]],
         ["0", "x2*x3", "1/2*x2^2"],
         names,
         c_cols=[[_p("1", names), _p("0", names), _p("0", names)]],
         n=1,
     )
-    a_entries = condition_a(rs.p_d, rs.pair.delta)
-    b_entries = condition_b(rs.p_d, rs.p_d.matvec(rs.x_field), rs.pair.delta)
+    a_entries = condition_a(rs.p_d, delta)
+    b_entries = condition_b(rs.p_d, rs.p_d.matvec(rs.x_field), delta)
     assert all(v.is_zero() for v in a_entries.values())
     assert all(v.is_zero() for v in b_entries.values())
     rng = np.random.default_rng(13)
     for _ in range(10):
         point = rng.uniform(-1, 1, size=3)
         jet = consistent_jet(rs, point, rng)
-        g_map, h_map = curvature_map_eval(rs, conn, point, jet)
+        g_map, h_map = curvature_map_eval(rs, delta, point, jet)
         assert g_map[(1, 2)] == 0.0
         assert h_map == {}
 
 
 def test_curvature_map_rejects_inconsistent_jet():
-    problem, _, _, _, rs = build_pipeline("ex_ps")
+    problem, rs = build_pipeline("ex_ps")
     with pytest.raises(InconsistentJetError):
-        curvature_map_eval(rs, problem.conn, [1.0, 1.0], [5.0, 5.0])
+        curvature_map_eval(rs, projection_delta(*run_frames(problem)), [1.0, 1.0], [5.0, 5.0])
 
 
 # -- full check -------------------------------------------------------------------
 
 
 def test_full_check_ex_ps():
-    problem, _, _, _, rs = build_pipeline("ex_ps")
+    problem, rs = build_pipeline("ex_ps")
     report = full_check(rs, problem.conn, check_points(problem.sys.m))
     assert report.liftable
     assert report.verdict == "LIFTABLE"
 
 
 def test_full_check_ex_di():
-    problem, _, _, _, rs = build_pipeline("ex_di")
+    problem, rs = build_pipeline("ex_di")
     report = full_check(rs, problem.conn, check_points(problem.sys.m))
     assert not report.liftable
     assert report.reasons == ["consistency"]
 
 
 def test_full_check_ex_curv():
-    problem, _, _, _, rs = build_pipeline("ex_curv")
+    problem, rs = build_pipeline("ex_curv")
     report = full_check(rs, problem.conn, check_points(problem.sys.m))
     assert not report.liftable
     assert "flatness" in report.reasons
@@ -1034,9 +1046,8 @@ def test_full_check_non_constant_determinant():
     c = Frame.build(2, [[_p("1", X2), _p("0", X2)]], check_grid(2))
     d = complement_frame(c, user_d=[[_p("0", X2), _p("1 + 1/2*x1^2", X2)]], grid=check_grid(2))
     conn = flat_connection(2, 1)
-    pair = build_projections(c, d, conn)
-    assert pair.delta == _p("1 + 1/2*x1^2", X2)
-    rs = ResidualSystem(pair, (_p("-2*x1", X2), _p("x2", X2)))
+    assert projection_delta(c, d) == _p("1 + 1/2*x1^2", X2)
+    rs = ResidualSystem(*build_projections(c, d, conn), (_p("-2*x1", X2), _p("x2", X2)))
     report = full_check(rs, conn, check_points(2))
-    assert report.cond_a and report.cond_b
+    assert not report.cond_a_offenders and not report.cond_b_offenders
     assert report.consistency.consistent

@@ -61,14 +61,14 @@ def test_monomials_up_to_counts():
 
 
 def _lifted(name, order):
-    """The problem, target data, residual system and solved jet of a bundled example."""
-    problem, _, _, td, rs = build_pipeline(name)
+    """The problem, residual system and solved jet of a bundled example."""
+    problem, rs = build_pipeline(name)
     jet = solve_jets(assemble_lift_system(graph_form(rs), order), rs, fibre_start=problem.qsys.n)
-    return problem, td, rs, jet
+    return problem, rs, jet
 
 
 def test_assemble_ex_ps_order_two():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     form = graph_form(rs)
     assert set(substitution_rows(form, 2).unknowns) == {(2, 0), (1, 1), (0, 2)}
     system = assemble_lift_system(form, 2)
@@ -98,7 +98,7 @@ def test_solve_ex_di_infeasible():
         "ex_curv": {2: "vm[2] @ x^(0, 1, 0)", 4: "d[2] @ x^(1, 1, 0)", 6: "d[2] @ x^(1, 1, 0)"},
     }
     for name, witnesses in cases.items():
-        problem, _, _, _, rs = build_pipeline(name)
+        problem, rs = build_pipeline(name)
         for order, witness in witnesses.items():
             with pytest.raises(InfeasibleError) as err:
                 solve_exact(dense_reference_system(rs, order), {})
@@ -146,7 +146,7 @@ def test_rank_deficient_lift_seeds_the_parametric_vertical_quadratic():
     parametric coefficients keep their seeds, x2^2 = 1/2, and the x2^2 x3^k follow from it.  The
     elimination of the dense system made x2^2 a lead column instead, seeded x2^2 x3 with 0 and so
     solved x2^2 = 0: V* had no x2^2 term and the run stopped at NOT_LIFTABLE(definiteness)."""
-    problem, _, _, _, rs = pipeline_of(_rank_deficient_spec("-x3 - 2*x2^2 - x2*x3^2"))
+    problem, rs = pipeline_of(_rank_deficient_spec("-x3 - 2*x2^2 - x2*x3^2"))
     form = graph_form(rs)
     assert form.pivots == (0, 2)
     assert form.rows == PolyMatrix([[_p(t, X3) for t in row] for row in (["1", "0", "0"], ["0", "-2*x2", "1"])])
@@ -168,7 +168,7 @@ def test_rank_deficient_lift_seeds_the_parametric_vertical_quadratic():
 def test_rank_deficient_lift_finds_the_polynomial_lift():
     """beta_2 = x3 - x2^2 has the polynomial lift x2^2/4 + x3^2/2, and only x2^2 = 1/4 clears the
     x2^2 x3^k chain at the order, so that parametric coefficient is solved, not seeded."""
-    problem, _, _, _, rs = pipeline_of(_rank_deficient_spec("-x3 - x2^2"))
+    problem, rs = pipeline_of(_rank_deficient_spec("-x3 - x2^2"))
     jet = solve_jets(assemble_lift_system(graph_form(rs), 4), rs, fibre_start=1)
     assert (jet.coeffs, jet.free_seeded) == ({(0, 2, 0): Fraction(1, 4), (0, 0, 2): Fraction(1, 2)}, [(0, 4, 0)])
     report, code = cli.run("report", problem)
@@ -208,7 +208,7 @@ def _automatic_complement_spec():
     ],
 )
 def test_assembly_matches_dense_reference(spec):
-    _, _, _, _, rs = pipeline_of(spec)
+    _, rs = pipeline_of(spec)
     form = graph_form(rs)
     for order in (2, 4, 6):
         _assert_matches_dense_reference(form, order)
@@ -246,7 +246,7 @@ def _assert_matches_the_substitution(form, order, fibre_start, jet):
 def test_lift_matches_the_substitution(spec):
     """The graded Euler operator gives the substitution's coefficients, in its insertion order, and
     its seeded parametric monomials."""
-    problem, _, _, _, rs = pipeline_of(spec)
+    problem, rs = pipeline_of(spec)
     form = graph_form(rs)
     for order in (2, 3, 4, 6):
         jet = solve_jets(assemble_lift_system(form, order), rs, fibre_start=problem.qsys.n)
@@ -319,7 +319,7 @@ def test_lift_matches_the_substitution_on_drawn_closed_forms(form, order, fibre_
 
 
 def test_order_one_is_trivially_solvable():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     system = assemble_lift_system(graph_form(rs), 1)
     assert system.unknowns == []
     jet = solve_jets(system, rs, fibre_start=1)
@@ -328,7 +328,7 @@ def test_order_one_is_trivially_solvable():
 
 def test_solution_gives_zero_system_residual():
     """Plugging the solution back into the substitution rows leaves no update."""
-    _, _, rs, jet = _lifted("ex_ps", 6)
+    _, rs, jet = _lifted("ex_ps", 6)
     system = substitution_rows(graph_form(rs), 6)
     assert all(v == 0 for v in system_residual(system, jet))
     # and it solves the full residual system that the elimination used to solve
@@ -400,7 +400,7 @@ def test_rows_read_only_earlier_or_parametric_columns(form, order):
 def test_assembly_forms_no_polynomial_per_unknown(spec, monkeypatch):
     """The substitution rows and the passes of the graded Euler operator read the terms of the graph
     form and form no Poly product at all."""
-    _, _, _, _, rs = pipeline_of(spec)
+    _, rs = pipeline_of(spec)
     form = graph_form(rs)
     calls = []
     multiply = Poly.__mul__
@@ -416,7 +416,7 @@ def test_assembly_forms_no_polynomial_per_unknown(spec, monkeypatch):
         f(*args)
         return len(calls)
 
-    assert products(residual_psi, rs, Poly.zero(rs.m)) > 0  # the counter sees products
+    assert products(residual_psi, rs, Poly.zero(rs.p_vm.rows)) > 0  # the counter sees products
     assert products(substitution_rows, form, 3) == products(substitution_rows, form, 6) == 0
     assert products(assemble_lift_system, form, 3) == products(assemble_lift_system, form, 6) == 0
 
@@ -469,14 +469,14 @@ def test_sparse_solve_names_the_shortest_infeasible_prefix(case, data):
 
 
 def test_degree_cap_guard():
-    _, _, _, _, rs = build_pipeline("ex_ps")
+    _, rs = build_pipeline("ex_ps")
     with pytest.raises(ValueError):
         assemble_lift_system(graph_form(rs), 25)
 
 
 def test_assemble_vstar_ex_ps():
-    _, td, _, jet = _lifted("ex_ps", 6)
-    vstar, diag = assemble_vstar(td.pullback_vtilde, jet)
+    problem, _, jet = _lifted("ex_ps", 6)
+    vstar, diag = assemble_vstar(problem.vtilde.embed(2), jet)
     assert vstar == _p("1/2*x1^2 + 1/2*x2^2")
     assert diag.ok
     np.testing.assert_allclose(diag.hessian_eigenvalues, [1.0, 1.0])
@@ -532,12 +532,12 @@ def _assert_probes_match(vstar):
 
 @pytest.mark.parametrize("name", ["ex_ps", "ex_di", "ex_curv", "ex_fa"])
 def test_batched_sphere_probes_match_the_direction_loop_on_fixtures(name):
-    problem, _, _, td, rs = build_pipeline(name)
+    problem, rs = build_pipeline(name)
     if name in ("ex_ps", "ex_fa"):
         jet = solve_jets(assemble_lift_system(graph_form(rs), 4), rs, fibre_start=problem.qsys.n)
     else:  # not liftable: the pulled-back quotient function alone, flat along the fibre
         jet = JetSolution(4, {}, [])
-    _assert_probes_match(td.pullback_vtilde + jet.polynomial(rs.m))
+    _assert_probes_match(problem.vtilde.embed(problem.sys.m) + jet.polynomial(rs.p_vm.rows))
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 7])
@@ -574,8 +574,8 @@ def test_batched_sphere_probes_match_the_direction_loop(vstar):
 
 def test_target_decrease_ex_ps():
     """Along the target dynamics, V* decreases at the composite quadratic rate."""
-    problem, td, _, jet = _lifted("ex_ps", 6)
-    vstar, _ = assemble_vstar(td.pullback_vtilde, jet)
-    sigma = target_field(problem.sys, td, jet.polynomial(2))
+    problem, rs, jet = _lifted("ex_ps", 6)
+    vstar, _ = assemble_vstar(problem.vtilde.embed(2), jet)
+    sigma = target_field(problem.sys, rs, jet.polynomial(2))
     assert sigma == [_p("-2*x1"), _p("-x2")]
     assert lie_derivative(sigma, vstar) == _p("-2*x1^2 - x2^2")

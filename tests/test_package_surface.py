@@ -18,6 +18,11 @@ A method is matched by its name (``__init__`` by its class name), and its
 Every name a module imports must be read in that module.  ``from
 __future__`` imports and the names the package ``__init__`` re-exports are
 exempt.
+
+Every field of a top-level dataclass must be read as an attribute
+(``x.field``) somewhere in the package outside its own class.  Building
+the record and assigning the attribute are not reads; a field that is
+only stored is data nothing needs.
 """
 
 import ast
@@ -144,6 +149,38 @@ def unread_imports(package: Path = PACKAGE) -> list[str]:
     return out
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass" for d in node.decorator_list
+    )
+
+
+def unread_fields(package: Path = PACKAGE) -> list[str]:
+    """Fields of top-level dataclasses that the package never reads as an attribute outside the class."""
+    fields = []  # (module, class, field, first line, last line)
+    reads = []  # (module, attribute, line)
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [
+                    (module, node.name, item.target.id, node.lineno, node.end_lineno)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+        reads += [
+            (module, node.attr, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        ]
+    return [
+        f"{module}.{cls}.{field}"
+        for module, cls, field, first, last in fields
+        if not any(attr == field and not (read_in == module and first <= line <= last) for read_in, attr, line in reads)
+    ]
+
+
 def test_every_definition_is_used_by_the_package():
     assert unreferenced_definitions() == []
 
@@ -184,3 +221,17 @@ def test_unread_imports_are_flagged(tmp_path):
     module += ["def f(x: Seq) -> float:", "    return np.sqrt(math.pi) + len(x)"]
     (tmp_path / "mod.py").write_text("\n".join(module) + "\n", encoding="utf-8")
     assert unread_imports(tmp_path) == ["mod.os", "mod.Fraction", "mod.Iterable"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
+
+
+def test_unread_dataclass_fields_are_flagged(tmp_path):
+    module = ["from dataclasses import dataclass", "", "@dataclass(frozen=True)", "class Pair:"]
+    module += ["    left: int", "    right: int", "    kept: int", "    stored: int", ""]
+    module += ["    @property", "    def total(self) -> int:", "        return self.left + self.right", ""]
+    module += ["@dataclass", "class Plain:", "    size: int", "", "class Other:", "    hidden: int", ""]
+    module += ["pair = Pair(1, 2, kept=3, stored=4)", "pair.stored = 5", "print(pair.right, pair.kept, Plain(1))"]
+    (tmp_path / "mod.py").write_text("\n".join(module) + "\n", encoding="utf-8")
+    assert unread_fields(tmp_path) == ["mod.Pair.left", "mod.Pair.stored", "mod.Plain.size"]

@@ -50,14 +50,14 @@ def _solved(name):
     from liftlyap.integrability import graph_form
     from liftlyap.lift import assemble_lift_system, assemble_vstar, solve_jets
 
-    problem, _, _, td, rs = build_pipeline(name)
+    problem, rs = build_pipeline(name)
     system = assemble_lift_system(graph_form(rs), problem.options.order)
     jet = solve_jets(system, rs, fibre_start=problem.qsys.n)
-    vstar, _ = assemble_vstar(td.pullback_vtilde, jet)
+    vstar, _ = assemble_vstar(problem.vtilde.embed(problem.sys.m), jet)
     v = jet.polynomial(problem.sys.m)
     dv = grad(v)
-    rhs = [td.x_field[i] - dv[i] for i in range(problem.sys.m)]
-    return problem, td, v, vstar, rhs
+    rhs = [rs.x_field[i] - dv[i] for i in range(problem.sys.m)]
+    return problem, rs, v, vstar, rhs
 
 
 def test_solve_feedback_ex_ps():
@@ -102,10 +102,10 @@ def test_exact_feedback_whose_den_vanishes_on_the_grid():
 def test_closed_loop_matches_target_exactly():
     """Symbolic mode identity: closed loop minus target vanishes as polynomials."""
     for name in ("ex_ps", "ex_fa"):
-        problem, td, v, _, rhs = _solved(name)
+        problem, rs, v, _, rhs = _solved(name)
         fb = solve_feedback(problem.sys, rhs)
         loop = closed_loop_field(problem.sys, fb)
-        sigma = target_field(problem.sys, td, v)
+        sigma = target_field(problem.sys, rs, v)
         assert fb.den == _p("1")
         for i in range(problem.sys.m):
             assert (loop.numer[i] - sigma[i]).is_zero()
@@ -285,7 +285,7 @@ def test_normal_equations_on_a_pipeline_problem(monkeypatch):
 
 
 def test_simulate_ex_ps_against_exact_solution():
-    problem, td, v, vstar, rhs = _solved("ex_ps")
+    problem, rs, v, vstar, rhs = _solved("ex_ps")
     fb = solve_feedback(problem.sys, rhs)
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar)
@@ -721,7 +721,7 @@ def test_rk4_convergence_ratio():
 
 
 def test_verify_decrease_ex_ps():
-    problem, td, v, vstar, rhs = _solved("ex_ps")
+    problem, rs, v, vstar, rhs = _solved("ex_ps")
     fb = solve_feedback(problem.sys, rhs)
     loop = closed_loop_field(problem.sys, fb)
     traj = simulate_rk4(loop, [1.0, 1.0], 0.01, 10.0, vstar)

@@ -21,7 +21,6 @@ from liftlyap.sysmodel import (
     closed_loop_decrease,
     hessian_at_origin,
     make_quotient_clf,
-    pullback_clf,
     quotient_witness,
     verify_quotient,
 )
@@ -134,15 +133,16 @@ def test_perturbed_quotient_witness_names_the_perturbation(case, data):
 
 
 def test_pullback_clf():
-    assert pullback_clf(_p("1/2*y1^2", Y1), 2) == _p("1/2*x1^2", X2)
-    assert pullback_clf(Poly.zero(1), 2).is_zero()
-    assert pullback_clf(parse_poly("y1*y2", ["y1", "y2"]), 3) == _p("x1*x2", ["x1", "x2", "x3"])
+    """A function of y1..yn pulls back through the coordinate projection as Poly.embed."""
+    assert _p("1/2*y1^2", Y1).embed(2) == _p("1/2*x1^2", X2)
+    assert Poly.zero(1).embed(2).is_zero()
+    assert parse_poly("y1*y2", ["y1", "y2"]).embed(3) == _p("x1*x2", ["x1", "x2", "x3"])
 
 
 def test_pullback_preserves_evaluation():
     rng = random.Random(31)
     vt = parse_poly("y1^2 - 2*y1*y2 + 3*y2^3", ["y1", "y2"])
-    pulled = pullback_clf(vt, 4)
+    pulled = vt.embed(4)
     for _ in range(10):
         point = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
         assert pulled.eval(point) == vt.eval(point[:2])
@@ -176,8 +176,8 @@ def test_clf_origin_and_hessian_checks():
 
 def test_clf_accepts_ex_ps_data():
     qsys = QuotientSystem(1, 1, (_p("0", Y1),), ((_p("1", Y1),),))
-    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
-    assert clf.w == _p("-y1^2", Y1)
+    w = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
+    assert w == _p("-y1^2", Y1)
 
 
 def test_hessian_at_origin():
@@ -185,15 +185,15 @@ def test_hessian_at_origin():
     np.testing.assert_allclose(hessian_at_origin(p), [[2.0, 3.0], [3.0, 4.0]])
 
 
-def _target_fd_oracle(sys, qsys, conn, clf, point, h=1e-6):
+def _target_fd_oracle(sys, qsys, conn, vtilde, alpha, point, h=1e-6):
     """Re-derive X numerically: lift minus finite-difference gradient minus drift."""
     m, n = sys.m, qsys.n
     closed = [qsys.g0[q] for q in range(n)]
     for k in range(qsys.s):
-        closed = [closed[q] + qsys.g[k][q] * clf.alpha[k] for q in range(n)]
+        closed = [closed[q] + qsys.g[k][q] * alpha[k] for q in range(n)]
 
     def pulled_vtilde(x):
-        return clf.vtilde.eval_float(list(x[:n]))
+        return vtilde.eval_float(list(x[:n]))
 
     point = np.asarray(point, dtype=float)
     lift_val = np.zeros(m)
@@ -215,42 +215,39 @@ def _target_fd_oracle(sys, qsys, conn, clf, point, h=1e-6):
 def test_build_target_x_ex_ps():
     sys, qsys, _ = ex_ps()
     conn = flat_connection(2, 1)
-    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
-    td = build_target_x(sys, qsys, conn, clf)
-    assert list(td.x_field) == [_p("-2*x1", X2), _p("x2", X2)]
-    assert td.pullback_vtilde == _p("1/2*x1^2", X2)
+    vtilde, alpha = _p("1/2*y1^2", Y1), [_p("-y1", Y1)]
+    make_quotient_clf(qsys, vtilde, alpha, check_grid(1))
+    x_field = build_target_x(sys, qsys, conn, vtilde, alpha)
+    assert list(x_field) == [_p("-2*x1", X2), _p("x2", X2)]
+    assert vtilde.embed(2) == _p("1/2*x1^2", X2)  # the pulled-back vtilde the lift adds V to
     rng = random.Random(41)
     for _ in range(5):
         point = [rng.uniform(-1, 1) for _ in range(2)]
-        oracle = _target_fd_oracle(sys, qsys, conn, clf, point)
-        value = np.array([comp.eval_float(point) for comp in td.x_field])
+        oracle = _target_fd_oracle(sys, qsys, conn, vtilde, alpha, point)
+        value = np.array([comp.eval_float(point) for comp in x_field])
         np.testing.assert_allclose(value, oracle, atol=1e-6)
 
 
 def test_build_target_x_ex_di():
     sys, qsys, _ = ex_di()
     conn = flat_connection(2, 1)
-    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
-    td = build_target_x(sys, qsys, conn, clf)
-    assert list(td.x_field) == [_p("-2*x1 - x2", X2), Poly.zero(2)]
+    vtilde, alpha = _p("1/2*y1^2", Y1), [_p("-y1", Y1)]
+    make_quotient_clf(qsys, vtilde, alpha, check_grid(1))
+    x_field = build_target_x(sys, qsys, conn, vtilde, alpha)
+    assert list(x_field) == [_p("-2*x1 - x2", X2), Poly.zero(2)]
 
 
 def test_build_target_x_zero_case():
     # zero quotient dynamics, zero vtilde, zero drift: X vanishes identically
-    from liftlyap.sysmodel import QuotientCLF
-
     sys = ControlAffineSystem(2, 1, (Poly.zero(2), Poly.zero(2)), ((_p("1", X2), _p("0", X2)),))
     qsys = QuotientSystem(1, 0, (Poly.zero(1),), ())
     conn = flat_connection(2, 1)
-    zero_clf = QuotientCLF(Poly.zero(1), (), Poly.zero(1))
-    td = build_target_x(sys, qsys, conn, zero_clf)
-    assert all(comp.is_zero() for comp in td.x_field)
+    x_field = build_target_x(sys, qsys, conn, Poly.zero(1), ())
+    assert all(comp.is_zero() for comp in x_field)
 
 
 def test_build_target_x_affine_additivity():
     """X is affine in vtilde and in f0: increments add exactly."""
-    from liftlyap.sysmodel import QuotientCLF
-
     _, qsys, _ = ex_ps()
     conn = flat_connection(2, 1)
     alpha = (_p("-y1", Y1),)
@@ -261,7 +258,7 @@ def test_build_target_x_affine_additivity():
         return ControlAffineSystem(2, 1, f0, fields)
 
     def x_of(sys, vt):
-        return build_target_x(sys, qsys, conn, QuotientCLF(vt, alpha, Poly.zero(1))).x_field
+        return build_target_x(sys, qsys, conn, vt, alpha)
 
     for _ in range(5):
         c1 = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -292,9 +289,10 @@ def test_equilibrium_rejection():
     sys = ControlAffineSystem(2, 1, (_p("1", X2), _p("-x2", X2)), ((_p("1", X2), _p("0", X2)),))
     qsys = QuotientSystem(1, 1, (_p("0", Y1),), ((_p("1", Y1),),))
     conn = flat_connection(2, 1)
-    clf = make_quotient_clf(qsys, _p("1/2*y1^2", Y1), [_p("-y1", Y1)], check_grid(1))
+    vtilde, alpha = _p("1/2*y1^2", Y1), [_p("-y1", Y1)]
+    make_quotient_clf(qsys, vtilde, alpha, check_grid(1))
     with pytest.raises(EquilibriumError):
-        build_target_x(sys, qsys, conn, clf)
+        build_target_x(sys, qsys, conn, vtilde, alpha)
 
 
 def test_quotient_dynamic_trajectory_property():
