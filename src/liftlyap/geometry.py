@@ -8,9 +8,13 @@ polynomial coefficients gamma.  Coordinate labels in returned mappings are
 are 0-based throughout.
 
 The check grid is a :class:`Lattice` over [-1, 1]^m, built once by
-:func:`default_grid`; only this module reads its integer numerators.  The
-frame checks evaluate and rank a frame once per distinct value on the grid
-(:meth:`Lattice.distinct`), since a frame reads only some of the variables.
+:func:`default_grid`; only this module reads its integer numerators.  A
+frame whose entries are all constant has one value on the whole grid, so
+the frame checks decide it exactly at the origin, by one Fraction
+elimination (:func:`poly.origin_pivots`), with no grid evaluation and no
+SVD.  A polynomial frame is evaluated and ranked in floats once per
+distinct value on the grid (:meth:`Lattice.distinct`), since it reads only
+some of the variables.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numutil import numeric_rank
-from .poly import Poly, PolyMatrix, lie_brackets, poly_adjugate, poly_det
+from .poly import Poly, PolyMatrix, lie_brackets, origin_pivots, poly_adjugate, poly_det
 
 MAX_GRID_POINTS = 100_000  # largest per_axis ** m; the point-by-point grid checks hold every point at once
 
@@ -148,20 +152,36 @@ def first_nonnegative(p: Poly, grid: Lattice) -> int | None:
     return None
 
 
-def _distinct_values(matrix: PolyMatrix, grid: Lattice) -> tuple[np.ndarray, np.ndarray]:
+def _support(rows: Iterable[Sequence[Poly]]) -> set[int]:
+    """The variables that the polynomials in ``rows`` read."""
+    return {i for row in rows for p in row for mi in p.terms for i, e in enumerate(mi) if e}
+
+
+def _distinct_values(matrix: PolyMatrix, grid: Lattice, support: set[int]) -> tuple[np.ndarray, np.ndarray]:
     """``matrix`` at one grid point per distinct value, and each grid point's position among them.
 
-    A value depends only on the variables the entries read, so one point per
-    combination of digits on those gives every value on the grid, bit for bit.
+    A value depends only on the variables the entries read (``support``), so
+    one point per combination of digits on those gives every value on the
+    grid, bit for bit.
     """
-    support = {i for row in matrix.entries for p in row for mi in p.terms for i, e in enumerate(mi) if e}
     rows, index = grid.distinct(support)
     return matrix.at(grid.points[rows]), index
 
 
 def _require_rank_on_grid(matrix: PolyMatrix, grid: Lattice, rank: int, message: str) -> None:
-    """Raise FrameRankError with the first grid point, in grid order, where ``matrix`` does not have rank ``rank``."""
-    values, index = _distinct_values(matrix, grid)
+    """Raise FrameRankError with the first grid point, in grid order, where ``matrix`` does not have rank ``rank``.
+
+    A constant matrix has one value on the whole grid: its rank is that of
+    one exact elimination at the origin (:func:`origin_pivots`), and a
+    failure is reported at the first grid point.  A polynomial one is
+    ranked in floats once per distinct value.
+    """
+    support = _support(matrix.entries)
+    if not support:
+        if len(origin_pivots(matrix)) != rank:
+            raise FrameRankError(message.format(tuple(grid.points[0].tolist())))
+        return
+    values, index = _distinct_values(matrix, grid, support)
     bad = np.flatnonzero(numeric_rank(values)[index] != rank)
     if bad.size:
         raise FrameRankError(message.format(tuple(grid.points[bad[0]].tolist())))
@@ -213,8 +233,11 @@ def complement_frame(c: Frame, user_d: Sequence[Sequence[Poly]] | None, grid: La
     Either way [C | D] has full rank at every grid point.  The automatic
     search walks the coordinate directions in index order and keeps those
     that enlarge the span at every grid point; supply ``user_d`` when that
-    search is too naive.  det[C | D] need not be constant (see
-    :func:`build_projections`).
+    search is too naive.  For a constant C the search is one exact
+    elimination of [C^T; I] (:func:`origin_pivots`), which keeps a unit row
+    exactly when it is independent of the rows before it; a polynomial C is
+    ranked in floats once per distinct value and candidate.  det[C | D]
+    need not be constant (see :func:`build_projections`).
     """
     m = c.dim
     if user_d is not None:
@@ -225,19 +248,25 @@ def complement_frame(c: Frame, user_d: Sequence[Sequence[Poly]] | None, grid: La
         _require_rank_on_grid(t, grid, m, "[C | D] is singular at grid point {}")
         return d
 
-    # [C | chosen | candidate] at each distinct value of C: C evaluated straight
-    # into the first columns of one array, then one unit column per step
-    zero = (Poly.zero(m),) * m
-    span = _distinct_values(Frame(m, c.fields + (zero,) * (m - c.rank)).as_matrix(), grid)[0]
-    chosen: list[tuple[Poly, ...]] = []
-    for i in range(m):
-        k = c.rank + len(chosen)
-        if k == m:
-            break
-        span[..., k] = 0.0
-        span[:, i, k] = 1.0
-        if np.all(numeric_rank(span[..., : k + 1]) == k + 1):
-            chosen.append(tuple(Poly.const(m, 1) if j == i else Poly.zero(m) for j in range(m)))
+    units = [tuple(Poly.const(m, 1) if j == i else Poly.zero(m) for j in range(m)) for i in range(m)]
+    support = _support(c.fields)
+    if not support:
+        kept = origin_pivots(PolyMatrix([*c.fields, *units]))
+        chosen = [units[i - c.rank] for i, _ in kept if i >= c.rank]
+    else:
+        # [C | chosen | candidate] at each distinct value of C: C evaluated straight
+        # into the first columns of one array, then one unit column per step
+        zero = (Poly.zero(m),) * m
+        span = _distinct_values(Frame(m, c.fields + (zero,) * (m - c.rank)).as_matrix(), grid, support)[0]
+        chosen = []
+        for i in range(m):
+            k = c.rank + len(chosen)
+            if k == m:
+                break
+            span[..., k] = 0.0
+            span[:, i, k] = 1.0
+            if np.all(numeric_rank(span[..., : k + 1]) == k + 1):
+                chosen.append(units[i])
     if len(chosen) != m - c.rank:
         raise ComplementError("no coordinate complement found; supply one explicitly")
     return Frame(m, tuple(chosen))

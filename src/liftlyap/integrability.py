@@ -108,11 +108,10 @@ def residual_psi(rs: ResidualSystem, v: Poly) -> tuple[list[Poly], list[Poly]]:
 # -- structural conditions -----------------------------------------------------
 
 
-def check_flatness(conn: EhresmannConnection) -> tuple[bool, dict[tuple[int, int, int], Poly]]:
-    """Exact curvature test; returns (flat, nonzero components)."""
+def check_flatness(conn: EhresmannConnection) -> dict[tuple[int, int, int], Poly]:
+    """Exact curvature test: the nonzero curvature components, none when the connection is flat."""
     components = geometry.curvature_components(conn)
-    offenders = {key: val for key, val in components.items() if not val.is_zero()}
-    return (not offenders, offenders)
+    return {key: val for key, val in components.items() if not val.is_zero()}
 
 
 @dataclass(frozen=True)
@@ -213,16 +212,18 @@ class ConsistencyReport:
 def pointwise_consistency(form: GraphForm, points: np.ndarray) -> ConsistencyReport:
     """Consistency from the exact identities, and where they fail on the (P, m) float check grid.
 
-    The system is consistent when every identity is the zero polynomial.
-    The gap at a point is the sum of |identity| there, and the points with
-    a nonzero gap are the failures.
+    The system is consistent when every identity is the zero polynomial;
+    then the grid is not evaluated.  The gap at a point is the sum of
+    |identity| there, and the points with a nonzero gap are the failures.
     """
     identities = [p for p in form.identities if p]
+    if not identities:
+        return ConsistencyReport(True, 0.0, None, [])
     gaps = np.abs(eval_points(identities, points)).sum(axis=-1)
     failures = [(tuple(points[i].tolist()), float(gaps[i])) for i in np.flatnonzero(gaps)]
     worst = int(np.argmax(gaps))  # the first largest gap in grid order
     worst_point = tuple(points[worst].tolist()) if gaps[worst] > 0.0 else None
-    return ConsistencyReport(not identities, float(gaps[worst]), worst_point, failures)
+    return ConsistencyReport(False, float(gaps[worst]), worst_point, failures)
 
 
 # -- symbol dimensions and the involutivity bookkeeping -----------------------
@@ -329,7 +330,7 @@ class IntegrabilityReport:
 
 def full_check(rs: ResidualSystem, conn: EhresmannConnection, points: np.ndarray) -> IntegrabilityReport:
     """Run every obstruction test and aggregate the verdict; A and B offenders are keyed by graph row pivots."""
-    _, flat_offenders = check_flatness(conn)
+    flat_offenders = check_flatness(conn)
     form = graph_form(rs)
     label = [p + 1 for p in form.pivots]
     a_entries = condition_a(form.rows, form.den)

@@ -1,7 +1,8 @@
-"""Floating-point linear algebra for the frame premises and the symbol's coordinate order.
+"""Floating-point linear algebra for the polynomial frame premises and the symbol's coordinate order.
 
 No integrability verdict reads a float rank: floats decide only that the
-frames keep their rank on the check grid.  The symbol takes its dimensions
+polynomial frames keep their rank on the check grid (a constant frame is
+decided by exact elimination at the origin).  The symbol takes its dimensions
 and its G1 basis from the exact graph form, and uses floats only to
 orthonormalize that basis, pick its coordinate order and check the
 quasi-regularity identity.  Ranks count the singular values above

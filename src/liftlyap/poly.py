@@ -712,21 +712,23 @@ def reduce_rows(rows: list[list[Fraction]], width: int) -> list[tuple[int, int, 
     pivot; that column is then cleared from the rows kept before it.  So
     every kept row is zero at the other pivots, and the rows and pivots kept
     are those of forward elimination.  Entries past ``width`` ride along: an
-    identity appended there collects the row operations.
+    identity appended there collects the row operations.  A row update
+    a - f * b touches only the entries where b is nonzero, since a - f * 0
+    is a exactly.
     """
     basis: list[tuple[int, int, list[Fraction]]] = []
     for i, row in enumerate(rows):
         for _, col, pivot in basis:
             if row[col]:
                 factor = row[col] / pivot[col]
-                row = [a - factor * b for a, b in zip(row, pivot)]
+                row = [a - factor * b if b else a for a, b in zip(row, pivot)]
         col = next((j for j in range(width) if row[j]), None)
         if col is None:
             continue
         for k, (kept, kept_col, earlier) in enumerate(basis):
             if earlier[col]:
                 factor = earlier[col] / row[col]
-                basis[k] = (kept, kept_col, [a - factor * b for a, b in zip(earlier, row)])
+                basis[k] = (kept, kept_col, [a - factor * b if b else a for a, b in zip(earlier, row)])
         basis.append((i, col, row))
     return basis
 

@@ -5,7 +5,9 @@ a matrix whose entries are all constant through one exact elimination
 instead of the cofactor expansion of every minor; :func:`cofactor_det` and
 :func:`cofactor_adjugate` give the expansion's result, term order included,
 on any square matrix.  :func:`forward_pivots` is the forward elimination
-:func:`liftlyap.poly.origin_pivots` ran before it shared that elimination.
+:func:`liftlyap.poly.origin_pivots` ran before it shared that elimination,
+and :func:`dense_reduce_rows` is :func:`liftlyap.poly.reduce_rows` as it ran
+before its row updates skipped the zero entries of the pivot row.
 
 :func:`null_rows` and :func:`intersection_basis` are the float subspace
 kernels the symbol ran on before it read G1 off the graph form; the symbol
@@ -33,6 +35,25 @@ def forward_pivots(rows: list[list[Fraction]]) -> list[tuple[int, int]]:
         if any(row):
             basis.append((i, next(j for j, a in enumerate(row) if a), row))
     return [(i, col) for i, col, _ in basis]
+
+
+def dense_reduce_rows(rows: list[list[Fraction]], width: int) -> list[tuple[int, int, list[Fraction]]]:
+    """Gauss-Jordan elimination in index order, each row update a - f * b taken at every entry."""
+    basis: list[tuple[int, int, list[Fraction]]] = []
+    for i, row in enumerate(rows):
+        for _, col, pivot in basis:
+            if row[col]:
+                factor = row[col] / pivot[col]
+                row = [a - factor * b for a, b in zip(row, pivot)]
+        col = next((j for j in range(width) if row[j]), None)
+        if col is None:
+            continue
+        for k, (kept, kept_col, earlier) in enumerate(basis):
+            if earlier[col]:
+                factor = earlier[col] / row[col]
+                basis[k] = (kept, kept_col, [a - factor * b for a, b in zip(earlier, row)])
+        basis.append((i, col, row))
+    return basis
 
 
 def _det(rows: list[list[Poly]], nvars: int) -> Poly:

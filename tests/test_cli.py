@@ -486,6 +486,34 @@ def test_main_report_exit_codes(tmp_path, capsys):
     assert "LIFTABLE_AND_VERIFIED" in summary
 
 
+def test_near_singular_constant_frame_is_decided_exactly(tmp_path, capsys):
+    """The constant fields (1, 0, 0) and (1, 10^-12, 0) span a plane, though their float rank falls
+    under RANK_RTOL: the exact rank at the origin keeps the frame, and the problem lifts."""
+    spec = {
+        "name": "near-singular",
+        "states": ["x1", "x2", "x3"],
+        "inputs": ["u1", "u2"],
+        "quotient_states": ["y1"],
+        "quotient_inputs": ["v1"],
+        "f0": ["0", "-x2", "-x3"],
+        "f": [["1", "0", "0"], ["1", "1/1000000000000", "0"]],
+        "g0": ["0"],
+        "g": [["1"]],
+        "varphi": ["0"],
+        "beta": [["1", "1"]],
+        "gamma": [["0"], ["0"]],
+        "vtilde": "1/2*y1^2",
+        "alpha": ["-y1"],
+    }
+    path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    path.write_text(json.dumps(spec))
+    assert main(["report", "--spec", str(path), "--out", str(out)]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "LIFTABLE_AND_VERIFIED"
+    assert payload["lift"]["coefficients"] == {"(0, 0, 2)": "1/2", "(0, 2, 0)": "1/2"}
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_main_not_liftable_exit(capsys):
     code = main(["report", "--spec", str(fixture_path("ex_di"))])
     assert code == EXIT_NOT_LIFTABLE

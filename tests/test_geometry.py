@@ -338,12 +338,12 @@ def test_rank_failures_at_the_appended_origin_and_on_constant_frames():
 
 
 @st.composite
-def _frames_on_a_strict_subset(draw):
+def _frames_on_a_strict_subset(draw, constant=False):
     """C and an automatic or user D on a grid of 2-5 points per axis, with small integer polynomial
-    entries in a strict subset of the m <= 4 variables; each column may carry a unit pivot, so that
-    both full and dropping ranks are drawn."""
+    entries in a strict subset of the m <= 4 variables (none when ``constant``); each column may carry
+    a unit pivot, so that both full and dropping ranks are drawn."""
     m = draw(st.integers(2, 4))
-    variables = draw(st.sets(st.integers(0, m - 1), max_size=m - 1))
+    variables = set() if constant else draw(st.sets(st.integers(0, m - 1), max_size=m - 1))
     monomials = [
         mi
         for mi in itertools.product(range(3), repeat=m)
@@ -374,21 +374,51 @@ def _outcome(check, *args):
         return type(exc), str(exc)
 
 
-@given(_frames_on_a_strict_subset())
-def test_projected_frame_checks_match_the_full_grid_oracle(case):
-    grid, c_cols, user_d = case
+def _frame_checks_match_the_full_grid_oracle(grid, c_cols, user_d):
+    """C's check, then D's, against :mod:`frame_oracle`; returns the last outcome."""
     m = len(c_cols[0])
     c = _outcome(Frame.build, m, c_cols, grid)
     assert c == _outcome(frame_oracle.frame_build, m, c_cols, grid.points)
-    if isinstance(c, Frame):
-        expected = _outcome(frame_oracle.complement_frame, c, user_d, grid.points)
-        assert _outcome(complement_frame, c, user_d, grid) == expected
+    if not isinstance(c, Frame):
+        return c
+    expected = _outcome(frame_oracle.complement_frame, c, user_d, grid.points)
+    assert _outcome(complement_frame, c, user_d, grid) == expected
+    return expected
+
+
+@given(_frames_on_a_strict_subset())
+def test_projected_frame_checks_match_the_full_grid_oracle(case):
+    _frame_checks_match_the_full_grid_oracle(*case)
+
+
+def _constant_case(per_axis, c_cols, user_d=None):
+    m = len(c_cols[0])
+
+    def const(cols):
+        return [[Poly.const(m, a) for a in col] for col in cols]
+
+    return default_grid(m, per_axis), const(c_cols), None if user_d is None else const(user_d)
+
+
+@given(_frames_on_a_strict_subset(constant=True))
+@example(_constant_case(3, [[0, 2, 0], [1, 1, 0]]))  # full rank; the automatic complement is e3
+@example(_constant_case(4, [[1, 2, 0], [2, 4, 0]]))  # rank drop, on a grid with an appended origin
+@example(_constant_case(3, [[1, 0, 0]], [[0, 1, 0], [1, 1, 0]]))  # singular user [C | D]
+@example(_constant_case(2, [[1, 1, 0, 0], [0, 0, 1, 1]], [[1, 0, 0, 0], [0, 0, 1, 0]]))  # full-rank user D
+def test_constant_frame_checks_match_the_full_grid_oracle(case):
+    """Constant frames are decided by one exact elimination at the origin; the outcome is the float
+    oracle's, and a failure names the first grid point."""
+    grid = case[0]
+    outcome = _frame_checks_match_the_full_grid_oracle(*case)
+    if isinstance(outcome, tuple) and outcome[0] is FrameRankError:
+        assert outcome[1].endswith(f"at grid point {tuple(grid.points[0].tolist())}")
 
 
 @pytest.mark.parametrize("workload, index", [("obstruct-wide", 2), ("simulate-pointwise", 0)])
 def test_frame_checks_rank_one_matrix_per_distinct_value(monkeypatch, workload, index):
-    """The work of the frame checks, not their time: every rank stack in the geometry stage holds
-    at most per_axis ** |support| + 1 matrices, the support being the variables C and D read."""
+    """The work of the frame checks, not their time: constant C and D are decided exactly, with no
+    float rank call in the geometry stage, and every rank stack of polynomial ones holds at most
+    per_axis ** |support| + 1 matrices, the support being the variables C and D read."""
     state = cli.RunState(cli.build_problem(gen.instance(workload, 7, index).spec))
     c, d = run_frames(state.problem)
     stacks = []
@@ -402,6 +432,9 @@ def test_frame_checks_rank_one_matrix_per_distinct_value(monkeypatch, workload, 
     cli.stage_geometry(state)
     fields = c.fields + d.fields
     support = {i for col in fields for p in col for mi in p.terms for i, e in enumerate(mi) if e}
+    if workload == "obstruct-wide":
+        assert not support and stacks == []
+        return
     bound = state.problem.options.grid_per_axis ** len(support) + 1
     assert bound < len(state.grid)
     assert stacks and max(stacks) <= bound

@@ -34,6 +34,7 @@ from liftlyap.poly import (
     poly_adjugate,
     poly_det,
     poly_sum,
+    reduce_rows,
 )
 
 
@@ -567,6 +568,28 @@ def test_origin_pivots_match_forward_elimination(mat):
     """The Gauss-Jordan elimination behind origin_pivots keeps the rows and pivots of forward elimination."""
     rows = [[p.constant_term for p in row] for row in mat.entries]
     assert origin_pivots(mat) == matrix_oracle.forward_pivots(rows)
+
+
+@st.composite
+def _sparse_fraction_rows(draw):
+    """1..9 rows of 1..8 Fractions, about 60 % of them zero, and a pivot width of 1..8 columns."""
+    cols = draw(st.integers(1, 8))
+    nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    rows = [
+        [Fraction(0) if draw(st.integers(0, 9)) < 6 else draw(nonzero) for _ in range(cols)]
+        for _ in range(draw(st.integers(1, 9)))
+    ]
+    return rows, draw(st.integers(1, cols))
+
+
+@given(_sparse_fraction_rows())
+@example(([[Fraction(1), Fraction(0), Fraction(2)], [Fraction(3), Fraction(1), Fraction(0)]], 2))
+def test_reduce_rows_matches_the_dense_update(case):
+    """Updating only where the pivot row is nonzero keeps every row, pivot and reduced row."""
+    rows, width = case
+    before = [list(row) for row in rows]
+    assert reduce_rows(rows, width) == matrix_oracle.dense_reduce_rows(rows, width)
+    assert rows == before
 
 
 def test_exact_division():
