@@ -28,7 +28,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numutil import numeric_rank
-from .poly import Poly, PolyMatrix, lie_brackets, origin_pivots, poly_adjugate, poly_det
+from .poly import (
+    Poly,
+    PolyMatrix,
+    constant_elimination,
+    lie_brackets,
+    origin_pivots,
+    pivot_inverse,
+    poly_adjugate,
+    poly_det,
+)
 
 MAX_GRID_POINTS = 100_000  # largest per_axis ** m; the point-by-point grid checks hold every point at once
 
@@ -360,12 +369,14 @@ def build_projections(c: Frame, d: Frame, conn: EhresmannConnection) -> tuple[Po
     invertible at the origin, which is an exact check here; its rank on
     the rest of the grid is checked by :func:`complement_frame`.
 
-    A constant [C | D] gets det and adj from one exact Fraction
-    elimination.  One with a polynomial entry gets them by cofactor
-    expansion, whose term order fixes the float sums downstream; its cost
-    grows factorially with m (less when rows have zeros), and more than
-    ``poly.MAX_MINORS`` minors (a dense 8x8 adjugate, not its determinant)
-    raise ExpansionLimitError, an input error.
+    A constant [C | D] gets det from one exact Fraction elimination of
+    [T | I], which T keeps, and ``p_d`` is the bottom rows of T^-1 read off
+    that elimination (:func:`poly.pivot_inverse`), with no adjugate.  One
+    with a polynomial entry gets det and adj by cofactor expansion, whose
+    term order fixes the float sums downstream; its cost grows factorially
+    with m (less when rows have zeros), and more than ``poly.MAX_MINORS``
+    minors (a dense 8x8 adjugate, not its determinant) raise
+    ExpansionLimitError, an input error.
     """
     m = c.dim
     if d.dim != m or c.rank + d.rank != m:
@@ -377,5 +388,11 @@ def build_projections(c: Frame, d: Frame, conn: EhresmannConnection) -> tuple[Po
     d0 = det.constant_term
     if d0 == 0:
         raise FrameRankError("[C | D] is singular at the origin")
-    adj = poly_adjugate(t).scale(Fraction(1) / d0)
-    return PolyMatrix([adj.row(i) for i in range(c.rank, m)], cols=m, nvars=m), build_p_vm(conn)
+    basis = constant_elimination(t)
+    if basis is None:
+        adj = poly_adjugate(t).scale(Fraction(1) / d0)
+        p_d = [adj.row(i) for i in range(c.rank, m)]
+    else:
+        inverse = pivot_inverse(basis, m)
+        p_d = [[Poly.const(m, a) for a in inverse[i]] for i in range(c.rank, m)]
+    return PolyMatrix(p_d, cols=m, nvars=m), build_p_vm(conn)

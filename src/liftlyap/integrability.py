@@ -9,13 +9,16 @@ with P_D = Q / delta and delta(0) = 1 (geometry.build_projections).  The
 verdict tests both blocks as one system, the rows L = [Q; P_VM^T] with
 right-hand sides b = (Q X, 0), by Frobenius in graph form (Lee,
 *Introduction to Smooth Manifolds*, 2nd ed., ch. 19; Seiler, *Involution*,
-2010).  Exact elimination of L(0) (poly.origin_pivots) keeps rows S with
-pivot columns P, and M = L[S, P] is invertible at the origin.  With
+2010).  One exact elimination of [L(0) | I] (poly.reduce_rows) keeps rows
+S with pivot columns P, and M = L[S, P] is invertible at the origin.  With
 d = det M / det M(0) and adj(M) also divided by det M(0), the rows
 G = adj(M) L_S read d * I on P, and near the origin the system is
-(G_i / d)(V) = beta_i / d with beta = adj(M) b_S.  Graph-form fields span
-an involutive distribution exactly when they commute, whatever basis the
-rows came in, so condition A is [G_i / d, G_j / d] = 0 and condition B is
+(G_i / d)(V) = beta_i / d with beta = adj(M) b_S.  For a constant M (every
+fixture and benchmark instance) d = 1 and G = M^-1 [L_S | b_S], with
+M^-1 read off that same elimination, so no adjugate is formed.
+Graph-form fields span an involutive distribution exactly when they
+commute, whatever basis the rows came in, so condition A is
+[G_i / d, G_j / d] = 0 and condition B is
 (G_i / d)(beta_j / d) = (G_j / d)(beta_i / d) for every pair, D and VM rows
 alike (both times d^3).  A row l outside S must satisfy
 d L_l = sum_p L_l,p G_p identically (else the rank at the origin is below
@@ -46,6 +49,7 @@ are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -59,10 +63,12 @@ from .poly import (
     eval_points,
     lie_brackets,
     lie_derivative,
-    origin_pivots,
+    pivot_inverse,
     poly_adjugate,
     poly_det,
     poly_sum,
+    reduce_rows,
+    scaled,
 )
 
 
@@ -128,19 +134,43 @@ class GraphForm:
 def graph_form(rs: ResidualSystem) -> GraphForm:
     """Bring the stacked rows [Q; P_VM^T], with right-hand sides (Q X, 0), into graph form.
 
+    One Fraction elimination of [L(0) | I] (:func:`poly.reduce_rows`, pivots
+    searched in the first m columns) picks the rows S and pivot columns P.
+    When M = L[S, P] is constant, M = M(0), so d = 1 and M^-1 is read off
+    that elimination (:func:`poly.pivot_inverse`): the graph row for pivot p
+    is the sum, over the rows of S in pivot-column order, of [L_s | b_s]
+    times entry s of row p of M^-1, skipping zero coefficients and zero
+    entries.  That is the term order the product adj(M) / det M(0) @
+    [L_S | b_S] gives, since a product by a one-term constant scales in
+    place.  A block with a polynomial entry takes det M and adj(M) by
+    cofactor expansion, whose term order fixes the float sums downstream.
+
     Raises FrameRankError naming a row that reduces to zero at the origin but
     not identically: the rank is lower there than nearby, so no graph form holds.
     """
     m, d_rows = rs.p_vm.rows, rs.p_d.rows
     aug = [[*q, poly_sum((e * x for e, x in zip(q, rs.x_field) if e), m)] for q in rs.p_d.entries]
     aug += [[*rs.p_vm.col(j), Poly.zero(m)] for j in range(rs.p_vm.cols)]  # [L | b]
-    pivots = sorted(origin_pivots(PolyMatrix([row[:m] for row in aug])), key=lambda pivot: pivot[1])
-    kept, cols = [i for i, _ in pivots], [j for _, j in pivots]
-    block = PolyMatrix([[aug[i][j] for j in cols] for i in kept])
-    det = poly_det(block)
-    scale = 1 / det.constant_term
-    den = det * scale
-    graph = [list(row) for row in (poly_adjugate(block).scale(scale) @ PolyMatrix([aug[i] for i in kept])).entries]
+    one, zero = Fraction(1), Fraction(0)
+    origin = [[p.constant_term for p in row[:m]] + [zero] * len(aug) for row in aug]  # [L(0) | I]
+    for i, row in enumerate(origin):
+        row[m + i] = one
+    basis = sorted(reduce_rows(origin, m), key=lambda entry: entry[1])
+    kept, cols = [i for i, _, _ in basis], [j for _, j, _ in basis]
+    block = [[aug[i][j] for j in cols] for i in kept]
+    if all(e.is_constant() for row in block for e in row):
+        den = Poly.const(m, 1)
+        inverse = pivot_inverse(basis, m)
+        graph = []
+        for col in cols:
+            terms = [(a, aug[i]) for i in kept if (a := inverse[col][i])]
+            graph.append([poly_sum((scaled(row[j], a) for a, row in terms if row[j]), m) for j in range(m + 1)])
+    else:
+        block = PolyMatrix(block)
+        det = poly_det(block)
+        scale = 1 / det.constant_term
+        den = det * scale
+        graph = [list(row) for row in (poly_adjugate(block).scale(scale) @ PolyMatrix([aug[i] for i in kept])).entries]
     identities = []
     for l in sorted(set(range(len(aug))) - set(kept)):
         reduced = (PolyMatrix([[den, *(-aug[l][j] for j in cols)]]) @ PolyMatrix([aug[l], *graph])).entries[0]
@@ -164,11 +194,15 @@ def condition_a(rows: PolyMatrix, den: Poly) -> dict[tuple[int, int, int], Poly]
         den * [G_a1, G_a2]^i1 - (G[a2][i1] G_a1(den) - G[a1][i1] G_a2(den))
 
     The condition holds when every entry is identically zero; with fewer
-    than two rows it is vacuous.
+    than two rows it is vacuous.  Constant fields and a constant den
+    commute, so then every entry is zero and no bracket is formed.
     """
     g = rows.entries
-    along = None if den.is_constant() else [lie_derivative(row, den) for row in g]  # G_a(den)
     pairs = [(a1, a2) for a1 in range(rows.rows) for a2 in range(a1 + 1, rows.rows)]
+    if den.is_constant() and all(e.is_constant() for row in g for e in row):
+        zero = Poly.zero(rows.nvars)
+        return {(a1 + 1, a2 + 1, i1 + 1): zero for a1, a2 in pairs for i1 in range(rows.cols)}
+    along = None if den.is_constant() else [lie_derivative(row, den) for row in g]  # G_a(den)
     out: dict[tuple[int, int, int], Poly] = {}
     for (a1, a2), bracket in zip(pairs, lie_brackets(g, pairs)):
         for i1, entry in enumerate(bracket):
@@ -246,12 +280,15 @@ def quasi_regular_identity(g1_basis: np.ndarray, dim_g2: int, perm: Sequence[int
         dim_g2 == dim(G1) + sum_{j=1..m-1} dim(G1 & Sigma_j)
 
     each intersection counted as rank(G1) + rank(Sigma_j) - rank([G1; Sigma_j]).
-    rank(G1) is one SVD, read for every j.  When it is 0, every
-    intersection is 0 and no other SVD runs.  Sigma_j is spanned by m - j
-    distinct unit covectors, whose singular values are all 1, so its rank
-    is m - j without an SVD.  The m - 1 stacked ranks are SVDs.
+    rank(G1) is one SVD, read for every j; a basis with no rows has rank
+    0 without one.  When it is 0, every intersection is 0 and no other SVD
+    runs.  Sigma_j is spanned by m - j distinct unit covectors, whose
+    singular values are all 1, so its rank is m - j without an SVD.  The
+    m - 1 stacked ranks are SVDs.
     """
     m = len(perm)
+    if not len(g1_basis):
+        return dim_g2 == 0
     dim_g1 = numeric_rank(g1_basis)
     if dim_g1 == 0:
         return dim_g2 == 0
@@ -270,7 +307,8 @@ def symbol_dims(form: GraphForm) -> SymbolDims:
     with the pivot columns of an orthonormal basis of G1, picked greedily in
     index order, then lists the other coordinates in ascending order; it is
     the first order, lexicographically, that satisfies the identity, and one
-    identity call certifies it (reported 1-based when it holds).
+    identity call certifies it (reported 1-based when it holds).  An empty
+    G1 is its own basis, with no rows, and needs no orthonormalizing.
     """
     m = form.den.nvars
     dim_g1 = m - len(form.pivots)
@@ -278,7 +316,7 @@ def symbol_dims(form: GraphForm) -> SymbolDims:
     for row, f in enumerate(f for f in range(m) if f not in form.pivots):
         kernel[row, f] = 1.0
         kernel[row, list(form.pivots)] = [-float(g[f].constant_term) for g in form.rows.entries]
-    g1_basis = orth_rows(kernel)
+    g1_basis = orth_rows(kernel) if dim_g1 else kernel
     lead: list[int] = []
     for i in range(m):
         if len(lead) == dim_g1:

@@ -40,9 +40,10 @@ evaluation reads a term table that each polynomial builds on first use and
 keeps, and :meth:`Poly.eval_float` keeps the function :func:`compile_float`
 generates from it.  A :class:`PolyMatrix` whose entries are all constant
 keeps the elimination that :func:`poly_det` and :func:`poly_adjugate` share
-in the same way.  Two threads racing to build any of these, or the same
-shared zero, build the same one.  Printing uses graded lexicographic term
-order so that output is deterministic.
+in the same way, and :func:`pivot_inverse` reads its inverse off it.  Two
+threads racing to build any of these, or the same shared zero, build the
+same one.  Printing uses graded lexicographic term order so that output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(mi) == 0 for mi in self.terms)
+        terms = self.terms  # keys are distinct, so a constant has at most one: the origin
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     @property
     def constant_term(self) -> Fraction:
@@ -244,7 +246,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return _scaled(self, _as_fraction(other))
+            return scaled(self, _as_fraction(other))
         if not isinstance(other, Poly):
             return NotImplemented
         if other.nvars != self.nvars:
@@ -256,10 +258,10 @@ class Poly:
         # a one-term constant has degree 0, so the product's degree is the other operand's
         if len(a) == 1 and origin in a:
             check_cap("product degree", other.degree())
-            return _scaled(other, a[origin])
+            return scaled(other, a[origin])
         if len(b) == 1 and origin in b:
             check_cap("product degree", self.degree())
-            return _scaled(self, b[origin])
+            return scaled(self, b[origin])
         check_cap("product degree", self.degree() + other.degree())
         out: dict[MultiIndex, Fraction] = {}
         add = operator.add
@@ -399,7 +401,7 @@ def check_cap(what: str, value: int) -> None:
         raise DegreeCapError(f"{what} {value} exceeds cap {DEGREE_CAP}")
 
 
-def _scaled(p: Poly, c: Fraction) -> Poly:
+def scaled(p: Poly, c: Fraction) -> Poly:
     """p times the rational c, with p's terms in p's order."""
     if c == 0:
         return Poly.zero(p.nvars)
@@ -763,12 +765,13 @@ def _constant_rows(matrix: PolyMatrix) -> list[list[Fraction]] | None:
     return rows
 
 
-def _constant_elimination(matrix: PolyMatrix) -> list[tuple[int, int, list[Fraction]]] | None:
+def constant_elimination(matrix: PolyMatrix) -> list[tuple[int, int, list[Fraction]]] | None:
     """:func:`reduce_rows` of [M | I] for a square M whose entries are all constant, else None.
 
     The elimination is kept in the matrix on first use, so :func:`poly_det`
-    and :func:`poly_adjugate` of one constant block share it; a matrix with
-    a polynomial entry keeps nothing.
+    and :func:`poly_adjugate` of one constant block share it, and a caller
+    that took the determinant reads M^-1 off it with :func:`pivot_inverse`;
+    a matrix with a polynomial entry keeps nothing.
     """
     if matrix._elimination is None:
         rows = _constant_rows(matrix)
@@ -779,6 +782,23 @@ def _constant_elimination(matrix: PolyMatrix) -> list[tuple[int, int, list[Fract
         identity = [[one if i == j else _ZERO for j in range(n)] for i in range(n)]
         matrix._elimination = reduce_rows([row + unit for row, unit in zip(rows, identity)], n)
     return matrix._elimination
+
+
+def pivot_inverse(basis: list[tuple[int, int, list[Fraction]]], width: int) -> dict[int, list[Fraction]]:
+    """The record of each row :func:`reduce_rows` kept of [A | I], over its pivot, keyed by its pivot column.
+
+    The record, the entries past ``width``, is the combination r of A's rows
+    that the kept row is, so r A is its pivot on its own pivot column and 0
+    on the others.  r reads only the kept rows S, and over the pivot it is
+    the row, for that pivot column, of M^-1 for the block M = A[S, P] on the
+    kept rows and the pivot columns P: for a square invertible A, row ``col``
+    of A^-1.
+    """
+    out = {}
+    for _, col, row in basis:
+        pivot = row[col]
+        out[col] = row[width:] if pivot == 1 else [a / pivot if a else a for a in row[width:]]
+    return out
 
 
 def _pivot_det(basis: list[tuple[int, int, list[Fraction]]], n: int) -> Fraction:
@@ -817,7 +837,7 @@ def poly_det(matrix: PolyMatrix) -> Poly:
     """
     if matrix.rows != matrix.cols:
         raise ValueError("determinant of a non-square matrix")
-    basis = _constant_elimination(matrix)
+    basis = constant_elimination(matrix)
     if basis is not None:
         return Poly.const(matrix.nvars, _pivot_det(basis, matrix.cols))
     rows = [list(r) for r in matrix.entries]
@@ -862,7 +882,8 @@ def poly_adjugate(matrix: PolyMatrix) -> PolyMatrix:
 
     An invertible matrix whose entries are all constant goes by the exact
     Fraction elimination of [M | I] (:func:`reduce_rows`) that it shares with
-    :func:`poly_det`, as det(M) * M^-1.
+    :func:`poly_det`, as det(M) * M^-1, whose rows :func:`pivot_inverse`
+    reads off it.
     Any other, a singular constant one too, takes each entry from the
     cofactor expansion of its minor (see :func:`poly_det` for why, and for
     its cost, and the limit MAX_MINORS, which bounds the n^2 expansions
@@ -874,14 +895,13 @@ def poly_adjugate(matrix: PolyMatrix) -> PolyMatrix:
     n = matrix.rows
     if n == 0:
         return matrix
-    basis = _constant_elimination(matrix)
+    basis = constant_elimination(matrix)
     if basis is not None and len(basis) == n:
         det, nvars = _pivot_det(basis, n), matrix.nvars
         origin, zero = (0,) * nvars, Poly.zero(nvars)
         adj: list[list[Poly]] = [[] for _ in range(n)]
-        for _, col, row in basis:  # row col of M^-1: this row's record of the row operations, over its pivot
-            scale = det / row[col]  # det and the pivot are nonzero, so scale * a is 0 only where a is
-            adj[col] = [Poly._of(nvars, {origin: scale * a}) if a else zero for a in row[n:]]
+        for col, inverse in pivot_inverse(basis, n).items():  # det is nonzero, so det * a is 0 only where a is
+            adj[col] = [Poly._of(nvars, {origin: det * a}) if a else zero for a in inverse]
         return PolyMatrix(adj, cols=n, nvars=nvars)
     rows = [list(r) for r in matrix.entries]
     pattern, budget = [[bool(e) for e in row] for row in rows], [MAX_MINORS]

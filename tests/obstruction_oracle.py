@@ -13,6 +13,12 @@ for the gradient y of V, by comparing the numeric ranks of M and [M | b];
 the identities must vanish exactly at the points it calls consistent.  It
 is kept as a test oracle only.
 
+:func:`adjugate_graph_form` is :func:`liftlyap.integrability.graph_form` as
+it ran before it read M^-1 off its elimination of [L(0) | I]: the pivots of
+L(0) by forward elimination, det M and adj(M) by cofactor expansion, and
+G = adj(M) / det M(0) @ [L_S | b_S] as a dense product.  ``graph_form``
+must return the same form, term order included.
+
 The package reads flatness and conditions A and B as Lie brackets and the
 horizontal lift as P_VM w.  :func:`condition_a_by_sums`,
 :func:`condition_b_by_sums`, :func:`curvature_by_sums` and
@@ -25,10 +31,10 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from matrix_oracle import null_rows
+from matrix_oracle import cofactor_adjugate, cofactor_det, forward_pivots, null_rows
 
-from liftlyap.geometry import EhresmannConnection
-from liftlyap.integrability import ResidualSystem, condition_a, condition_b
+from liftlyap.geometry import EhresmannConnection, FrameRankError
+from liftlyap.integrability import GraphForm, ResidualSystem, condition_a, condition_b
 from liftlyap.numutil import RANK_RTOL, numeric_rank
 from liftlyap.poly import Poly, PolyMatrix, eval_points, poly_sum
 
@@ -224,6 +230,38 @@ def curvature_map_eval(
                 total += h_coeffs[(q1 + 1, q2 + 1, i1 + 1)].eval_float(point) * v1[i1]
             h_map[(q1 + 1, q2 + 1)] = total
     return g_map, h_map
+
+
+# -- the graph form by the adjugate ---------------------------------------------
+
+
+def adjugate_graph_form(rs: ResidualSystem) -> GraphForm:
+    """The stacked rows [Q; P_VM^T] with right-hand sides (Q X, 0) in graph form, by cofactors.
+
+    Raises FrameRankError, with graph_form's message, for a row that reduces
+    to zero at the origin but not identically.
+    """
+    m, d_rows = rs.p_vm.rows, rs.p_d.rows
+    aug = [[*q, poly_sum((e * x for e, x in zip(q, rs.x_field) if e), m)] for q in rs.p_d.entries]
+    aug += [[*rs.p_vm.col(j), Poly.zero(m)] for j in range(rs.p_vm.cols)]  # [L | b]
+    pivots = sorted(forward_pivots([[p.constant_term for p in row[:m]] for row in aug]), key=lambda pivot: pivot[1])
+    kept, cols = [i for i, _ in pivots], [j for _, j in pivots]
+    block = PolyMatrix([[aug[i][j] for j in cols] for i in kept])
+    det = cofactor_det(block)
+    scale = 1 / det.constant_term
+    den = det * scale
+    graph = [list(row) for row in (cofactor_adjugate(block).scale(scale) @ PolyMatrix([aug[i] for i in kept])).entries]
+    identities = []
+    for l in sorted(set(range(len(aug))) - set(kept)):
+        reduced = (PolyMatrix([[den, *(-aug[l][j] for j in cols)]]) @ PolyMatrix([aug[l], *graph])).entries[0]
+        if any(reduced[:m]):
+            label = f"d[{l + 1}]" if l < d_rows else f"vm[{l - d_rows + 1}]"
+            raise FrameRankError(
+                f"the lift system has a lower rank at the origin than nearby: row {label} reduces to zero there only"
+            )
+        identities.append(reduced[m])
+    rhs = tuple(row.pop() for row in graph)
+    return GraphForm(tuple(cols), PolyMatrix(graph), rhs, den, tuple(identities))
 
 
 # -- the obstructions expanded into index sums ---------------------------------

@@ -12,6 +12,7 @@ from conftest import build_pipeline, check_grid, flat_connection, projection_del
 from hypothesis import example, given
 from hypothesis import strategies as st
 from liftbench import gen
+from matrix_oracle import cofactor_adjugate, cofactor_det
 
 from liftlyap import cli, geometry
 from liftlyap.geometry import (
@@ -289,6 +290,23 @@ def test_projection_from_user_complement():
     p_d, _ = build_projections(c, d, flat_connection(2, 1))
     assert projection_delta(c, d) == Poly.const(2, 1)
     assert p_d.row(0) == [_p("-x1", X2), _p("1", X2)]
+
+
+def test_constant_projection_is_the_scaled_adjugate():
+    """[C | D] with columns (2, 1, 0), (1, 1, 0), (0, 1, 3) is constant with det 3 and an inverse
+    that is no permutation: p_d, read off the elimination, is the bottom rows of the cofactor
+    adjugate over det [C | D](0) = 3, term for term."""
+    c = Frame.build(3, [[_p("2", X3), _p("1", X3), _p("0", X3)]], check_grid(3))
+    d = complement_frame(c, [[_p(t, X3) for t in col] for col in (("1", "1", "0"), ("0", "1", "3"))], check_grid(3))
+    t = Frame(3, c.fields + d.fields).as_matrix()
+    assert cofactor_det(t) == Poly.const(3, 3)
+    expected = cofactor_adjugate(t).scale(Fraction(1, 3))
+    p_d, _ = build_projections(c, d, flat_connection(3, 1))
+    assert [[list(e.terms.items()) for e in row] for row in p_d.entries] == [
+        [list(e.terms.items()) for e in expected.row(i)] for i in (1, 2)
+    ]
+    assert sum(bool(e) for row in expected.entries for e in row) > 3
+    assert projection_delta(c, d) == Poly.const(3, 1)
 
 
 def test_projection_invariants_exact():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import lift_oracle
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from liftbench import gen
 from obstruction_oracle import (
     InconsistentJetError,
+    adjugate_graph_form,
     condition_a_by_sums,
     condition_b_by_sums,
     consistency_gap,
@@ -339,28 +341,16 @@ def test_conditions_make_only_the_needed_products(monkeypatch):
 
 
 def test_constant_determinants_and_adjugates_are_bounded(monkeypatch):
-    """On obstruct-wide seed 7 #0, [C | D] and the graph-form block are 7 x 7 and constant:
-    their determinants and adjugates make no Poly product and reach no cofactor expansion,
-    and each block is eliminated once for both.  A polynomial matrix keeps no elimination."""
-    seen = {}
-
-    def recording(module, name):
-        kernel = getattr(poly, name)
-
-        def record(mat):
-            seen[module.__name__, name] = mat
-            return kernel(mat)
-
-        monkeypatch.setattr(module, name, record)
-
-    for module in (geometry, integrability):
-        recording(module, "poly_det")
-        recording(module, "poly_adjugate")
+    """On obstruct-wide seed 7 #0, [C | D] and the graph-form block are 7 x 7 and constant.
+    build_projections and graph_form each run one elimination, which gives the determinant and
+    the inverse: no cofactor expansion, no adjugate, and no Poly product but those that form
+    b = Q X.  A polynomial matrix keeps no elimination."""
     state = cli.RunState(cli.build_problem(gen.instance("obstruct-wide", 7, 0).spec))
     cli.stage_quotient(state)
-    graph_form(ResidualSystem(*cli.stage_geometry(state), cli.stage_target(state)))
-    assert len(seen) == 4
-    calls = {"_det_rows": 0, "__mul__": 0}
+    c, d = run_frames(state.problem)
+    conn = state.problem.conn
+    assert (c.rank + d.rank, c.dim) == (7, 7)
+    calls = {"reduce_rows": 0, "_det_rows": 0, "poly_adjugate": 0, "__mul__": 0}
 
     def counted(owner, name):
         inner = getattr(owner, name)
@@ -371,26 +361,31 @@ def test_constant_determinants_and_adjugates_are_bounded(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(poly, "_det_rows")
-    counted(Poly, "__mul__")
-    for (_, name), mat in seen.items():
-        assert (mat.rows, mat.cols) == (7, 7)
-        assert all(e.is_constant() for row in mat.entries for e in row)
-        getattr(poly, name)(mat)
-    assert calls == {"_det_rows": 0, "__mul__": 0}
-    # each module hands its det and its adjugate one block, whose elimination serves both
-    blocks = [seen[module.__name__, "poly_det"] for module in (geometry, integrability)]
-    assert all(seen[module.__name__, "poly_adjugate"] is block for module, block in zip((geometry, integrability), blocks))
-    calls["reduce_rows"] = 0
-    counted(poly, "reduce_rows")
-    for block in blocks:
-        fresh = PolyMatrix(block.entries)
-        assert (poly.poly_det(fresh), poly.poly_adjugate(fresh)) == (poly.poly_det(block), poly.poly_adjugate(block))
-    assert calls == {"_det_rows": 0, "__mul__": 0, "reduce_rows": len(blocks)}
+    for owner, name in (
+        (poly, "reduce_rows"),
+        (integrability, "reduce_rows"),
+        (poly, "_det_rows"),
+        (geometry, "poly_adjugate"),
+        (integrability, "poly_adjugate"),
+        (Poly, "__mul__"),
+    ):
+        counted(owner, name)
+    build_p_vm(conn)
+    vm_products, calls["__mul__"] = calls["__mul__"], 0
+    p_d, p_vm = build_projections(c, d, conn)
+    assert calls == {"reduce_rows": 1, "_det_rows": 0, "poly_adjugate": 0, "__mul__": vm_products}
+    assert all(e.is_constant() for row in p_d.entries for e in row)
+    rs = ResidualSystem(p_d, p_vm, cli.stage_target(state))
+    for name in calls:
+        calls[name] = 0
+    form = graph_form(rs)
+    q_x = sum(bool(e) for row in p_d.entries for e in row)  # the products Q[a][i] * X^i that form b
+    assert calls == {"reduce_rows": 1, "_det_rows": 0, "poly_adjugate": 0, "__mul__": q_x}
+    assert (len(form.pivots), form.den) == (7, Poly.const(7, 1))
     x1 = Poly.variable(2, 0)
     polynomial = PolyMatrix([[x1 + 1, x1], [Poly.const(2, 2), Poly.const(2, 3)]])
     assert poly.poly_det(polynomial) == x1 + 3 and poly.poly_adjugate(polynomial).entry(0, 1) == -x1
-    assert polynomial._elimination is None and calls["reduce_rows"] == len(blocks)
+    assert polynomial._elimination is None and poly.constant_elimination(polynomial) is None
 
 
 @pytest.mark.parametrize(
@@ -689,6 +684,94 @@ def test_liftable_systems_have_feasible_jets(case):
                 assert coeffs == jet.coeffs
 
 
+def _form_terms(form):
+    """A graph form's pivots, rows, right-hand sides, den and identities, each Poly as its list of terms."""
+
+    def terms(polys):
+        return [list(p.terms.items()) for p in polys]
+
+    return form.pivots, [terms(row) for row in form.rows.entries], terms(form.rhs), terms([form.den]), terms(form.identities)
+
+
+def _graph_form_matches_the_adjugate_oracle(rs):
+    """graph_form(rs) against the cofactor product, term for term; a refused system is refused
+    with the same error and message.  Returns the form, or None when it is refused."""
+    try:
+        expected = adjugate_graph_form(rs)
+    except (FrameRankError, DegreeCapError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            graph_form(rs)
+        return None
+    form = graph_form(rs)
+    assert _form_terms(form) == _form_terms(expected)
+    return form
+
+
+@given(_small_lift_systems())
+def test_graph_form_matches_the_adjugate_oracle(case):
+    """A constant pivot block's inverse read off the elimination of [L(0) | I], and a polynomial
+    block's cofactors, give the form of adj(M) / det M(0) @ [L_S | b_S] in the same term order."""
+    rs, _, _ = case
+    _graph_form_matches_the_adjugate_oracle(rs)
+
+
+def _rows_system(q_rows, vm_cols, x_texts, names):
+    """The system with D rows ``q_rows`` and P_VM columns ``vm_cols`` (texts) and target X."""
+    m = len(names)
+
+    def matrix(rows):
+        return PolyMatrix([[_p(t, names) for t in row] for row in rows], cols=m, nvars=m)
+
+    p_vm = PolyMatrix([list(row) for row in zip(*matrix(vm_cols).entries)], cols=len(vm_cols), nvars=m)
+    return ResidualSystem(matrix(q_rows), p_vm, tuple(_p(t, names) for t in x_texts))
+
+
+GRAPH_FORM_CASES = {
+    # M = [[2, 1], [1, 1]]: pivots 2 and 1/2, and M^-1 = [[1, -1], [-1, 2]] is dense
+    "dense-inverse": (lambda: _rows_system([["2", "1"]], [["1", "1"]], ["x1*x2", "x1^2 + x2"], X2), True, 0),
+    # L(0) rows (0, 2, 0), (3, 1, 0), (3, 3, 0): the second row holds the first pivot, M = [[3, 1], [0, 2]]
+    # is constant while L is not, and the third row is the sum of the first two, so it has an identity
+    "pivots-out-of-row-order": (
+        lambda: _rows_system(
+            [["0", "2", "x1^2"]], [["3", "1", "x2"], ["3", "3", "x1^2 + x2"]], ["x2*x3", "x1 - x3^2", "x1*x2"], X3
+        ),
+        True,
+        1,
+    ),
+    "ex_fa": (lambda: build_pipeline("ex_fa")[1], True, 0),
+    "ex_di": (lambda: build_pipeline("ex_di")[1], True, 1),
+    "ex_curv": (lambda: build_pipeline("ex_curv")[1], True, 1),
+    # the rescaled complement makes M polynomial: det M = 1 + x1^2 / 2
+    "ex_curv-polynomial-d": (
+        lambda: build_pipeline("ex_curv", d=[["0", "1 + 1/2*x1^2", "0"], ["0", "0", "1"]])[1],
+        False,
+        1,
+    ),
+    # the D row (1, -x1) and the VM row (1, x1) agree only at the origin
+    "row-vm1-rank-drop": (lambda: build_pipeline("ex_ps", f=[["x1", "1"]], beta=[["x1"]])[1], None, None),
+}
+
+
+@pytest.mark.parametrize("name", GRAPH_FORM_CASES)
+def test_graph_form_matches_the_adjugate_oracle_on_chosen_systems(name, monkeypatch):
+    """Non-unit pivots, a dense inverse, pivots out of row order, identities, a polynomial L over a
+    constant M, a polynomial M, and a rank drop at the origin.  Only a polynomial M takes det."""
+    build, constant, identities = GRAPH_FORM_CASES[name]
+    rs = build()
+    dets = []
+    det = integrability.poly_det
+    monkeypatch.setattr(integrability, "poly_det", lambda mat: dets.append(mat) or det(mat))
+    form = _graph_form_matches_the_adjugate_oracle(rs)
+    if constant is None:
+        assert form is None
+        with pytest.raises(FrameRankError, match=r"row vm\[1\] reduces to zero there only"):
+            graph_form(rs)
+        return
+    assert len(form.identities) == identities and any(form.identities) == bool(identities)
+    assert len(dets) == (0 if constant else 1)
+    assert (form.den == Poly.const(rs.p_vm.rows, 1)) == constant
+
+
 def _rs_from_c_x(c_cols, x_texts, names, n):
     """Residual system for the control columns C (texts), the target X and the flat connection."""
     return _rs_from_pd_x(None, x_texts, names, [[_p(t, names) for t in col] for col in c_cols], n)[0]
@@ -806,12 +889,13 @@ def test_symbol_with_a_tiny_connection_coefficient():
 
 def _g1_bases(rng, m):
     """Orthonormal G1 bases of every dimension k = 0..m, as (k, basis): a random rotation of
-    k coordinates, k coordinate rows, and, for k = 1, a row whose other entries are below the
-    rank tolerance."""
+    k coordinates, k coordinate rows, a zero row (a basis of rank 0 that has a row), and, for
+    k = 1, a row whose other entries are below the rank tolerance."""
     for k in range(m + 1):
         q, _ = np.linalg.qr(rng.standard_normal((m, m)))
         yield k, q[:, :k].T
         yield k, np.eye(m)[sorted(rng.choice(m, size=k, replace=False))]
+    yield 0, np.zeros((1, m))
     if m > 1:
         yield 1, np.array([[-1e-10] + [0.0] * (m - 2) + [1.0]])
 
@@ -833,7 +917,8 @@ def counted_ranks(monkeypatch):
 def test_quasi_regular_identity_matches_the_reference_on_coordinate_orders(counted_ranks):
     """Every coordinate order for m <= 4, against the three-ranks-per-intersection identity and
     every dim_g2 near the true one; G1 is ranked once and the suffixes not at all, so the
-    identity takes 1 SVD when G1 = 0 and m (G1 and the m - 1 stacks) otherwise."""
+    identity takes no SVD for a basis with no rows, 1 for a basis of rank 0 that has rows, and
+    m (G1 and the m - 1 stacks) otherwise."""
     rng = np.random.default_rng(28)
     for m in range(1, 5):
         for k, g1 in _g1_bases(rng, m):
@@ -842,7 +927,7 @@ def test_quasi_regular_identity_matches_the_reference_on_coordinate_orders(count
                 for dim_g2 in range(k * (k + 1) // 2 + 2):
                     counted_ranks.clear()
                     got = integrability.quasi_regular_identity(g1, dim_g2, perm)
-                    assert len(counted_ranks) == (1 if k == 0 else m)
+                    assert len(counted_ranks) == (0 if len(g1) == 0 else 1 if k == 0 else m)
                     assert got == reference_identity(g1, dim_g2, basis), (m, k, perm, dim_g2)
 
 

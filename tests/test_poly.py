@@ -592,6 +592,25 @@ def test_reduce_rows_matches_the_dense_update(case):
     assert rows == before
 
 
+@given(_sparse_fraction_rows())
+@example(([[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)], [Fraction(3), Fraction(3)]], 2))
+def test_pivot_inverse_is_the_inverse_of_the_pivot_block(case):
+    """Over [A | I], each kept row's record over its pivot reads only the kept rows S, and on
+    them it is the row, for its pivot column, of M^-1 for M = A[S, P]: r A is 1 at its own
+    pivot column and 0 at the others."""
+    rows, width = case
+    n = len(rows)
+    unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    basis = reduce_rows([row[:width] + e for row, e in zip(rows, unit)], width)
+    inverse = poly.pivot_inverse(basis, width)
+    kept, cols = [i for i, _, _ in basis], [col for _, col, _ in basis]
+    assert list(inverse) == cols
+    for col, record in inverse.items():
+        assert all(not a for i, a in enumerate(record) if i not in kept)
+        product = [sum(record[i] * rows[i][j] for i in kept) for j in cols]
+        assert product == [int(j == col) for j in cols]
+
+
 def test_exact_division():
     rng = random.Random(23)
     for _ in range(20):
